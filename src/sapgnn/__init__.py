@@ -7,9 +7,8 @@ that the decentralized computation matches training on the combined graph.
 """
 
 from .config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
-from .gnn import (ModelConfig, ModelWeights, UpdateKind, aggregate_max, aggregate_min,
-                  centralized_forward, centralized_forward_backward,
-                  check_monotone_update, global_embedding, message_construct)
+from .gnn import (ModelConfig, ModelWeights, UpdateKind, aggregate_max, centralized_forward,
+                  centralized_forward_backward, check_monotone_update, global_embedding)
 from .graphs import (Graph, HashedIndex, LocalGraph, build_hashed_index,
                      generate_synthetic, load_dataset, split_edges_uniform,
                      split_label_skew, union_graph, write_dataset)

@@ -98,23 +98,50 @@ class LayerWeights:
 
 @dataclass
 class LocalWeightSet:
-    """The replicated holder-side parameters."""
+    """The replicated holder-side parameters (or gradients shaped like them)."""
 
     w_message: list   # per layer, None unless the linear message variant is on
     w_gate: list      # per layer, None unless the gated update is on
     w_predict: np.ndarray
 
+    def _slots(self):
+        """(name, container, key) per tensor: the one place that names the
+        local tensors and fixes their canonical aggregation order."""
+        for family in ("w_message", "w_gate"):
+            arrays = getattr(self, family)
+            for l, w in enumerate(arrays):
+                if w is not None:
+                    yield f"{family}[{l}]", arrays, l
+        yield "w_predict", vars(self), "w_predict"
+
     def tensors(self):
         """(name, array) pairs in the canonical aggregation order."""
-        out = []
-        for l, w in enumerate(self.w_message):
-            if w is not None:
-                out.append((f"w_message[{l}]", w))
-        for l, w in enumerate(self.w_gate):
-            if w is not None:
-                out.append((f"w_gate[{l}]", w))
-        out.append(("w_predict", self.w_predict))
-        return out
+        return [(name, container[key]) for name, container, key in self._slots()]
+
+    def arrays(self) -> list:
+        return [container[key] for _, container, key in self._slots()]
+
+    def set_arrays(self, values) -> None:
+        """Replace every tensor, given in the order of tensors()."""
+        for (_, container, key), value in zip(self._slots(), values, strict=True):
+            container[key] = value
+
+    def zeros_like(self) -> "LocalWeightSet":
+        zeros = LocalWeightSet(list(self.w_message), list(self.w_gate), self.w_predict)
+        zeros.set_arrays([np.zeros_like(w) for w in self.arrays()])
+        return zeros
+
+    def flat(self) -> np.ndarray:
+        """Every tensor raveled, concatenated in the canonical order."""
+        return np.concatenate([w.ravel() for w in self.arrays()])
+
+    def unflat(self, flat: np.ndarray) -> list:
+        """Split a vector laid out like flat() into arrays shaped like the tensors."""
+        arrays = self.arrays()
+        ends = np.cumsum([w.size for w in arrays])
+        if ends[-1] != flat.size:
+            raise ValueError(f"flat vector has {flat.size} entries, the tensors {ends[-1]}")
+        return [part.reshape(w.shape) for part, w in zip(np.split(flat, ends[:-1]), arrays)]
 
 
 @dataclass
@@ -145,11 +172,9 @@ def init_global_weights(cfg: ModelConfig, feat_dim: int,
     return [glorot_init(rng, d.d_out, d.t_dim) for d in layer_dims(cfg, feat_dim)]
 
 
-def build_model_weights(cfg: ModelConfig, feat_dim: int, n_classes: int,
-                        local_rng: np.random.Generator,
-                        server_rng: np.random.Generator) -> ModelWeights:
-    locals_ = init_local_weights(cfg, feat_dim, n_classes, local_rng)
-    globals_ = init_global_weights(cfg, feat_dim, server_rng)
+def assemble_model_weights(cfg: ModelConfig, locals_: LocalWeightSet,
+                           globals_: list) -> ModelWeights:
+    """Per-layer view over holder-side and server-side weights (no copies)."""
     relus = layer_relu_flags(cfg)
     drops = layer_dropout_rates(cfg)
     layers = [LayerWeights(w_message=locals_.w_message[l], w_gate=locals_.w_gate[l],
@@ -158,17 +183,16 @@ def build_model_weights(cfg: ModelConfig, feat_dim: int, n_classes: int,
     return ModelWeights(layers=layers, w_predict=locals_.w_predict)
 
 
+def build_model_weights(cfg: ModelConfig, feat_dim: int, n_classes: int,
+                        local_rng: np.random.Generator,
+                        server_rng: np.random.Generator) -> ModelWeights:
+    return assemble_model_weights(cfg, init_local_weights(cfg, feat_dim, n_classes, local_rng),
+                                  init_global_weights(cfg, feat_dim, server_rng))
+
+
 # ---------------------------------------------------------------------------
 # Message construction and pooling
 # ---------------------------------------------------------------------------
-
-def message_construct(h_v: np.ndarray, h_u: np.ndarray, h_edge=None,
-                      theta_rho: np.ndarray | None = None) -> np.ndarray:
-    """Message on one edge: the neighbor state, optionally linearly mapped."""
-    if theta_rho is None:
-        return np.asarray(h_u, dtype=np.float64)
-    return theta_rho @ np.asarray(h_u, dtype=np.float64)
-
 
 def message_matrix(h: np.ndarray, w_message: np.ndarray | None) -> np.ndarray:
     return h if w_message is None else h @ w_message.T
@@ -181,12 +205,6 @@ def aggregate_max(messages):
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("aggregate_max needs a nonempty set of equal-length vectors")
     return arr.max(axis=0), arr.argmax(axis=0)
-
-
-def aggregate_min(messages):
-    """Min pooling, realized as max pooling over negated values."""
-    agg, idx = aggregate_max(-np.asarray(messages, dtype=np.float64))
-    return -agg, idx
 
 
 @dataclass
@@ -243,6 +261,20 @@ def pooled_messages(msg: np.ndarray, idx: NeighborIndex):
     return m, winner
 
 
+def _apply_update(kind: UpdateKind, h: np.ndarray, m: np.ndarray, gate) -> np.ndarray:
+    """The local update of own state h with pooled message m, row-wise;
+    `gate` is relu(W_g h), read by the gated kind only."""
+    if kind is UpdateKind.SUM:
+        return h + m
+    if kind is UpdateKind.CONCAT:
+        return np.concatenate([h, m], axis=-1)
+    if kind is UpdateKind.GATED:
+        return gate * m
+    if kind is UpdateKind.NEGATED_SUM:
+        return h - m
+    raise ValueError(kind)
+
+
 def local_embedding(h: np.ndarray, idx: NeighborIndex, iso_ranks: np.ndarray,
                     kind: UpdateKind, w_message: np.ndarray | None,
                     w_gate: np.ndarray | None):
@@ -277,14 +309,8 @@ def local_embedding(h: np.ndarray, idx: NeighborIndex, iso_ranks: np.ndarray,
     t = np.full((n, t_dim), NEG_INF)
     rows = np.flatnonzero(participates)
     if rows.size:
-        if kind is UpdateKind.SUM:
-            t[rows] = h[rows] + m[rows]
-        elif kind is UpdateKind.CONCAT:
-            t[rows] = np.concatenate([h[rows], m[rows]], axis=1)
-        elif kind is UpdateKind.GATED:
-            t[rows] = relu(pre_gate[rows]) * m[rows]
-        elif kind is UpdateKind.NEGATED_SUM:
-            t[rows] = h[rows] - m[rows]
+        gate = relu(pre_gate[rows]) if pre_gate is not None else None
+        t[rows] = _apply_update(kind, h[rows], m[rows], gate)
     tape = LocalTape(winner=winner, participates=participates, m=m,
                      pre_gate=pre_gate, d_in=d_in)
     return t, tape
@@ -414,16 +440,20 @@ def predict_probs(h_final: np.ndarray, w_predict: np.ndarray) -> np.ndarray:
     return softmax_rows(h_final @ w_predict.T)
 
 
+def loss_terms(probs: np.ndarray, rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Per-label cross-entropy of the given labeled rows."""
+    if rows.size == 0:
+        return np.empty(0)
+    return -np.log(np.maximum(probs[rows, classes], PROB_CLAMP))
+
+
 def loss_from_probs(probs: np.ndarray, rows: np.ndarray, classes: np.ndarray) -> float:
     """Unnormalized cross-entropy sum over the given labeled rows (ascending).
 
     Kept as a sum, not a mean, so per-holder losses add up to exactly the
     loss over all labels.
     """
-    if rows.size == 0:
-        return 0.0
-    p = probs[rows, classes]
-    return float(np.sum(-np.log(np.maximum(p, PROB_CLAMP))))
+    return float(np.sum(loss_terms(probs, rows, classes)))
 
 
 def predict_and_loss(h_final: np.ndarray, label_rows: np.ndarray,
@@ -459,6 +489,11 @@ class ModelGrads:
     w_gate: list
     w_global: list
     w_predict: np.ndarray
+
+    def local(self) -> LocalWeightSet:
+        """The holder-side gradients, laid out like the holder-side weights."""
+        return LocalWeightSet(w_message=self.w_message, w_gate=self.w_gate,
+                              w_predict=self.w_predict)
 
 
 @dataclass
@@ -539,19 +574,6 @@ def centralized_forward_backward(g: Graph, weights: ModelWeights, cfg: ModelConf
 # Monotone-update validation
 # ---------------------------------------------------------------------------
 
-def _apply_update(kind: UpdateKind, h: np.ndarray, m: np.ndarray,
-                  w_gate: np.ndarray | None) -> np.ndarray:
-    if kind is UpdateKind.SUM:
-        return h + m
-    if kind is UpdateKind.CONCAT:
-        return np.concatenate([h, m])
-    if kind is UpdateKind.GATED:
-        return relu(w_gate @ h) * m
-    if kind is UpdateKind.NEGATED_SUM:
-        return h - m
-    raise ValueError(kind)
-
-
 def check_monotone_update(kind: UpdateKind, trials: int, rng: np.random.Generator) -> dict:
     """Empirically test that pooling local maxima then updating equals
     updating the global maximum.
@@ -572,7 +594,7 @@ def check_monotone_update(kind: UpdateKind, trials: int, rng: np.random.Generato
         P = int(rng.integers(2, min(4, n_msgs) + 1))
         h = rng.normal(size=d)
         msgs = rng.normal(size=(n_msgs, d))
-        w_gate = rng.normal(size=(d, d))
+        gate = relu(rng.normal(size=(d, d)) @ h)
         perm = rng.permutation(n_msgs)
         subsets = [[int(perm[p])] for p in range(P)]
         for j in perm[P:]:
@@ -583,9 +605,9 @@ def check_monotone_update(kind: UpdateKind, trials: int, rng: np.random.Generato
                 if rng.random() < 0.3:
                     subsets[int(rng.integers(0, P))].append(j)
         per_holder = np.stack([
-            _apply_update(kind, h, msgs[sub].max(axis=0), w_gate) for sub in subsets])
+            _apply_update(kind, h, msgs[sub].max(axis=0), gate) for sub in subsets])
         lhs = per_holder.max(axis=0)
-        rhs = _apply_update(kind, h, msgs.max(axis=0), w_gate)
+        rhs = _apply_update(kind, h, msgs.max(axis=0), gate)
         if np.max(np.abs(lhs - rhs)) <= 1e-12:
             holds += 1
     return {"holds": holds / trials, "trials": trials, "violations": trials - holds}

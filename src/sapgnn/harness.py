@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .gnn import (ModelConfig, ModelWeights, build_model_weights,
-                  centralized_forward, centralized_forward_backward, layer_dropout_rates)
+from .gnn import (ModelConfig, ModelGrads, ModelWeights, assemble_model_weights,
+                  build_model_weights, centralized_forward, centralized_forward_backward,
+                  init_global_weights, init_local_weights, layer_dropout_rates, loss_from_probs)
 from .graphs import Graph, LocalGraph, union_graph
-from .metrics import (EarlyStopper, accuracy_from_confusion, confusion_matrix,
-                      macro_f1_from_confusion, metrics)
-from .numerics import AdamState, adam_step, dropout_mask, make_rng
-from .protocol import (TrainResult, aggregate_local_grads, backward_pass,
-                       build_dataset, build_partition, forward_pass, init_parties,
+from .metrics import confusion_matrix, split_scores
+from .numerics import AdamState, dropout_mask, make_rng
+from .protocol import (SPLITS, TrainResult, adam_update, aggregate_local_grads, backward_pass,
+                       build_dataset, build_partition, fit, forward_pass, init_parties,
                        run_training)
 from .sharing import AuditLog
 from .wire import CommStats, MessageKind
@@ -36,10 +36,12 @@ GRADSHARE_KINDS = (MessageKind.GRAD_SHARE, MessageKind.PARTIAL_SUM)
 # Centralized trainer (the reference the protocol is measured against)
 # ---------------------------------------------------------------------------
 
-def _eval_sets_from_graph(g: Graph) -> dict:
-    return {split: (ids, g.labels_for(ids))
-            for split, ids in (("train", g.train_ids), ("val", g.val_ids),
-                               ("test", g.test_ids))}
+def _reference_dropout_masks(cfg: ModelConfig, rng, n_nodes: int) -> list:
+    """One epoch's dropout masks for the combined-graph reference, drawn
+    layer by layer from the stream the server draws from (None where a
+    layer has no dropout)."""
+    return [dropout_mask(rng, rate, (n_nodes, cfg.hidden)) if rate > 0.0 else None
+            for rate in layer_dropout_rates(cfg)]
 
 
 def train_centralized(g: Graph, model_cfg: ModelConfig, lr: float = 0.01,
@@ -47,81 +49,39 @@ def train_centralized(g: Graph, model_cfg: ModelConfig, lr: float = 0.01,
                       eval_sets: dict | None = None) -> TrainResult:
     """Single-machine trainer over one graph.
 
-    Uses the same weight-initialization streams, optimizer, dropout stream,
-    evaluation, and early-stopping rule as the protocol, so a one-holder
-    protocol run reproduces it bit for bit.
+    Runs the protocol's epoch loop with the same weight-initialization
+    streams, optimizer, dropout stream and scoring, so a one-holder protocol
+    run reproduces it bit for bit.
     """
-    weights = build_model_weights(model_cfg, g.feat_dim, g.n_classes,
-                                  make_rng(seed, "local-init"),
-                                  make_rng(seed, "server-init"))
-    g_adams = [AdamState.for_param(w.w_global.shape, lr=lr) for w in weights.layers]
-    local_adams: dict[str, AdamState] = {}
+    locals_ = init_local_weights(model_cfg, g.feat_dim, g.n_classes,
+                                 make_rng(seed, "local-init"))
+    globals_ = init_global_weights(model_cfg, g.feat_dim, make_rng(seed, "server-init"))
+    local_adams = [AdamState.for_param(w.shape, lr=lr) for w in locals_.arrays()]
+    global_adams = [AdamState.for_param(w.shape, lr=lr) for w in globals_]
     rng_drop = make_rng(seed, "dropout")
-    drop_rates = layer_dropout_rates(model_cfg)
-    eval_sets = eval_sets if eval_sets is not None else _eval_sets_from_graph(g)
+    if eval_sets is None:
+        eval_sets = {split: (ids, g.labels_for(ids))
+                     for split, ids in zip(SPLITS, (g.train_ids, g.val_ids, g.test_ids))}
     eval_rows = {split: (g.rank_of(np.sort(ids)), classes[np.argsort(ids, kind="stable")])
                  for split, (ids, classes) in eval_sets.items()}
 
-    stopper = EarlyStopper(patience)
-    metrics_rows = []
-    best_final: dict = {}
-    epochs_run = 0
-    for epoch in range(max_epochs):
-        masks = []
-        for l, rate in enumerate(drop_rates):
-            if rate > 0.0:
-                masks.append(dropout_mask(rng_drop, rate,
-                                          (g.n_nodes, weights.layers[l].w_global.shape[0])))
-            else:
-                masks.append(None)
-        ref = centralized_forward_backward(g, weights, model_cfg, dropout_masks=masks)
+    def weights() -> ModelWeights:
+        return assemble_model_weights(model_cfg, locals_, globals_)
 
-        for l, lw in enumerate(weights.layers):
-            lw.w_global, g_adams[l] = adam_step(g_adams[l], lw.w_global,
-                                                ref.grads.w_global[l])
-            for name, w, grad in (("w_message", lw.w_message, ref.grads.w_message[l]),
-                                  ("w_gate", lw.w_gate, ref.grads.w_gate[l])):
-                if w is None:
-                    continue
-                key = f"{name}[{l}]"
-                if key not in local_adams:
-                    local_adams[key] = AdamState.for_param(w.shape, lr=lr)
-                new_w, local_adams[key] = adam_step(local_adams[key], w, grad)
-                if name == "w_message":
-                    lw.w_message = new_w
-                else:
-                    lw.w_gate = new_w
-        if "w_predict" not in local_adams:
-            local_adams["w_predict"] = AdamState.for_param(weights.w_predict.shape, lr=lr)
-        weights.w_predict, local_adams["w_predict"] = adam_step(
-            local_adams["w_predict"], weights.w_predict, ref.grads.w_predict)
+    def train_epoch(epoch: int):
+        masks = _reference_dropout_masks(model_cfg, rng_drop, g.n_nodes)
+        grads = centralized_forward_backward(g, weights(), model_cfg, dropout_masks=masks).grads
+        globals_[:] = adam_update(global_adams, globals_, grads.w_global)
+        locals_.set_arrays(adam_update(local_adams, locals_.arrays(), grads.local().arrays()))
 
-        _embs, probs = centralized_forward(g, weights, model_cfg)
-        scores = {}
-        for split, (rows, classes) in eval_rows.items():
-            if rows.size == 0:
-                scores[split] = {"accuracy": float("nan"), "macro_f1": float("nan"),
-                                 "loss": 0.0}
-                continue
-            preds = probs[rows].argmax(axis=1)
-            conf = confusion_matrix(preds, classes, g.n_classes)
-            p = probs[rows, classes]
-            loss = float(np.sum(-np.log(np.maximum(p, 1e-12))))
-            scores[split] = {"accuracy": accuracy_from_confusion(conf),
-                             "macro_f1": macro_f1_from_confusion(conf), "loss": loss}
-        for split in ("train", "val", "test"):
-            metrics_rows.append({"epoch": epoch, "split": split, **scores[split]})
-        epochs_run = epoch + 1
-        if stopper.update(epoch, scores["val"]["accuracy"]):
-            best_final = {"val_accuracy": scores["val"]["accuracy"],
-                          "test_accuracy": scores["test"]["accuracy"],
-                          "test_macro_f1": scores["test"]["macro_f1"],
-                          "test_loss": scores["test"]["loss"]}
-        if stopper.should_stop:
-            break
-    return TrainResult(weights=weights, metrics_rows=metrics_rows, comm=CommStats(),
-                       audit=AuditLog(), best_epoch=stopper.best_epoch,
-                       epochs_run=epochs_run, final=best_final)
+    def score(epoch: int) -> dict:
+        _embs, probs = centralized_forward(g, weights(), model_cfg)
+        return {split: split_scores(confusion_matrix(probs[rows].argmax(axis=1), classes,
+                                                     g.n_classes),
+                                    loss_from_probs(probs, rows, classes))
+                for split, (rows, classes) in eval_rows.items()}
+
+    return fit(train_epoch, score, weights, max_epochs, patience, CommStats(), AuditLog())
 
 
 # ---------------------------------------------------------------------------
@@ -205,28 +165,10 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _oracle_local_flat(grads, weights: ModelWeights) -> np.ndarray:
-    parts = []
-    for l, lw in enumerate(weights.layers):
-        if lw.w_message is not None:
-            parts.append(grads.w_message[l].ravel())
-    for l, lw in enumerate(weights.layers):
-        if lw.w_gate is not None:
-            parts.append(grads.w_gate[l].ravel())
-    parts.append(grads.w_predict.ravel())
-    return np.concatenate(parts)
-
-
-def _local_tensor_slices(weights: ModelWeights):
-    out = []
-    for l, lw in enumerate(weights.layers):
-        if lw.w_message is not None:
-            out.append((f"w_message[{l}]", lw.w_message.size))
-    for l, lw in enumerate(weights.layers):
-        if lw.w_gate is not None:
-            out.append((f"w_gate[{l}]", lw.w_gate.size))
-    out.append(("w_predict", weights.w_predict.size))
-    return out
+def _oracle_local_flat(grads: ModelGrads, weights: ModelWeights) -> np.ndarray:
+    """The reference's holder-side gradient, laid out like the protocol's
+    aggregate; `weights` holds None where `grads` does."""
+    return grads.local().flat()
 
 
 def compare_equivalence(config: RunConfig,
@@ -255,23 +197,15 @@ def compare_equivalence(config: RunConfig,
     weights = build_model_weights(cfg, combined.feat_dim, combined.n_classes,
                                   make_rng(config.train.seed, "local-init"),
                                   make_rng(config.train.seed, "server-init"))
-    rng_drop = make_rng(config.train.seed, "dropout")
-    masks = []
-    for l, rate in enumerate(layer_dropout_rates(cfg)):
-        masks.append(dropout_mask(rng_drop, rate,
-                                  (combined.n_nodes, weights.layers[l].w_global.shape[0]))
-                     if rate > 0.0 else None)
+    masks = _reference_dropout_masks(cfg, make_rng(config.train.seed, "dropout"),
+                                     combined.n_nodes)
     ref = centralized_forward_backward(combined, weights, cfg, dropout_masks=masks)
 
     embedding_dev = [float(np.max(np.abs(a - b)))
                      for a, b in zip(fwd.embeddings, ref.embeddings)]
-    grad_dev = {}
-    oracle_flat = _oracle_local_flat(ref.grads, weights)
-    offset = 0
-    for name, size in _local_tensor_slices(weights):
-        grad_dev[name] = float(np.max(np.abs(agg[offset:offset + size]
-                                             - oracle_flat[offset:offset + size])))
-        offset += size
+    oracle = ref.grads.local()
+    grad_dev = {name: float(np.max(np.abs(got - want)))
+                for (name, want), got in zip(oracle.tensors(), oracle.unflat(agg))}
     for l, dW in enumerate(bwd.server_grads):
         grad_dev[f"w_global[{l}]"] = float(np.max(np.abs(dW - ref.grads.w_global[l])))
 
@@ -319,11 +253,9 @@ def _run_cell(spec: ExperimentSpec, method: str, P: int, q: float, repeat: int):
     train_seed = spec.seed_base + stable_hash("train", repeat)
     part_seed = spec.seed_base + stable_hash("part", P, q, repeat)
 
-    dataset = replace(base.dataset, seed=data_seed)
-    partition = replace(base.partition, P=P, q=q, seed=part_seed)
     train = replace(base.train, seed=train_seed)
-    config = RunConfig(dataset=dataset, partition=partition, model=base.model,
-                       train=train, mode=base.mode, share_mode=base.share_mode)
+    config = replace(base, dataset=replace(base.dataset, seed=data_seed),
+                     partition=replace(base.partition, P=P, q=q, seed=part_seed), train=train)
 
     g = build_dataset(config.dataset)
     if method == "centralized":
@@ -416,12 +348,8 @@ def summarize_sweep(rows: list[dict]) -> list[dict]:
 def comm_profile(config: RunConfig, epochs: int = 1) -> dict:
     """Measured bytes per epoch, split into embedding and gradient-share
     traffic (init-time node-index transfers excluded)."""
-    config = RunConfig(dataset=config.dataset, partition=config.partition,
-                       model=config.model,
-                       train=replace(config.train, max_epochs=epochs,
-                                     patience=epochs + 1),
-                       mode=config.mode, share_mode=config.share_mode)
-    res = run_training(config)
+    res = run_training(replace(config, train=replace(config.train, max_epochs=epochs,
+                                                     patience=epochs + 1)))
     per_epoch_emb = res.comm.bytes_for(kinds=EMBEDDING_KINDS) / max(res.epochs_run, 1)
     per_epoch_share = res.comm.bytes_for(kinds=GRADSHARE_KINDS) / max(res.epochs_run, 1)
     return {"embedding_bytes_per_epoch": per_epoch_emb,

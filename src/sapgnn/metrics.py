@@ -57,6 +57,15 @@ def metrics(predictions, labels, n_classes: int | None = None) -> dict:
             "macro_f1": macro_f1_from_confusion(mat)}
 
 
+def split_scores(conf: np.ndarray, loss: float) -> dict:
+    """One split's scores from its confusion matrix and summed loss; an
+    empty split scores NaN."""
+    if int(conf.sum()) == 0:
+        return {"accuracy": float("nan"), "macro_f1": float("nan"), "loss": loss}
+    return {"accuracy": accuracy_from_confusion(conf), "macro_f1": macro_f1_from_confusion(conf),
+            "loss": loss}
+
+
 class EarlyStopper:
     """Stop after `patience` epochs without a strict validation improvement."""
 

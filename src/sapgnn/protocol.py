@@ -23,26 +23,26 @@ and the audit log reflect exactly what each party could observe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DatasetConfig, PartitionConfig, RunConfig
-from .gnn import (ModelConfig, ModelWeights, LayerWeights, NeighborIndex,
-                  global_backward, global_update, init_global_weights, init_local_weights,
-                  layer_dims, layer_dropout_rates, layer_relu_flags, local_backward,
-                  local_embedding, predict_backward, predict_probs, loss_from_probs,
-                  stack_max)
+from .gnn import (LocalWeightSet, ModelConfig, ModelWeights, NeighborIndex,
+                  assemble_model_weights, global_backward, global_update,
+                  init_global_weights, init_local_weights, layer_dims, layer_dropout_rates,
+                  layer_relu_flags, local_backward, local_embedding, loss_terms, predict_backward,
+                  predict_probs, stack_max)
 from .graphs import (Graph, HashedIndex, LocalGraph, build_hashed_index, generate_synthetic,
                      load_dataset, split_edges_uniform, split_label_skew)
-from .metrics import EarlyStopper, accuracy_from_confusion, confusion_matrix, \
-    macro_f1_from_confusion
+from .metrics import EarlyStopper, confusion_matrix, split_scores
 from .numerics import AdamState, adam_step, dropout_mask, make_rng
 from .sharing import AuditLog, combine_vector_shares, pooled_argmax, share_vector
 from .wire import Channel, CommStats, MessageKind
 
 POOL_PARTY = "sealed-pool"
 SERVER_PARTY = "server"
+SPLITS = ("train", "val", "test")
 
 
 class ProtocolError(RuntimeError):
@@ -108,8 +108,8 @@ class DataHolder:
         self.iso_ranks = np.searchsorted(universe_ids, local.isolated_owned)
 
         self.label_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for split, ids in (("train", local.graph.train_ids), ("val", local.graph.val_ids),
-                           ("test", local.graph.test_ids)):
+        graph = local.graph
+        for split, ids in zip(SPLITS, (graph.train_ids, graph.val_ids, graph.test_ids)):
             ids = np.sort(ids)
             rows = np.searchsorted(universe_ids, ids)
             classes = local.graph.labels_for(ids)
@@ -118,8 +118,7 @@ class DataHolder:
         # identical stream across holders: the replication invariant starts here
         self.locals_ = init_local_weights(cfg, self.feat_dim, n_classes,
                                           make_rng(shared_seed, "local-init"))
-        self.adams = {name: AdamState.for_param(w.shape, lr=lr)
-                      for name, w in self.locals_.tensors()}
+        self.adams = [AdamState.for_param(w.shape, lr=lr) for w in self.locals_.arrays()]
         self.rng_shares = make_rng(train_seed, ("shares", self.holder_id))
 
         self._features_full = np.zeros((self.n, self.feat_dim))
@@ -127,7 +126,7 @@ class DataHolder:
         self.h: list = []
         self.tapes: list = []
         self.probs: np.ndarray | None = None
-        self.grad_acc: dict[str, np.ndarray] = {}
+        self.grad_acc: LocalWeightSet | None = None
 
     # -- forward ------------------------------------------------------------
 
@@ -150,18 +149,11 @@ class DataHolder:
     def compute_predictions(self):
         self.probs = predict_probs(self.h[-1], self.locals_.w_predict)
 
-    def split_loss(self, split: str) -> float:
-        rows, classes = self.label_rows[split]
-        return loss_from_probs(self.probs, rows, classes)
-
     def split_loss_terms(self, split: str):
         """Per-label cross-entropy terms keyed by universe row, so the
         simulator can total losses in global node order (exact additivity)."""
         rows, classes = self.label_rows[split]
-        if rows.size == 0:
-            return rows, np.empty(0)
-        p = self.probs[rows, classes]
-        return rows, -np.log(np.maximum(p, 1e-12))
+        return rows, loss_terms(self.probs, rows, classes)
 
     def split_confusion(self, split: str) -> np.ndarray:
         rows, classes = self.label_rows[split]
@@ -171,52 +163,38 @@ class DataHolder:
     # -- backward -----------------------------------------------------------
 
     def begin_backward(self):
-        self.grad_acc = {name: np.zeros_like(w) for name, w in self.locals_.tensors()}
+        self.grad_acc = self.locals_.zeros_like()
 
     def pred_backward(self):
         rows, classes = self.label_rows["train"]
         dW, dH = predict_backward(self.h[-1], self.probs, rows, classes,
                                   self.locals_.w_predict)
-        self.grad_acc["w_predict"] += dW
+        self.grad_acc.w_predict += dW
         return rows, dH[rows]
 
     def backward_local(self, l: int, R: np.ndarray) -> np.ndarray:
         dwm, dwg, dH = local_backward(self.h[l], self.tapes[l], self.kind,
                                       self.locals_.w_message[l], self.locals_.w_gate[l], R)
         if dwm is not None:
-            self.grad_acc[f"w_message[{l}]"] += dwm
+            self.grad_acc.w_message[l] += dwm
         if dwg is not None:
-            self.grad_acc[f"w_gate[{l}]"] += dwg
+            self.grad_acc.w_gate[l] += dwg
         return dH
 
     # -- update -------------------------------------------------------------
 
-    def flat_grads(self) -> np.ndarray:
-        return np.concatenate([self.grad_acc[name].ravel()
-                               for name, _ in self.locals_.tensors()])
-
     def apply_update(self, agg_flat: np.ndarray):
-        offset = 0
-        for name, w in self.locals_.tensors():
-            g = agg_flat[offset:offset + w.size].reshape(w.shape)
-            offset += w.size
-            new_w, self.adams[name] = adam_step(self.adams[name], w, g)
-            self._assign(name, new_w)
-        if offset != agg_flat.size:
-            raise ProtocolError("aggregated gradient length mismatch")
+        try:
+            grads = self.locals_.unflat(agg_flat)
+        except ValueError as exc:
+            raise ProtocolError(f"aggregated gradient: {exc}") from exc
+        self.locals_.set_arrays(adam_update(self.adams, self.locals_.arrays(), grads))
 
     def _assign(self, name: str, value: np.ndarray):
-        if name == "w_predict":
-            self.locals_.w_predict = value
-        elif name.startswith("w_message["):
-            self.locals_.w_message[int(name[10:-1])] = value
-        elif name.startswith("w_gate["):
-            self.locals_.w_gate[int(name[7:-1])] = value
-        else:  # pragma: no cover
-            raise KeyError(name)
+        self.locals_.set_arrays([value if n == name else w for n, w in self.locals_.tensors()])
 
     def weights_blob(self) -> bytes:
-        return b"".join(w.tobytes() for _, w in self.locals_.tensors())
+        return b"".join(w.tobytes() for w in self.locals_.arrays())
 
 
 @dataclass
@@ -275,7 +253,6 @@ class Session:
     universe_ids: np.ndarray
     hindex: HashedIndex
     digests: np.ndarray                 # (n, 16) uint8, universe order
-    last_embeddings: list = field(default_factory=list)
 
     @property
     def P(self) -> int:
@@ -309,13 +286,13 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph],
                           shared_seed, config.train.seed)
                for lg in holders_data]
 
+    digest_pos = {bytes(d): i for i, d in enumerate(digests)}
     for holder in holders:
         decoded = channel.send(holder_party(holder.holder_id), SERVER_PARTY,
                                MessageKind.NODE_INDEX, layer=-1, epoch=-1,
                                fields={"keys": digests[holder.node_ranks].ravel()},
                                sender_id=holder.holder_id)
         keys = decoded["keys"].reshape(-1, 16)
-        digest_pos = {bytes(digests[i]): i for i in range(len(universe_ids))}
         server.holder_rows[holder.holder_id] = np.array(
             [digest_pos[bytes(k)] for k in keys], dtype=np.int64)
     return Session(config=config, holders=holders, server=server, channel=channel,
@@ -329,7 +306,6 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph],
 
 @dataclass
 class ForwardResult:
-    holder_losses: list
     total_loss: float
     embeddings: list       # per-layer pooled-and-updated matrices at the server
 
@@ -414,19 +390,15 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
                 fields={"keys": session.digests[rows].ravel(), "h": h_next[rows]})
             holder.receive_global(l, decoded["h"])
 
-    losses = []
     for holder in session.holders:
         holder.compute_predictions()
-        losses.append(holder.split_loss("train"))
-    session.last_embeddings = embeddings
-    return ForwardResult(holder_losses=losses,
-                         total_loss=_total_loss(session.holders, "train"),
+    return ForwardResult(total_loss=_total_loss(session.holders, "train"),
                          embeddings=embeddings)
 
 
 @dataclass
 class BackwardResult:
-    holder_grads: list       # per holder: {tensor name: grad}
+    holder_grads: list       # per holder: {tensor name: grad}, in tensors() order
     server_grads: list       # per layer: grad of the global map
 
 
@@ -472,7 +444,7 @@ def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
                 G_next += decoded2["g"]
         G = G_next
 
-    holder_grads = [dict(holder.grad_acc) for holder in session.holders]
+    holder_grads = [dict(holder.grad_acc.tensors()) for holder in session.holders]
     return BackwardResult(holder_grads=holder_grads, server_grads=server_grads)
 
 
@@ -484,14 +456,17 @@ def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
     """
     holders = session.holders
     P = len(holders)
-    flats = [h.flat_grads() for h in holders]
+    flats = [h.grad_acc.flat() for h in holders]
     if P == 1:
         return flats[0]
     mode = session.config.share_mode
     share_kw = {"mode": "fixed-point" if mode == "fixed-point" else "real"}
 
-    outgoing = [share_vector(flats[j], P, holders[j].rng_shares, **share_kw)
-                for j in range(P)]
+    try:
+        outgoing = [share_vector(flats[j], P, holders[j].rng_shares, **share_kw)
+                    for j in range(P)]
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from exc
     received = [[None] * P for _ in range(P)]
     for j in range(P):
         for i in range(P):
@@ -529,9 +504,7 @@ def weight_update(session: Session, bwd: BackwardResult, epoch: int = 0) -> None
     """Server steps its weights directly; holders aggregate and step in
     lock step. Raises if the replication invariant breaks."""
     server = session.server
-    for l, dW in enumerate(bwd.server_grads):
-        server.weights[l], server.adams[l] = adam_step(server.adams[l],
-                                                       server.weights[l], dW)
+    server.weights[:] = adam_update(server.adams, server.weights, bwd.server_grads)
     agg = aggregate_local_grads(session, epoch=epoch)
     for holder in session.holders:
         holder.apply_update(agg)
@@ -544,6 +517,16 @@ def weight_update(session: Session, bwd: BackwardResult, epoch: int = 0) -> None
 # Training loop
 # ---------------------------------------------------------------------------
 
+def adam_update(states: list, params: list, grads: list) -> list:
+    """One Adam step per tensor; `states` is updated in place, the stepped
+    tensors are returned."""
+    out = []
+    for i, (w, g) in enumerate(zip(params, grads, strict=True)):
+        new_w, states[i] = adam_step(states[i], w, g)
+        out.append(new_w)
+    return out
+
+
 @dataclass
 class TrainResult:
     weights: ModelWeights
@@ -555,34 +538,40 @@ class TrainResult:
     final: dict              # test metrics at the best validation epoch
 
 
-def _session_model_weights(session: Session) -> ModelWeights:
-    cfg = session.config.model
-    locals_ = session.holders[0].locals_
-    relus = layer_relu_flags(cfg)
-    drops = layer_dropout_rates(cfg)
-    layers = [LayerWeights(w_message=locals_.w_message[l], w_gate=locals_.w_gate[l],
-                           w_global=session.server.weights[l], use_relu=relus[l],
-                           dropout=drops[l]) for l in range(cfg.layers)]
-    return ModelWeights(layers=layers, w_predict=locals_.w_predict)
+def fit(train_epoch, score, final_weights, max_epochs: int, patience: int,
+        comm: CommStats, audit: AuditLog) -> TrainResult:
+    """The epoch loop of every trainer: `train_epoch(epoch)` takes one
+    optimizer step, `score(epoch)` returns accuracy / macro_f1 / loss per
+    split, and training stops early on validation accuracy.
+    `final_weights()` gives the weights once the loop ends."""
+    stopper = EarlyStopper(patience)
+    metrics_rows = []
+    best_final: dict = {}
+    epochs_run = 0
+    for epoch in range(max_epochs):
+        train_epoch(epoch)
+        scores = score(epoch)
+        metrics_rows += [{"epoch": epoch, "split": split, **scores[split]} for split in SPLITS]
+        epochs_run = epoch + 1
+        if stopper.update(epoch, scores["val"]["accuracy"]):
+            best_final = {"val_accuracy": scores["val"]["accuracy"],
+                          "test_accuracy": scores["test"]["accuracy"],
+                          "test_macro_f1": scores["test"]["macro_f1"],
+                          "test_loss": scores["test"]["loss"]}
+        if stopper.should_stop:
+            break
+    return TrainResult(weights=final_weights(), metrics_rows=metrics_rows, comm=comm,
+                       audit=audit, best_epoch=stopper.best_epoch, epochs_run=epochs_run,
+                       final=best_final)
 
 
 def evaluate(session: Session, epoch: int) -> dict:
     """Dropout-free forward pass; each label owner scores its own labels and
     the integer confusion counts are summed across holders."""
     forward_pass(session, train=False, epoch=epoch)
-    out = {}
-    n_classes = session.holders[0].n_classes
-    for split in ("train", "val", "test"):
-        conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-        for holder in session.holders:
-            conf += holder.split_confusion(split)
-        loss = _total_loss(session.holders, split)
-        if conf.sum() == 0:
-            out[split] = {"accuracy": float("nan"), "macro_f1": float("nan"), "loss": loss}
-        else:
-            out[split] = {"accuracy": accuracy_from_confusion(conf),
-                          "macro_f1": macro_f1_from_confusion(conf), "loss": loss}
-    return out
+    return {split: split_scores(sum(h.split_confusion(split) for h in session.holders),
+                                _total_loss(session.holders, split))
+            for split in SPLITS}
 
 
 def run_training(config: RunConfig, holders_data: list[LocalGraph] | None = None) -> TrainResult:
@@ -593,29 +582,15 @@ def run_training(config: RunConfig, holders_data: list[LocalGraph] | None = None
         holders_data = build_partition(g, config.partition)
     session = init_parties(config, holders_data, shared_seed=config.train.seed,
                            server_seed=config.train.seed)
-    stopper = EarlyStopper(config.train.patience)
-    metrics_rows = []
-    best_final: dict = {}
-    epochs_run = 0
-    for epoch in range(config.train.max_epochs):
+
+    def train_epoch(epoch: int):
         forward_pass(session, train=True, epoch=epoch)
-        bwd = backward_pass(session, epoch=epoch)
-        weight_update(session, bwd, epoch=epoch)
-        scores = evaluate(session, epoch)
-        for split in ("train", "val", "test"):
-            metrics_rows.append({"epoch": epoch, "split": split, **scores[split]})
-        epochs_run = epoch + 1
-        if stopper.update(epoch, scores["val"]["accuracy"]):
-            best_final = {"val_accuracy": scores["val"]["accuracy"],
-                          "test_accuracy": scores["test"]["accuracy"],
-                          "test_macro_f1": scores["test"]["macro_f1"],
-                          "test_loss": scores["test"]["loss"]}
-        if stopper.should_stop:
-            break
-    return TrainResult(weights=_session_model_weights(session), metrics_rows=metrics_rows,
-                       comm=session.comm, audit=session.audit,
-                       best_epoch=stopper.best_epoch, epochs_run=epochs_run,
-                       final=best_final)
+        weight_update(session, backward_pass(session, epoch=epoch), epoch=epoch)
+
+    return fit(train_epoch, lambda epoch: evaluate(session, epoch),
+               lambda: assemble_model_weights(config.model, session.holders[0].locals_,
+                                              session.server.weights),
+               config.train.max_epochs, config.train.patience, session.comm, session.audit)
 
 
 # ---------------------------------------------------------------------------

@@ -206,15 +206,19 @@ def share_vector(x: np.ndarray, P: int, rng: np.random.Generator, mode: str = "f
     """Share a float vector into P vectors that sum back to it.
 
     mode "fixed-point": uint64 residues, exact modular reconstruction up to
-    the encoding quantization. mode "real": float64 offsets; bypasses
-    quantization so logic errors can be isolated from rounding (test mode,
-    not a security mode).
+    the encoding quantization; each encoded value must stay below 2^63 / P
+    so that a sum over P holders cannot wrap. mode "real": float64 offsets;
+    bypasses quantization so logic errors can be isolated from rounding
+    (test mode, not a security mode).
     """
     if P < 2:
         raise ValueError("sharing needs at least 2 parties")
     x = np.asarray(x, dtype=np.float64)
     if mode == "fixed-point":
         enc = encode_vector(x, frac_bits)
+        # P summands below 2^63 / P each cannot wrap the signed 64-bit sum
+        if np.any(np.abs(enc.view(np.int64)) >= (1 << 63) // P):
+            raise ValueError(f"value overflows the 64-bit ring when summed over {P} holders")
         shares = [rng.integers(0, 2 ** 64 - 1, size=x.shape, dtype=np.uint64, endpoint=True)
                   for _ in range(P - 1)]
         acc = np.zeros_like(enc)
@@ -339,12 +343,7 @@ def pooled_argmax(stack: np.ndarray, valid: np.ndarray,
     if not valid.any(axis=0).all():
         bad = int(np.flatnonzero(~valid.any(axis=0))[0])
         raise ValueError(f"node row {bad} has no valid candidate at any holder")
-    clean = np.where(valid[:, :, None], stack, 0.0)
-    scaled = np.rint(clean * float(1 << frac_bits))
-    limit = float(1 << 62)
-    if np.any(np.abs(scaled) >= limit):
-        raise ValueError("embedding value overflows the comparison ring")
-    enc = scaled.astype(np.int64)
+    enc = encode_vector(np.where(valid[:, :, None], stack, 0.0), frac_bits).view(np.int64)
     enc[~valid] = np.iinfo(np.int64).min
     winner = enc.argmax(axis=0).astype(np.int8)        # first max: lowest holder
     max_values = np.take_along_axis(stack, winner[None].astype(np.int64), axis=0)[0]

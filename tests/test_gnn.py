@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from sapgnn.gnn import (ModelConfig, NeighborIndex, UpdateKind, aggregate_max,
-                        aggregate_min, build_model_weights, centralized_forward,
+                        build_model_weights, centralized_forward,
                         centralized_forward_backward, check_monotone_update,
-                        global_embedding, local_embedding, message_construct,
-                        predict_and_loss, predict_backward, stack_max)
+                        global_embedding, local_embedding, predict_and_loss,
+                        predict_backward, stack_max)
 from sapgnn.graphs import Graph, generate_synthetic
 from sapgnn.numerics import NEG_INF, finite_diff_grad, make_rng
 
@@ -20,24 +20,6 @@ def build_graph(node_ids, features, edges, labels, train, n_classes):
                  train_ids=np.asarray(train, dtype=np.int64),
                  val_ids=np.empty(0, dtype=np.int64), test_ids=np.empty(0, dtype=np.int64),
                  n_classes=n_classes)
-
-
-# -- message construction -------------------------------------------------------
-
-def test_message_default_is_neighbor_state():
-    assert np.array_equal(message_construct(np.zeros(2), np.array([1.0, 2.0])),
-                          np.array([1.0, 2.0]))
-
-
-def test_message_linear_identity_matrix():
-    h_u = np.array([3.0, -1.0])
-    assert np.array_equal(message_construct(None, h_u, theta_rho=np.eye(2)), h_u)
-
-
-def test_message_linear_swap():
-    w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(message_construct(None, np.array([3.0, 5.0]), theta_rho=w),
-                          np.array([5.0, 3.0]))
 
 
 # -- max aggregation -------------------------------------------------------------
@@ -62,12 +44,6 @@ def test_aggregate_max_matches_scan_oracle():
             if msgs[i, k] > best_val:
                 best_val, best_i = msgs[i, k], i
         assert agg[k] == best_val and idx[k] == best_i
-
-
-def test_aggregate_min_is_negated_max():
-    msgs = np.array([[1.0, 4.0], [3.0, 2.0]])
-    agg, _ = aggregate_min(msgs)
-    assert np.array_equal(agg, [1.0, 2.0])
 
 
 def test_max_subgradient_consistency():

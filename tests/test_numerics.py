@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sapgnn.numerics import (NEG_INF, AdamState, Rng, adam_step, dropout_mask,
-                             elementwise_max, finite_diff_grad, glorot_init, make_rng,
-                             matmul, relu, relu_grad, softmax_rows)
+                             finite_diff_grad, glorot_init, make_rng, relu, relu_grad,
+                             softmax_rows)
 
 
 def test_make_rng_deterministic_per_stream():
@@ -114,16 +114,6 @@ def test_dropout_mask_reproducible_and_scaled():
     assert set(np.unique(m1)) <= {0.0, 2.0}
     with pytest.raises(ValueError):
         dropout_mask(make_rng(0, 0), 1.0, (2,))
-
-
-def test_matmul_identity_exact():
-    a = make_rng(4, 0).normal(size=(5, 5))
-    assert np.array_equal(matmul(a, np.eye(5)), a)
-
-
-def test_elementwise_max():
-    assert np.array_equal(elementwise_max(np.array([1.0, 5.0]), np.array([3.0, 2.0])),
-                          np.array([3.0, 5.0]))
 
 
 def test_neg_inf_is_finite():

@@ -192,14 +192,24 @@ def test_update_equal_and_opposite_gradients_cancel():
     forward_pass(session, train=True, epoch=0)
     bwd = backward_pass(session, epoch=0)
     h0, h1 = session.holders
-    for name in h0.grad_acc:
-        h1.grad_acc[name] = -h0.grad_acc[name]
+    h1.grad_acc.set_arrays([-g for g in h0.grad_acc.arrays()])
     before = h0.weights_blob()
     for l in range(len(bwd.server_grads)):
         bwd.server_grads[l] = np.zeros_like(bwd.server_grads[l])
     weight_update(session, bwd, epoch=0)
     assert h0.weights_blob() == before  # zero aggregate: Adam step is a no-op
     assert h1.weights_blob() == before
+
+
+def test_aggregate_overflow_raises_protocol_error():
+    cfg = make_config(P=3, share_mode="fixed-point")
+    _, _, session = make_session(cfg)
+    forward_pass(session, train=True, epoch=0)
+    backward_pass(session, epoch=0)
+    for holder in session.holders:
+        holder.grad_acc.w_predict[0, 0] = 1.5 * 2.0 ** 41
+    with pytest.raises(ProtocolError, match="summed over 3 holders"):
+        aggregate_local_grads(session, epoch=0)
 
 
 def test_update_preserves_replication():

@@ -137,6 +137,15 @@ def test_aggregate_real_mode():
     assert np.allclose(results[0], sum(vecs), atol=1e-12)
 
 
+def test_aggregate_over_three_holders_refuses_to_wrap():
+    # each value encodes below 2^62, but the three-holder sum passes 2^63
+    vecs = [np.array([1.5 * 2.0 ** 41])] * 3
+    with pytest.raises(ValueError, match="summed over 3 holders"):
+        secure_aggregate(vecs, make_rng(3, 0))
+    results, _ = secure_aggregate(vecs[:2], make_rng(3, 0))
+    assert results[0][0] == 3.0 * 2.0 ** 41
+
+
 def test_aggregate_rejects_length_mismatch():
     with pytest.raises(ValueError):
         secure_aggregate([np.zeros(3), np.zeros(4)], make_rng(0, 0))
