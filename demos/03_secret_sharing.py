@@ -6,8 +6,8 @@ Run: python demos/03_secret_sharing.py
 
 import numpy as np
 
-from sapgnn import (FixedPoint, make_rng, reconstruct_additive, secure_aggregate,
-                    share_additive)
+from sapgnn import (AuditLog, Channel, CommStats, FixedPoint, make_rng, reconstruct_additive,
+                    secure_sum, share_additive)
 
 rng = make_rng(2024, "demo")
 
@@ -28,14 +28,18 @@ print(f"  5 splits into {vals}; {vals[0]} + {vals[1]} = {sum(vals)} = "
 
 print("\n== holder-side gradient aggregation ==")
 grads = [rng.normal(size=6) for _ in range(3)]
-results, audit = secure_aggregate(grads, rng)
+channel = Channel(CommStats(), AuditLog())
+holder_rngs = [make_rng(2024, ("shares", p)) for p in range(len(grads))]
+total = secure_sum(channel, grads, holder_rngs, "fixed-point", epoch=0)
 print("  per-holder gradients:")
 for i, v in enumerate(grads):
     print(f"    holder {i}: {np.round(v, 3)}")
-print(f"  every holder reconstructs: {np.round(results[0], 3)}")
+print(f"  every holder reconstructs: {np.round(total, 3)}")
 print(f"  plaintext sum:             {np.round(sum(grads), 3)}")
-print(f"  max quantization error: {np.max(np.abs(results[0] - sum(grads))):.2e}")
+print(f"  max quantization error: {np.max(np.abs(total - sum(grads))):.2e}")
 
+audit = channel.audit
 senders = {r.sender for r in audit.records} | {r.receiver for r in audit.records}
 print(f"\n  parties on the wire: {sorted(senders)} (the server is never one of them)")
-print(f"  message kinds: {sorted({r.kind for r in audit.records})}")
+print(f"  message kinds: {sorted({r.kind for r in audit.records})}, "
+      f"{len(audit)} messages, {channel.comm.total()} bytes")

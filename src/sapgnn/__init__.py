@@ -8,21 +8,20 @@ that the decentralized computation matches training on the combined graph.
 
 from .config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
 from .gnn import (ModelConfig, ModelWeights, UpdateKind, aggregate_max, centralized_forward,
-                  centralized_forward_backward, check_monotone_update, global_embedding)
+                  centralized_forward_backward, check_monotone_update)
 from .graphs import (Graph, HashedIndex, LocalGraph, build_hashed_index,
                      generate_synthetic, load_dataset, split_edges_uniform,
                      split_label_skew, union_graph, write_dataset)
 from .harness import (EquivalenceReport, ExperimentSpec, SPResult, compare_equivalence,
                       comm_profile, linear_fit_r2, run_sweep, train_centralized, train_sp)
 from .metrics import metrics
-from .numerics import (NEG_INF, AdamState, Rng, adam_step, dropout_mask, finite_diff_grad,
+from .numerics import (NEG_INF, AdamState, adam_step, dropout_mask, finite_diff_grad,
                        glorot_init, make_rng, relu, relu_grad, softmax_rows)
 from .protocol import (AuditReport, ProtocolError, Session, TrainResult,
                        aggregate_local_grads, backward_pass, forward_pass, init_parties,
-                       run_training, verify_privacy_audit, weight_update)
+                       run_training, secure_sum, verify_privacy_audit, weight_update)
 from .sharing import (AdditiveShare, AuditLog, BooleanShare, FixedPoint, reconstruct_additive,
-                      reconstruct_boolean, secure_aggregate, secure_argmax, share_additive,
-                      share_boolean)
+                      reconstruct_boolean, secure_argmax, share_additive, share_boolean)
 from .wire import Channel, CommStats, MessageKind
 
 __version__ = "0.1.0"

@@ -93,8 +93,8 @@ def cmd_train_centralized(args) -> int:
                             patience=cfg.train.patience, seed=cfg.train.seed)
     _write_run_outputs(res, Path(args.out))
     print(f"centralized: best epoch {res.best_epoch}, "
-          f"test accuracy {res.final.get('test_accuracy'):.4f}, "
-          f"macro-F1 {res.final.get('test_macro_f1'):.4f}")
+          f"test accuracy {res.final['test_accuracy']:.4f}, "
+          f"macro-F1 {res.final['test_macro_f1']:.4f}")
     return EXIT_OK
 
 
@@ -123,8 +123,8 @@ def cmd_train_sapgnn(args) -> int:
     _write_run_outputs(res, Path(args.out))
     report = verify_privacy_audit(res.audit, mode=cfg.mode)
     print(f"sapgnn ({cfg.mode}, {cfg.share_mode} shares): best epoch {res.best_epoch}, "
-          f"test accuracy {res.final.get('test_accuracy'):.4f}, "
-          f"macro-F1 {res.final.get('test_macro_f1'):.4f}")
+          f"test accuracy {res.final['test_accuracy']:.4f}, "
+          f"macro-F1 {res.final['test_macro_f1']:.4f}")
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_AUDIT_FINDING
 

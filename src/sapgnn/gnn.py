@@ -410,28 +410,6 @@ def stack_max(t_stack: np.ndarray):
     return m, winner
 
 
-def global_embedding(t_stack: np.ndarray, w_global: np.ndarray,
-                     use_relu: bool = False, dropout_rng=None, dropout: float = 0.0):
-    """Server-side half of a layer: pool per-holder local embeddings by
-    element-wise max, then apply the global map with optional relu/dropout.
-
-    The global map reads only the pooled value. A map that also read the
-    per-node layer input would need the server to hold it, and at the first
-    layer that input is the holders' private features.
-
-    Returns (h_next, winning holder index per element).
-    """
-    from .numerics import dropout_mask
-    m, winner = stack_max(np.asarray(t_stack, dtype=np.float64))
-    mask = None
-    if dropout > 0.0:
-        if dropout_rng is None:
-            raise ValueError("dropout requires an rng")
-        mask = dropout_mask(dropout_rng, dropout, (m.shape[0], w_global.shape[0]))
-    h_next, _z = global_update(m, w_global, use_relu, mask)
-    return h_next, winner
-
-
 # ---------------------------------------------------------------------------
 # Prediction and loss
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ UNLABELED = -1
 
 DATASET_FILES = ("nodes.tsv", "features.tsv", "edges.tsv", "manifest.json")
 
+# Rows of the candidate-pair triangle `generate_synthetic` draws at once.
+PAIR_BLOCK_ROWS = 128
+
 
 @dataclass
 class Graph:
@@ -220,11 +223,20 @@ def generate_synthetic(n_nodes: int, n_classes: int, feat_dim: int,
     means = rng.normal(0.0, class_sep, size=(n_classes, feat_dim))
     features = means[labels] + rng.normal(0.0, noise, size=(n_nodes, feat_dim))
 
-    iu, ju = np.triu_indices(n_nodes, k=1)
-    same = labels[iu] == labels[ju]
-    p_edge = np.where(same, intra_class_edge_prob, inter_class_edge_prob)
-    keep = rng.random(len(iu)) < p_edge
-    edges = np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
+    # Candidate pairs i < j, a block of rows at a time so memory stays
+    # O(PAIR_BLOCK_ROWS * n). The uniform draws run over the pairs in
+    # row-major order: the same stream and order as one all-pairs draw.
+    blocks = []
+    for start in range(0, n_nodes, PAIR_BLOCK_ROWS):
+        rows = node_ids[start:start + PAIR_BLOCK_ROWS]
+        upper = node_ids[None, :] > rows[:, None]
+        same = labels[rows, None] == labels[None, :]
+        p_edge = np.where(same[upper], intra_class_edge_prob, inter_class_edge_prob)
+        hit = np.zeros_like(upper)
+        hit[upper] = rng.random(p_edge.size) < p_edge
+        iu, ju = np.nonzero(hit)
+        blocks.append(np.stack([iu + start, ju], axis=1))
+    edges = np.concatenate(blocks).astype(np.int64)
 
     perm = rng.permutation(n_nodes)
     n_train = int(round(train_frac * n_nodes))

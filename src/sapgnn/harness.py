@@ -131,8 +131,8 @@ def train_sp(holders: list[LocalGraph], shared: Graph, model_cfg: ModelConfig,
         res = train_centralized(lg.graph, model_cfg, lr=lr, max_epochs=max_epochs,
                                 patience=patience, seed=seed, eval_sets=eval_sets)
         results.append(res)
-        accs.append(res.final.get("test_accuracy", float("nan")))
-        f1s.append(res.final.get("test_macro_f1", float("nan")))
+        accs.append(res.final["test_accuracy"])
+        f1s.append(res.final["test_macro_f1"])
     return SPResult(holder_results=results, skipped=skipped,
                     test_accuracies=accs, test_macro_f1s=f1s)
 
@@ -261,11 +261,11 @@ def _run_cell(spec: ExperimentSpec, method: str, P: int, q: float, repeat: int):
     if method == "centralized":
         res = train_centralized(g, config.model, lr=train.lr, max_epochs=train.max_epochs,
                                 patience=train.patience, seed=train.seed)
-        return res.final.get("test_accuracy"), res.final.get("test_macro_f1"), res.epochs_run
+        return res.final["test_accuracy"], res.final["test_macro_f1"], res.epochs_run
     holders = build_partition(g, config.partition)
     if method == "sapgnn":
         res = run_training(config, holders_data=holders)
-        return res.final.get("test_accuracy"), res.final.get("test_macro_f1"), res.epochs_run
+        return res.final["test_accuracy"], res.final["test_macro_f1"], res.epochs_run
     if method == "sp":
         sp = train_sp(holders, g, config.model, lr=train.lr, max_epochs=train.max_epochs,
                       patience=train.patience, seed=train.seed)

@@ -39,17 +39,6 @@ def make_rng(seed: int, stream=0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(key,)))
 
 
-@dataclass(frozen=True)
-class Rng:
-    """A (seed, stream) pair naming one deterministic draw sequence."""
-
-    seed: int
-    stream: object = 0
-
-    def generator(self) -> np.random.Generator:
-        return make_rng(self.seed, self.stream)
-
-
 def glorot_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Uniform(-a, a) matrix with a = sqrt(6 / (rows + cols))."""
     if rows < 1 or cols < 1:

@@ -43,6 +43,9 @@ from .wire import Channel, CommStats, MessageKind
 POOL_PARTY = "sealed-pool"
 SERVER_PARTY = "server"
 SPLITS = ("train", "val", "test")
+# The winning holder per pooled element is an int8 (`stack_max`,
+# `pooled_argmax` and the PoolResult wire field), so holder ids must fit it.
+MAX_HOLDERS = int(np.iinfo(np.int8).max)
 
 
 class ProtocolError(RuntimeError):
@@ -263,6 +266,9 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph],
                  shared_seed: int, server_seed: int) -> Session:
     """Set up all parties: replicated local weights from the shared seed,
     server weights from its own seed, hashed node lists registered."""
+    if len(holders_data) > MAX_HOLDERS:
+        raise ProtocolError(f"{len(holders_data)} holders exceed the limit of {MAX_HOLDERS}: "
+                            "the winning holder index is an int8")
     feats = {lg.graph.feat_dim for lg in holders_data}
     classes = {lg.graph.n_classes for lg in holders_data}
     if len(feats) != 1 or len(classes) != 1:
@@ -448,56 +454,56 @@ def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
     return BackwardResult(holder_grads=holder_grads, server_grads=server_grads)
 
 
-def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
-    """Secure all-holder sum of the flattened local-weight gradients.
+def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
+               epoch: int) -> np.ndarray:
+    """All-holder secure sum of equal-length vectors; the server takes no part.
 
-    Every holder ends with the same flat vector; the server sees none of the
-    share traffic. With one holder the aggregate is its own gradient.
+    Holder j splits its vector into P additive shares with its own rng
+    (`mode` "fixed-point" or "real", see `share_vector`) and sends share i to
+    holder i as a GradShare. Each holder adds the shares it holds, in
+    ascending sender order, into a partial sum and sends it to every other
+    holder as a PartialSum; each holder then adds the P partials. Messages go
+    sender outer, receiver inner. Returns the total once every holder has
+    reconstructed the same one; with one holder its vector is the total and
+    nothing is sent.
     """
-    holders = session.holders
-    P = len(holders)
-    flats = [h.grad_acc.flat() for h in holders]
+    P = len(vectors)
+    shapes = {np.shape(v) for v in vectors}
+    if len(shapes) != 1:
+        raise ProtocolError(f"holders disagree on gradient vector length: {sorted(shapes)}")
     if P == 1:
-        return flats[0]
-    mode = session.config.share_mode
-    share_kw = {"mode": "fixed-point" if mode == "fixed-point" else "real"}
-
+        return vectors[0]
     try:
-        outgoing = [share_vector(flats[j], P, holders[j].rng_shares, **share_kw)
-                    for j in range(P)]
+        outgoing = [share_vector(v, P, rng, mode=mode)
+                    for v, rng in zip(vectors, rngs, strict=True)]
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
-    received = [[None] * P for _ in range(P)]
-    for j in range(P):
-        for i in range(P):
-            if i == j:
-                received[i][j] = outgoing[j][i]
-                continue
-            decoded = session.channel.send(
-                holder_party(j), holder_party(i), MessageKind.GRAD_SHARE,
-                layer=-1, epoch=epoch, fields={"share": outgoing[j][i]}, sender_id=j)
-            received[i][j] = decoded["share"]
 
-    partials = [combine_vector_shares([received[i][j] for j in range(P)],
-                                      mode=share_kw["mode"], decode=False)
-                for i in range(P)]
-    partials_at = [[None] * P for _ in range(P)]
-    for i in range(P):
-        for k in range(P):
-            if k == i:
-                partials_at[k][i] = partials[i]
-                continue
-            decoded = session.channel.send(
-                holder_party(i), holder_party(k), MessageKind.PARTIAL_SUM,
-                layer=-1, epoch=epoch, fields={"partial": partials[i]}, sender_id=i)
-            partials_at[k][i] = decoded["partial"]
+    def exchange(kind: MessageKind, name: str, payload) -> list:
+        """inbox[i][j]: what holder i holds from holder j, where holder j
+        sends payload(j, i) to every other holder i and keeps its own."""
+        inbox = [[None] * P for _ in range(P)]
+        for j in range(P):
+            for i in range(P):
+                inbox[i][j] = payload(j, i) if i == j else channel.send(
+                    holder_party(j), holder_party(i), kind, layer=-1, epoch=epoch,
+                    fields={name: payload(j, i)}, sender_id=j)[name]
+        return inbox
 
-    results = [combine_vector_shares(partials_at[k], mode=share_kw["mode"], decode=True)
-               for k in range(P)]
-    for k in range(1, P):
-        if not np.array_equal(results[0], results[k]):
-            raise ProtocolError("holders reconstructed different gradient aggregates")
-    return results[0]
+    shares_at = exchange(MessageKind.GRAD_SHARE, "share", lambda j, i: outgoing[j][i])
+    partials = [combine_vector_shares(held, mode=mode, decode=False) for held in shares_at]
+    partials_at = exchange(MessageKind.PARTIAL_SUM, "partial", lambda i, k: partials[i])
+    totals = [combine_vector_shares(held, mode=mode) for held in partials_at]
+    if any(not np.array_equal(totals[0], t) for t in totals[1:]):
+        raise ProtocolError("holders reconstructed different gradient aggregates")
+    return totals[0]
+
+
+def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
+    """Secure sum of the holders' flattened local-weight gradients."""
+    return secure_sum(session.channel, [h.grad_acc.flat() for h in session.holders],
+                      [h.rng_shares for h in session.holders], session.config.share_mode,
+                      epoch)
 
 
 def weight_update(session: Session, bwd: BackwardResult, epoch: int = 0) -> None:
@@ -535,7 +541,7 @@ class TrainResult:
     audit: AuditLog
     best_epoch: int
     epochs_run: int
-    final: dict              # test metrics at the best validation epoch
+    final: dict              # test metrics at the best validation epoch (NaN if none)
 
 
 def fit(train_epoch, score, final_weights, max_epochs: int, patience: int,
@@ -546,7 +552,8 @@ def fit(train_epoch, score, final_weights, max_epochs: int, patience: int,
     `final_weights()` gives the weights once the loop ends."""
     stopper = EarlyStopper(patience)
     metrics_rows = []
-    best_final: dict = {}
+    best_final = dict.fromkeys(("val_accuracy", "test_accuracy", "test_macro_f1", "test_loss"),
+                               float("nan"))
     epochs_run = 0
     for epoch in range(max_epochs):
         train_epoch(epoch)

@@ -3,10 +3,12 @@
 Real values are carried as two's-complement fixed-point residues (default
 b=64 with 20 fraction bits; an 8-bit toy ring is available for exhaustive
 tests). Gradient aggregation sums shares modularly, so reconstruction is
-exact and the only loss is the initial encoding quantization. The secure
-element-wise argmax is an ideal functionality: a sealed evaluator
-reconstructs inside a boundary, compares, and re-shares the one-hot winner;
-the audit log shows that no party outside the boundary saw plaintext values.
+exact and the only loss is the initial encoding quantization. This module
+holds the primitives; who sends which share to whom in the holders' secure
+gradient sum is `protocol.secure_sum`. The secure element-wise argmax is an
+ideal functionality: a sealed evaluator reconstructs inside a boundary,
+compares, and re-shares the one-hot winner; the audit log shows that no
+party outside the boundary saw plaintext values.
 """
 
 from __future__ import annotations
@@ -201,8 +203,8 @@ def decode_vector(raw: np.ndarray, frac_bits: int = DEFAULT_FRAC_BITS) -> np.nda
     return raw.view(np.int64).astype(np.float64) / float(1 << frac_bits)
 
 
-def share_vector(x: np.ndarray, P: int, rng: np.random.Generator, mode: str = "fixed-point",
-                 frac_bits: int = DEFAULT_FRAC_BITS) -> list[np.ndarray]:
+def share_vector(x: np.ndarray, P: int, rng: np.random.Generator,
+                 mode: str = "fixed-point") -> list[np.ndarray]:
     """Share a float vector into P vectors that sum back to it.
 
     mode "fixed-point": uint64 residues, exact modular reconstruction up to
@@ -215,7 +217,7 @@ def share_vector(x: np.ndarray, P: int, rng: np.random.Generator, mode: str = "f
         raise ValueError("sharing needs at least 2 parties")
     x = np.asarray(x, dtype=np.float64)
     if mode == "fixed-point":
-        enc = encode_vector(x, frac_bits)
+        enc = encode_vector(x)
         # P summands below 2^63 / P each cannot wrap the signed 64-bit sum
         if np.any(np.abs(enc.view(np.int64)) >= (1 << 63) // P):
             raise ValueError(f"value overflows the 64-bit ring when summed over {P} holders")
@@ -237,65 +239,14 @@ def share_vector(x: np.ndarray, P: int, rng: np.random.Generator, mode: str = "f
 
 
 def combine_vector_shares(shares: list[np.ndarray], mode: str = "fixed-point",
-                          frac_bits: int = DEFAULT_FRAC_BITS, decode: bool = True):
+                          decode: bool = True):
     """Sum shares in ascending party order; decode fixed-point if asked."""
     acc = shares[0].copy()
     for s in shares[1:]:
         acc = acc + s
     if mode == "fixed-point" and decode:
-        return decode_vector(acc, frac_bits)
+        return decode_vector(acc)
     return acc
-
-
-def secure_aggregate(local_values: list[np.ndarray], rng: np.random.Generator,
-                     mode: str = "fixed-point", frac_bits: int = DEFAULT_FRAC_BITS,
-                     transport=None):
-    """All-holder secure sum: every holder ends with the same total.
-
-    Each holder shares its vector to all holders, sums the shares it received
-    (one partial per holder), and the partials reconstruct the total. The
-    server is never involved. Returns (per-holder results, audit log); with
-    P=1 the single holder's vector is returned as-is.
-
-    transport, if given, is called as transport(sender, receiver, kind, array)
-    for every simulated message so a caller can meter bytes.
-    """
-    P = len(local_values)
-    shapes = {np.asarray(v).shape for v in local_values}
-    if len(shapes) != 1:
-        raise ValueError(f"holders disagree on vector length: {shapes}")
-    audit = AuditLog()
-    if P == 1:
-        return [np.asarray(local_values[0], dtype=np.float64).copy()], audit
-
-    def post(sender, receiver, kind, arr):
-        audit.append(sender, receiver, kind, schema=f"vector[{arr.size}]")
-        if transport is not None:
-            transport(sender, receiver, kind, arr)
-
-    # holder j -> share s_{j,i} for every holder i
-    shares = []
-    for j in range(P):
-        sj = share_vector(local_values[j], P, rng, mode=mode, frac_bits=frac_bits)
-        shares.append(sj)
-        for i in range(P):
-            if i != j:
-                post(f"holder-{j}", f"holder-{i}", "GradShare", sj[i])
-
-    partials = []
-    for i in range(P):
-        partial = combine_vector_shares([shares[j][i] for j in range(P)],
-                                        mode=mode, frac_bits=frac_bits, decode=False)
-        partials.append(partial)
-        for k in range(P):
-            if k != i:
-                post(f"holder-{i}", f"holder-{k}", "PartialSum", partial)
-
-    results = []
-    for k in range(P):
-        total = combine_vector_shares(partials, mode=mode, frac_bits=frac_bits, decode=True)
-        results.append(total)
-    return results, audit
 
 
 # ---------------------------------------------------------------------------

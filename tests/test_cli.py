@@ -119,3 +119,12 @@ def test_apply_overrides_parses_types():
     assert d["mode"] == "naive"
     with pytest.raises(ValueError):
         apply_overrides(d, ["no-equals-sign"])
+
+
+def test_training_without_validation_labels(tmp_path, capsys):
+    # no epoch can improve validation accuracy, so the final metrics stay NaN
+    cfg = write_config(tmp_path)
+    for command in ("train-sapgnn", "train-centralized"):
+        assert main([command, "--config", str(cfg), "--set", "dataset.val_frac=0",
+                     "--out", str(tmp_path / command)]) == 0
+        assert "test accuracy nan" in capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 from sapgnn.gnn import (ModelConfig, NeighborIndex, UpdateKind, aggregate_max,
                         build_model_weights, centralized_forward,
                         centralized_forward_backward, check_monotone_update,
-                        global_embedding, local_embedding, predict_and_loss,
+                        global_update, local_embedding, predict_and_loss,
                         predict_backward, stack_max)
 from sapgnn.graphs import Graph, generate_synthetic
 from sapgnn.numerics import NEG_INF, finite_diff_grad, make_rng
@@ -155,26 +155,12 @@ def test_stack_max_all_sentinel_node_raises():
         stack_max(sentinel)
 
 
-def test_global_embedding_single_holder():
-    t = make_rng(17, 0).normal(size=(1, 4, 3))
+def test_global_update_without_relu_or_mask_is_linear_map():
+    m = make_rng(17, 0).normal(size=(4, 3))
     w = make_rng(18, 0).normal(size=(2, 3))
-    h, winner = global_embedding(t, w)
-    assert np.array_equal(h, t[0] @ w.T)
-    assert np.all(winner == 0)
-
-
-def test_global_embedding_sentinel_holder_ignored():
-    t1 = make_rng(19, 0).normal(size=(4, 3))
-    stack = np.stack([t1, np.full((4, 3), NEG_INF)])
-    h, winner = global_embedding(stack, np.eye(3))
-    assert np.array_equal(h, t1)
-    assert np.all(winner == 0)
-
-
-def test_global_embedding_identity_map_is_stack_max():
-    stacks = make_rng(20, 0).normal(size=(3, 5, 4))
-    h, _ = global_embedding(stacks, np.eye(4), use_relu=False)
-    assert np.array_equal(h, stacks.max(axis=0))
+    h, z = global_update(m, w, use_relu=False, mask=None)
+    assert np.array_equal(h, m @ w.T)
+    assert np.array_equal(z, m @ w.T)
 
 
 # -- prediction and loss ------------------------------------------------------------

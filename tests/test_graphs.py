@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -41,6 +42,22 @@ def test_intra_class_density_near_target():
                 intra_pairs += 1
                 intra_edges += (i, j) in edge_set
     assert abs(intra_edges / intra_pairs - 0.6) < 0.15
+
+
+def test_synthetic_graph_pinned_across_pair_blocks():
+    # n spans several PAIR_BLOCK_ROWS blocks; hashes taken from the
+    # all-pairs generator before pair drawing was split into row blocks
+    assert 1500 > 4 * G.PAIR_BLOCK_ROWS
+    g = generate_synthetic(1500, 4, 16, 0.01, 0.001, seed=7)
+
+    def sha(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    assert g.edges.shape == (3701, 2)
+    assert sha(g.edges) == "5fbef53a2d17c945b16aa8df07e70efb6d658b01cf7ebeedb21672557d42237e"
+    assert sha(g.features) == "985e490472e7605c573ef1ff888fae9ec2941ffc7431e218dbeda1a8aa6981d3"
+    assert sha(np.concatenate([g.train_ids, g.val_ids, g.test_ids])) == \
+        "192dfc3f831044f75d7ea02de847b82211274c50ccb38808593d94c9f76e971e"
 
 
 def test_synthetic_validation_errors():

@@ -74,6 +74,16 @@ def test_init_rejects_dimension_mismatch():
         init_parties(cfg, holders, 1, 1)
 
 
+def test_init_rejects_more_holders_than_an_int8_winner_names():
+    # a winner index past 127 wraps negative, so that holder's gradients
+    # would be dropped without an error
+    cfg = make_config(P=128, n=300)
+    holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
+    assert len(holders) == 128
+    with pytest.raises(ProtocolError, match="128 holders exceed the limit of 127"):
+        init_parties(cfg, holders, 1, 1)
+
+
 # -- forward equivalence ----------------------------------------------------------
 
 def oracle_pass(config, holders):

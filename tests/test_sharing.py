@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapgnn.numerics import make_rng
+from sapgnn.protocol import ProtocolError, secure_sum
 from sapgnn.sharing import (AdditiveShare, AuditLog, FixedPoint,
                             combine_vector_shares, decode_vector, encode_vector,
                             pooled_argmax, reconstruct_additive, reconstruct_boolean,
-                            reshare_boolean, secure_aggregate, secure_argmax,
+                            reshare_boolean, secure_argmax,
                             share_additive, share_boolean, share_vector)
+from sapgnn.wire import Channel, CommStats
 
 
 # -- fixed point ---------------------------------------------------------------
@@ -109,62 +113,126 @@ def test_boolean_round_trip_and_reshare():
 
 # -- secure aggregation ------------------------------------------------------------
 
+class RecordingChannel(Channel):
+    """A metered channel that also keeps every delivered message."""
+
+    def __init__(self):
+        super().__init__(CommStats(), AuditLog())
+        self.delivered = []
+
+    def send(self, sender, receiver, kind, layer, epoch, fields, sender_id=-1):
+        decoded = super().send(sender, receiver, kind, layer, epoch, fields, sender_id)
+        self.delivered.append((sender, receiver, kind.value, decoded))
+        return decoded
+
+
+def run_sum(vectors, seed, mode="fixed-point"):
+    """secure_sum over a fresh channel, one rng per holder; (total, channel)."""
+    channel = RecordingChannel()
+    rngs = [make_rng(seed, ("holder", p)) for p in range(len(vectors))]
+    return secure_sum(channel, vectors, rngs, mode, epoch=0), channel
+
+
 def test_aggregate_zerovectors():
-    results, _ = secure_aggregate([np.zeros(8), np.zeros(8)], make_rng(4, 0))
-    assert np.allclose(results[0], 0.0, atol=2 * 2 ** -20)
+    total, _ = run_sum([np.zeros(8), np.zeros(8)], 4)
+    assert np.allclose(total, 0.0, atol=2 * 2 ** -20)
 
 
 def test_aggregate_dyadic_exact():
     vals = [np.full(4, 1.5), np.full(4, 2.25)]
-    results, _ = secure_aggregate(vals, make_rng(5, 0))
-    for r in results:
-        assert np.array_equal(r, np.full(4, 3.75))  # dyadic rationals: error 0
+    total, _ = run_sum(vals, 5)
+    assert np.array_equal(total, np.full(4, 3.75))  # dyadic rationals: error 0
 
 
 def test_aggregate_matches_plaintext_sum():
     rng = make_rng(6, 0)
     vecs = [rng.uniform(-10, 10, size=64) for _ in range(4)]
-    results, _ = secure_aggregate(vecs, make_rng(7, 0))
+    total, _ = run_sum(vecs, 7)
     expected = vecs[0] + vecs[1] + vecs[2] + vecs[3]
-    for r in results:
-        assert np.max(np.abs(r - expected)) <= 4 * 2 ** -20
+    assert np.max(np.abs(total - expected)) <= 4 * 2 ** -20
 
 
 def test_aggregate_real_mode():
     rng = make_rng(8, 0)
     vecs = [rng.uniform(-5, 5, size=16) for _ in range(3)]
-    results, _ = secure_aggregate(vecs, make_rng(9, 0), mode="real")
-    assert np.allclose(results[0], sum(vecs), atol=1e-12)
+    total, _ = run_sum(vecs, 9, mode="real")
+    assert np.allclose(total, sum(vecs), atol=1e-12)
 
 
 def test_aggregate_over_three_holders_refuses_to_wrap():
     # each value encodes below 2^62, but the three-holder sum passes 2^63
     vecs = [np.array([1.5 * 2.0 ** 41])] * 3
-    with pytest.raises(ValueError, match="summed over 3 holders"):
-        secure_aggregate(vecs, make_rng(3, 0))
-    results, _ = secure_aggregate(vecs[:2], make_rng(3, 0))
-    assert results[0][0] == 3.0 * 2.0 ** 41
+    with pytest.raises(ProtocolError, match="summed over 3 holders"):
+        run_sum(vecs, 3)
+    total, _ = run_sum(vecs[:2], 3)
+    assert total[0] == 3.0 * 2.0 ** 41
 
 
 def test_aggregate_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        secure_aggregate([np.zeros(3), np.zeros(4)], make_rng(0, 0))
+    with pytest.raises(ProtocolError, match="length"):
+        run_sum([np.zeros(3), np.zeros(4)], 0)
 
 
 def test_aggregate_audit_never_touches_server():
     vecs = [np.ones(4), np.ones(4), np.ones(4)]
-    _, audit = secure_aggregate(vecs, make_rng(1, 0))
-    assert len(audit) > 0
-    for rec in audit.records:
+    _, channel = run_sum(vecs, 1)
+    assert len(channel.audit) > 0
+    for rec in channel.audit.records:
         assert "server" not in (rec.sender, rec.receiver)
         assert rec.kind in ("GradShare", "PartialSum")
 
 
 def test_single_holder_aggregate_is_identity():
     v = np.array([1.0, -2.0])
-    results, audit = secure_aggregate([v], make_rng(2, 0))
-    assert np.array_equal(results[0], v)
-    assert len(audit) == 0
+    total, channel = run_sum([v], 2)
+    assert np.array_equal(total, v)
+    assert len(channel.audit) == 0 and channel.comm.total() == 0
+
+
+# Fixed-point: |value| <= 2^20 stays far below the 2^43 / P wrap bound, and
+# float64 still carries every fraction bit of totals that large.
+VALUE_BOUND = {"fixed-point": 2.0 ** 20, "real": 1e3}
+
+
+@st.composite
+def sum_inputs(draw):
+    mode = draw(st.sampled_from(sorted(VALUE_BOUND)))
+    P = draw(st.integers(1, 6))
+    length = draw(st.integers(1, 40))
+    bound = VALUE_BOUND[mode]
+    values = st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+    vectors = [np.array(draw(st.lists(values, min_size=length, max_size=length)))
+               for _ in range(P)]
+    return mode, vectors, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sum_inputs())
+def test_secure_sum_properties(inputs):
+    mode, vectors, seed = inputs
+    P = len(vectors)
+    total, channel = run_sum(vectors, seed, mode)
+    expected = np.sum(vectors, axis=0)
+    tolerance = P * 2.0 ** -20 if mode == "fixed-point" else 1e-9
+    assert np.max(np.abs(total - expected)) <= tolerance
+
+    kinds = [rec.kind for rec in channel.audit.records]
+    assert kinds.count("GradShare") == P * (P - 1)
+    assert kinds.count("PartialSum") == P * (P - 1)
+    assert len(kinds) == 2 * P * (P - 1)          # P=1 sends nothing
+    for rec in channel.audit.records:
+        assert rec.sender.startswith("holder-") and rec.receiver.startswith("holder-")
+
+    # rebuild every holder's total from what it received: its own partial
+    # (the one it sends to everyone else) plus the partials sent to it
+    if P == 1:
+        return
+    sent = {(s, r): f["partial"] for s, r, k, f in channel.delivered if k == "PartialSum"}
+    for k in range(P):
+        me = f"holder-{k}"
+        held = [sent[(me, f"holder-{(k + 1) % P}")] if i == k else sent[(f"holder-{i}", me)]
+                for i in range(P)]
+        assert np.array_equal(combine_vector_shares(held, mode=mode), total)
 
 
 def test_share_vector_modes_reconstruct():
