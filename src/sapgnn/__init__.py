@@ -7,7 +7,7 @@ that the decentralized computation matches training on the combined graph.
 """
 
 from .config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
-from .gnn import (ModelConfig, ModelWeights, UpdateKind, aggregate_max, centralized_forward,
+from .gnn import (ModelConfig, ModelWeights, UpdateKind, centralized_forward,
                   centralized_forward_backward, check_monotone_update)
 from .graphs import (Graph, HashedIndex, LocalGraph, build_hashed_index,
                      generate_synthetic, load_dataset, split_edges_uniform,
@@ -22,6 +22,6 @@ from .protocol import (AuditReport, ProtocolError, Session, TrainResult,
                        run_training, secure_sum, verify_privacy_audit, weight_update)
 from .sharing import (AdditiveShare, AuditLog, BooleanShare, FixedPoint, reconstruct_additive,
                       reconstruct_boolean, secure_argmax, share_additive, share_boolean)
-from .wire import Channel, CommStats, MessageKind
+from .wire import Channel, CommStats, MessageKind, WireError
 
 __version__ = "0.1.0"

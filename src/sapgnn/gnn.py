@@ -198,35 +198,29 @@ def message_matrix(h: np.ndarray, w_message: np.ndarray | None) -> np.ndarray:
     return h if w_message is None else h @ w_message.T
 
 
-def aggregate_max(messages):
-    """Element-wise max over a nonempty message set plus per-element argmax
-    (ties to the lowest index)."""
-    arr = np.asarray(messages, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError("aggregate_max needs a nonempty set of equal-length vectors")
-    return arr.max(axis=0), arr.argmax(axis=0)
-
-
 @dataclass
 class NeighborIndex:
-    """Directed-edge view grouped by destination; sources ascend within a group."""
+    """Directed edges bucketed by the destination's in-degree.
 
-    starts: np.ndarray     # group boundaries into src
-    dst_nodes: np.ndarray  # destination row per group
-    src: np.ndarray        # concatenated source rows
+    Bucket b pairs the destination rows of one in-degree k with a (rows, k)
+    matrix of their source rows, ascending along each row. Each holder builds
+    its index once, and every layer and epoch pools through it.
+    """
+
+    buckets: list  # [(dst rows (r,), src rows (r, k))], one per distinct k
 
     @classmethod
     def from_edges(cls, edge_ranks: np.ndarray, n: int) -> "NeighborIndex":
         edge_ranks = np.asarray(edge_ranks, dtype=np.int64).reshape(-1, 2)
-        if edge_ranks.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(starts=empty, dst_nodes=empty, src=empty)
         directed = np.concatenate([edge_ranks, edge_ranks[:, ::-1]], axis=0)
         order = np.lexsort((directed[:, 1], directed[:, 0]))
-        directed = directed[order]
-        dst, src = directed[:, 0], directed[:, 1]
-        starts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
-        return cls(starts=starts, dst_nodes=dst[starts], src=src)
+        dst, src = directed[order, 0], directed[order, 1]
+        nodes, starts, degree = np.unique(dst, return_index=True, return_counts=True)
+        buckets = []
+        for k in np.unique(degree):
+            of_k = degree == k
+            buckets.append((nodes[of_k], src[starts[of_k][:, None] + np.arange(k)]))
+        return cls(buckets=buckets)
 
 
 @dataclass
@@ -244,20 +238,20 @@ class LocalTape:
 
 
 def pooled_messages(msg: np.ndarray, idx: NeighborIndex):
-    """Per-node element-wise max over incoming messages, with provenance."""
+    """Per-node element-wise max over incoming messages, with provenance.
+
+    Per in-degree bucket, the first argmax over the neighbour axis is the
+    lowest source rank among the maxima. Rows without incoming edges keep
+    NEG_INF and winner -1.
+    """
     n, d_msg = msg.shape
     m = np.full((n, d_msg), NEG_INF)
     winner = np.full((n, d_msg), -1, dtype=np.int64)
-    if idx.src.size:
-        vals = msg[idx.src]
-        gmax = np.maximum.reduceat(vals, idx.starts, axis=0)
-        counts = np.diff(np.append(idx.starts, len(idx.src)))
-        gid = np.repeat(np.arange(len(idx.starts)), counts)
-        eq = vals == gmax[gid]
-        pos = np.where(eq, np.arange(len(idx.src))[:, None], len(idx.src))
-        first = np.minimum.reduceat(pos, idx.starts, axis=0)
-        m[idx.dst_nodes] = gmax
-        winner[idx.dst_nodes] = idx.src[first]
+    for dst, src in idx.buckets:
+        vals = msg[src]
+        first = vals.argmax(axis=1)
+        m[dst] = np.take_along_axis(vals, first[:, None, :], axis=1)[:, 0]
+        winner[dst] = np.take_along_axis(src, first, axis=1)
     return m, winner
 
 
@@ -356,15 +350,17 @@ def local_backward(h: np.ndarray, tape: LocalTape, kind: UpdateKind,
     else:  # pragma: no cover
         raise ValueError(kind)
 
+    # an isolated row's constant zero message (winner -1) routes nowhere
     winner_sub = tape.winner[rows]
+    routed = (dM_sub != 0.0) & (winner_sub >= 0)
     if w_message is None:
-        vi, vk = np.nonzero(dM_sub != 0.0)
+        vi, vk = np.nonzero(routed)
         if vi.size:
             np.add.at(dH, (winner_sub[vi, vk], vk), dM_sub[vi, vk])
     else:
         d_msg = dM_sub.shape[1]
         for k in range(d_msg):
-            sel = dM_sub[:, k] != 0.0
+            sel = routed[:, k]
             if not sel.any():
                 continue
             srcs = winner_sub[sel, k]

@@ -9,6 +9,7 @@ privacy audit is defined over.
 
 from __future__ import annotations
 
+import math
 import struct
 from enum import Enum
 
@@ -35,6 +36,8 @@ IDS_KIND = {i: kind for kind, i in KIND_IDS.items()}
 
 _DTYPE_CODES = {"<f8": b"f", "<u8": b"u", "<i8": b"i", "|u1": b"b", "|i1": b"c"}
 _CODES_DTYPE = {v: k for k, v in _DTYPE_CODES.items()}
+_HEADER = "<2sBhiB"  # magic, kind id, layer, epoch, field count
+_SENDER = "<h"       # sender id, after the last field
 
 
 def _norm_dtype(arr: np.ndarray) -> np.ndarray:
@@ -53,7 +56,7 @@ def _norm_dtype(arr: np.ndarray) -> np.ndarray:
 def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,
                    fields: dict[str, np.ndarray]) -> bytes:
     """Serialize one message; the leading u32 is the body length."""
-    parts = [struct.pack("<2sBhiB", b"SG", KIND_IDS[kind], layer, epoch, len(fields))]
+    parts = [struct.pack(_HEADER, b"SG", KIND_IDS[kind], layer, epoch, len(fields))]
     for name, arr in fields.items():
         if isinstance(arr, (bytes, bytearray)):
             arr = np.frombuffer(bytes(arr), dtype=np.uint8)
@@ -66,35 +69,73 @@ def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,
         parts.append(b"".join(struct.pack("<i", s) for s in arr.shape))
         parts.append(struct.pack("<q", len(raw)))
         parts.append(raw)
-    parts.append(struct.pack("<h", sender_id))
+    parts.append(struct.pack(_SENDER, sender_id))
     body = b"".join(parts)
     return struct.pack("<I", len(body)) + body
 
 
+class WireError(ValueError):
+    """The bytes handed to decode_message are not exactly one well-formed message."""
+
+
+def _unpack(fmt: str, body, off: int) -> tuple:
+    try:
+        return struct.unpack_from(fmt, body, off)
+    except struct.error:
+        raise WireError(f"message truncated at byte {off} of {len(body)}") from None
+
+
 def decode_message(buf: bytes):
-    """Inverse of encode_message: (kind, layer, epoch, sender_id, fields)."""
-    (length,) = struct.unpack_from("<I", buf, 0)
-    body = buf[4:4 + length]
-    magic, kind_id, layer, epoch, n_fields = struct.unpack_from("<2sBhiB", body, 0)
+    """Inverse of encode_message: (kind, layer, epoch, sender_id, fields).
+
+    Raises WireError for a truncated buffer, trailing bytes, a length that
+    disagrees with the buffer, an unknown kind or dtype code, a negative
+    length or dimension, or a repeated field name.
+    """
+    (length,) = _unpack("<I", buf, 0)
+    if length != len(buf) - 4:
+        raise WireError(f"length prefix {length} disagrees with the {len(buf) - 4}-byte body")
+    body = memoryview(buf)[4:]
+    magic, kind_id, layer, epoch, n_fields = _unpack(_HEADER, body, 0)
     if magic != b"SG":
-        raise ValueError("bad message magic")
-    off = struct.calcsize("<2sBhiB")
+        raise WireError("bad message magic")
+    if kind_id not in IDS_KIND:
+        raise WireError(f"unknown message kind code {kind_id}")
+    off = struct.calcsize(_HEADER)
+    payload_end = len(body) - struct.calcsize(_SENDER)
     fields = {}
     for _ in range(n_fields):
-        (name_len,) = struct.unpack_from("<B", body, off)
+        (name_len,) = _unpack("<B", body, off)
         off += 1
-        name = body[off:off + name_len].decode("utf-8")
+        try:
+            name = bytes(body[off:off + name_len]).decode("utf-8")
+        except UnicodeDecodeError:
+            raise WireError(f"field name at byte {off} is not UTF-8") from None
+        if name in fields:
+            raise WireError(f"field {name!r} repeated")
         off += name_len
-        code, ndim = struct.unpack_from("<cB", body, off)
+        code, ndim = _unpack("<cB", body, off)
         off += struct.calcsize("<cB")
-        shape = struct.unpack_from(f"<{ndim}i", body, off) if ndim else ()
+        if code not in _CODES_DTYPE:
+            raise WireError(f"field {name!r}: unknown dtype code {code!r}")
+        shape = _unpack(f"<{ndim}i", body, off)
         off += 4 * ndim
-        (raw_len,) = struct.unpack_from("<q", body, off)
+        (raw_len,) = _unpack("<q", body, off)
         off += 8
-        arr = np.frombuffer(body[off:off + raw_len], dtype=_CODES_DTYPE[code]).reshape(shape)
+        if min(shape, default=0) < 0 or raw_len < 0:
+            raise WireError(f"field {name!r}: negative shape {shape} or length {raw_len}")
+        dtype = np.dtype(_CODES_DTYPE[code])
+        count = math.prod(shape)
+        if raw_len != count * dtype.itemsize:
+            raise WireError(f"field {name!r}: {raw_len} bytes cannot hold shape {shape}")
+        if off + raw_len > payload_end:
+            raise WireError(f"field {name!r}: message truncated in the payload")
+        fields[name] = np.frombuffer(body, dtype, count, off).reshape(shape).copy()
         off += raw_len
-        fields[name] = arr.copy()
-    (sender_id,) = struct.unpack_from("<h", body, off)
+    (sender_id,) = _unpack(_SENDER, body, off)
+    off += struct.calcsize(_SENDER)
+    if off != len(body):
+        raise WireError(f"{len(body) - off} trailing bytes after the message")
     return IDS_KIND[kind_id], layer, epoch, sender_id, fields
 
 

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sapgnn.gnn import (ModelConfig, NeighborIndex, UpdateKind, aggregate_max,
-                        build_model_weights, centralized_forward,
-                        centralized_forward_backward, check_monotone_update,
-                        global_update, local_embedding, predict_and_loss,
-                        predict_backward, stack_max)
+from sapgnn.gnn import (ModelConfig, NeighborIndex, UpdateKind, build_model_weights,
+                        centralized_forward, centralized_forward_backward,
+                        check_monotone_update, global_update, local_embedding,
+                        pooled_messages, predict_and_loss, predict_backward, stack_max)
 from sapgnn.graphs import Graph, generate_synthetic
 from sapgnn.numerics import NEG_INF, finite_diff_grad, make_rng
 
@@ -22,43 +23,61 @@ def build_graph(node_ids, features, edges, labels, train, n_classes):
                  n_classes=n_classes)
 
 
-# -- max aggregation -------------------------------------------------------------
+# -- max pooling -------------------------------------------------------------------
 
-def test_aggregate_max_examples():
-    agg, idx = aggregate_max([[1.0, 4.0], [3.0, 2.0]])
-    assert np.array_equal(agg, [3.0, 4.0])
-    assert np.array_equal(idx, [1, 0])
-    agg, idx = aggregate_max([[7.0, -1.0]])
-    assert np.array_equal(agg, [7.0, -1.0]) and np.array_equal(idx, [0, 0])
-    with pytest.raises(ValueError):
-        aggregate_max(np.empty((0, 3)))
-
-
-def test_aggregate_max_matches_scan_oracle():
-    rng = make_rng(11, 0)
-    msgs = rng.normal(size=(5, 8))
-    agg, idx = aggregate_max(msgs)
-    for k in range(8):
-        best_val, best_i = -np.inf, -1
-        for i in range(5):
-            if msgs[i, k] > best_val:
-                best_val, best_i = msgs[i, k], i
-        assert agg[k] == best_val and idx[k] == best_i
+@st.composite
+def pooling_inputs(draw):
+    """A random multigraph (duplicate edges, self-loops, isolated rows) and
+    messages drawn from a few values, so that ties are common."""
+    n = draw(st.integers(1, 9))
+    d = draw(st.integers(1, 4))
+    rank = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(rank, rank), max_size=24))
+    values = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]),
+                           min_size=n * d, max_size=n * d))
+    return (np.array(edges, dtype=np.int64).reshape(-1, 2),
+            np.array(values).reshape(n, d))
 
 
-def test_max_subgradient_consistency():
-    # shrinking a non-winning message never changes the pooled output
-    rng = make_rng(12, 0)
-    msgs = rng.normal(size=(4, 6))
-    agg, idx = aggregate_max(msgs)
-    for k in range(6):
-        loser = (idx[k] + 1) % 4
-        if msgs[loser, k] == agg[k]:
-            continue
-        bumped = msgs.copy()
-        bumped[loser, k] -= 1e-6
-        agg2, _ = aggregate_max(bumped)
-        assert agg2[k] == agg[k]
+def scan_pool(edges, msg):
+    """Brute force: per row and column, scan the sources in ascending rank and
+    keep the first strictly larger value."""
+    n, d = msg.shape
+    sources = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        sources[u].append(v)
+        sources[v].append(u)
+    m = np.full((n, d), NEG_INF)
+    winner = np.full((n, d), -1)
+    for v in range(n):
+        for k in range(d):
+            for u in sorted(sources[v]):
+                if winner[v, k] < 0 or msg[u, k] > m[v, k]:
+                    m[v, k], winner[v, k] = msg[u, k], u
+    return m, winner
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooling_inputs())
+@example((np.empty((0, 2), dtype=np.int64), np.array([[1.0, -2.0]])))
+@example((np.array([[0, 0]]), np.array([[1.0, -2.0]])))
+def test_pooled_messages_matches_scan(inputs):
+    edges, msg = inputs
+    n = msg.shape[0]
+    idx = NeighborIndex.from_edges(edges, n)
+    m, winner = pooled_messages(msg, idx)
+    want_m, want_winner = scan_pool(edges, msg)
+    assert np.array_equal(m, want_m)
+    assert np.array_equal(winner, want_winner)
+    # the max subgradient goes to the winner alone: lowering any other
+    # source's message moves neither the max nor the winner
+    for s in range(n):
+        lowered = msg.copy()
+        lowered[s] -= 1.0
+        m2, winner2 = pooled_messages(lowered, idx)
+        others = winner != s
+        assert np.array_equal(m2[others], m[others])
+        assert np.array_equal(winner2[others], winner[others])
 
 
 # -- local embedding ---------------------------------------------------------------
@@ -239,17 +258,30 @@ def fd_agrees(analytic, fd, rtol=1e-5, atol=1e-9):
     return bool(np.all(gap <= atol + rtol * np.maximum(np.abs(analytic), np.abs(fd))))
 
 
-@pytest.mark.parametrize("kind,linear_msg", [
-    (UpdateKind.SUM, False),
-    (UpdateKind.CONCAT, False),
-    (UpdateKind.GATED, False),
-    (UpdateKind.NEGATED_SUM, False),
-    (UpdateKind.SUM, True),
+def _isolate_first_node(g):
+    """g without the edges at its first node, which is a training node."""
+    keep = ~np.any(g.edges == g.node_ids[0], axis=1)
+    return build_graph(g.node_ids, g.features, g.edges[keep], g.labels,
+                       np.union1d(g.train_ids, g.node_ids[:1]), g.n_classes)
+
+
+FD_CASES = [(UpdateKind.SUM, False), (UpdateKind.CONCAT, False), (UpdateKind.GATED, False),
+            (UpdateKind.NEGATED_SUM, False), (UpdateKind.SUM, True)]
+
+
+@pytest.mark.parametrize("kind,linear_msg,isolated", [
+    *(pytest.param(kind, linear, False, id=f"{kind.value}-{linear}")
+      for kind, linear in FD_CASES),
+    *(pytest.param(kind, linear, True, id=f"{kind.value}-{linear}-isolated")
+      for kind, linear in FD_CASES),
 ])
-def test_gradients_match_finite_differences(kind, linear_msg):
+def test_gradients_match_finite_differences(kind, linear_msg, isolated):
     cfg = ModelConfig(layers=2, hidden=4, update_kind=kind, relu=True,
                       message_linear=linear_msg)
     g = generate_synthetic(6, 2, 3, 0.9, 0.5, seed=23, class_sep=0.5, noise=0.3)
+    if isolated:
+        g = _isolate_first_node(g)
+        assert g.degrees()[0] == 0
     weights = build_model_weights(cfg, g.feat_dim, g.n_classes,
                                   make_rng(31, 0), make_rng(32, 0))
     ref = centralized_forward_backward(g, weights, cfg)

@@ -56,7 +56,7 @@ PROTOCOL_GOLDEN = {
         "f1c2a98babdbb4970248b42734e13eb7fb0211178ef0426bc83a00a155707159",
         "fcc649e6db508b32c31a6e618bf020b4fbe0235ed90bc4e16306d2ce5e83a044"),
     "p3-skew-sum-naive-fixed": (
-        "093be1b9e56da55b9128335d72176efb41d0ba9f9eff6dde20fe64490d530f6b",
+        "7bd38cfba1238dd8a78176e831dbe6e8cfcc73f4c9a7e656f687f20bf3038a4a",
         "ec43522a874732aa0a5fd7cdfd64e45991238c24a4b00739f6597fcccd6ae414",
         "4ffd674f26b493f1fd7db9fb9cb0139e5ac083d056a8ac00fb9c2c95528a12c6"),
 }
@@ -69,9 +69,9 @@ CENTRALIZED_GOLDEN = {
 
 SP_GOLDEN = {
     "p3-skew-sum-naive-fixed": (
-        "5b9bb2343cedd23170928d423d28e3435e0b4075abe08ef9ea7b6c32c564917c",
-        "e66e14ddee2c68cae0909adf9a81db08a895cdd210880d61a31205f02cae2124",
-        "405808df8ce828b6ac894f4db6ee7af48317eba14a2f1f530d6f724458879d13"),
+        "f631f9e0cc7808fd283ac177de32c75e7f651979426b82679d0630ca699b315c",
+        "2d13556b29b74eac25e0d4c4bb7a598850bf6d38fa91b17a997fc3ec121cf0f1",
+        "cc9d9db897aa3a6b695750e812760516a9f47ff7d2db32918c5f8e0c5247d707"),
 }
 
 

@@ -1,7 +1,14 @@
+import math
+import struct
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapgnn.sharing import AuditLog
-from sapgnn.wire import (Channel, CommStats, MessageKind, decode_message, encode_message)
+from sapgnn.wire import (Channel, CommStats, MessageKind, WireError, decode_message,
+                         encode_message)
 
 
 def test_codec_round_trip_all_dtypes():
@@ -61,3 +68,90 @@ def test_channel_meters_and_audits():
     rec = audit.records[0]
     assert (rec.sender, rec.receiver, rec.kind) == ("holder-0", "server", "LocalEmbedding")
     assert rec.schema == "t"
+
+
+# -- malformed buffers -------------------------------------------------------------
+
+DTYPES = ("<f8", "<u8", "<i8", "|u1", "|i1")
+
+
+@st.composite
+def messages(draw):
+    fields = {}
+    for name in draw(st.lists(st.text(max_size=6), max_size=4, unique=True)):
+        dtype = np.dtype(draw(st.sampled_from(DTYPES)))
+        shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+        raw = draw(st.binary(min_size=dtype.itemsize * math.prod(shape),
+                             max_size=dtype.itemsize * math.prod(shape)))
+        fields[name] = np.frombuffer(raw, dtype).reshape(shape)
+    return (draw(st.sampled_from(list(MessageKind))), draw(st.integers(-1, 2 ** 15 - 1)),
+            draw(st.integers(-1, 2 ** 31 - 1)), draw(st.integers(-1, 2 ** 15 - 1)), fields)
+
+
+@settings(max_examples=150, deadline=None)
+@given(messages())
+def test_codec_round_trip_property(message):
+    kind, layer, epoch, sender_id, fields = message
+    out = decode_message(encode_message(kind, layer, epoch, sender_id, fields))
+    assert out[:4] == (kind, layer, epoch, sender_id)
+    assert list(out[4]) == list(fields)
+    for name, arr in fields.items():
+        assert out[4][name].dtype == arr.dtype and out[4][name].shape == arr.shape
+        assert out[4][name].tobytes() == arr.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages(), st.data())
+def test_mutated_buffer_decodes_or_raises_wire_error(message, data):
+    buf = bytearray(encode_message(*message))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(buf)))
+        edit = data.draw(st.sampled_from(["flip", "insert", "delete", "truncate"]))
+        if edit == "flip" and at < len(buf):
+            buf[at] ^= data.draw(st.integers(1, 255))
+        elif edit == "insert":
+            buf[at:at] = data.draw(st.binary(min_size=1, max_size=9))
+        elif edit == "delete":
+            del buf[at:at + data.draw(st.integers(1, 9))]
+        elif edit == "truncate":
+            del buf[at:]
+    try:
+        decode_message(bytes(buf))
+    except WireError:
+        pass
+
+
+def _one_field_message() -> bytearray:
+    # 4-byte length | header "<2sBhiB" (10) | name_len 1 | "g" | code | ndim |
+    # shape i32 | raw_len i64 | 2 float64 | sender i16: 48 bytes
+    buf = encode_message(MessageKind.PRED_GRAD, 1, 2, 3, {"g": np.array([1.0, 2.0])})
+    assert len(buf) == 48
+    return bytearray(buf)
+
+
+def _patch(at: int, fmt: str, value) -> bytes:
+    buf = _one_field_message()
+    struct.pack_into(fmt, buf, at, value)
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("buf,reason", [
+    pytest.param(b"", "truncated", id="empty"),
+    pytest.param(bytes(_one_field_message()[:3]), "truncated", id="no-length-prefix"),
+    pytest.param(bytes(_one_field_message()[:40]), "disagrees", id="cut-short"),
+    pytest.param(bytes(_one_field_message()) + bytes(8), "disagrees", id="appended-bytes"),
+    pytest.param(_patch(0, "<I", 40), "disagrees", id="length-too-small"),
+    pytest.param(_patch(0, "<I", 50), "disagrees", id="length-too-large"),
+    pytest.param(_patch(0, "<I", 45) + bytes(1), "trailing", id="trailing-bytes"),
+    pytest.param(_patch(4, "<2s", b"XX"), "magic", id="bad-magic"),
+    pytest.param(_patch(6, "<B", len(MessageKind)), "kind code", id="unknown-kind"),
+    pytest.param(_patch(16, "<c", b"z"), "dtype code", id="unknown-dtype"),
+    pytest.param(_patch(18, "<i", -2), "negative", id="negative-dimension"),
+    pytest.param(_patch(22, "<q", -16), "negative", id="negative-length"),
+    pytest.param(_patch(22, "<q", 8), "cannot hold", id="length-shape-mismatch"),
+    pytest.param(_patch(13, "<B", 2), "truncated", id="missing-field"),
+    pytest.param(_patch(13, "<B", 0), "trailing", id="extra-field"),
+])
+def test_malformed_buffer_raises_wire_error(buf, reason):
+    with pytest.raises(WireError, match=reason):
+        decode_message(buf)
