@@ -210,7 +210,7 @@ class NeighborIndex:
     buckets: list  # [(dst rows (r,), src rows (r, k))], one per distinct k
 
     @classmethod
-    def from_edges(cls, edge_ranks: np.ndarray, n: int) -> "NeighborIndex":
+    def from_edges(cls, edge_ranks: np.ndarray) -> "NeighborIndex":
         edge_ranks = np.asarray(edge_ranks, dtype=np.int64).reshape(-1, 2)
         directed = np.concatenate([edge_ranks, edge_ranks[:, ::-1]], axis=0)
         order = np.lexsort((directed[:, 1], directed[:, 0]))
@@ -231,7 +231,6 @@ class LocalTape:
     participates: np.ndarray  # (n,) rows with a real (non-sentinel) embedding
     m: np.ndarray             # (n, d_msg) pooled messages
     pre_gate: np.ndarray | None
-    d_in: int
     # winner == -1 on a participating row means the pooled message is the
     # constant zero vector (an owned node with no neighbors anywhere), so no
     # max subgradient is routed for it.
@@ -280,33 +279,20 @@ def local_embedding(h: np.ndarray, idx: NeighborIndex, iso_ranks: np.ndarray,
     state still flows through the local update; every other row is the
     sentinel, meaning "this holder knows nothing about this node".
     """
-    n = h.shape[0]
     msg = message_matrix(h, w_message)
     m, winner = pooled_messages(msg, idx)
     participates = winner[:, 0] >= 0
     iso_ranks = np.asarray(iso_ranks, dtype=np.int64)
-    if iso_ranks.size:
-        m[iso_ranks] = 0.0
-        participates[iso_ranks] = True
+    m[iso_ranks] = 0.0
+    participates[iso_ranks] = True
 
-    d_in = h.shape[1]
-    d_msg = msg.shape[1]
-    pre_gate = None
-    if kind is UpdateKind.GATED:
-        pre_gate = h @ w_gate.T
-    t_dim = d_in + d_msg if kind is UpdateKind.CONCAT else d_in
-    if kind in (UpdateKind.SUM, UpdateKind.NEGATED_SUM) and d_msg != d_in:
-        raise ValueError("sum-style updates need message dim == input dim")
-    if kind is UpdateKind.GATED:
-        t_dim = d_msg
-
-    t = np.full((n, t_dim), NEG_INF)
+    pre_gate = h @ w_gate.T if kind is UpdateKind.GATED else None
     rows = np.flatnonzero(participates)
-    if rows.size:
-        gate = relu(pre_gate[rows]) if pre_gate is not None else None
-        t[rows] = _apply_update(kind, h[rows], m[rows], gate)
-    tape = LocalTape(winner=winner, participates=participates, m=m,
-                     pre_gate=pre_gate, d_in=d_in)
+    gate = relu(pre_gate[rows]) if pre_gate is not None else None
+    t_rows = _apply_update(kind, h[rows], m[rows], gate)
+    t = np.full((h.shape[0], t_rows.shape[1]), NEG_INF)
+    t[rows] = t_rows
+    tape = LocalTape(winner=winner, participates=participates, m=m, pre_gate=pre_gate)
     return t, tape
 
 
@@ -323,11 +309,9 @@ def local_backward(h: np.ndarray, tape: LocalTape, kind: UpdateKind,
     """
     n, d_in = h.shape
     dH = np.zeros((n, d_in))
-    dw_message = None if w_message is None else np.zeros_like(w_message)
+    dw_message = None
     dw_gate = None if w_gate is None else np.zeros_like(w_gate)
     rows = np.flatnonzero(tape.participates)
-    if rows.size == 0:
-        return dw_message, dw_gate, dH
     R_sub = R[rows]
 
     if kind is UpdateKind.SUM:
@@ -350,23 +334,16 @@ def local_backward(h: np.ndarray, tape: LocalTape, kind: UpdateKind,
     else:  # pragma: no cover
         raise ValueError(kind)
 
-    # an isolated row's constant zero message (winner -1) routes nowhere
+    # each max subgradient goes to the winning source of its column; an
+    # isolated row's constant zero message (winner -1) routes nowhere. The
+    # message is h itself without a map, so the scatter lands in dH directly.
     winner_sub = tape.winner[rows]
-    routed = (dM_sub != 0.0) & (winner_sub >= 0)
-    if w_message is None:
-        vi, vk = np.nonzero(routed)
-        if vi.size:
-            np.add.at(dH, (winner_sub[vi, vk], vk), dM_sub[vi, vk])
-    else:
-        d_msg = dM_sub.shape[1]
-        for k in range(d_msg):
-            sel = routed[:, k]
-            if not sel.any():
-                continue
-            srcs = winner_sub[sel, k]
-            vals = dM_sub[sel, k]
-            dw_message[k] += vals @ h[srcs]
-            np.add.at(dH, srcs, vals[:, None] * w_message[k][None, :])
+    vi, vk = np.nonzero((dM_sub != 0.0) & (winner_sub >= 0))
+    grad_msg = dH if w_message is None else np.zeros((n, dM_sub.shape[1]))
+    np.add.at(grad_msg, (winner_sub[vi, vk], vk), dM_sub[vi, vk])
+    if w_message is not None:
+        dw_message = grad_msg.T @ h
+        dH += grad_msg @ w_message
     return dw_message, dw_gate, dH
 
 
@@ -478,12 +455,19 @@ class CentralPass:
     grads: ModelGrads
 
 
+def _combined_index(g: Graph):
+    """The combined graph's neighbour index and isolated rows. Graphs are
+    immutable by convention, so each one is indexed once and keeps the pair."""
+    cached = getattr(g, "_combined_index", None)
+    if cached is None:
+        idx = NeighborIndex.from_edges(g.rank_of(g.edges))
+        cached = g._combined_index = (idx, np.flatnonzero(g.degrees() == 0))
+    return cached
+
+
 def _central_forward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
                      dropout_masks: list | None):
-    n = g.n_nodes
-    idx = NeighborIndex.from_edges(g.rank_of(g.edges.ravel()).reshape(-1, 2)
-                                   if g.edges.size else np.empty((0, 2), dtype=np.int64), n)
-    iso = np.flatnonzero(g.degrees() == 0)
+    idx, iso = _combined_index(g)
     kind = cfg.update_kind
 
     h = g.features

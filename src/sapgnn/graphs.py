@@ -386,12 +386,6 @@ def _restrict_masks(g: Graph, node_set: np.ndarray, assigned: dict[str, np.ndarr
                  test_ids=np.sort(assigned["test"]), n_classes=g.n_classes)
 
 
-def _partition_ids(ids: np.ndarray, n_parts: int, rng) -> list[np.ndarray]:
-    """Round-robin split over a seeded shuffle; parts are disjoint."""
-    shuffled = ids[rng.permutation(len(ids))]
-    return [np.sort(shuffled[p::n_parts]) for p in range(n_parts)]
-
-
 def _isolation_marks(union_edges: np.ndarray, owners: dict[int, list[int]]) -> dict[int, list[int]]:
     """For each holder, its owned nodes with no edges anywhere in the union."""
     touched = set(np.unique(union_edges).tolist()) if union_edges.size else set()
@@ -470,11 +464,8 @@ def split_edges_uniform(g: Graph, P: int, label_assignment: str = "partition",
 
     mask_ids = (("train", g.train_ids), ("val", g.val_ids), ("test", g.test_ids))
     if label_assignment == "partition":
-        if node_scope == "full":
-            shares = {name: _partition_ids(ids, P, rng) for name, ids in mask_ids}
-        else:
-            sets = [set(ns.tolist()) for ns in node_sets]
-            shares = {name: _partition_ids_scoped(ids, sets, rng) for name, ids in mask_ids}
+        sets = [set(ns.tolist()) for ns in node_sets]
+        shares = {name: _partition_ids_scoped(ids, sets, rng) for name, ids in mask_ids}
     else:
         shares = {name: [np.intersect1d(ids, node_sets[p]) for p in range(P)]
                   for name, ids in mask_ids}

@@ -104,10 +104,7 @@ class DataHolder:
         self.dims = layer_dims(cfg, self.feat_dim)
 
         self.node_ranks = np.searchsorted(universe_ids, local.graph.node_ids)
-        edge_ids = local.graph.edges
-        edge_ranks = (np.searchsorted(universe_ids, edge_ids.ravel()).reshape(-1, 2)
-                      if edge_ids.size else np.empty((0, 2), dtype=np.int64))
-        self.idx = NeighborIndex.from_edges(edge_ranks, self.n)
+        self.idx = NeighborIndex.from_edges(np.searchsorted(universe_ids, local.graph.edges))
         self.iso_ranks = np.searchsorted(universe_ids, local.isolated_owned)
 
         self.label_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}

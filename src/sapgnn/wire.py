@@ -41,16 +41,18 @@ _SENDER = "<h"       # sender id, after the last field
 
 
 def _norm_dtype(arr: np.ndarray) -> np.ndarray:
+    """arr in its wire dtype, same shape (0-d stays 0-d); tobytes() writes C
+    order whatever the memory layout."""
     kind = arr.dtype.kind
     if kind == "f":
-        return np.ascontiguousarray(arr, dtype="<f8")
+        return arr.astype("<f8", copy=False)
     if kind == "u" and arr.dtype.itemsize == 8:
-        return np.ascontiguousarray(arr, dtype="<u8")
+        return arr.astype("<u8", copy=False)
     if kind == "u":
-        return np.ascontiguousarray(arr, dtype="|u1")
+        return arr.astype("|u1", copy=False)
     if kind == "i" and arr.dtype.itemsize == 1:
-        return np.ascontiguousarray(arr, dtype="|i1")
-    return np.ascontiguousarray(arr, dtype="<i8")
+        return arr.astype("|i1", copy=False)
+    return arr.astype("<i8", copy=False)
 
 
 def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,

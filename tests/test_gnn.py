@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sapgnn.gnn import (ModelConfig, NeighborIndex, UpdateKind, build_model_weights,
                         centralized_forward, centralized_forward_backward,
-                        check_monotone_update, global_update, local_embedding,
-                        pooled_messages, predict_and_loss, predict_backward, stack_max)
+                        check_monotone_update, global_update, local_backward,
+                        local_embedding, pooled_messages, predict_and_loss, predict_backward, stack_max)
 from sapgnn.graphs import Graph, generate_synthetic
 from sapgnn.numerics import NEG_INF, finite_diff_grad, make_rng
 
@@ -64,7 +64,7 @@ def scan_pool(edges, msg):
 def test_pooled_messages_matches_scan(inputs):
     edges, msg = inputs
     n = msg.shape[0]
-    idx = NeighborIndex.from_edges(edges, n)
+    idx = NeighborIndex.from_edges(edges)
     m, winner = pooled_messages(msg, idx)
     want_m, want_winner = scan_pool(edges, msg)
     assert np.array_equal(m, want_m)
@@ -82,14 +82,10 @@ def test_pooled_messages_matches_scan(inputs):
 
 # -- local embedding ---------------------------------------------------------------
 
-def _index_for(edges, n):
-    return NeighborIndex.from_edges(np.asarray(edges, dtype=np.int64), n)
-
-
 def test_local_embedding_sum_example():
     # v at row 0 with h_v=(2,2); neighbors u1=(1,0), u2=(0,1): t_v = (3,3)
     h = np.array([[2.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
-    idx = _index_for([[0, 1], [0, 2]], 3)
+    idx = NeighborIndex.from_edges([[0, 1], [0, 2]])
     t, tape = local_embedding(h, idx, np.empty(0, dtype=np.int64), UpdateKind.SUM,
                               None, None)
     assert np.array_equal(t[0], [3.0, 3.0])
@@ -98,7 +94,7 @@ def test_local_embedding_sum_example():
 
 def test_local_embedding_non_owned_is_sentinel():
     h = np.zeros((4, 2))
-    idx = _index_for([[0, 1]], 4)  # rows 2, 3 have no local neighbors
+    idx = NeighborIndex.from_edges([[0, 1]])  # rows 2, 3 have no local neighbors
     t, tape = local_embedding(h, idx, np.empty(0, dtype=np.int64), UpdateKind.SUM,
                               None, None)
     assert np.all(t[2] == NEG_INF) and np.all(t[3] == NEG_INF)
@@ -107,8 +103,8 @@ def test_local_embedding_non_owned_is_sentinel():
 
 def test_local_embedding_isolated_node_keeps_state():
     h = np.array([[5.0, -1.0]])
-    t, tape = local_embedding(h, _index_for(np.empty((0, 2)), 1), np.array([0]),
-                              UpdateKind.SUM, None, None)
+    idx = NeighborIndex.from_edges(np.empty((0, 2)))
+    t, tape = local_embedding(h, idx, np.array([0]), UpdateKind.SUM, None, None)
     assert np.array_equal(t[0], [5.0, -1.0])   # zero message: state passes through
     assert tape.participates[0] and tape.winner[0, 0] == -1
 
@@ -117,8 +113,8 @@ def test_local_embedding_matches_bruteforce_replay():
     g = generate_synthetic(6, 2, 3, 0.9, 0.6, seed=4)
     ranks = g.rank_of(g.edges.ravel()).reshape(-1, 2)
     h = make_rng(13, 0).normal(size=(6, 3))
-    t, _ = local_embedding(h, _index_for(ranks, 6), np.empty(0, dtype=np.int64),
-                           UpdateKind.SUM, None, None)
+    t, _ = local_embedding(h, NeighborIndex.from_edges(ranks),
+                           np.empty(0, dtype=np.int64), UpdateKind.SUM, None, None)
     neigh = {v: [] for v in range(6)}
     for u, v in ranks.tolist():
         neigh[u].append(v)
@@ -132,7 +128,7 @@ def test_local_embedding_matches_bruteforce_replay():
 
 def test_local_embedding_concat_and_gated_shapes():
     h = np.array([[1.0, 2.0], [3.0, 4.0]])
-    idx = _index_for([[0, 1]], 2)
+    idx = NeighborIndex.from_edges([[0, 1]])
     t, _ = local_embedding(h, idx, np.empty(0, dtype=np.int64), UpdateKind.CONCAT,
                            None, None)
     assert t.shape == (2, 4)
@@ -141,6 +137,80 @@ def test_local_embedding_concat_and_gated_shapes():
     t, _ = local_embedding(h, idx, np.empty(0, dtype=np.int64), UpdateKind.GATED,
                            None, w_gate)
     assert np.array_equal(t[0], np.maximum(h[0], 0.0) * h[1])
+
+
+# -- local backward ------------------------------------------------------------------
+
+@st.composite
+def backward_inputs(draw):
+    """A pooling_inputs multigraph and state h, some edgeless rows marked
+    isolated, an update kind, an optional message map and a gradient R. Every
+    value is a small dyadic rational, so each sum is exact in any order."""
+    edges, h = draw(pooling_inputs())
+    n, d = h.shape
+    quarter = st.integers(-8, 8).map(lambda i: i / 4)
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(quarter, min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+
+    edgeless = sorted(set(range(n)) - set(edges.ravel().tolist()))
+    iso = draw(st.lists(st.sampled_from(edgeless), unique=True)) if edgeless else []
+    kind = draw(st.sampled_from(list(UpdateKind)))
+    w_message = matrix(d, d) if draw(st.booleans()) else None
+    w_gate = matrix(d, d) if kind is UpdateKind.GATED else None
+    R = matrix(n, 2 * d if kind is UpdateKind.CONCAT else d)
+    return edges, h, np.array(iso, dtype=np.int64), kind, w_message, w_gate, R
+
+
+def brute_backward(h, tape, kind, w_message, w_gate, R):
+    """Row by row: the update's own-state gradient first, then each (row,
+    column) max subgradient sent to that column's winner."""
+    n, d = h.shape
+    dH = np.zeros((n, d))
+    dw_message = None if w_message is None else np.zeros((d, d))
+    dw_gate = None if w_gate is None else np.zeros((d, d))
+    dM = {}
+    for v in np.flatnonzero(tape.participates):
+        if kind is UpdateKind.CONCAT:
+            dH[v] += R[v, :d]
+            dM[v] = R[v, d:]
+        elif kind is UpdateKind.GATED:
+            pre = w_gate @ h[v]
+            dpre = R[v] * tape.m[v] * (pre > 0)
+            dw_gate += np.outer(dpre, h[v])
+            dH[v] += dpre @ w_gate
+            dM[v] = R[v] * np.maximum(pre, 0.0)
+        else:
+            dH[v] += R[v]
+            dM[v] = -R[v] if kind is UpdateKind.NEGATED_SUM else R[v]
+    for v, grad in dM.items():
+        for k, g in enumerate(grad):
+            u = tape.winner[v, k]
+            if u < 0:
+                continue
+            if w_message is None:
+                dH[u, k] += g
+            else:
+                dw_message[k] += g * h[u]
+                dH[u] += g * w_message[k]
+    return dw_message, dw_gate, dH
+
+
+@settings(max_examples=200, deadline=None)
+@given(backward_inputs())
+@example((np.empty((0, 2), dtype=np.int64), np.array([[1.0, -2.0]]), np.array([0]),
+          UpdateKind.SUM, np.eye(2), None, np.ones((1, 2))))
+def test_local_backward_matches_bruteforce_routing(inputs):
+    edges, h, iso, kind, w_message, w_gate, R = inputs
+    _, tape = local_embedding(h, NeighborIndex.from_edges(edges), iso, kind,
+                              w_message, w_gate)
+    got = local_backward(h, tape, kind, w_message, w_gate, R)
+    want = brute_backward(h, tape, kind, w_message, w_gate, R)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 # -- cross-holder pooling --------------------------------------------------------
@@ -335,6 +405,21 @@ def test_permuted_node_ids_give_same_outputs():
         for h1, h2 in zip(out1.embeddings, out2.embeddings):
             assert np.array_equal(h1[rank1[old_id]], h2[rank2[new_id]])
     assert out1.loss == out2.loss
+
+
+def test_centralized_passes_index_each_graph_once(monkeypatch):
+    g = generate_synthetic(8, 2, 3, 0.7, 0.3, seed=24)
+    cfg = _model_cfg(UpdateKind.SUM)
+    weights = build_model_weights(cfg, 3, 2, make_rng(41, 0), make_rng(42, 0))
+    built = []
+    from_edges = NeighborIndex.from_edges
+    monkeypatch.setattr(NeighborIndex, "from_edges",
+                        lambda edges: built.append(1) or from_edges(edges))
+    first = centralized_forward_backward(g, weights, cfg)
+    centralized_forward(g, weights, cfg)
+    again = centralized_forward_backward(g, weights, cfg)
+    assert len(built) == 1
+    assert again.loss == first.loss
 
 
 def test_loss_additivity_disjoint_label_groups():

@@ -64,7 +64,7 @@ PROTOCOL_GOLDEN = {
 # The one-holder protocol run and the centralized trainer write the same file.
 CENTRALIZED_GOLDEN = {
     "p1-sum-naive-real": "6da3ea9b72d29b68ac8bebcb6185f0740667c107baa9d413d3c3cbaed3f06779",
-    "p3-gated-secure-fixed": "f0cf00df79a452dbd97ce37ee1b6adb9fb5d3c89bd4f0cc7653ebbb880d08c86",
+    "p3-gated-secure-fixed": "03ec665a5ab4c2e880a7ad3d1a7547c0d814634f407d154557c0f96e058842b0",
 }
 
 SP_GOLDEN = {

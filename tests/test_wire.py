@@ -80,7 +80,7 @@ def messages(draw):
     fields = {}
     for name in draw(st.lists(st.text(max_size=6), max_size=4, unique=True)):
         dtype = np.dtype(draw(st.sampled_from(DTYPES)))
-        shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
         raw = draw(st.binary(min_size=dtype.itemsize * math.prod(shape),
                              max_size=dtype.itemsize * math.prod(shape)))
         fields[name] = np.frombuffer(raw, dtype).reshape(shape)
