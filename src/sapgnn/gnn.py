@@ -122,8 +122,11 @@ class LocalWeightSet:
         return [container[key] for _, container, key in self._slots()]
 
     def set_arrays(self, values) -> None:
-        """Replace every tensor, given in the order of tensors()."""
-        for (_, container, key), value in zip(self._slots(), values, strict=True):
+        """Replace every tensor, given in the order of tensors(). This is the
+        one place weights enter, so it refuses a value of another shape."""
+        for (name, container, key), value in zip(self._slots(), values, strict=True):
+            if np.shape(value) != container[key].shape:
+                raise ValueError(f"{name} is {container[key].shape}, got {np.shape(value)}")
             container[key] = value
 
     def zeros_like(self) -> "LocalWeightSet":

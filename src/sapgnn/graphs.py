@@ -503,6 +503,8 @@ def split_label_skew(g: Graph, P: int, q: float, seed: int = 0) -> list[LocalGra
     rng = make_rng(seed, "label-skew")
 
     labeled = g.node_ids[g.labels != UNLABELED]
+    if labeled.size == 0:
+        raise ValueError("no labeled node to place: label-skew groups labeled nodes by class")
     labels = g.labels_for(labeled)
     class_blocks = np.array_split(np.arange(g.n_classes), P)
     holder_of_class = np.empty(g.n_classes, dtype=np.int64)

@@ -210,7 +210,7 @@ class Server:
     """Semi-honest coordinator: pools local embeddings, owns the global maps."""
 
     def __init__(self, n: int, cfg: ModelConfig, feat_dim: int, lr: float,
-                 server_seed: int):
+                 server_seed: int, first_layer_fixed: bool):
         self.n = n
         self.cfg = cfg
         self.weights = init_global_weights(cfg, feat_dim,
@@ -221,6 +221,10 @@ class Server:
         self.rng_dropout = make_rng(server_seed, "dropout")
         self.holder_rows: dict[int, np.ndarray] = {}
         self.tapes: list = [None] * cfg.layers
+        # Without local tensors, layer 0 pools the fixed features: its pooled
+        # (m, winner) is the same in every sweep, so the first sweep's is kept.
+        self.first_layer_fixed = first_layer_fixed
+        self.first_pool: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward_layer(self, l: int, m: np.ndarray, winner: np.ndarray,
                       train: bool) -> np.ndarray:
@@ -273,6 +277,8 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph],
     n_classes = classes.pop()
 
     universe_ids = np.unique(np.concatenate([lg.graph.node_ids for lg in holders_data]))
+    if universe_ids.size == 0:
+        raise ProtocolError("no holder has a node")
     salt = make_rng(shared_seed, "salt").bytes(32)
     hindex = build_hashed_index(holders_data, salt)
     digests = np.frombuffer(b"".join(hindex.digests_for(universe_ids)),
@@ -283,21 +289,29 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph],
     channel = Channel(comm, audit)
 
     cfg = config.model
-    server = Server(n=len(universe_ids), cfg=cfg, feat_dim=feats.pop(),
-                    lr=config.train.lr, server_seed=server_seed)
     holders = [DataHolder(lg, universe_ids, cfg, n_classes, config.train.lr,
                           shared_seed, config.train.seed)
                for lg in holders_data]
+    first = holders[0].locals_
+    server = Server(n=len(universe_ids), cfg=cfg, feat_dim=feats.pop(),
+                    lr=config.train.lr, server_seed=server_seed,
+                    first_layer_fixed=first.w_message[0] is None and first.w_gate[0] is None)
 
-    digest_pos = {bytes(d): i for i, d in enumerate(digests)}
+    # the server finds each received digest by a sorted search over its rows
+    row_digests = digests.view("V16").ravel()
+    order = np.argsort(row_digests)
+    sorted_digests = row_digests[order]
     for holder in holders:
         decoded = channel.send(holder_party(holder.holder_id), SERVER_PARTY,
                                MessageKind.NODE_INDEX, layer=-1, epoch=-1,
                                fields={"keys": digests[holder.node_ranks].ravel()},
                                sender_id=holder.holder_id)
-        keys = decoded["keys"].reshape(-1, 16)
-        server.holder_rows[holder.holder_id] = np.array(
-            [digest_pos[bytes(k)] for k in keys], dtype=np.int64)
+        keys = decoded["keys"].view("V16")
+        pos = np.searchsorted(sorted_digests, keys).clip(max=len(order) - 1)
+        if not np.array_equal(sorted_digests[pos], keys):
+            raise ProtocolError(f"holder {holder.holder_id} sent a node digest "
+                                "the server does not know")
+        server.holder_rows[holder.holder_id] = order[pos]
     return Session(config=config, holders=holders, server=server, channel=channel,
                    comm=comm, audit=audit, universe_ids=universe_ids, hindex=hindex,
                    digests=digests)
@@ -354,39 +368,50 @@ def _secure_pool(session: Session, l: int, epoch: int, holder_payloads: list):
     return decoded["m"], decoded["winner"].astype(np.int8)
 
 
+def _pool_layer(session: Session, l: int, epoch: int):
+    """Every holder's layer-l local embeddings, pooled: (m, winner) at the server."""
+    secure = session.config.mode == "secure-pooling"
+    ts, payloads = [], []
+    for p, holder in enumerate(session.holders):
+        t = holder.forward_local(l)
+        if secure:
+            payloads.append((t, holder.tapes[l].participates))
+        else:
+            decoded = session.channel.send(
+                holder_party(p), SERVER_PARTY, MessageKind.LOCAL_EMBEDDING,
+                layer=l, epoch=epoch,
+                fields={"keys": session.digests.ravel(), "t": t}, sender_id=p)
+            ts.append(decoded["t"])
+    if secure:
+        return _secure_pool(session, l, epoch, payloads)
+    try:
+        return stack_max(np.stack(ts))
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from exc
+
+
 def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> ForwardResult:
     """One synchronized forward sweep over all layers: local embeddings up,
     pooled global embeddings back down, then private per-holder loss
-    computation."""
+    computation. A weight-free layer 0 is pooled in the first sweep only;
+    later sweeps reuse the server's kept (m, winner)."""
     cfg = session.config.model
-    secure = session.config.mode == "secure-pooling"
+    server = session.server
     for holder in session.holders:
         holder.begin_forward()
 
     embeddings = []
     for l in range(cfg.layers):
-        ts, payloads = [], []
-        for p, holder in enumerate(session.holders):
-            t = holder.forward_local(l)
-            if secure:
-                payloads.append((t, holder.tapes[l].participates))
-            else:
-                decoded = session.channel.send(
-                    holder_party(p), SERVER_PARTY, MessageKind.LOCAL_EMBEDDING,
-                    layer=l, epoch=epoch,
-                    fields={"keys": session.digests.ravel(), "t": t}, sender_id=p)
-                ts.append(decoded["t"])
-        if secure:
-            m, winner = _secure_pool(session, l, epoch, payloads)
+        if l == 0 and server.first_pool is not None:
+            m, winner = server.first_pool
         else:
-            try:
-                m, winner = stack_max(np.stack(ts))
-            except ValueError as exc:
-                raise ProtocolError(str(exc)) from exc
-        h_next = session.server.forward_layer(l, m, winner, train)
+            m, winner = _pool_layer(session, l, epoch)
+            if l == 0 and server.first_layer_fixed:
+                server.first_pool = (m, winner)
+        h_next = server.forward_layer(l, m, winner, train)
         embeddings.append(h_next)
         for p, holder in enumerate(session.holders):
-            rows = session.server.holder_rows[p]
+            rows = server.holder_rows[p]
             decoded = session.channel.send(
                 SERVER_PARTY, holder_party(p), MessageKind.GLOBAL_EMBEDDING,
                 layer=l, epoch=epoch,
@@ -407,7 +432,9 @@ class BackwardResult:
 
 def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
     """Reverse sweep: prediction-head gradients to the server, per-layer
-    routing through the recorded argmax winners, input gradients back up."""
+    routing through the recorded argmax winners, input gradients back up.
+    A weight-free layer 0 stops at the server's own gradient: it has no
+    holder tensor to train and sends no input gradient."""
     cfg = session.config.model
     server = session.server
     n = server.n
@@ -431,6 +458,8 @@ def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
         tape = server.tapes[l]
         dW, dM = server.backward_layer(l, G)
         server_grads[l] = dW
+        if l == 0 and server.first_layer_fixed:
+            break
         G_next = np.zeros((n, session.holders[0].dims[l].d_in))
         for p, holder in enumerate(session.holders):
             R_p = np.where(tape.winner == p, dM, 0.0)

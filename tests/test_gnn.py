@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from sapgnn.gnn import (ModelConfig, NeighborIndex, UpdateKind, build_model_weights,
                         centralized_forward, centralized_forward_backward,
-                        check_monotone_update, global_update, local_backward,
-                        local_embedding, pooled_messages, predict_and_loss, predict_backward, stack_max)
+                        check_monotone_update, global_update, init_local_weights,
+                        local_backward, local_embedding, pooled_messages, predict_and_loss,
+                        predict_backward, stack_max)
 from sapgnn.graphs import Graph, generate_synthetic
 from sapgnn.numerics import NEG_INF, finite_diff_grad, make_rng
 
@@ -453,3 +454,13 @@ def test_negated_sum_violates():
 def test_update_kind_monotone_flags():
     assert UpdateKind.SUM.monotone and UpdateKind.CONCAT.monotone
     assert UpdateKind.GATED.monotone and not UpdateKind.NEGATED_SUM.monotone
+
+
+def test_set_arrays_refuses_a_tensor_of_another_shape():
+    # a (1, 2) message map would broadcast in the sum update instead of failing
+    cfg = ModelConfig(layers=2, hidden=2, update_kind=UpdateKind.SUM, message_linear=True)
+    weights = init_local_weights(cfg, 2, 3, make_rng(1, "local-init"))
+    assert weights.w_message[0].shape == (2, 2)
+    bad = [np.ones((1, 2)) if name == "w_message[0]" else w for name, w in weights.tensors()]
+    with pytest.raises(ValueError, match=r"w_message\[0\] is \(2, 2\), got \(1, 2\)"):
+        weights.set_arrays(bad)

@@ -49,16 +49,16 @@ def sha256(path) -> str:
 PROTOCOL_GOLDEN = {
     "p1-sum-naive-real": (
         "6da3ea9b72d29b68ac8bebcb6185f0740667c107baa9d413d3c3cbaed3f06779",
-        "d5d5a0d6408032d2865db7ee9c72ae129b6bb12323b9ac5f603a1c49cd6369a2",
-        "583e09aa8f635ebd91096bc658e5f33c68558cb83b61c61a62c3bc7f9c009e86"),
+        "86ff1e91a71713191b70acddbd2f78b403ba196240066957eed4788cf481d149",
+        "5a044ca09b671121dbba63aa11cbfe2e03d3bd611b9ae23249801a59bcb2cdfb"),
     "p3-gated-secure-fixed": (
         "2b6da6ebb9073dd83eca617af6a921a0f4332496d8efaaae957b854669b27cbb",
         "f1c2a98babdbb4970248b42734e13eb7fb0211178ef0426bc83a00a155707159",
         "fcc649e6db508b32c31a6e618bf020b4fbe0235ed90bc4e16306d2ce5e83a044"),
     "p3-skew-sum-naive-fixed": (
         "7bd38cfba1238dd8a78176e831dbe6e8cfcc73f4c9a7e656f687f20bf3038a4a",
-        "ec43522a874732aa0a5fd7cdfd64e45991238c24a4b00739f6597fcccd6ae414",
-        "4ffd674f26b493f1fd7db9fb9cb0139e5ac083d056a8ac00fb9c2c95528a12c6"),
+        "22d6dbd3eed8ad85a62a92209c5143c5dbe64d352b50e6e71a4988ddcb65264f",
+        "3af7eef3647357f1ebbdef9723b97d634a5a8b4f53a7ffd1ad3106e6435498dd"),
 }
 
 # The one-holder protocol run and the centralized trainer write the same file.

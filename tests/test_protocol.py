@@ -4,13 +4,13 @@ import pytest
 from sapgnn.config import (DatasetConfig, PartitionConfig, RunConfig, TrainConfig)
 from sapgnn.gnn import ModelConfig, build_model_weights, \
     centralized_forward_backward
-from sapgnn.graphs import generate_synthetic, split_edges_uniform, union_graph
+from sapgnn.graphs import Graph, generate_synthetic, split_edges_uniform, union_graph
 from sapgnn.numerics import make_rng
 from sapgnn.protocol import (ProtocolError, aggregate_local_grads, backward_pass,
                              build_dataset, build_partition, forward_pass, init_parties,
                              run_training, verify_privacy_audit, weight_update)
 from sapgnn.harness import train_centralized
-from sapgnn.wire import MessageKind
+from sapgnn.wire import Channel, MessageKind, encode_message
 
 
 def make_config(P=2, n=24, kind="sum", mode="naive", share_mode="real", seed=9,
@@ -81,6 +81,33 @@ def test_init_rejects_more_holders_than_an_int8_winner_names():
     holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
     assert len(holders) == 128
     with pytest.raises(ProtocolError, match="128 holders exceed the limit of 127"):
+        init_parties(cfg, holders, 1, 1)
+
+
+def test_init_refuses_an_unknown_node_digest(monkeypatch):
+    cfg = make_config(P=2)
+    holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
+    send = Channel.send
+
+    def tampered(self, sender, receiver, kind, *args, **kwargs):
+        decoded = send(self, sender, receiver, kind, *args, **kwargs)
+        if kind is MessageKind.NODE_INDEX and sender == "holder-1":
+            decoded["keys"][:16] ^= 0xFF
+        return decoded
+
+    monkeypatch.setattr(Channel, "send", tampered)
+    with pytest.raises(ProtocolError, match="holder 1 sent a node digest the server does not"):
+        init_parties(cfg, holders, 1, 1)
+
+
+def test_init_refuses_holders_without_nodes():
+    cfg = make_config(P=2)
+    holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
+    for lg in holders:
+        lg.graph = Graph(node_ids=[], features=np.zeros((0, 5)), edges=np.zeros((0, 2)),
+                         labels=[], train_ids=[], val_ids=[], test_ids=[], n_classes=3)
+        lg.isolated_owned = np.empty(0, dtype=np.int64)
+    with pytest.raises(ProtocolError, match="no holder has a node"):
         init_parties(cfg, holders, 1, 1)
 
 
@@ -377,3 +404,48 @@ def test_no_gradshare_traffic_with_single_holder():
     cfg = make_config(P=1, max_epochs=2)
     res = run_training(cfg)
     assert res.comm.bytes_for(kinds=[MessageKind.GRAD_SHARE, MessageKind.PARTIAL_SUM]) == 0
+
+
+def messages_at(comm, kind, layer, fields):
+    """{(direction, epoch): message count} of one kind at one layer, where
+    every message carries `fields` (shapes and dtypes fix its size)."""
+    size = len(encode_message(kind, layer, 0, 0, fields))
+    out = {}
+    for (k, direction, lay, epoch), n_bytes in comm.counts.items():
+        if k == kind.value and lay == layer:
+            assert n_bytes % size == 0
+            out[(direction, epoch)] = n_bytes // size
+    return out
+
+
+@pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
+@pytest.mark.parametrize("message_linear", [False, True])
+def test_weight_free_first_layer_is_pooled_once_per_run(mode, message_linear):
+    P, E, n, F = 3, 3, 24, 5
+    cfg = make_config(P=P, n=n, mode=mode, max_epochs=E)
+    cfg.model.message_linear = message_linear
+    res = run_training(cfg)
+    assert res.epochs_run == E
+    keys = np.zeros(n * 16, dtype=np.uint8)
+    rows = np.zeros((n, F))
+    if mode == "naive":
+        sent = messages_at(res.comm, MessageKind.LOCAL_EMBEDDING, 0, {"keys": keys, "t": rows})
+        to = "server"
+    else:
+        sent = messages_at(res.comm, MessageKind.POOL_INPUT, 0,
+                           {"keys": keys, "valid": np.zeros(n, dtype=np.uint8), "values": rows})
+        pooled = messages_at(res.comm, MessageKind.POOL_RESULT, 0,
+                             {"keys": keys, "m": rows, "winner": rows.astype(np.int8)})
+        to = "sealed-pool"
+    grads = messages_at(res.comm, MessageKind.LOCAL_EMB_GRAD, 0, {"keys": keys, "r": rows})
+    if message_linear:
+        # layer 0 trains: two sweeps (training and evaluation) and one backward per epoch
+        assert sent == {(f"holder-{p}->{to}", e): 2 for p in range(P) for e in range(E)}
+        assert grads == {(f"server->holder-{p}", e): 1 for p in range(P) for e in range(E)}
+        if mode != "naive":
+            assert pooled == {("sealed-pool->server", e): 2 for e in range(E)}
+    else:
+        assert sent == {(f"holder-{p}->{to}", 0): 1 for p in range(P)}
+        assert grads == {}
+        if mode != "naive":
+            assert pooled == {("sealed-pool->server", 0): 1}
