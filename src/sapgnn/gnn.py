@@ -20,7 +20,8 @@ from enum import Enum
 import numpy as np
 
 from .graphs import Graph
-from .numerics import NEG_INF, SENTINEL_THRESHOLD, glorot_init, relu, relu_grad, softmax_rows
+from .numerics import (NEG_INF, SENTINEL_THRESHOLD, first_max, glorot_init, relu, relu_grad,
+                       softmax_rows)
 
 PROB_CLAMP = 1e-12
 
@@ -203,14 +204,18 @@ def message_matrix(h: np.ndarray, w_message: np.ndarray | None) -> np.ndarray:
 
 @dataclass
 class NeighborIndex:
-    """Directed edges bucketed by the destination's in-degree.
+    """Directed edges in one padded layout, destinations by in-degree.
 
-    Bucket b pairs the destination rows of one in-degree k with a (rows, k)
-    matrix of their source rows, ascending along each row. Each holder builds
-    its index once, and every layer and epoch pools through it.
+    `rows` lists the destination rows, highest in-degree first; column i of
+    `src` holds the source rows of rows[i], ascending down the column and
+    padded with -1; `counts[j]` is how many rows have an in-degree above j,
+    so position j's sources are the prefix src[j, :counts[j]]. Each holder
+    builds its index once, and every layer and epoch pools through it.
     """
 
-    buckets: list  # [(dst rows (r,), src rows (r, k))], one per distinct k
+    rows: np.ndarray    # (r,) destination rows
+    src: np.ndarray     # (K, r) source rows, K the largest in-degree
+    counts: np.ndarray  # (K,) rows with an in-degree above j
 
     @classmethod
     def from_edges(cls, edge_ranks: np.ndarray) -> "NeighborIndex":
@@ -219,11 +224,16 @@ class NeighborIndex:
         order = np.lexsort((directed[:, 1], directed[:, 0]))
         dst, src = directed[order, 0], directed[order, 1]
         nodes, starts, degree = np.unique(dst, return_index=True, return_counts=True)
-        buckets = []
-        for k in np.unique(degree):
-            of_k = degree == k
-            buckets.append((nodes[of_k], src[starts[of_k][:, None] + np.arange(k)]))
-        return cls(buckets=buckets)
+        by_degree = np.argsort(-degree, kind="stable")
+        column = np.empty_like(by_degree)
+        column[by_degree] = np.arange(len(nodes))
+        node_of_edge = np.repeat(np.arange(len(nodes)), degree)
+        position = np.arange(len(dst)) - starts[node_of_edge]
+        K = int(degree.max(initial=0))
+        padded = np.full((K, len(nodes)), -1, dtype=np.int64)
+        padded[position, column[node_of_edge]] = src
+        return cls(rows=nodes[by_degree], src=padded,
+                   counts=np.bincount(position, minlength=K))
 
 
 @dataclass
@@ -242,18 +252,20 @@ class LocalTape:
 def pooled_messages(msg: np.ndarray, idx: NeighborIndex):
     """Per-node element-wise max over incoming messages, with provenance.
 
-    Per in-degree bucket, the first argmax over the neighbour axis is the
-    lowest source rank among the maxima. Rows without incoming edges keep
-    NEG_INF and winner -1.
+    One first-max sweep over the neighbour positions picks, per element, the
+    lowest source rank among the maxima; the max is then read back from that
+    source's message, so a tie between -0.0 and +0.0 keeps the winner's sign.
+    Rows without incoming edges keep NEG_INF and winner -1.
     """
     n, d_msg = msg.shape
     m = np.full((n, d_msg), NEG_INF)
     winner = np.full((n, d_msg), -1, dtype=np.int64)
-    for dst, src in idx.buckets:
-        vals = msg[src]
-        first = vals.argmax(axis=1)
-        m[dst] = np.take_along_axis(vals, first[:, None, :], axis=1)[:, 0]
-        winner[dst] = np.take_along_axis(src, first, axis=1)
+    K = len(idx.counts)
+    if K:
+        _, pos = first_max((msg[idx.src[j, :c]] for j, c in enumerate(idx.counts)), K)
+        won = np.take_along_axis(idx.src.T, pos, axis=1)
+        winner[idx.rows] = won
+        m[idx.rows] = np.take_along_axis(msg, won, axis=0)
     return m, winner
 
 
@@ -374,16 +386,16 @@ def global_backward(G: np.ndarray, z: np.ndarray, m: np.ndarray,
 
 
 def stack_max(t_stack: np.ndarray):
-    """Element-wise max across holders with the winning holder per element.
+    """Element-wise max across holders with the winning holder per element
+    (ties to the lowest holder).
 
     Raises if any node is sentinel at every holder (nobody can embed it).
     """
-    m = t_stack.max(axis=0)
+    m, first = first_max(t_stack, len(t_stack))
     if np.any(m <= SENTINEL_THRESHOLD):
         bad = int(np.flatnonzero((m <= SENTINEL_THRESHOLD).any(axis=1))[0])
         raise ValueError(f"node row {bad} is unknown to every holder")
-    winner = t_stack.argmax(axis=0).astype(np.int8)
-    return m, winner
+    return m, first.astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

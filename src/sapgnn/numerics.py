@@ -108,6 +108,30 @@ def finite_diff_grad(f, at: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def first_max(candidates, count: int):
+    """Element-wise running max over `count` candidate arrays, with the
+    position of the first maximal candidate per element.
+
+    Candidate 0 fixes the shape; candidate j may cover only a leading prefix
+    of its rows. A later candidate wins only when strictly greater, so a tie
+    keeps the lowest position. Positions come in the smallest unsigned dtype
+    that holds count - 1. Raises ValueError when the max holds a NaN: a
+    strict `>` never lets a NaN win, so its position would hide it.
+    """
+    if count < 1:
+        raise ValueError("first_max needs at least one candidate")
+    candidates = iter(candidates)
+    best = np.array(next(candidates))
+    pos = np.zeros(best.shape, dtype=np.min_scalar_type(count - 1))
+    for j, x in enumerate(candidates, start=1):
+        b, p = best[:len(x)], pos[:len(x)]
+        p += (x > b) * (j - p)   # branch-free: p becomes j where x wins
+        np.maximum(b, x, out=b)
+    if best.dtype.kind == "f" and np.isnan(best).any():
+        raise ValueError("NaN among the pooled candidates")
+    return best, pos
+
+
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 

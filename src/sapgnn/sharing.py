@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import first_max
+
 DEFAULT_FRAC_BITS = 20
 DEFAULT_RING_BITS = 64
 
@@ -192,10 +194,12 @@ def reshare_boolean(shares: list[BooleanShare], rng: np.random.Generator) -> lis
 
 def encode_vector(x: np.ndarray, frac_bits: int = DEFAULT_FRAC_BITS) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    scaled = np.rint(x * float(1 << frac_bits))
+    with np.errstate(over="ignore"):     # an overflow to inf is refused below
+        scaled = np.rint(x * float(1 << frac_bits))
     limit = float(1 << 62)
-    if np.any(np.abs(scaled) >= limit):
-        raise ValueError("value overflows the 64-bit ring at this precision")
+    # written as "all below" so that a NaN, which compares False, is refused
+    if not np.all(np.abs(scaled) < limit):
+        raise ValueError("value is NaN or overflows the 64-bit ring at this precision")
     return scaled.astype(np.int64).view(np.uint64)
 
 
@@ -296,6 +300,6 @@ def pooled_argmax(stack: np.ndarray, valid: np.ndarray,
         raise ValueError(f"node row {bad} has no valid candidate at any holder")
     enc = encode_vector(np.where(valid[:, :, None], stack, 0.0), frac_bits).view(np.int64)
     enc[~valid] = np.iinfo(np.int64).min
-    winner = enc.argmax(axis=0).astype(np.int8)        # first max: lowest holder
-    max_values = np.take_along_axis(stack, winner[None].astype(np.int64), axis=0)[0]
+    winner = first_max(enc, P)[1].astype(np.int8)      # first max: lowest holder
+    max_values = np.take_along_axis(stack, winner[None], axis=0)[0]
     return max_values, winner

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sapgnn.numerics import (NEG_INF, AdamState, adam_step, dropout_mask,
-                             finite_diff_grad, glorot_init, make_rng, relu, relu_grad,
-                             softmax_rows)
+                             finite_diff_grad, first_max, glorot_init, make_rng, relu,
+                             relu_grad, softmax_rows)
 
 
 def test_make_rng_deterministic_per_stream():
@@ -117,3 +117,33 @@ def test_dropout_mask_reproducible_and_scaled():
 def test_neg_inf_is_finite():
     assert np.isfinite(NEG_INF)
     assert NEG_INF < -1e300
+
+
+def test_first_max_keeps_the_first_of_tied_candidates():
+    candidates = [np.array([[1.0, 0.0]]), np.array([[1.0, -0.0]]), np.array([[2.0, 0.0]])]
+    best, pos = first_max(candidates, 3)
+    assert pos.dtype == np.uint8 and pos.tolist() == [[2, 0]]
+    assert best.tolist() == [[2.0, 0.0]]
+    assert candidates[0].tolist() == [[1.0, 0.0]]     # candidate 0 is not written
+
+
+def test_first_max_later_candidates_cover_a_prefix():
+    best, pos = first_max([np.array([1.0, 5.0, 2.0]), np.array([3.0, 4.0]),
+                           np.array([4.0])], 3)
+    assert best.tolist() == [4.0, 5.0, 2.0]
+    assert pos.tolist() == [2, 0, 0]
+
+
+def test_first_max_positions_widen_past_256_candidates():
+    best, pos = first_max((np.array([float(j)]) for j in range(300)), 300)
+    assert pos.dtype == np.uint16 and pos.tolist() == [299]
+    assert first_max([np.zeros(1)] * 256, 256)[1].dtype == np.uint8
+
+
+def test_first_max_refuses_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        first_max([np.array([1.0, 2.0]), np.array([np.nan, 0.0])], 2)
+    with pytest.raises(ValueError, match="NaN"):
+        first_max([np.array([np.nan]), np.array([3.0])], 2)
+    with pytest.raises(ValueError, match="at least one"):
+        first_max([], 0)

@@ -154,6 +154,21 @@ def test_forward_secure_pooling_equals_naive():
     assert fwd_naive.total_loss == fwd_sec.total_loss
 
 
+def test_secure_pooling_refuses_a_nan_pool_input(monkeypatch):
+    _, _, session = make_session(make_config(P=2, mode="secure-pooling"))
+    holder = session.holders[1]
+    forward_local = holder.forward_local
+
+    def poisoned(l):
+        t = forward_local(l)
+        t[np.flatnonzero(holder.tapes[l].participates)[0], 0] = np.nan
+        return t
+
+    monkeypatch.setattr(holder, "forward_local", poisoned)
+    with pytest.raises(ProtocolError, match="NaN"):
+        forward_pass(session, train=True, epoch=0)
+
+
 def test_forward_label_skew_matches_union_oracle():
     cfg = make_config(P=2, part_kind="label-skew", q=25.0, n=30)
     _, holders, session = make_session(cfg)

@@ -38,6 +38,12 @@ def test_encode_decode_vector():
     assert np.max(np.abs(decode_vector(encode_vector(x)) - x)) <= 2 ** -20
 
 
+def test_encode_vector_refuses_nan_and_overflow():
+    for bad in (np.nan, np.inf, -np.inf, 2.0 ** 43, -1e300):
+        with pytest.raises(ValueError, match="NaN or overflows"):
+            encode_vector(np.array([1.0, bad]))
+
+
 # -- additive sharing -----------------------------------------------------------
 
 def test_share_of_zero_sums_to_zero():
@@ -168,6 +174,12 @@ def test_aggregate_over_three_holders_refuses_to_wrap():
     assert total[0] == 3.0 * 2.0 ** 41
 
 
+def test_aggregate_refuses_a_nan_gradient():
+    vecs = [np.array([1.0, np.nan]), np.array([2.0, 0.5]), np.array([0.25, 0.25])]
+    with pytest.raises(ProtocolError, match="NaN"):
+        run_sum(vecs, 2)
+
+
 def test_aggregate_rejects_length_mismatch():
     with pytest.raises(ProtocolError, match="length"):
         run_sum([np.zeros(3), np.zeros(4)], 0)
@@ -283,6 +295,35 @@ def test_pooled_argmax_matches_plain_max():
     m, winner = pooled_argmax(stack, valid)
     assert np.array_equal(m, stack.max(axis=0))
     assert np.array_equal(winner, stack.argmax(axis=0).astype(np.int8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(1, 3), st.data())
+def test_pooled_argmax_ties_go_to_the_lowest_valid_holder(P, n, d, data):
+    values = data.draw(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.0]),
+                                min_size=P * n * d, max_size=P * n * d))
+    stack = np.array(values).reshape(P, n, d)
+    valid = np.array(data.draw(st.lists(st.booleans(), min_size=P * n, max_size=P * n)))
+    valid = valid.reshape(P, n)
+    valid[0, ~valid.any(axis=0)] = True
+    m, winner = pooled_argmax(stack, valid)
+    for p, i, k in np.ndindex(P, n, d):
+        w = winner[i, k]
+        assert valid[w, i]
+        # no valid holder is strictly larger, and none below w is as large
+        assert not (valid[p, i] and stack[p, i, k] > stack[w, i, k])
+        assert not (p < w and valid[p, i] and stack[p, i, k] == stack[w, i, k])
+    assert np.array_equal(m.view(np.int64),
+                          np.take_along_axis(stack, winner[None], axis=0)[0].view(np.int64))
+
+
+def test_pooled_argmax_refuses_a_valid_nan():
+    stack = np.zeros((2, 2, 1))
+    stack[1, 1, 0] = np.nan
+    m, _ = pooled_argmax(stack, np.array([[True, True], [True, False]]))  # not a candidate
+    assert np.array_equal(m, np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="NaN"):
+        pooled_argmax(stack, np.ones((2, 2), dtype=bool))
 
 
 def test_pooled_argmax_respects_validity():
