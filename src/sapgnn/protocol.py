@@ -37,7 +37,8 @@ from .graphs import (Graph, HashedIndex, LocalGraph, build_hashed_index, generat
                      load_dataset, split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
 from .numerics import AdamState, adam_step, dropout_mask, make_rng
-from .sharing import AuditLog, combine_vector_shares, pooled_argmax, share_vector
+from .sharing import (AuditLog, combine_vector_shares, expand_seed, pooled_argmax,
+                      share_vector)
 from .wire import Channel, CommStats, MessageKind
 
 POOL_PARTY = "sealed-pool"
@@ -484,14 +485,18 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
                epoch: int) -> np.ndarray:
     """All-holder secure sum of equal-length vectors; the server takes no part.
 
-    Holder j splits its vector into P additive shares with its own rng
-    (`mode` "fixed-point" or "real", see `share_vector`) and sends share i to
-    holder i as a GradShare. Each holder adds the shares it holds, in
-    ascending sender order, into a partial sum and sends it to every other
-    holder as a PartialSum; each holder then adds the P partials. Messages go
-    sender outer, receiver inner. Returns the total once every holder has
-    reconstructed the same one; with one holder its vector is the total and
-    nothing is sent.
+    Holder j shares its vector among the P holders with its own rng (`mode`
+    "fixed-point" or "real", see `share_vector`): it sends every other
+    holder i one 32-byte seed as a GradShare (audit schema `seed`) and
+    keeps as its own share its vector minus the expansions of those seeds.
+    Each holder adds the expansions of the seeds it received and its own
+    share, in ascending sender order, into a partial sum and sends it to
+    every other holder as a PartialSum; each holder then adds the P
+    partials. A seed reveals exactly what its expanded vector would; it is
+    drawn from numpy's PCG64, which is simulator-grade and not a CSPRNG.
+    Messages go sender outer, receiver inner. Returns the total once every
+    holder has reconstructed the same one; with one holder its vector is
+    the total and nothing is sent.
     """
     P = len(vectors)
     shapes = {np.shape(v) for v in vectors}
@@ -499,6 +504,7 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
         raise ProtocolError(f"holders disagree on gradient vector length: {sorted(shapes)}")
     if P == 1:
         return vectors[0]
+    shape = shapes.pop()
     try:
         outgoing = [share_vector(v, P, rng, mode=mode)
                     for v, rng in zip(vectors, rngs, strict=True)]
@@ -516,8 +522,16 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
                     fields={name: payload(j, i)}, sender_id=j)[name]
         return inbox
 
-    shares_at = exchange(MessageKind.GRAD_SHARE, "share", lambda j, i: outgoing[j][i])
-    partials = [combine_vector_shares(held, mode=mode, decode=False) for held in shares_at]
+    def grad_share(j: int, i: int):
+        """Holder j's share for holder i: its own vector, or the seed of
+        holder i among its P-1 seeds (kept in ascending receiver order)."""
+        seeds, own = outgoing[j]
+        return own if i == j else seeds[i - (i > j)]
+
+    shares_at = exchange(MessageKind.GRAD_SHARE, "seed", grad_share)
+    partials = [combine_vector_shares((held[j] if j == i else expand_seed(held[j], shape, mode)
+                                       for j in range(P)), mode=mode, decode=False)
+                for i, held in enumerate(shares_at)]
     partials_at = exchange(MessageKind.PARTIAL_SUM, "partial", lambda i, k: partials[i])
     totals = [combine_vector_shares(held, mode=mode) for held in partials_at]
     if any(not np.array_equal(totals[0], t) for t in totals[1:]):

@@ -3,12 +3,18 @@
 Real values are carried as two's-complement fixed-point residues (default
 b=64 with 20 fraction bits; an 8-bit toy ring is available for exhaustive
 tests). Gradient aggregation sums shares modularly, so reconstruction is
-exact and the only loss is the initial encoding quantization. This module
-holds the primitives; who sends which share to whom in the holders' secure
-gradient sum is `protocol.secure_sum`. The secure element-wise argmax is an
-ideal functionality: a sealed evaluator reconstructs inside a boundary,
-compares, and re-shares the one-hot winner; the audit log shows that no
-party outside the boundary saw plaintext values.
+exact and the only loss is the initial encoding quantization. A share
+vector meant for another party is sent as the 32-byte seed it expands from
+(`expand_seed`, the seed-expansion trick of Bonawitz et al., CCS 2017); a
+seed reveals exactly what its expanded vector would. Seeds and expansions
+come from numpy's PCG64, which is simulator-grade randomness and not a
+CSPRNG, as were the share vectors that seeds replaced. This module holds
+the primitives; who sends which share to whom in the holders' secure
+gradient sum is `protocol.secure_sum`, where a GradShare's audit schema is
+`seed`. The secure element-wise argmax is an ideal functionality: a
+sealed evaluator reconstructs inside a boundary, compares, and re-shares
+the one-hot winner; the audit log shows that no party outside the
+boundary saw plaintext values.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ DEFAULT_RING_BITS = 64
 # so the secured argmax agrees with plain float64 argmax except for values
 # closer than 2^-40.
 ARGMAX_FRAC_BITS = 40
+
+# A share seed is SEED_WORDS uint64 words: 32 bytes stand in for a share vector.
+SEED_WORDS = 4
 
 
 @dataclass(frozen=True)
@@ -181,13 +190,6 @@ def reconstruct_boolean(shares: list[BooleanShare]) -> np.ndarray:
     return out
 
 
-def reshare_boolean(shares: list[BooleanShare], rng: np.random.Generator) -> list[BooleanShare]:
-    """Re-randomize boolean shares without changing the secret."""
-    fresh = share_boolean(np.zeros_like(shares[0].bits), len(shares), rng)
-    return [BooleanShare(party_id=s.party_id, bits=s.bits ^ z.bits)
-            for s, z in zip(shares, fresh)]
-
-
 # ---------------------------------------------------------------------------
 # Vector fixed-point helpers (64-bit ring, numpy uint64 wraparound is modular)
 # ---------------------------------------------------------------------------
@@ -207,9 +209,31 @@ def decode_vector(raw: np.ndarray, frac_bits: int = DEFAULT_FRAC_BITS) -> np.nda
     return raw.view(np.int64).astype(np.float64) / float(1 << frac_bits)
 
 
+def expand_seed(seed: np.ndarray, shape, mode: str = "fixed-point") -> np.ndarray:
+    """The share vector that a 32-byte seed stands for.
+
+    Sender and receiver both call this on the same seed and get the same
+    vector: uniform over Z_2^64 (uint64 residues) in mode "fixed-point",
+    uniform on [-1, 1) (float64) in mode "real".
+    """
+    bits = np.random.PCG64(seed)
+    if mode == "fixed-point":
+        return bits.random_raw(shape)
+    if mode == "real":
+        return np.random.Generator(bits).uniform(-1.0, 1.0, size=shape)
+    raise ValueError(f"unknown share mode {mode!r}")
+
+
 def share_vector(x: np.ndarray, P: int, rng: np.random.Generator,
-                 mode: str = "fixed-point") -> list[np.ndarray]:
-    """Share a float vector into P vectors that sum back to it.
+                 mode: str = "fixed-point") -> tuple[np.ndarray, np.ndarray]:
+    """Share a float vector among P parties as P-1 seeds plus one vector.
+
+    Returns `(seeds, own)`: `seeds` is a (P-1, SEED_WORDS) uint64 array
+    drawn from `rng`, one seed per other party, and `own` is x minus the
+    `expand_seed` expansions of every seed, so that the P-1 expansions
+    plus `own` sum back to x. A seed reveals exactly what its expanded
+    vector would, so sending the seed in place of the vector changes the
+    bytes on the wire and nothing else.
 
     mode "fixed-point": uint64 residues, exact modular reconstruction up to
     the encoding quantization; each encoded value must stay below 2^63 / P
@@ -221,33 +245,29 @@ def share_vector(x: np.ndarray, P: int, rng: np.random.Generator,
         raise ValueError("sharing needs at least 2 parties")
     x = np.asarray(x, dtype=np.float64)
     if mode == "fixed-point":
-        enc = encode_vector(x)
+        own = encode_vector(x)
         # P summands below 2^63 / P each cannot wrap the signed 64-bit sum
-        if np.any(np.abs(enc.view(np.int64)) >= (1 << 63) // P):
+        if np.any(np.abs(own.view(np.int64)) >= (1 << 63) // P):
             raise ValueError(f"value overflows the 64-bit ring when summed over {P} holders")
-        shares = [rng.integers(0, 2 ** 64 - 1, size=x.shape, dtype=np.uint64, endpoint=True)
-                  for _ in range(P - 1)]
-        acc = np.zeros_like(enc)
-        for s in shares:
-            acc = acc + s
-        shares.append(enc - acc)
-        return shares
-    if mode == "real":
-        shares = [rng.uniform(-1.0, 1.0, size=x.shape) for _ in range(P - 1)]
-        acc = np.zeros_like(x)
-        for s in shares:
-            acc = acc + s
-        shares.append(x - acc)
-        return shares
-    raise ValueError(f"unknown share mode {mode!r}")
+    elif mode == "real":
+        own = x.copy()
+    else:
+        raise ValueError(f"unknown share mode {mode!r}")
+    seeds = rng.integers(0, 2 ** 64 - 1, size=(P - 1, SEED_WORDS), dtype=np.uint64,
+                         endpoint=True)
+    for seed in seeds:
+        np.subtract(own, expand_seed(seed, x.shape, mode), out=own)
+    return seeds, own
 
 
-def combine_vector_shares(shares: list[np.ndarray], mode: str = "fixed-point",
-                          decode: bool = True):
-    """Sum shares in ascending party order; decode fixed-point if asked."""
-    acc = shares[0].copy()
-    for s in shares[1:]:
-        acc = acc + s
+def combine_vector_shares(shares, mode: str = "fixed-point", decode: bool = True):
+    """Sum share vectors in the order given (ascending party order in the
+    protocol); decode fixed-point if asked. `shares` may be any iterable,
+    so a caller can expand one vector at a time."""
+    shares = iter(shares)
+    acc = np.array(next(shares))
+    for s in shares:
+        np.add(acc, s, out=acc)
     if mode == "fixed-point" and decode:
         return decode_vector(acc)
     return acc
@@ -298,8 +318,9 @@ def pooled_argmax(stack: np.ndarray, valid: np.ndarray,
     if not valid.any(axis=0).all():
         bad = int(np.flatnonzero(~valid.any(axis=0))[0])
         raise ValueError(f"node row {bad} has no valid candidate at any holder")
-    enc = encode_vector(np.where(valid[:, :, None], stack, 0.0), frac_bits).view(np.int64)
-    enc[~valid] = np.iinfo(np.int64).min
+    # only valid rows are encoded, so an invalid row may hold anything
+    enc = np.full((P, N, d), np.iinfo(np.int64).min)
+    enc[valid] = encode_vector(stack[valid], frac_bits).view(np.int64)
     winner = first_max(enc, P)[1].astype(np.int8)      # first max: lowest holder
     max_values = np.take_along_axis(stack, winner[None], axis=0)[0]
     return max_values, winner

@@ -53,12 +53,12 @@ PROTOCOL_GOLDEN = {
         "5a044ca09b671121dbba63aa11cbfe2e03d3bd611b9ae23249801a59bcb2cdfb"),
     "p3-gated-secure-fixed": (
         "2b6da6ebb9073dd83eca617af6a921a0f4332496d8efaaae957b854669b27cbb",
-        "f1c2a98babdbb4970248b42734e13eb7fb0211178ef0426bc83a00a155707159",
-        "fcc649e6db508b32c31a6e618bf020b4fbe0235ed90bc4e16306d2ce5e83a044"),
+        "394b763fc1c639dea17793e6273e4b665cb7664a0b55c0f079af776d3a235798",
+        "a4d37714a17c39212927578232596bd74fb46b04ac46e3c726d1dbc2af38ef04"),
     "p3-skew-sum-naive-fixed": (
         "7bd38cfba1238dd8a78176e831dbe6e8cfcc73f4c9a7e656f687f20bf3038a4a",
-        "22d6dbd3eed8ad85a62a92209c5143c5dbe64d352b50e6e71a4988ddcb65264f",
-        "3af7eef3647357f1ebbdef9723b97d634a5a8b4f53a7ffd1ad3106e6435498dd"),
+        "9a45855cc4c9fb4eb97cbad17859bbecdcb88da2145f47cf2b51c10fba33bfc1",
+        "e0d0bc4c42391c4ea249024220f9fe164aa14be7af40de43c60d81f991acb7f3"),
 }
 
 # The one-holder protocol run and the centralized trainer write the same file.

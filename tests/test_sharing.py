@@ -10,9 +10,9 @@ from sapgnn.protocol import ProtocolError, secure_sum
 from sapgnn.sharing import (AdditiveShare, AuditLog, FixedPoint,
                             combine_vector_shares, decode_vector, encode_vector,
                             pooled_argmax, reconstruct_additive, reconstruct_boolean,
-                            reshare_boolean, secure_argmax,
+                            SEED_WORDS, expand_seed, secure_argmax,
                             share_additive, share_boolean, share_vector)
-from sapgnn.wire import Channel, CommStats
+from sapgnn.wire import Channel, CommStats, MessageKind, encode_message
 
 
 # -- fixed point ---------------------------------------------------------------
@@ -107,14 +107,10 @@ def test_additive_homomorphism():
 
 # -- boolean sharing --------------------------------------------------------------
 
-def test_boolean_round_trip_and_reshare():
-    rng = make_rng(3, 0)
+def test_boolean_round_trip():
     bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-    shares = share_boolean(bits, 4, rng)
+    shares = share_boolean(bits, 4, make_rng(3, 0))
     assert np.array_equal(reconstruct_boolean(shares), bits)
-    fresh = reshare_boolean(shares, rng)
-    assert any(not np.array_equal(a.bits, b.bits) for a, b in zip(shares, fresh))
-    assert np.array_equal(reconstruct_boolean(fresh), bits)
 
 
 # -- secure aggregation ------------------------------------------------------------
@@ -230,15 +226,31 @@ def test_secure_sum_properties(inputs):
 
     kinds = [rec.kind for rec in channel.audit.records]
     assert kinds.count("GradShare") == P * (P - 1)
+    # a GradShare is one 32-byte seed, whatever the vector length
+    seed_bytes = len(encode_message(MessageKind.GRAD_SHARE, -1, 0, 0,
+                                    {"seed": np.zeros(SEED_WORDS, dtype=np.uint64)}))
+    assert channel.comm.bytes_for(["GradShare"]) == P * (P - 1) * seed_bytes
+    for _s, _r, kind, fields in channel.delivered:
+        if kind == "GradShare":
+            assert list(fields) == ["seed"]
+            assert fields["seed"].shape == (SEED_WORDS,)
+            assert fields["seed"].dtype == np.uint64
     assert kinds.count("PartialSum") == P * (P - 1)
     assert len(kinds) == 2 * P * (P - 1)          # P=1 sends nothing
     for rec in channel.audit.records:
         assert rec.sender.startswith("holder-") and rec.receiver.startswith("holder-")
 
-    # rebuild every holder's total from what it received: its own partial
-    # (the one it sends to everyone else) plus the partials sent to it
     if P == 1:
         return
+    if mode == "fixed-point":
+        # exact mod 2^64: the total is the decoded sum of the encodings bit
+        # for bit, whatever the seeds
+        encoded = encode_vector(vectors[0])
+        for v in vectors[1:]:
+            encoded = encoded + encode_vector(v)
+        assert np.array_equal(total.view(np.int64), decode_vector(encoded).view(np.int64))
+    # rebuild every holder's total from what it received: its own partial
+    # (the one it sends to everyone else) plus the partials sent to it
     sent = {(s, r): f["partial"] for s, r, k, f in channel.delivered if k == "PartialSum"}
     for k in range(P):
         me = f"holder-{k}"
@@ -248,11 +260,19 @@ def test_secure_sum_properties(inputs):
 
 
 def test_share_vector_modes_reconstruct():
-    x = make_rng(3, 0).uniform(-50, 50, size=32)
-    fx = share_vector(x, 4, make_rng(4, 0), mode="fixed-point")
-    assert np.max(np.abs(combine_vector_shares(fx) - x)) <= 2 ** -20
-    rx = share_vector(x, 4, make_rng(5, 0), mode="real")
-    assert np.allclose(combine_vector_shares(rx, mode="real"), x, atol=1e-12)
+    x = make_rng(3, 0).uniform(-50, 50, size=(8, 4))
+    for mode, seed in (("fixed-point", 4), ("real", 5)):
+        seeds, own = share_vector(x, 4, make_rng(seed, 0), mode=mode)
+        assert seeds.shape == (3, SEED_WORDS) and seeds.dtype == np.uint64
+        assert own.shape == x.shape
+        shares = [expand_seed(s, x.shape, mode) for s in seeds] + [own]
+        got = combine_vector_shares(shares, mode=mode)
+        assert np.max(np.abs(got - x)) <= (2 ** -20 if mode == "fixed-point" else 1e-12)
+    # the expansion is fixed by the seed alone
+    assert np.array_equal(expand_seed(seeds[0], (5,), "fixed-point"),
+                          expand_seed(seeds[0].copy(), (5,), "fixed-point"))
+    assert not np.array_equal(expand_seed(seeds[0], (5,), "fixed-point"),
+                              expand_seed(seeds[1], (5,), "fixed-point"))
 
 
 # -- secure argmax ------------------------------------------------------------------
@@ -318,10 +338,10 @@ def test_pooled_argmax_ties_go_to_the_lowest_valid_holder(P, n, d, data):
 
 
 def test_pooled_argmax_refuses_a_valid_nan():
-    stack = np.zeros((2, 2, 1))
-    stack[1, 1, 0] = np.nan
+    stack = np.zeros((2, 2, 3))
+    stack[1, 1] = [np.nan, np.inf, -np.inf]
     m, _ = pooled_argmax(stack, np.array([[True, True], [True, False]]))  # not a candidate
-    assert np.array_equal(m, np.zeros((2, 1)))
+    assert np.array_equal(m, np.zeros((2, 3)))
     with pytest.raises(ValueError, match="NaN"):
         pooled_argmax(stack, np.ones((2, 2), dtype=bool))
 
