@@ -9,8 +9,7 @@ that the decentralized computation matches training on the combined graph.
 from .config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
 from .gnn import (ModelConfig, ModelWeights, UpdateKind, centralized_forward,
                   centralized_forward_backward, check_monotone_update)
-from .graphs import (Graph, HashedIndex, LocalGraph, build_hashed_index,
-                     generate_synthetic, load_dataset, split_edges_uniform,
+from .graphs import (Graph, LocalGraph, generate_synthetic, load_dataset, split_edges_uniform,
                      split_label_skew, union_graph, write_dataset)
 from .harness import (EquivalenceReport, ExperimentSpec, SPResult, compare_equivalence,
                       comm_profile, linear_fit_r2, run_sweep, train_centralized, train_sp)

@@ -33,7 +33,6 @@ class PartitionConfig:
     q: float = 0.0                 # label-skew redistribution percentage
     duplicate_fraction: float = 0.0
     seed: int = 7
-    label_assignment: str = "partition"
     node_scope: str = "full"       # uniform split: "full" | "edge-incident"
 
 

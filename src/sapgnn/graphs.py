@@ -18,6 +18,7 @@ import numpy as np
 from .numerics import make_rng
 
 UNLABELED = -1
+SPLITS = ("train", "val", "test")
 
 DATASET_FILES = ("nodes.tsv", "features.tsv", "edges.tsv", "manifest.json")
 
@@ -71,16 +72,14 @@ class Graph:
         labeled = self.labels != UNLABELED
         if np.any(self.labels[labeled] >= self.n_classes) or np.any(self.labels[labeled] < 0):
             raise ValueError(f"label class out of range [0, {self.n_classes})")
-        masks = [self.train_ids, self.val_ids, self.test_ids]
-        names = ["train", "val", "test"]
-        seen = set()
-        for name, ids in zip(names, masks):
-            s = set(ids.tolist())
+        seen = np.empty(0, dtype=np.int64)
+        for name, ids in self.split_ids().items():
+            s = np.unique(ids)
             if len(s) != len(ids):
                 raise ValueError(f"duplicate node in {name} mask")
-            if s & seen:
+            if np.isin(s, seen).any():
                 raise ValueError("train/val/test masks must be pairwise disjoint")
-            seen |= s
+            seen = np.concatenate([seen, s])
             ranks = self.rank_of(ids)
             if ids.size and np.any(self.labels[ranks] == UNLABELED):
                 raise ValueError(f"{name} mask contains an unlabeled node")
@@ -115,6 +114,10 @@ class Graph:
 
     def labels_for(self, ids) -> np.ndarray:
         return self.labels[self.rank_of(ids)]
+
+    def split_ids(self) -> dict[str, np.ndarray]:
+        """The train, val and test masks, keyed by split name."""
+        return dict(zip(SPLITS, (self.train_ids, self.val_ids, self.test_ids)))
 
 
 def graphs_equal(a: Graph, b: Graph) -> bool:
@@ -153,25 +156,6 @@ class LocalGraph:
         return dict(zip(ids.tolist(), self.graph.labels_for(ids).tolist()))
 
 
-@dataclass
-class HashedIndex:
-    """Salted 128-bit digests for every node id, shared with the server.
-
-    The salt is a 256-bit secret known to the data holders only; the server
-    sees digests, never raw ids. Digests must be injective over the union of
-    all holders' nodes (a collision aborts the run).
-    """
-
-    mapping: dict[int, bytes]
-    salt: bytes
-
-    def digest_of(self, node_id: int) -> bytes:
-        return self.mapping[int(node_id)]
-
-    def digests_for(self, ids) -> list[bytes]:
-        return [self.mapping[int(i)] for i in ids]
-
-
 def _node_digest(salt: bytes, node_id: int) -> bytes:
     # ids are canonicalized as big-endian 8-byte unsigned integers so the
     # digests are stable across platforms.
@@ -179,21 +163,21 @@ def _node_digest(salt: bytes, node_id: int) -> bytes:
     return hashlib.sha256(payload).digest()[:16]
 
 
-def build_hashed_index(holders: list[LocalGraph], salt: bytes) -> HashedIndex:
-    """Digest every node across holders; abort on any digest collision."""
+def node_digests(ids: np.ndarray, salt: bytes) -> np.ndarray:
+    """Salted 128-bit digests of distinct node ids: an (n, 16) uint8 table,
+    row i the digest of ids[i].
+
+    The salt is a 256-bit secret known to the data holders only; the server
+    sees digests, never raw ids. Digests must be injective over the ids (a
+    collision aborts the run).
+    """
     if len(salt) != 32:
         raise ValueError("salt must be exactly 256 bits (32 bytes)")
-    mapping: dict[int, bytes] = {}
-    seen: dict[bytes, int] = {}
-    all_ids = sorted({int(i) for lg in holders for i in lg.graph.node_ids})
-    for nid in all_ids:
-        d = _node_digest(salt, nid)
-        if d in seen and seen[d] != nid:
-            raise RuntimeError(
-                f"hash collision between node ids {seen[d]} and {nid}; aborting")
-        seen[d] = nid
-        mapping[nid] = d
-    return HashedIndex(mapping=mapping, salt=salt)
+    table = np.frombuffer(b"".join(_node_digest(salt, nid) for nid in ids.tolist()),
+                          dtype=np.uint8).reshape(len(ids), 16)
+    if len(np.unique(table.view("V16"))) < len(ids):
+        raise RuntimeError(f"hash collision among the digests of {len(ids)} node ids; aborting")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +248,7 @@ def write_dataset(g: Graph, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     mask_of = {}
-    for name, ids in (("train", g.train_ids), ("val", g.val_ids), ("test", g.test_ids)):
+    for name, ids in g.split_ids().items():
         for i in ids.tolist():
             mask_of[i] = name
     with open(path / "nodes.tsv", "w", encoding="utf-8", newline="\n") as f:
@@ -372,29 +356,25 @@ def load_dataset(path, format: str = "edge-list-dir") -> Graph:
 # Partitioners
 # ---------------------------------------------------------------------------
 
-def _restrict_masks(g: Graph, node_set: np.ndarray, assigned: dict[str, np.ndarray]) -> Graph:
-    """Build a holder Graph from a node subset and its assigned label shares."""
-    ranks = g.rank_of(node_set)
-    labels = np.full(len(node_set), UNLABELED, dtype=np.int64)
-    owned = np.concatenate([assigned["train"], assigned["val"], assigned["test"]])
-    if owned.size:
-        pos = np.searchsorted(node_set, owned)
-        labels[pos] = g.labels_for(owned)
-    return Graph(node_ids=node_set, features=g.features[ranks],
-                 edges=assigned["edges"], labels=labels,
-                 train_ids=np.sort(assigned["train"]), val_ids=np.sort(assigned["val"]),
-                 test_ids=np.sort(assigned["test"]), n_classes=g.n_classes)
-
-
-def _isolation_marks(union_edges: np.ndarray, owners: dict[int, list[int]]) -> dict[int, list[int]]:
-    """For each holder, its owned nodes with no edges anywhere in the union."""
-    touched = set(np.unique(union_edges).tolist()) if union_edges.size else set()
-    marks: dict[int, list[int]] = {}
-    for nid, holder_list in owners.items():
-        if nid not in touched:
-            for h in holder_list:
-                marks.setdefault(h, []).append(nid)
-    return marks
+def _assemble_holders(g: Graph, node_sets: list[np.ndarray], holder_edges: list[np.ndarray],
+                      shares: dict[str, list[np.ndarray]]) -> list[LocalGraph]:
+    """One LocalGraph per holder p: the nodes of node_sets[p] with their
+    features, the edges holder_edges[p], and the labels of the ids it owns
+    in each split (shares[split][p]). A node that it has and no holder's edge
+    touches is isolated_owned."""
+    touched = np.unique(np.concatenate(holder_edges))
+    holders = []
+    for p, node_set in enumerate(node_sets):
+        owned = {split: np.sort(shares[split][p]) for split in SPLITS}
+        owned_ids = np.concatenate(list(owned.values()))
+        labels = np.full(len(node_set), UNLABELED, dtype=np.int64)
+        labels[np.searchsorted(node_set, owned_ids)] = g.labels_for(owned_ids)
+        local = Graph(node_ids=node_set, features=g.features[g.rank_of(node_set)],
+                      edges=holder_edges[p], labels=labels, train_ids=owned["train"],
+                      val_ids=owned["val"], test_ids=owned["test"], n_classes=g.n_classes)
+        isolated = np.setdiff1d(node_set, touched, assume_unique=True)
+        holders.append(LocalGraph(holder_id=p, graph=local, isolated_owned=isolated))
+    return holders
 
 
 def _partition_ids_scoped(ids: np.ndarray, node_sets: list[set], rng) -> list[np.ndarray]:
@@ -414,25 +394,20 @@ def _partition_ids_scoped(ids: np.ndarray, node_sets: list[set], rng) -> list[np
     return [np.sort(np.asarray(s, dtype=np.int64)) for s in shares]
 
 
-def split_edges_uniform(g: Graph, P: int, label_assignment: str = "partition",
-                        seed: int = 0, duplicate_fraction: float = 0.0,
+def split_edges_uniform(g: Graph, P: int, seed: int = 0, duplicate_fraction: float = 0.0,
                         node_scope: str = "full") -> list[LocalGraph]:
     """Assign each edge to one holder uniformly at random.
 
     With node_scope "full" (default) every holder receives the full node set
     and all features; with "edge-incident" a holder keeps only its own edges'
     endpoints (isolated nodes then belong to nobody, which is an error).
-    Labels are split per policy: "partition" (default) gives each labeled
-    node to exactly one holder that holds it, round-robin over a seeded
-    shuffle, so the summed per-holder losses equal the centralized loss;
-    "replicate" copies all labels to every holder (excluded from equivalence
-    runs). duplicate_fraction copies that fraction of edges to a second
-    random holder, exercising overlapped edges.
+    Each labeled node goes to exactly one holder that holds it, round-robin
+    over a seeded shuffle, so the summed per-holder losses equal the
+    centralized loss. duplicate_fraction copies that fraction of edges to a
+    second random holder, exercising overlapped edges.
     """
     if P < 1:
         raise ValueError("holder count P must be >= 1")
-    if label_assignment not in ("partition", "replicate"):
-        raise ValueError(f"unknown label policy {label_assignment!r}")
     if node_scope not in ("full", "edge-incident"):
         raise ValueError(f"unknown node scope {node_scope!r}")
     if not 0.0 <= duplicate_fraction <= 1.0:
@@ -456,35 +431,15 @@ def split_edges_uniform(g: Graph, P: int, label_assignment: str = "partition",
     if node_scope == "full":
         node_sets = [g.node_ids.copy() for _ in range(P)]
     else:
-        uncovered = set(g.node_ids.tolist()) - set(np.unique(g.edges).tolist())
+        uncovered = g.n_nodes - len(np.unique(g.edges))
         if uncovered:
-            raise ValueError(
-                f"edge-incident scope leaves {len(uncovered)} node(s) with no holder")
+            raise ValueError(f"edge-incident scope leaves {uncovered} node(s) with no holder")
         node_sets = [np.unique(e) for e in holder_edges]
 
-    mask_ids = (("train", g.train_ids), ("val", g.val_ids), ("test", g.test_ids))
-    if label_assignment == "partition":
-        sets = [set(ns.tolist()) for ns in node_sets]
-        shares = {name: _partition_ids_scoped(ids, sets, rng) for name, ids in mask_ids}
-    else:
-        shares = {name: [np.intersect1d(ids, node_sets[p]) for p in range(P)]
-                  for name, ids in mask_ids}
-
-    owners: dict[int, list[int]] = {}
-    for p in range(P):
-        for nid in node_sets[p].tolist():
-            owners.setdefault(int(nid), []).append(p)
-    marks = _isolation_marks(g.edges, owners)
-
-    holders = []
-    for p in range(P):
-        assigned = {"edges": holder_edges[p], "train": shares["train"][p],
-                    "val": shares["val"][p], "test": shares["test"][p]}
-        local = _restrict_masks(g, node_sets[p], assigned)
-        holders.append(LocalGraph(holder_id=p, graph=local,
-                                  isolated_owned=np.sort(np.asarray(marks.get(p, []),
-                                                                    dtype=np.int64))))
-    return holders
+    sets = [set(ns.tolist()) for ns in node_sets]
+    shares = {split: _partition_ids_scoped(ids, sets, rng)
+              for split, ids in g.split_ids().items()}
+    return _assemble_holders(g, node_sets, holder_edges, shares)
 
 
 def split_label_skew(g: Graph, P: int, q: float, seed: int = 0) -> list[LocalGraph]:
@@ -524,71 +479,41 @@ def split_label_skew(g: Graph, P: int, q: float, seed: int = 0) -> list[LocalGra
         shift = rng.integers(1, P, size=k)
         assignment[moved] = (initial[moved] + shift) % P
 
-    holders = []
-    node_sets = []
-    union_edges = []
-    for p in range(P):
-        node_set = np.sort(labeled[assignment == p])
-        node_sets.append(node_set)
-        in_set = np.isin(g.edges, node_set)
-        local_edges = g.edges[in_set.all(axis=1)] if g.edges.size else g.edges
-        union_edges.append(local_edges)
-        assigned = {"edges": local_edges,
-                    "train": np.intersect1d(g.train_ids, node_set),
-                    "val": np.intersect1d(g.val_ids, node_set),
-                    "test": np.intersect1d(g.test_ids, node_set)}
-        holders.append((p, node_set, assigned))
-
-    all_union = (np.concatenate(union_edges, axis=0) if union_edges
-                 else np.empty((0, 2), dtype=np.int64))
-    owners = {int(nid): [p] for p, node_set, _ in holders for nid in node_set}
-    marks = _isolation_marks(all_union, owners)
-
-    out = []
-    for p, node_set, assigned in holders:
-        local = _restrict_masks(g, node_set, assigned)
-        out.append(LocalGraph(holder_id=p, graph=local,
-                              isolated_owned=np.sort(np.asarray(marks.get(p, []),
-                                                                dtype=np.int64))))
-    return out
+    node_sets = [np.sort(labeled[assignment == p]) for p in range(P)]
+    holder_edges = [g.edges[np.isin(g.edges, node_set).all(axis=1)] for node_set in node_sets]
+    shares = {split: [np.intersect1d(ids, node_set) for node_set in node_sets]
+              for split, ids in g.split_ids().items()}
+    return _assemble_holders(g, node_sets, holder_edges, shares)
 
 
 def union_graph(holders: list[LocalGraph]) -> Graph:
     """The combined graph the protocol is equivalent to: union of all
-    holders' nodes, features, edges, and owned labels."""
-    id_set: dict[int, np.ndarray] = {}
-    for lg in holders:
-        for rank, nid in enumerate(lg.graph.node_ids.tolist()):
-            row = lg.graph.features[rank]
-            if nid in id_set:
-                if not np.array_equal(id_set[nid], row):
-                    raise ValueError(f"holders disagree on features of node {nid}")
-            else:
-                id_set[nid] = row
-    node_ids = np.array(sorted(id_set), dtype=np.int64)
-    features = np.stack([id_set[int(i)] for i in node_ids]) if len(node_ids) else \
-        np.empty((0, holders[0].graph.feat_dim))
-    edges = np.concatenate([lg.graph.edges for lg in holders], axis=0) \
-        if holders else np.empty((0, 2), dtype=np.int64)
+    holders' nodes, features, edges, and owned labels.
 
+    Every copy of a node after its first (in holder order) must carry the
+    first copy's features, and every label a holder gives a node must agree.
+    """
+    graphs = [lg.graph for lg in holders]
+    all_ids = np.concatenate([lg.node_ids for lg in graphs])
+    all_features = np.concatenate([lg.features for lg in graphs])
+    all_labels = np.concatenate([lg.labels for lg in graphs])
+    node_ids, first, inverse = np.unique(all_ids, return_index=True, return_inverse=True)
+    features = all_features[first]
+    # a node that only one holder has is never compared
+    later = np.ones(len(all_ids), dtype=bool)
+    later[first] = False
+    clash = np.any(all_features[later] != features[inverse[later]], axis=1)
+    if clash.any():
+        raise ValueError(f"holders disagree on features of node {all_ids[later][clash][0]}")
+
+    labeled = all_labels != UNLABELED
     labels = np.full(len(node_ids), UNLABELED, dtype=np.int64)
-    masks = {"train": [], "val": [], "test": []}
-    for lg in holders:
-        lab_ids = lg.graph.node_ids[lg.graph.labels != UNLABELED]
-        pos = np.searchsorted(node_ids, lab_ids)
-        vals = lg.graph.labels_for(lab_ids)
-        clash = (labels[pos] != UNLABELED) & (labels[pos] != vals)
-        if clash.any():
-            raise ValueError("holders disagree on a node label")
-        labels[pos] = vals
-        masks["train"].append(lg.graph.train_ids)
-        masks["val"].append(lg.graph.val_ids)
-        masks["test"].append(lg.graph.test_ids)
-
-    def merged(name):
-        return np.unique(np.concatenate(masks[name])) if masks[name] else \
-            np.empty(0, dtype=np.int64)
-
-    return Graph(node_ids=node_ids, features=features, edges=edges, labels=labels,
-                 train_ids=merged("train"), val_ids=merged("val"), test_ids=merged("test"),
-                 n_classes=holders[0].graph.n_classes)
+    labels[inverse[labeled]] = all_labels[labeled]
+    if np.any(labels[inverse[labeled]] != all_labels[labeled]):
+        raise ValueError("holders disagree on a node label")
+    masks = {split: np.unique(np.concatenate([lg.split_ids()[split] for lg in graphs]))
+             for split in SPLITS}
+    return Graph(node_ids=node_ids, features=features,
+                 edges=np.concatenate([lg.edges for lg in graphs]), labels=labels,
+                 train_ids=masks["train"], val_ids=masks["val"], test_ids=masks["test"],
+                 n_classes=graphs[0].n_classes)

@@ -18,7 +18,7 @@ from .gnn import (ModelConfig, ModelGrads, ModelWeights, assemble_model_weights,
 from .graphs import Graph, LocalGraph, union_graph
 from .metrics import confusion_matrix, split_scores
 from .numerics import AdamState, dropout_mask, make_rng
-from .protocol import (SPLITS, TrainResult, adam_update, aggregate_local_grads, backward_pass,
+from .protocol import (TrainResult, adam_update, aggregate_local_grads, backward_pass,
                        build_dataset, build_partition, fit, forward_pass, init_parties,
                        run_training)
 from .sharing import AuditLog
@@ -61,7 +61,7 @@ def train_centralized(g: Graph, model_cfg: ModelConfig, lr: float = 0.01,
     rng_drop = make_rng(seed, "dropout")
     if eval_sets is None:
         eval_sets = {split: (ids, g.labels_for(ids))
-                     for split, ids in zip(SPLITS, (g.train_ids, g.val_ids, g.test_ids))}
+                     for split, ids in g.split_ids().items()}
     eval_rows = {split: (g.rank_of(np.sort(ids)), classes[np.argsort(ids, kind="stable")])
                  for split, (ids, classes) in eval_sets.items()}
 

@@ -33,8 +33,8 @@ from .gnn import (LocalWeightSet, ModelConfig, ModelWeights, NeighborIndex,
                   init_global_weights, init_local_weights, layer_dims, layer_dropout_rates,
                   layer_relu_flags, local_backward, local_embedding, loss_terms, predict_backward,
                   predict_probs, stack_max)
-from .graphs import (Graph, HashedIndex, LocalGraph, build_hashed_index, generate_synthetic,
-                     load_dataset, split_edges_uniform, split_label_skew)
+from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset, node_digests,
+                     split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
 from .numerics import AdamState, adam_step, dropout_mask, make_rng
 from .sharing import (AuditLog, combine_vector_shares, expand_seed, pooled_argmax,
@@ -43,7 +43,6 @@ from .wire import Channel, CommStats, MessageKind
 
 POOL_PARTY = "sealed-pool"
 SERVER_PARTY = "server"
-SPLITS = ("train", "val", "test")
 # The winning holder per pooled element is an int8 (`stack_max`,
 # `pooled_argmax` and the PoolResult wire field), so holder ids must fit it.
 MAX_HOLDERS = int(np.iinfo(np.int8).max)
@@ -77,8 +76,7 @@ def build_dataset(dcfg: DatasetConfig) -> Graph:
 
 def build_partition(g: Graph, pcfg: PartitionConfig) -> list[LocalGraph]:
     if pcfg.kind == "uniform":
-        return split_edges_uniform(g, pcfg.P, label_assignment=pcfg.label_assignment,
-                                   seed=pcfg.seed,
+        return split_edges_uniform(g, pcfg.P, seed=pcfg.seed,
                                    duplicate_fraction=pcfg.duplicate_fraction,
                                    node_scope=pcfg.node_scope)
     if pcfg.kind == "label-skew":
@@ -109,8 +107,7 @@ class DataHolder:
         self.iso_ranks = np.searchsorted(universe_ids, local.isolated_owned)
 
         self.label_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        graph = local.graph
-        for split, ids in zip(SPLITS, (graph.train_ids, graph.val_ids, graph.test_ids)):
+        for split, ids in local.graph.split_ids().items():
             ids = np.sort(ids)
             rows = np.searchsorted(universe_ids, ids)
             classes = local.graph.labels_for(ids)
@@ -210,9 +207,12 @@ class ServerTape:
 class Server:
     """Semi-honest coordinator: pools local embeddings, owns the global maps."""
 
-    def __init__(self, n: int, cfg: ModelConfig, feat_dim: int, lr: float,
+    def __init__(self, digests: np.ndarray, cfg: ModelConfig, feat_dim: int, lr: float,
                  server_seed: int, first_layer_fixed: bool):
-        self.n = n
+        self.n = len(digests)
+        row_digests = digests.view("V16").ravel()
+        self.digest_order = np.argsort(row_digests)
+        self.sorted_digests = row_digests[self.digest_order]
         self.cfg = cfg
         self.weights = init_global_weights(cfg, feat_dim,
                                            make_rng(server_seed, "server-init"))
@@ -226,6 +226,18 @@ class Server:
         # (m, winner) is the same in every sweep, so the first sweep's is kept.
         self.first_layer_fixed = first_layer_fixed
         self.first_pool: tuple[np.ndarray, np.ndarray] | None = None
+
+    def rows_of(self, keys: np.ndarray, sender_id: int) -> np.ndarray:
+        """Universe rows of the 16-byte node digests that holder `sender_id`
+        sent, found by a sorted search; an unknown digest is refused."""
+        if keys.size % 16:
+            raise ProtocolError(f"holder {sender_id} sent {keys.size} digest bytes, "
+                                "not a whole number of 16-byte digests")
+        keys = keys.view("V16")
+        pos = np.searchsorted(self.sorted_digests, keys).clip(max=self.n - 1)
+        if not np.array_equal(self.sorted_digests[pos], keys):
+            raise ProtocolError(f"holder {sender_id} sent a node digest the server does not know")
+        return self.digest_order[pos]
 
     def forward_layer(self, l: int, m: np.ndarray, winner: np.ndarray,
                       train: bool) -> np.ndarray:
@@ -256,7 +268,6 @@ class Session:
     comm: CommStats
     audit: AuditLog
     universe_ids: np.ndarray
-    hindex: HashedIndex
     digests: np.ndarray                 # (n, 16) uint8, universe order
 
     @property
@@ -280,10 +291,7 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph],
     universe_ids = np.unique(np.concatenate([lg.graph.node_ids for lg in holders_data]))
     if universe_ids.size == 0:
         raise ProtocolError("no holder has a node")
-    salt = make_rng(shared_seed, "salt").bytes(32)
-    hindex = build_hashed_index(holders_data, salt)
-    digests = np.frombuffer(b"".join(hindex.digests_for(universe_ids)),
-                            dtype=np.uint8).reshape(len(universe_ids), 16)
+    digests = node_digests(universe_ids, make_rng(shared_seed, "salt").bytes(32))
 
     comm = CommStats()
     audit = AuditLog()
@@ -294,28 +302,18 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph],
                           shared_seed, config.train.seed)
                for lg in holders_data]
     first = holders[0].locals_
-    server = Server(n=len(universe_ids), cfg=cfg, feat_dim=feats.pop(),
+    server = Server(digests=digests, cfg=cfg, feat_dim=feats.pop(),
                     lr=config.train.lr, server_seed=server_seed,
                     first_layer_fixed=first.w_message[0] is None and first.w_gate[0] is None)
 
-    # the server finds each received digest by a sorted search over its rows
-    row_digests = digests.view("V16").ravel()
-    order = np.argsort(row_digests)
-    sorted_digests = row_digests[order]
     for holder in holders:
-        decoded = channel.send(holder_party(holder.holder_id), SERVER_PARTY,
-                               MessageKind.NODE_INDEX, layer=-1, epoch=-1,
-                               fields={"keys": digests[holder.node_ranks].ravel()},
-                               sender_id=holder.holder_id)
-        keys = decoded["keys"].view("V16")
-        pos = np.searchsorted(sorted_digests, keys).clip(max=len(order) - 1)
-        if not np.array_equal(sorted_digests[pos], keys):
-            raise ProtocolError(f"holder {holder.holder_id} sent a node digest "
-                                "the server does not know")
-        server.holder_rows[holder.holder_id] = order[pos]
+        p = holder.holder_id
+        decoded = channel.send(holder_party(p), SERVER_PARTY, MessageKind.NODE_INDEX,
+                               layer=-1, epoch=-1,
+                               fields={"keys": digests[holder.node_ranks].ravel()}, sender_id=p)
+        server.holder_rows[p] = server.rows_of(decoded["keys"], p)
     return Session(config=config, holders=holders, server=server, channel=channel,
-                   comm=comm, audit=audit, universe_ids=universe_ids, hindex=hindex,
-                   digests=digests)
+                   comm=comm, audit=audit, universe_ids=universe_ids, digests=digests)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +450,7 @@ def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
             holder_party(p), SERVER_PARTY, MessageKind.PRED_GRAD, layer=cfg.layers,
             epoch=epoch, fields={"keys": session.digests[rows].ravel(), "g": vals},
             sender_id=p)
-        G[rows] += decoded["g"]
+        G[server.rows_of(decoded["keys"], p)] += decoded["g"]
 
     server_grads = [None] * cfg.layers
     for l in reversed(range(cfg.layers)):

@@ -281,9 +281,11 @@ def secure_argmax(values: list[FixedPoint], rng: np.random.Generator,
                   audit: AuditLog | None = None):
     """One-hot boolean shares of the maximum's index among P scalars.
 
-    A sealed evaluator gathers the parties' shares, compares the decoded
-    values (signed; ties go to the lowest party index), and XOR-shares the
-    indicator vector back out. Returns (list of BooleanShare, audit).
+    A sealed evaluator gathers the parties' shares and compares the values
+    with `pooled_argmax` on a (P, 1, 1) stack (signed; ties go to the lowest
+    party index), re-encoding them at their own fraction bits so that the
+    comparison is exact, and XOR-shares the indicator vector back out.
+    Returns (list of BooleanShare, audit).
     """
     P = len(values)
     if P < 2:
@@ -291,10 +293,11 @@ def secure_argmax(values: list[FixedPoint], rng: np.random.Generator,
     audit = audit if audit is not None else AuditLog()
     for p in range(P):
         audit.append(f"holder-{p}", "sealed-evaluator", "ArgmaxInput", schema="fixed-point scalar")
-    decoded = [v.decode() for v in values]
-    winner = int(np.argmax(decoded))  # np.argmax takes the first max: lowest index
+    stack = np.array([v.decode() for v in values]).reshape(P, 1, 1)
+    _, winner = pooled_argmax(stack, np.ones((P, 1), dtype=bool),
+                              frac_bits=max(v.frac_bits for v in values))
     onehot = np.zeros(P, dtype=np.uint8)
-    onehot[winner] = 1
+    onehot[winner[0, 0]] = 1
     shares = share_boolean(onehot, P, rng)
     for p in range(P):
         audit.append("sealed-evaluator", f"holder-{p}", "ArgmaxShare", schema=f"bits[{P}]")

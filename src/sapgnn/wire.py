@@ -58,7 +58,7 @@ def _norm_dtype(arr: np.ndarray) -> np.ndarray:
 def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,
                    fields: dict[str, np.ndarray]) -> bytes:
     """Serialize one message; the leading u32 is the body length."""
-    parts = [struct.pack(_HEADER, b"SG", KIND_IDS[kind], layer, epoch, len(fields))]
+    parts = [b"", struct.pack(_HEADER, b"SG", KIND_IDS[kind], layer, epoch, len(fields))]
     for name, arr in fields.items():
         if isinstance(arr, (bytes, bytearray)):
             arr = np.frombuffer(bytes(arr), dtype=np.uint8)
@@ -72,8 +72,9 @@ def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,
         parts.append(struct.pack("<q", len(raw)))
         parts.append(raw)
     parts.append(struct.pack(_SENDER, sender_id))
-    body = b"".join(parts)
-    return struct.pack("<I", len(body)) + body
+    # the length prefix goes into the one join rather than onto a copy of the body
+    parts[0] = struct.pack("<I", sum(map(len, parts)))
+    return b"".join(parts)
 
 
 class WireError(ValueError):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from sapgnn import graphs as G
-from sapgnn.graphs import (Graph, LocalGraph, build_hashed_index, generate_synthetic,
-                           graphs_equal, load_dataset, split_edges_uniform,
-                           split_label_skew, union_graph, write_dataset)
+from sapgnn.graphs import (Graph, LocalGraph, generate_synthetic, graphs_equal, load_dataset,
+                           node_digests, split_edges_uniform, split_label_skew, union_graph,
+                           write_dataset)
 
 
 def tiny_graph(n=6, seed=3, **kw):
@@ -91,6 +91,20 @@ def test_graph_rejects_overlapping_masks():
               edges=np.empty((0, 2), dtype=np.int64), labels=np.array([0, 1]),
               train_ids=np.array([0]), val_ids=np.array([0]),
               test_ids=np.array([], dtype=np.int64), n_classes=2)
+
+
+@pytest.mark.parametrize("masks, message", [
+    ({"train_ids": [0, 0]}, "duplicate node in train mask"),
+    # each mask is checked for duplicates before it is checked against the earlier masks
+    ({"train_ids": [1], "val_ids": [1, 1]}, "duplicate node in val mask"),
+    ({"train_ids": [0], "test_ids": [0]}, "pairwise disjoint"),
+    ({"train_ids": [0], "val_ids": [2], "test_ids": [0]}, "val mask contains an unlabeled node"),
+])
+def test_graph_mask_refusals_in_check_order(masks, message):
+    kw = {"train_ids": [], "val_ids": [], "test_ids": [], **masks}
+    with pytest.raises(ValueError, match=message):
+        Graph(node_ids=[0, 1, 2], features=np.zeros((3, 1)), edges=np.empty((0, 2)),
+              labels=[0, 1, -1], n_classes=2, **kw)
 
 
 # -- dataset directory format -------------------------------------------------
@@ -192,13 +206,6 @@ def test_uniform_split_labels_partitioned():
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not parts[i] & parts[j]
-
-
-def test_uniform_split_replicate_policy():
-    g = tiny_graph(10, seed=8)
-    holders = split_edges_uniform(g, 2, label_assignment="replicate", seed=1)
-    for lg in holders:
-        assert np.array_equal(lg.graph.train_ids, g.train_ids)
 
 
 def test_duplicate_fraction_copies_edges():
@@ -304,46 +311,86 @@ def test_union_graph_recovers_uniform_split():
     assert np.array_equal(u.labels, g.labels)
 
 
-# -- hashed index -----------------------------------------------------------------
+def _holder(p, ids, features, labels, train_ids=()):
+    return LocalGraph(holder_id=p, graph=Graph(
+        node_ids=ids, features=np.asarray(features, dtype=np.float64).reshape(len(ids), 1),
+        edges=np.empty((0, 2)), labels=labels, train_ids=list(train_ids), val_ids=[],
+        test_ids=[], n_classes=2))
 
-def _holders_for_index():
-    g = tiny_graph(10, seed=15)
-    return split_edges_uniform(g, 2, seed=9)
+
+def test_union_graph_merges_shared_nodes():
+    u = union_graph([_holder(0, [1, 4], [1.0, 4.0], [-1, 0]),
+                     _holder(1, [0, 4], [0.0, 4.0], [1, 0], train_ids=[0])])
+    assert np.array_equal(u.node_ids, [0, 1, 4])
+    assert np.array_equal(u.features[:, 0], [0.0, 1.0, 4.0])
+    assert np.array_equal(u.labels, [1, -1, 0])
+    assert np.array_equal(u.train_ids, [0])
+
+
+def test_union_graph_refuses_disagreeing_features():
+    with pytest.raises(ValueError, match="disagree on features of node 4$"):
+        union_graph([_holder(0, [1, 4], [1.0, 4.0], [-1, -1]),
+                     _holder(1, [0, 4], [0.0, 4.5], [-1, -1])])
+    # a NaN compares unequal to itself, so a shared NaN feature is refused too ...
+    with pytest.raises(ValueError, match="disagree on features of node 4$"):
+        union_graph([_holder(0, [4], [np.nan], [-1]), _holder(1, [4], [np.nan], [-1])])
+    # ... while a node that only one holder has is never compared
+    u = union_graph([_holder(0, [4], [np.nan], [-1]), _holder(1, [5], [5.0], [-1])])
+    assert np.isnan(u.features[0, 0])
+
+
+def test_union_graph_refuses_disagreeing_labels():
+    with pytest.raises(ValueError, match="disagree on a node label"):
+        union_graph([_holder(0, [1, 4], [1.0, 4.0], [-1, 0]),
+                     _holder(1, [4], [4.0], [1])])
+    # a holder that leaves a node unlabeled does not disagree with one that labels it
+    u = union_graph([_holder(0, [4], [4.0], [-1]), _holder(1, [4], [4.0], [1])])
+    assert np.array_equal(u.labels, [1])
+
+
+# -- hashed index: the node digest table ------------------------------------------
+
+def _ids_for_index():
+    return tiny_graph(10, seed=15).node_ids
 
 
 def test_hashed_index_same_id_same_digest():
-    holders = _holders_for_index()
+    ids = _ids_for_index()
     salt = bytes(range(32))
-    idx = build_hashed_index(holders, salt)
-    for nid in holders[0].graph.node_ids:
-        assert idx.digest_of(int(nid)) == idx.digest_of(int(nid))
-        assert len(idx.digest_of(int(nid))) == 16
+    table = node_digests(ids, salt)
+    assert table.shape == (len(ids), 16) and table.dtype == np.uint8
+    # a row depends on its id only: the table of a reordered subset has the same rows
+    assert np.array_equal(node_digests(ids[::-2], salt), table[::-2])
 
 
 def test_hashed_index_injective_over_corpus():
-    holders = _holders_for_index()
-    idx = build_hashed_index(holders, bytes(32))
-    digests = list(idx.mapping.values())
-    assert len(set(digests)) == len(digests)
+    table = node_digests(_ids_for_index(), bytes(32))
+    assert len({row.tobytes() for row in table}) == len(table)
 
 
 def test_hashed_index_salt_changes_all_digests():
-    holders = _holders_for_index()
-    a = build_hashed_index(holders, bytes(32))
-    b = build_hashed_index(holders, bytes([1] * 32))
-    assert all(a.mapping[k] != b.mapping[k] for k in a.mapping)
+    ids = _ids_for_index()
+    a = node_digests(ids, bytes(32))
+    b = node_digests(ids, bytes([1] * 32))
+    assert np.all(np.any(a != b, axis=1))
 
 
 def test_hashed_index_rejects_bad_salt():
     with pytest.raises(ValueError, match="256 bits"):
-        build_hashed_index(_holders_for_index(), b"short")
+        node_digests(_ids_for_index(), b"short")
 
 
 def test_hashed_index_collision_aborts(monkeypatch):
-    holders = _holders_for_index()
     monkeypatch.setattr(G, "_node_digest", lambda salt, nid: b"\x00" * 16)
     with pytest.raises(RuntimeError, match="collision"):
-        build_hashed_index(holders, bytes(32))
+        node_digests(_ids_for_index(), bytes(32))
+
+
+def test_node_digest_is_salted_sha256_of_the_big_endian_id():
+    salt = bytes(range(32, 64))
+    ids = np.array([0, 7, 2 ** 40 + 3], dtype=np.int64)
+    want = [hashlib.sha256(salt + int(i).to_bytes(8, "big")).digest()[:16] for i in ids]
+    assert [row.tobytes() for row in node_digests(ids, salt)] == want
 
 
 def test_local_graph_rejects_foreign_isolated_nodes():

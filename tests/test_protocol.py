@@ -100,6 +100,33 @@ def test_init_refuses_an_unknown_node_digest(monkeypatch):
         init_parties(cfg, holders, 1, 1)
 
 
+def _flip_first_digest(keys):
+    keys[:16] ^= 0xFF
+    return keys
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_flip_first_digest, "holder 1 sent a node digest the server does not know"),
+    (lambda keys: keys[:-1], "holder 1 sent .* digest bytes, not a whole number"),
+])
+def test_backward_refuses_an_unknown_pred_grad_digest(monkeypatch, tamper, message):
+    cfg = make_config(P=2)
+    _, holders, session = make_session(cfg)
+    assert holders[1].graph.train_ids.size     # holder 1 sends a nonempty PredGrad
+    forward_pass(session)
+    send = Channel.send
+
+    def tampered(self, sender, receiver, kind, *args, **kwargs):
+        decoded = send(self, sender, receiver, kind, *args, **kwargs)
+        if kind is MessageKind.PRED_GRAD and sender == "holder-1":
+            decoded["keys"] = tamper(decoded["keys"])
+        return decoded
+
+    monkeypatch.setattr(Channel, "send", tampered)
+    with pytest.raises(ProtocolError, match=message):
+        backward_pass(session)
+
+
 def test_init_refuses_holders_without_nodes():
     cfg = make_config(P=2)
     holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
