@@ -13,7 +13,6 @@ from .graphs import (Graph, LocalGraph, generate_synthetic, load_dataset, split_
                      split_label_skew, union_graph, write_dataset)
 from .harness import (EquivalenceReport, ExperimentSpec, SPResult, compare_equivalence,
                       comm_profile, linear_fit_r2, run_sweep, train_centralized, train_sp)
-from .metrics import metrics
 from .numerics import (NEG_INF, AdamState, adam_step, dropout_mask, finite_diff_grad,
                        glorot_init, make_rng, relu, relu_grad, softmax_rows)
 from .protocol import (AuditReport, ProtocolError, Session, TrainResult,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from .gnn import ModelConfig
 
@@ -86,10 +85,6 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _parse_value(text: str):

@@ -58,8 +58,7 @@ class ModelConfig:
 
 @dataclass
 class LayerDims:
-    d_in: int
-    d_msg: int
+    d_in: int       # also the message width: a message is h or a square map of h
     t_dim: int
     d_out: int
 
@@ -68,12 +67,8 @@ def layer_dims(cfg: ModelConfig, feat_dim: int) -> list[LayerDims]:
     dims = []
     d_in = feat_dim
     for _ in range(cfg.layers):
-        d_msg = d_in
-        if cfg.update_kind is UpdateKind.CONCAT:
-            t_dim = d_in + d_msg
-        else:
-            t_dim = d_in
-        dims.append(LayerDims(d_in=d_in, d_msg=d_msg, t_dim=t_dim, d_out=cfg.hidden))
+        t_dim = 2 * d_in if cfg.update_kind is UpdateKind.CONCAT else d_in
+        dims.append(LayerDims(d_in=d_in, t_dim=t_dim, d_out=cfg.hidden))
         d_in = cfg.hidden
     return dims
 
@@ -84,17 +79,6 @@ def layer_relu_flags(cfg: ModelConfig) -> list[bool]:
 
 def layer_dropout_rates(cfg: ModelConfig) -> list[float]:
     return [cfg.dropout if l < cfg.layers - 1 else 0.0 for l in range(cfg.layers)]
-
-
-@dataclass
-class LayerWeights:
-    """Per-layer parameters: local message/gate maps and the global map."""
-
-    w_message: np.ndarray | None
-    w_gate: np.ndarray | None
-    w_global: np.ndarray
-    use_relu: bool
-    dropout: float
 
 
 @dataclass
@@ -150,10 +134,11 @@ class LocalWeightSet:
 
 @dataclass
 class ModelWeights:
-    """Combined view: per-layer weights plus the prediction head."""
+    """The whole model, or gradients shaped like it: the holders' replicated
+    tensors plus the server's per-layer global maps."""
 
-    layers: list
-    w_predict: np.ndarray
+    local: LocalWeightSet
+    w_global: list
 
 
 def init_local_weights(cfg: ModelConfig, feat_dim: int, n_classes: int,
@@ -163,8 +148,8 @@ def init_local_weights(cfg: ModelConfig, feat_dim: int, n_classes: int,
     dims = layer_dims(cfg, feat_dim)
     w_message, w_gate = [], []
     for d in dims:
-        w_message.append(glorot_init(rng, d.d_msg, d.d_in) if cfg.message_linear else None)
-        w_gate.append(glorot_init(rng, d.d_msg, d.d_in)
+        w_message.append(glorot_init(rng, d.d_in, d.d_in) if cfg.message_linear else None)
+        w_gate.append(glorot_init(rng, d.d_in, d.d_in)
                       if cfg.update_kind is UpdateKind.GATED else None)
     w_predict = glorot_init(rng, n_classes, dims[-1].d_out)
     return LocalWeightSet(w_message=w_message, w_gate=w_gate, w_predict=w_predict)
@@ -176,22 +161,11 @@ def init_global_weights(cfg: ModelConfig, feat_dim: int,
     return [glorot_init(rng, d.d_out, d.t_dim) for d in layer_dims(cfg, feat_dim)]
 
 
-def assemble_model_weights(cfg: ModelConfig, locals_: LocalWeightSet,
-                           globals_: list) -> ModelWeights:
-    """Per-layer view over holder-side and server-side weights (no copies)."""
-    relus = layer_relu_flags(cfg)
-    drops = layer_dropout_rates(cfg)
-    layers = [LayerWeights(w_message=locals_.w_message[l], w_gate=locals_.w_gate[l],
-                           w_global=globals_[l], use_relu=relus[l], dropout=drops[l])
-              for l in range(cfg.layers)]
-    return ModelWeights(layers=layers, w_predict=locals_.w_predict)
-
-
 def build_model_weights(cfg: ModelConfig, feat_dim: int, n_classes: int,
                         local_rng: np.random.Generator,
                         server_rng: np.random.Generator) -> ModelWeights:
-    return assemble_model_weights(cfg, init_local_weights(cfg, feat_dim, n_classes, local_rng),
-                                  init_global_weights(cfg, feat_dim, server_rng))
+    return ModelWeights(init_local_weights(cfg, feat_dim, n_classes, local_rng),
+                        init_global_weights(cfg, feat_dim, server_rng))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +214,9 @@ class NeighborIndex:
 class LocalTape:
     """Forward record one holder needs to run its backward pass."""
 
-    winner: np.ndarray        # (n, d_msg) source row of the pooled max, -1 if none
+    winner: np.ndarray        # (n, d_in) source row of the pooled max, -1 if none
     participates: np.ndarray  # (n,) rows with a real (non-sentinel) embedding
-    m: np.ndarray             # (n, d_msg) pooled messages
+    m: np.ndarray             # (n, d_in) pooled messages
     pre_gate: np.ndarray | None
     # winner == -1 on a participating row means the pooled message is the
     # constant zero vector (an owned node with no neighbors anywhere), so no
@@ -450,24 +424,11 @@ def predict_backward(h_final: np.ndarray, probs: np.ndarray, rows: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ModelGrads:
-    w_message: list
-    w_gate: list
-    w_global: list
-    w_predict: np.ndarray
-
-    def local(self) -> LocalWeightSet:
-        """The holder-side gradients, laid out like the holder-side weights."""
-        return LocalWeightSet(w_message=self.w_message, w_gate=self.w_gate,
-                              w_predict=self.w_predict)
-
-
-@dataclass
 class CentralPass:
     embeddings: list          # h^(2) .. h^(L+1), the per-layer outputs
     loss: float
     probs: np.ndarray
-    grads: ModelGrads
+    grads: ModelWeights
 
 
 def _combined_index(g: Graph):
@@ -483,18 +444,19 @@ def _combined_index(g: Graph):
 def _central_forward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
                      dropout_masks: list | None):
     idx, iso = _combined_index(g)
-    kind = cfg.update_kind
+    local = weights.local
 
     h = g.features
     hs = [h]
     tapes = []
     server_tapes = []
-    for l, lw in enumerate(weights.layers):
-        t, tape = local_embedding(h, idx, iso, kind, lw.w_message, lw.w_gate)
+    for l, use_relu in enumerate(layer_relu_flags(cfg)):
+        t, tape = local_embedding(h, idx, iso, cfg.update_kind, local.w_message[l],
+                                  local.w_gate[l])
         if np.any(~tape.participates):
             raise ValueError("combined graph has a node no computation covers")
         mask = dropout_masks[l] if dropout_masks is not None else None
-        h_next, z = global_update(t, lw.w_global, lw.use_relu, mask)
+        h_next, z = global_update(t, weights.w_global[l], use_relu, mask)
         tapes.append(tape)
         server_tapes.append((t, z, mask))
         h = h_next
@@ -506,7 +468,7 @@ def centralized_forward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
                         dropout_masks: list | None = None):
     """Forward-only reference pass: (per-layer embeddings, class probabilities)."""
     hs, _tapes, _server_tapes = _central_forward(g, weights, cfg, dropout_masks)
-    return hs[1:], predict_probs(hs[-1], weights.w_predict)
+    return hs[1:], predict_probs(hs[-1], weights.local.w_predict)
 
 
 def centralized_forward_backward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
@@ -520,26 +482,22 @@ def centralized_forward_backward(g: Graph, weights: ModelWeights, cfg: ModelConf
     """
     hs, tapes, server_tapes = _central_forward(g, weights, cfg, dropout_masks)
     h = hs[-1]
+    local = weights.local
 
     ids = train_ids if train_ids is not None else g.train_ids
     rows = g.rank_of(np.sort(ids))
     classes = g.labels[rows]
-    probs, loss = predict_and_loss(h, rows, classes, weights.w_predict)
+    probs, loss = predict_and_loss(h, rows, classes, local.w_predict)
 
-    dW_pred, G = predict_backward(h, probs, rows, classes, weights.w_predict)
-    kind = cfg.update_kind
-    gw_message, gw_gate, gw_global = [], [], []
+    dW_pred, G = predict_backward(h, probs, rows, classes, local.w_predict)
+    relus = layer_relu_flags(cfg)
+    grads = ModelWeights(LocalWeightSet([None] * cfg.layers, [None] * cfg.layers, dW_pred),
+                         [None] * cfg.layers)
     for l in reversed(range(cfg.layers)):
-        lw = weights.layers[l]
         t, z, mask = server_tapes[l]
-        dW, dM = global_backward(G, z, t, mask, lw.w_global, lw.use_relu)
-        dwm, dwg, dH = local_backward(hs[l], tapes[l], kind, lw.w_message, lw.w_gate, dM)
-        gw_global.append(dW)
-        gw_message.append(dwm)
-        gw_gate.append(dwg)
-        G = dH
-    grads = ModelGrads(w_message=gw_message[::-1], w_gate=gw_gate[::-1],
-                       w_global=gw_global[::-1], w_predict=dW_pred)
+        grads.w_global[l], dM = global_backward(G, z, t, mask, weights.w_global[l], relus[l])
+        grads.local.w_message[l], grads.local.w_gate[l], G = local_backward(
+            hs[l], tapes[l], cfg.update_kind, local.w_message[l], local.w_gate[l], dM)
     return CentralPass(embeddings=hs[1:], loss=loss, probs=probs, grads=grads)
 
 

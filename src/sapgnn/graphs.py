@@ -150,16 +150,12 @@ class LocalGraph:
         if unknown.any():
             raise ValueError("isolated_owned contains nodes not in this holder's graph")
 
-    @property
-    def train_labels(self) -> dict[int, int]:
-        ids = self.graph.train_ids
-        return dict(zip(ids.tolist(), self.graph.labels_for(ids).tolist()))
-
 
 def _node_digest(salt: bytes, node_id: int) -> bytes:
-    # ids are canonicalized as big-endian 8-byte unsigned integers so the
-    # digests are stable across platforms.
-    payload = salt + int(node_id).to_bytes(8, "big", signed=False)
+    # ids are canonicalized as big-endian 8-byte two's-complement integers so
+    # the digests are stable across platforms (a non-negative id reads the
+    # same as unsigned).
+    payload = salt + int(node_id).to_bytes(8, "big", signed=True)
     return hashlib.sha256(payload).digest()[:16]
 
 

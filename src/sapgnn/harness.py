@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .gnn import (ModelConfig, ModelGrads, ModelWeights, assemble_model_weights,
-                  build_model_weights, centralized_forward, centralized_forward_backward,
-                  init_global_weights, init_local_weights, layer_dropout_rates, loss_from_probs)
+from .gnn import (ModelConfig, build_model_weights, centralized_forward,
+                  centralized_forward_backward, layer_dropout_rates, loss_from_probs)
 from .graphs import Graph, LocalGraph, union_graph
 from .metrics import confusion_matrix, split_scores
 from .numerics import AdamState, dropout_mask, make_rng
@@ -53,11 +52,10 @@ def train_centralized(g: Graph, model_cfg: ModelConfig, lr: float = 0.01,
     streams, optimizer, dropout stream and scoring, so a one-holder protocol
     run reproduces it bit for bit.
     """
-    locals_ = init_local_weights(model_cfg, g.feat_dim, g.n_classes,
-                                 make_rng(seed, "local-init"))
-    globals_ = init_global_weights(model_cfg, g.feat_dim, make_rng(seed, "server-init"))
-    local_adams = [AdamState.for_param(w.shape, lr=lr) for w in locals_.arrays()]
-    global_adams = [AdamState.for_param(w.shape, lr=lr) for w in globals_]
+    weights = build_model_weights(model_cfg, g.feat_dim, g.n_classes,
+                                  make_rng(seed, "local-init"), make_rng(seed, "server-init"))
+    local_adams = [AdamState.for_param(w.shape, lr=lr) for w in weights.local.arrays()]
+    global_adams = [AdamState.for_param(w.shape, lr=lr) for w in weights.w_global]
     rng_drop = make_rng(seed, "dropout")
     if eval_sets is None:
         eval_sets = {split: (ids, g.labels_for(ids))
@@ -65,23 +63,21 @@ def train_centralized(g: Graph, model_cfg: ModelConfig, lr: float = 0.01,
     eval_rows = {split: (g.rank_of(np.sort(ids)), classes[np.argsort(ids, kind="stable")])
                  for split, (ids, classes) in eval_sets.items()}
 
-    def weights() -> ModelWeights:
-        return assemble_model_weights(model_cfg, locals_, globals_)
-
     def train_epoch(epoch: int):
         masks = _reference_dropout_masks(model_cfg, rng_drop, g.n_nodes)
-        grads = centralized_forward_backward(g, weights(), model_cfg, dropout_masks=masks).grads
-        globals_[:] = adam_update(global_adams, globals_, grads.w_global)
-        locals_.set_arrays(adam_update(local_adams, locals_.arrays(), grads.local().arrays()))
+        grads = centralized_forward_backward(g, weights, model_cfg, dropout_masks=masks).grads
+        weights.w_global[:] = adam_update(global_adams, weights.w_global, grads.w_global)
+        weights.local.set_arrays(adam_update(local_adams, weights.local.arrays(),
+                                             grads.local.arrays()))
 
     def score(epoch: int) -> dict:
-        _embs, probs = centralized_forward(g, weights(), model_cfg)
+        _embs, probs = centralized_forward(g, weights, model_cfg)
         return {split: split_scores(confusion_matrix(probs[rows].argmax(axis=1), classes,
                                                      g.n_classes),
                                     loss_from_probs(probs, rows, classes))
                 for split, (rows, classes) in eval_rows.items()}
 
-    return fit(train_epoch, score, weights, max_epochs, patience, CommStats(), AuditLog())
+    return fit(train_epoch, score, lambda: weights, max_epochs, patience, CommStats(), AuditLog())
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +161,6 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _oracle_local_flat(grads: ModelGrads, weights: ModelWeights) -> np.ndarray:
-    """The reference's holder-side gradient, laid out like the protocol's
-    aggregate; `weights` holds None where `grads` does."""
-    return grads.local().flat()
-
-
 def compare_equivalence(config: RunConfig,
                         holders_data: list[LocalGraph] | None = None) -> EquivalenceReport:
     """Run the protocol and the centralized reference on the same combined
@@ -187,8 +177,7 @@ def compare_equivalence(config: RunConfig,
         holders_data = build_partition(g, config.partition)
     combined = union_graph(holders_data)
 
-    session = init_parties(config, holders_data, shared_seed=config.train.seed,
-                           server_seed=config.train.seed)
+    session = init_parties(config, holders_data)
     fwd = forward_pass(session, train=True, epoch=0)
     bwd = backward_pass(session, epoch=0)
     agg = aggregate_local_grads(session, epoch=0)
@@ -203,7 +192,7 @@ def compare_equivalence(config: RunConfig,
 
     embedding_dev = [float(np.max(np.abs(a - b)))
                      for a, b in zip(fwd.embeddings, ref.embeddings)]
-    oracle = ref.grads.local()
+    oracle = ref.grads.local
     grad_dev = {name: float(np.max(np.abs(got - want)))
                 for (name, want), got in zip(oracle.tensors(), oracle.unflat(agg))}
     for l, dW in enumerate(bwd.server_grads):

@@ -44,19 +44,6 @@ def macro_f1_from_confusion(mat: np.ndarray) -> float:
     return float(np.mean(f1s)) if f1s else 0.0
 
 
-def metrics(predictions, labels, n_classes: int | None = None) -> dict:
-    """Accuracy and macro-F1 for aligned prediction/label sequences."""
-    labs = np.asarray(labels, dtype=np.int64)
-    preds = np.asarray(predictions, dtype=np.int64)
-    if labs.size == 0:
-        raise ValueError("empty label set")
-    if n_classes is None:
-        n_classes = int(max(labs.max(), preds.max())) + 1
-    mat = confusion_matrix(preds, labs, n_classes)
-    return {"accuracy": accuracy_from_confusion(mat),
-            "macro_f1": macro_f1_from_confusion(mat)}
-
-
 def split_scores(conf: np.ndarray, loss: float) -> dict:
     """One split's scores from its confusion matrix and summed loss; an
     empty split scores NaN."""

@@ -28,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DatasetConfig, PartitionConfig, RunConfig
-from .gnn import (LocalWeightSet, ModelConfig, ModelWeights, NeighborIndex,
-                  assemble_model_weights, global_backward, global_update,
-                  init_global_weights, init_local_weights, layer_dims, layer_dropout_rates,
-                  layer_relu_flags, local_backward, local_embedding, loss_terms, predict_backward,
-                  predict_probs, stack_max)
+from .gnn import (LocalWeightSet, ModelConfig, ModelWeights, NeighborIndex, global_backward,
+                  global_update, init_global_weights, init_local_weights, layer_dims,
+                  layer_dropout_rates, layer_relu_flags, local_backward, local_embedding,
+                  loss_terms, predict_backward, predict_probs, stack_max)
 from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset, node_digests,
                      split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
@@ -92,9 +91,8 @@ class DataHolder:
     """One data holder: private subgraph, replicated local weights, tapes."""
 
     def __init__(self, local: LocalGraph, universe_ids: np.ndarray, cfg: ModelConfig,
-                 n_classes: int, lr: float, shared_seed: int, train_seed: int):
+                 n_classes: int, lr: float, seed: int):
         self.holder_id = local.holder_id
-        self.local = local
         self.cfg = cfg
         self.kind = cfg.update_kind
         self.n = len(universe_ids)
@@ -115,9 +113,9 @@ class DataHolder:
 
         # identical stream across holders: the replication invariant starts here
         self.locals_ = init_local_weights(cfg, self.feat_dim, n_classes,
-                                          make_rng(shared_seed, "local-init"))
+                                          make_rng(seed, "local-init"))
         self.adams = [AdamState.for_param(w.shape, lr=lr) for w in self.locals_.arrays()]
-        self.rng_shares = make_rng(train_seed, ("shares", self.holder_id))
+        self.rng_shares = make_rng(seed, ("shares", self.holder_id))
 
         self._features_full = np.zeros((self.n, self.feat_dim))
         self._features_full[self.node_ranks] = local.graph.features
@@ -201,25 +199,22 @@ class ServerTape:
     z: np.ndarray
     mask: np.ndarray | None
     winner: np.ndarray
-    h_next: np.ndarray
 
 
 class Server:
     """Semi-honest coordinator: pools local embeddings, owns the global maps."""
 
     def __init__(self, digests: np.ndarray, cfg: ModelConfig, feat_dim: int, lr: float,
-                 server_seed: int, first_layer_fixed: bool):
+                 seed: int, first_layer_fixed: bool):
         self.n = len(digests)
         row_digests = digests.view("V16").ravel()
         self.digest_order = np.argsort(row_digests)
         self.sorted_digests = row_digests[self.digest_order]
-        self.cfg = cfg
-        self.weights = init_global_weights(cfg, feat_dim,
-                                           make_rng(server_seed, "server-init"))
+        self.weights = init_global_weights(cfg, feat_dim, make_rng(seed, "server-init"))
         self.adams = [AdamState.for_param(w.shape, lr=lr) for w in self.weights]
         self.relu_flags = layer_relu_flags(cfg)
         self.drop_rates = layer_dropout_rates(cfg)
-        self.rng_dropout = make_rng(server_seed, "dropout")
+        self.rng_dropout = make_rng(seed, "dropout")
         self.holder_rows: dict[int, np.ndarray] = {}
         self.tapes: list = [None] * cfg.layers
         # Without local tensors, layer 0 pools the fixed features: its pooled
@@ -246,7 +241,7 @@ class Server:
         if train and rate > 0.0:
             mask = dropout_mask(self.rng_dropout, rate, (self.n, self.weights[l].shape[0]))
         h_next, z = global_update(m, self.weights[l], self.relu_flags[l], mask)
-        self.tapes[l] = ServerTape(m=m, z=z, mask=mask, winner=winner, h_next=h_next)
+        self.tapes[l] = ServerTape(m=m, z=z, mask=mask, winner=winner)
         return h_next
 
     def backward_layer(self, l: int, G: np.ndarray):
@@ -267,18 +262,13 @@ class Session:
     channel: Channel
     comm: CommStats
     audit: AuditLog
-    universe_ids: np.ndarray
     digests: np.ndarray                 # (n, 16) uint8, universe order
 
-    @property
-    def P(self) -> int:
-        return len(self.holders)
 
-
-def init_parties(config: RunConfig, holders_data: list[LocalGraph],
-                 shared_seed: int, server_seed: int) -> Session:
-    """Set up all parties: replicated local weights from the shared seed,
-    server weights from its own seed, hashed node lists registered."""
+def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
+    """Set up all parties from `config.train.seed`: replicated local weights
+    from its local-init stream, server weights from its server-init stream,
+    hashed node lists registered."""
     if len(holders_data) > MAX_HOLDERS:
         raise ProtocolError(f"{len(holders_data)} holders exceed the limit of {MAX_HOLDERS}: "
                             "the winning holder index is an int8")
@@ -291,19 +281,19 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph],
     universe_ids = np.unique(np.concatenate([lg.graph.node_ids for lg in holders_data]))
     if universe_ids.size == 0:
         raise ProtocolError("no holder has a node")
-    digests = node_digests(universe_ids, make_rng(shared_seed, "salt").bytes(32))
+    seed = config.train.seed
+    digests = node_digests(universe_ids, make_rng(seed, "salt").bytes(32))
 
     comm = CommStats()
     audit = AuditLog()
     channel = Channel(comm, audit)
 
     cfg = config.model
-    holders = [DataHolder(lg, universe_ids, cfg, n_classes, config.train.lr,
-                          shared_seed, config.train.seed)
+    holders = [DataHolder(lg, universe_ids, cfg, n_classes, config.train.lr, seed)
                for lg in holders_data]
     first = holders[0].locals_
     server = Server(digests=digests, cfg=cfg, feat_dim=feats.pop(),
-                    lr=config.train.lr, server_seed=server_seed,
+                    lr=config.train.lr, seed=seed,
                     first_layer_fixed=first.w_message[0] is None and first.w_gate[0] is None)
 
     for holder in holders:
@@ -313,7 +303,7 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph],
                                fields={"keys": digests[holder.node_ranks].ravel()}, sender_id=p)
         server.holder_rows[p] = server.rows_of(decoded["keys"], p)
     return Session(config=config, holders=holders, server=server, channel=channel,
-                   comm=comm, audit=audit, universe_ids=universe_ids, digests=digests)
+                   comm=comm, audit=audit, digests=digests)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +415,7 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
 
 @dataclass
 class BackwardResult:
-    holder_grads: list       # per holder: {tensor name: grad}, in tensors() order
-    server_grads: list       # per layer: grad of the global map
+    server_grads: list       # per layer: grad of the global map; holders keep theirs in grad_acc
 
 
 def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
@@ -474,9 +463,7 @@ def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
                     fields={"keys": session.digests.ravel(), "g": dH}, sender_id=p)
                 G_next += decoded2["g"]
         G = G_next
-
-    holder_grads = [dict(holder.grad_acc.tensors()) for holder in session.holders]
-    return BackwardResult(holder_grads=holder_grads, server_grads=server_grads)
+    return BackwardResult(server_grads=server_grads)
 
 
 def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
@@ -489,12 +476,13 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     keeps as its own share its vector minus the expansions of those seeds.
     Each holder adds the expansions of the seeds it received and its own
     share, in ascending sender order, into a partial sum and sends it to
-    every other holder as a PartialSum; each holder then adds the P
-    partials. A seed reveals exactly what its expanded vector would; it is
-    drawn from numpy's PCG64, which is simulator-grade and not a CSPRNG.
-    Messages go sender outer, receiver inner. Returns the total once every
-    holder has reconstructed the same one; with one holder its vector is
-    the total and nothing is sent.
+    every other holder as a PartialSum; each holder adds every partial into
+    one running sum as it arrives, again in ascending sender order, so only
+    O(P) vectors are alive at once. A seed reveals exactly what its
+    expanded vector would; it is drawn from numpy's PCG64, which is
+    simulator-grade and not a CSPRNG. Messages go sender outer, receiver
+    inner. Returns the total once every holder has reconstructed the same
+    one; with one holder its vector is the total and nothing is sent.
     """
     P = len(vectors)
     shapes = {np.shape(v) for v in vectors}
@@ -509,32 +497,39 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
 
-    def exchange(kind: MessageKind, name: str, payload) -> list:
-        """inbox[i][j]: what holder i holds from holder j, where holder j
-        sends payload(j, i) to every other holder i and keeps its own."""
-        inbox = [[None] * P for _ in range(P)]
-        for j in range(P):
-            for i in range(P):
-                inbox[i][j] = payload(j, i) if i == j else channel.send(
-                    holder_party(j), holder_party(i), kind, layer=-1, epoch=epoch,
-                    fields={name: payload(j, i)}, sender_id=j)[name]
-        return inbox
+    def send(kind: MessageKind, j: int, i: int, name: str, value):
+        return channel.send(holder_party(j), holder_party(i), kind, layer=-1, epoch=epoch,
+                            fields={name: value}, sender_id=j)[name]
 
-    def grad_share(j: int, i: int):
-        """Holder j's share for holder i: its own vector, or the seed of
-        holder i among its P-1 seeds (kept in ascending receiver order)."""
-        seeds, own = outgoing[j]
-        return own if i == j else seeds[i - (i > j)]
+    # seeds_at[i][j]: the seed holder i received from holder j; holder j
+    # keeps its P-1 seeds in ascending receiver order
+    seeds_at = [[None] * P for _ in range(P)]
+    for j, (seeds, _own) in enumerate(outgoing):
+        for i in range(P):
+            if i != j:
+                seeds_at[i][j] = send(MessageKind.GRAD_SHARE, j, i, "seed", seeds[i - (i > j)])
 
-    shares_at = exchange(MessageKind.GRAD_SHARE, "seed", grad_share)
-    partials = [combine_vector_shares((held[j] if j == i else expand_seed(held[j], shape, mode)
-                                       for j in range(P)), mode=mode, decode=False)
-                for i, held in enumerate(shares_at)]
-    partials_at = exchange(MessageKind.PARTIAL_SUM, "partial", lambda i, k: partials[i])
-    totals = [combine_vector_shares(held, mode=mode) for held in partials_at]
-    if any(not np.array_equal(totals[0], t) for t in totals[1:]):
+    def partial_sum(j: int):
+        """Holder j's own share plus the expansions of the seeds it received,
+        in ascending sender order; the own share is dropped once added."""
+        own = outgoing[j][1]
+        outgoing[j] = None
+        return combine_vector_shares(
+            (own if k == j else expand_seed(seeds_at[j][k], shape, mode) for k in range(P)),
+            mode=mode, decode=False)
+
+    sums = [None] * P      # sums[i]: holder i's running sum of the partials so far
+    for j in range(P):
+        partial = partial_sum(j)
+        for i in range(P):
+            got = partial if i == j else send(MessageKind.PARTIAL_SUM, j, i, "partial", partial)
+            if sums[i] is None:
+                sums[i] = got.copy()
+            else:
+                np.add(sums[i], got, out=sums[i])
+    if any(not np.array_equal(sums[0], s) for s in sums[1:]):
         raise ProtocolError("holders reconstructed different gradient aggregates")
-    return totals[0]
+    return combine_vector_shares(sums[:1], mode=mode)
 
 
 def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
@@ -625,16 +620,14 @@ def run_training(config: RunConfig, holders_data: list[LocalGraph] | None = None
     if holders_data is None:
         g = build_dataset(config.dataset)
         holders_data = build_partition(g, config.partition)
-    session = init_parties(config, holders_data, shared_seed=config.train.seed,
-                           server_seed=config.train.seed)
+    session = init_parties(config, holders_data)
 
     def train_epoch(epoch: int):
         forward_pass(session, train=True, epoch=epoch)
         weight_update(session, backward_pass(session, epoch=epoch), epoch=epoch)
 
     return fit(train_epoch, lambda epoch: evaluate(session, epoch),
-               lambda: assemble_model_weights(config.model, session.holders[0].locals_,
-                                              session.server.weights),
+               lambda: ModelWeights(session.holders[0].locals_, session.server.weights),
                config.train.max_epochs, config.train.patience, session.comm, session.audit)
 
 

@@ -18,8 +18,8 @@ from sapgnn.config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
 from sapgnn.gnn import (ModelConfig, UpdateKind, build_model_weights,
                         centralized_forward_backward, check_monotone_update)
 from sapgnn.graphs import load_dataset, split_label_skew
-from sapgnn.harness import (ExperimentSpec, SWEEP_HEADER, _oracle_local_flat, comm_profile,
-                            linear_fit_r2, run_sweep, summarize_sweep)
+from sapgnn.harness import (ExperimentSpec, SWEEP_HEADER, comm_profile, linear_fit_r2,
+                            run_sweep, summarize_sweep)
 from sapgnn.numerics import finite_diff_grad, make_rng
 from sapgnn.protocol import (aggregate_local_grads, backward_pass, build_dataset,
                              build_partition, forward_pass, init_parties, run_training,
@@ -62,7 +62,7 @@ def identity_sweep():
                                           make_rng(tseed, "local-init"),
                                           make_rng(tseed, "server-init"))
             ref = centralized_forward_backward(g, weights, model)
-            ref_flat = _oracle_local_flat(ref.grads, weights)
+            ref_flat = ref.grads.local.flat()
             for P in (1, 2, 3, 4):
                 for dup in (0.0, 0.5):
                     cfg = RunConfig(
@@ -72,7 +72,7 @@ def identity_sweep():
                                                   duplicate_fraction=dup),
                         model=model, train=TrainConfig(seed=tseed))
                     holders = build_partition(g, cfg.partition)
-                    session = init_parties(cfg, holders, tseed, tseed)
+                    session = init_parties(cfg, holders)
                     fwd = forward_pass(session, train=True, epoch=0)
                     bwd = backward_pass(session, epoch=0)
                     emb_devs.append(max(
@@ -129,13 +129,13 @@ def test_criterion_3_finite_difference():
     g = build_dataset(cfg.dataset)
     holders = build_partition(g, cfg.partition)
 
-    session = init_parties(cfg, holders, cfg.train.seed, cfg.train.seed)
+    session = init_parties(cfg, holders)
     forward_pass(session, train=True, epoch=0)
     bwd = backward_pass(session, epoch=0)
     agg = aggregate_local_grads(session, epoch=0)
 
     def loss_with(local_override=None, server_override=None):
-        s2 = init_parties(cfg, holders, cfg.train.seed, cfg.train.seed)
+        s2 = init_parties(cfg, holders)
         if local_override is not None:
             name, arr = local_override
             for h in s2.holders:

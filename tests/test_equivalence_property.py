@@ -77,10 +77,7 @@ def protocol_inputs(draw):
 
 
 def weight_arrays(weights) -> list:
-    arrays = [weights.w_predict]
-    for layer in weights.layers:
-        arrays += [w for w in (layer.w_message, layer.w_gate, layer.w_global) if w is not None]
-    return arrays
+    return weights.local.arrays() + weights.w_global
 
 
 def label_skew_case(g, P):

@@ -367,7 +367,7 @@ def test_two_node_single_edge_hand_evaluation():
     g = build_graph([0, 1], [[1.0, 2.0], [3.0, -1.0]], [[0, 1]], [0, 1], [0, 1], 2)
     cfg = ModelConfig(layers=1, hidden=2, update_kind=UpdateKind.SUM, relu=False)
     weights = build_model_weights(cfg, 2, 2, make_rng(0, 0), make_rng(1, 0))
-    weights.layers[0].w_global = np.eye(2)
+    weights.w_global[0] = np.eye(2)
     out = centralized_forward_backward(g, weights, cfg)
     h1 = out.embeddings[0]
     assert np.array_equal(h1[0], g.features[0] + g.features[1])
@@ -409,30 +409,25 @@ def test_gradients_match_finite_differences(kind, linear_msg, isolated):
                                   make_rng(31, 0), make_rng(32, 0))
     ref = centralized_forward_backward(g, weights, cfg)
 
-    def check(analytic, get, set_):
-        orig = get().copy()
+    def check(analytic, container, key):
+        orig = container[key].copy()
 
         def f(flat):
-            set_(flat.reshape(orig.shape).copy())
+            container[key] = flat.reshape(orig.shape).copy()
             val = centralized_forward_backward(g, weights, cfg).loss
-            set_(orig.copy())
+            container[key] = orig.copy()
             return val
 
         fd = finite_diff_grad(f, orig.ravel().copy(), 1e-6).reshape(orig.shape)
         assert fd_agrees(analytic, fd)
 
+    local, grads = weights.local, ref.grads.local
     for l in range(cfg.layers):
-        lw = weights.layers[l]
-        check(ref.grads.w_global[l], lambda lw=lw: lw.w_global,
-              lambda a, lw=lw: setattr(lw, "w_global", a))
-        if lw.w_message is not None:
-            check(ref.grads.w_message[l], lambda lw=lw: lw.w_message,
-                  lambda a, lw=lw: setattr(lw, "w_message", a))
-        if lw.w_gate is not None:
-            check(ref.grads.w_gate[l], lambda lw=lw: lw.w_gate,
-                  lambda a, lw=lw: setattr(lw, "w_gate", a))
-    check(ref.grads.w_predict, lambda: weights.w_predict,
-          lambda a: setattr(weights, "w_predict", a))
+        check(ref.grads.w_global[l], weights.w_global, l)
+        for family in ("w_message", "w_gate"):
+            if getattr(local, family)[l] is not None:
+                check(getattr(grads, family)[l], getattr(local, family), l)
+    check(grads.w_predict, vars(local), "w_predict")
 
 
 def test_permuted_node_ids_give_same_outputs():

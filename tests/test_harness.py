@@ -9,7 +9,8 @@ from sapgnn.graphs import generate_synthetic, split_edges_uniform
 from sapgnn.harness import (ExperimentSpec, SWEEP_HEADER, cell_seed, comm_profile,
                             compare_equivalence, linear_fit_r2, run_sweep, stable_hash,
                             summarize_sweep, train_centralized, train_sp)
-from sapgnn.metrics import EarlyStopper, metrics
+from sapgnn.metrics import (EarlyStopper, accuracy_from_confusion, confusion_matrix,
+                            macro_f1_from_confusion, split_scores)
 from sapgnn.protocol import build_dataset, build_partition, run_training
 
 
@@ -31,13 +32,19 @@ def base_config(**kw):
 
 # -- metrics ---------------------------------------------------------------------
 
+def scores(preds, truth, n_classes):
+    """A split's accuracy and macro-F1, as every trainer scores it."""
+    out = split_scores(confusion_matrix(preds, truth, n_classes), 0.0)
+    return {"accuracy": out["accuracy"], "macro_f1": out["macro_f1"]}
+
+
 def test_metrics_perfect_predictions():
-    out = metrics([0, 1, 2, 1], [0, 1, 2, 1], n_classes=3)
+    out = scores([0, 1, 2, 1], [0, 1, 2, 1], n_classes=3)
     assert out == {"accuracy": 1.0, "macro_f1": 1.0}
 
 
 def test_metrics_hand_computed_binary():
-    out = metrics([1, 1, 0, 0], [1, 0, 0, 0], n_classes=2)
+    out = scores([1, 1, 0, 0], [1, 0, 0, 0], n_classes=2)
     assert out["accuracy"] == 0.75
     assert abs(out["macro_f1"] - (0.8 + 2.0 / 3.0) / 2.0) < 1e-12
 
@@ -45,27 +52,34 @@ def test_metrics_hand_computed_binary():
 def test_metrics_all_one_class_predictor():
     preds = [1] * 10
     truth = [0] * 5 + [1] * 5
-    out = metrics(preds, truth, n_classes=2)
+    out = scores(preds, truth, n_classes=2)
     assert out["accuracy"] == 0.5
     assert abs(out["macro_f1"] - (0.0 + 2.0 / 3.0) / 2.0) < 1e-12
 
 
 def test_metrics_absent_class_excluded():
     # class 2 has no instances and no predictions: excluded from the mean
-    out = metrics([0, 1], [0, 1], n_classes=3)
+    out = scores([0, 1], [0, 1], n_classes=3)
     assert out["macro_f1"] == 1.0
 
 
 def test_metrics_rejects_empty():
-    with pytest.raises(ValueError):
-        metrics([], [])
+    # the confusion-matrix scores refuse an empty label set; a trainer's
+    # empty split scores NaN instead
+    empty = confusion_matrix([], [], 2)
+    with pytest.raises(ValueError, match="empty label set"):
+        accuracy_from_confusion(empty)
+    with pytest.raises(ValueError, match="empty label set"):
+        macro_f1_from_confusion(empty)
+    out = scores([], [], n_classes=2)
+    assert np.isnan(out["accuracy"]) and np.isnan(out["macro_f1"])
 
 
 def test_metrics_bounds():
     rng = np.random.default_rng(3)
     preds = rng.integers(0, 4, 50)
     truth = rng.integers(0, 4, 50)
-    out = metrics(preds, truth, n_classes=4)
+    out = scores(preds, truth, n_classes=4)
     assert 0.0 <= out["accuracy"] <= 1.0
     assert 0.0 <= out["macro_f1"] <= 1.0
 
@@ -77,7 +91,7 @@ def test_macro_f1_one_only_for_diagonal_confusion():
         preds = truth.copy()
         if rng.random() < 0.7:
             preds[rng.integers(0, 30)] = (preds[rng.integers(0, 30)] + 1) % 3
-        out = metrics(preds, truth, n_classes=3)
+        out = scores(preds, truth, n_classes=3)
         if np.array_equal(preds, truth):
             assert out["macro_f1"] == 1.0
         else:

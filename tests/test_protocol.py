@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from sapgnn.config import (DatasetConfig, PartitionConfig, RunConfig, TrainConfig)
-from sapgnn.gnn import ModelConfig, build_model_weights, \
-    centralized_forward_backward
+from sapgnn.gnn import (ModelConfig, build_model_weights, centralized_forward_backward,
+                        init_global_weights, init_local_weights)
 from sapgnn.graphs import Graph, generate_synthetic, split_edges_uniform, union_graph
 from sapgnn.numerics import make_rng
 from sapgnn.protocol import (ProtocolError, aggregate_local_grads, backward_pass,
                              build_dataset, build_partition, forward_pass, init_parties,
                              run_training, verify_privacy_audit, weight_update)
-from sapgnn.harness import train_centralized
+from sapgnn.harness import compare_equivalence, train_centralized
 from sapgnn.wire import Channel, MessageKind, encode_message
 
 
@@ -32,7 +32,7 @@ def make_config(P=2, n=24, kind="sum", mode="naive", share_mode="real", seed=9,
 def make_session(config):
     g = build_dataset(config.dataset)
     holders = build_partition(g, config.partition)
-    return g, holders, init_parties(config, holders, config.train.seed, config.train.seed)
+    return g, holders, init_parties(config, holders)
 
 
 # -- initialization ------------------------------------------------------------
@@ -45,14 +45,20 @@ def test_init_replicates_local_weights():
 
 
 def test_init_seed_streams_independent():
+    # the holders draw from the local-init stream of config.train.seed and
+    # the server from its server-init stream
     cfg = make_config(P=2)
-    g = build_dataset(cfg.dataset)
-    holders = build_partition(g, cfg.partition)
-    s1 = init_parties(cfg, holders, shared_seed=1, server_seed=5)
-    s2 = init_parties(cfg, holders, shared_seed=2, server_seed=5)
-    assert s1.holders[0].weights_blob() != s2.holders[0].weights_blob()
-    for w1, w2 in zip(s1.server.weights, s2.server.weights):
-        assert np.array_equal(w1, w2)
+    g, holders, session = make_session(cfg)
+    seed = cfg.train.seed
+    locals_ = init_local_weights(cfg.model, g.feat_dim, g.n_classes, make_rng(seed, "local-init"))
+    globals_ = init_global_weights(cfg.model, g.feat_dim, make_rng(seed, "server-init"))
+    for holder in session.holders:
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(holder.locals_.arrays(), locals_.arrays(), strict=True))
+    assert all(np.array_equal(a, b) for a, b in
+               zip(session.server.weights, globals_, strict=True))
+    # two streams of one seed, not one stream read twice
+    assert not np.array_equal(locals_.w_predict.ravel()[:4], globals_[0].ravel()[:4])
 
 
 def test_init_is_deterministic():
@@ -71,7 +77,7 @@ def test_init_rejects_dimension_mismatch():
     holders[1] = split_edges_uniform(other, 1)[0]
     holders[1].holder_id = 1
     with pytest.raises(ProtocolError, match="disagree"):
-        init_parties(cfg, holders, 1, 1)
+        init_parties(cfg, holders)
 
 
 def test_init_rejects_more_holders_than_an_int8_winner_names():
@@ -81,7 +87,7 @@ def test_init_rejects_more_holders_than_an_int8_winner_names():
     holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
     assert len(holders) == 128
     with pytest.raises(ProtocolError, match="128 holders exceed the limit of 127"):
-        init_parties(cfg, holders, 1, 1)
+        init_parties(cfg, holders)
 
 
 def test_init_refuses_an_unknown_node_digest(monkeypatch):
@@ -97,7 +103,7 @@ def test_init_refuses_an_unknown_node_digest(monkeypatch):
 
     monkeypatch.setattr(Channel, "send", tampered)
     with pytest.raises(ProtocolError, match="holder 1 sent a node digest the server does not"):
-        init_parties(cfg, holders, 1, 1)
+        init_parties(cfg, holders)
 
 
 def _flip_first_digest(keys):
@@ -135,7 +141,29 @@ def test_init_refuses_holders_without_nodes():
                          labels=[], train_ids=[], val_ids=[], test_ids=[], n_classes=3)
         lg.isolated_owned = np.empty(0, dtype=np.int64)
     with pytest.raises(ProtocolError, match="no holder has a node"):
-        init_parties(cfg, holders, 1, 1)
+        init_parties(cfg, holders)
+
+
+def test_negative_node_ids_train_like_the_combined_graph():
+    g = Graph(node_ids=[-5, -2, 3, 9], features=[[1.0, 0.5], [-0.5, 2.0], [0.0, -1.0], [2.0, 1.0]],
+              edges=[[-5, -2], [-2, 3], [3, 9], [-5, 9]], labels=[0, 1, 0, 1],
+              train_ids=[-5, -2], val_ids=[3], test_ids=[9], n_classes=2)
+    cfg = RunConfig(partition=PartitionConfig(P=2, seed=3),
+                    model=ModelConfig(layers=2, hidden=3),
+                    train=TrainConfig(lr=0.05, max_epochs=3, patience=4, seed=5))
+    holders = split_edges_uniform(g, 2, seed=3)
+    report = compare_equivalence(cfg, holders)
+    assert report.passed, report.summary()
+    res = run_training(cfg, holders)
+    ref = train_centralized(union_graph(holders), cfg.model, lr=cfg.train.lr, max_epochs=3,
+                            patience=cfg.train.patience, seed=cfg.train.seed)
+    assert res.epochs_run == ref.epochs_run == 3
+    for row, ref_row in zip(res.metrics_rows, ref.metrics_rows, strict=True):
+        assert row["accuracy"] == ref_row["accuracy"]
+        assert abs(row["loss"] - ref_row["loss"]) < 1e-9
+    for a, b in zip(res.weights.local.arrays() + res.weights.w_global,
+                    ref.weights.local.arrays() + ref.weights.w_global, strict=True):
+        assert np.max(np.abs(a - b)) < 1e-9
 
 
 # -- forward equivalence ----------------------------------------------------------
@@ -212,7 +240,7 @@ def test_edge_incident_scope_matches_oracle():
     cfg.partition.node_scope = "edge-incident"
     g = build_dataset(cfg.dataset)
     holders = build_partition(g, cfg.partition)
-    session = init_parties(cfg, holders, cfg.train.seed, cfg.train.seed)
+    session = init_parties(cfg, holders)
     fwd = forward_pass(session, train=True, epoch=0)
     bwd = backward_pass(session, epoch=0)
     agg = aggregate_local_grads(session, epoch=0)
@@ -234,7 +262,7 @@ def test_backward_matches_oracle_gradients():
     ref = oracle_pass(cfg, holders)
     for l, dW in enumerate(bwd.server_grads):
         assert np.max(np.abs(dW - ref.grads.w_global[l])) < 1e-9
-    assert np.max(np.abs(agg - ref.grads.w_predict.ravel())) < 1e-9
+    assert np.max(np.abs(agg - ref.grads.local.flat())) < 1e-9
 
 
 def test_backward_requires_forward():
@@ -255,8 +283,8 @@ def test_backward_zero_loss_zero_grads():
         probs[rows, classes] = 1.0
         holder.probs = probs
     bwd = backward_pass(session, epoch=0)
-    for grads in bwd.holder_grads:
-        for g in grads.values():
+    for holder in session.holders:
+        for g in holder.grad_acc.arrays():
             assert np.allclose(g, 0.0)
     for dW in bwd.server_grads:
         assert np.allclose(dW, 0.0)
@@ -325,12 +353,13 @@ def test_one_step_matches_centralized_adam():
                                   make_rng(cfg.train.seed, "local-init"),
                                   make_rng(cfg.train.seed, "server-init"))
     ref = centralized_forward_backward(combined, weights, cfg.model)
-    state = AdamState.for_param(weights.w_predict.shape, lr=cfg.train.lr)
-    expected, _ = adam_step(state, weights.w_predict, ref.grads.w_predict)
+    w_predict = weights.local.w_predict
+    state = AdamState.for_param(w_predict.shape, lr=cfg.train.lr)
+    expected, _ = adam_step(state, w_predict, ref.grads.local.w_predict)
     assert np.max(np.abs(session.holders[0].locals_.w_predict - expected)) < 1e-9
-    for l, lw in enumerate(weights.layers):
-        state = AdamState.for_param(lw.w_global.shape, lr=cfg.train.lr)
-        exp_g, _ = adam_step(state, lw.w_global, ref.grads.w_global[l])
+    for l, w_global in enumerate(weights.w_global):
+        state = AdamState.for_param(w_global.shape, lr=cfg.train.lr)
+        exp_g, _ = adam_step(state, w_global, ref.grads.w_global[l])
         assert np.max(np.abs(session.server.weights[l] - exp_g)) < 1e-9
 
 

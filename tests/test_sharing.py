@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,24 @@ def test_single_holder_aggregate_is_identity():
     total, channel = run_sum([v], 2)
     assert np.array_equal(total, v)
     assert len(channel.audit) == 0 and channel.comm.total() == 0
+
+
+def test_secure_sum_keeps_few_vectors_alive():
+    # each receiver folds every partial into one running sum as it arrives,
+    # so the peak stays O(P) vectors rather than the P(P-1) partials in flight
+    P, L = 8, 200_000
+    rng = make_rng(12, 0)
+    vectors = [rng.uniform(-1.0, 1.0, size=L) for _ in range(P)]
+    rngs = [make_rng(12, ("holder", p)) for p in range(P)]
+    channel = Channel(CommStats(), AuditLog())
+    tracemalloc.start()
+    try:
+        total = secure_sum(channel, vectors, rngs, "fixed-point", epoch=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(total - np.sum(vectors, axis=0))) <= P * 2.0 ** -20
+    assert peak < 4 * P * L * 8, f"peak {peak / (L * 8):.1f} vectors of length L"
 
 
 # Fixed-point: |value| <= 2^20 stays far below the 2^43 / P wrap bound, and
