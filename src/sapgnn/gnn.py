@@ -260,13 +260,14 @@ def _apply_update(kind: UpdateKind, h: np.ndarray, m: np.ndarray, gate) -> np.nd
 def local_embedding(h: np.ndarray, idx: NeighborIndex, iso_ranks: np.ndarray,
                     kind: UpdateKind, w_message: np.ndarray | None,
                     w_gate: np.ndarray | None):
-    """One holder's per-node local embeddings over the full node universe.
+    """Per-node local embeddings over the rows of `h`: a holder's own nodes,
+    or every node of the combined graph in the centralized reference.
 
     Rows for nodes with local neighbors get the local update applied to the
     pooled message; an owned node with no neighbors anywhere in the combined
     graph (listed in iso_ranks) updates against a zero message, so its own
     state still flows through the local update; every other row is the
-    sentinel, meaning "this holder knows nothing about this node".
+    sentinel, meaning "this holder has no neighbor of this node".
     """
     msg = message_matrix(h, w_message)
     m, winner = pooled_messages(msg, idx)

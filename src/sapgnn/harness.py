@@ -179,7 +179,7 @@ def compare_equivalence(config: RunConfig,
 
     session = init_parties(config, holders_data)
     fwd = forward_pass(session, train=True, epoch=0)
-    bwd = backward_pass(session, epoch=0)
+    server_grads = backward_pass(session, epoch=0)
     agg = aggregate_local_grads(session, epoch=0)
 
     cfg = config.model
@@ -195,7 +195,7 @@ def compare_equivalence(config: RunConfig,
     oracle = ref.grads.local
     grad_dev = {name: float(np.max(np.abs(got - want)))
                 for (name, want), got in zip(oracle.tensors(), oracle.unflat(agg))}
-    for l, dW in enumerate(bwd.server_grads):
+    for l, dW in enumerate(server_grads):
         grad_dev[f"w_global[{l}]"] = float(np.max(np.abs(dW - ref.grads.w_global[l])))
 
     tolerance = 1e-9 if config.share_mode == "real" else 1e-4

@@ -3,9 +3,10 @@
 Each training epoch runs four phases in lock step:
 
   1. forward: every holder computes local per-node embeddings over its own
-     subgraph and ships them (or, in secure-pooling mode, feeds them to a
-     sealed element-wise max evaluator); the server pools element-wise
-     maxima, applies the global linear map, and distributes the result.
+     subgraph and ships the rows it has a value for (or, in secure-pooling
+     mode, feeds them to a sealed element-wise max evaluator); the server
+     pools element-wise maxima, applies the global linear map, and sends
+     each holder the rows of its own nodes.
   2. prediction: each holder evaluates the prediction head on its own
      labels; losses stay local, only the loss gradient w.r.t. the final
      embedding travels.
@@ -35,7 +36,7 @@ from .gnn import (LocalWeightSet, ModelConfig, ModelWeights, NeighborIndex, glob
 from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset, node_digests,
                      split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
-from .numerics import AdamState, adam_step, dropout_mask, make_rng
+from .numerics import NEG_INF, AdamState, adam_step, dropout_mask, make_rng
 from .sharing import (AuditLog, combine_vector_shares, expand_seed, pooled_argmax,
                       share_vector)
 from .wire import Channel, CommStats, MessageKind
@@ -88,28 +89,33 @@ def build_partition(g: Graph, pcfg: PartitionConfig) -> list[LocalGraph]:
 # ---------------------------------------------------------------------------
 
 class DataHolder:
-    """One data holder: private subgraph, replicated local weights, tapes."""
+    """One data holder: private subgraph, replicated local weights, tapes.
 
-    def __init__(self, local: LocalGraph, universe_ids: np.ndarray, cfg: ModelConfig,
+    Every holder array covers the holder's own nodes only, one row per node
+    in ascending id order (its NodeIndex order); row i is node
+    `node_ids[i]`. The holder never learns how many nodes the union has.
+    """
+
+    def __init__(self, local: LocalGraph, digests: np.ndarray, cfg: ModelConfig,
                  n_classes: int, lr: float, seed: int):
+        graph = local.graph
         self.holder_id = local.holder_id
         self.cfg = cfg
         self.kind = cfg.update_kind
-        self.n = len(universe_ids)
-        self.feat_dim = local.graph.feat_dim
+        self.node_ids = graph.node_ids
+        self.n = len(self.node_ids)
+        self.digests = digests              # (n, 16) uint8: node_ids[i] digests to row i
+        self.feat_dim = graph.feat_dim
         self.n_classes = n_classes
         self.dims = layer_dims(cfg, self.feat_dim)
 
-        self.node_ranks = np.searchsorted(universe_ids, local.graph.node_ids)
-        self.idx = NeighborIndex.from_edges(np.searchsorted(universe_ids, local.graph.edges))
-        self.iso_ranks = np.searchsorted(universe_ids, local.isolated_owned)
+        self.idx = NeighborIndex.from_edges(graph.rank_of(graph.edges))
+        self.iso_ranks = graph.rank_of(local.isolated_owned)
 
         self.label_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for split, ids in local.graph.split_ids().items():
+        for split, ids in graph.split_ids().items():
             ids = np.sort(ids)
-            rows = np.searchsorted(universe_ids, ids)
-            classes = local.graph.labels_for(ids)
-            self.label_rows[split] = (rows, classes)
+            self.label_rows[split] = (graph.rank_of(ids), graph.labels_for(ids))
 
         # identical stream across holders: the replication invariant starts here
         self.locals_ = init_local_weights(cfg, self.feat_dim, n_classes,
@@ -117,8 +123,7 @@ class DataHolder:
         self.adams = [AdamState.for_param(w.shape, lr=lr) for w in self.locals_.arrays()]
         self.rng_shares = make_rng(seed, ("shares", self.holder_id))
 
-        self._features_full = np.zeros((self.n, self.feat_dim))
-        self._features_full[self.node_ranks] = local.graph.features
+        self.features = graph.features
         self.h: list = []
         self.tapes: list = []
         self.probs: np.ndarray | None = None
@@ -127,7 +132,7 @@ class DataHolder:
     # -- forward ------------------------------------------------------------
 
     def begin_forward(self):
-        self.h = [self._features_full] + [None] * self.cfg.layers
+        self.h = [self.features] + [None] * self.cfg.layers
         self.tapes = [None] * self.cfg.layers
         self.probs = None
 
@@ -138,18 +143,19 @@ class DataHolder:
         return t
 
     def receive_global(self, l: int, values: np.ndarray):
-        h_next = np.zeros((self.n, values.shape[1]))
-        h_next[self.node_ranks] = values
-        self.h[l + 1] = h_next
+        if values.shape[:1] != (self.n,):
+            raise ProtocolError(f"holder {self.holder_id}: GlobalEmbedding has shape "
+                                f"{values.shape}, the holder has {self.n} rows")
+        self.h[l + 1] = values
 
     def compute_predictions(self):
         self.probs = predict_probs(self.h[-1], self.locals_.w_predict)
 
     def split_loss_terms(self, split: str):
-        """Per-label cross-entropy terms keyed by universe row, so the
-        simulator can total losses in global node order (exact additivity)."""
+        """Per-label cross-entropy terms keyed by node id, so the simulator
+        can total losses in global node order (exact additivity)."""
         rows, classes = self.label_rows[split]
-        return rows, loss_terms(self.probs, rows, classes)
+        return self.node_ids[rows], loss_terms(self.probs, rows, classes)
 
     def split_confusion(self, split: str) -> np.ndarray:
         rows, classes = self.label_rows[split]
@@ -186,9 +192,6 @@ class DataHolder:
             raise ProtocolError(f"aggregated gradient: {exc}") from exc
         self.locals_.set_arrays(adam_update(self.adams, self.locals_.arrays(), grads))
 
-    def _assign(self, name: str, value: np.ndarray):
-        self.locals_.set_arrays([value if n == name else w for n, w in self.locals_.tensors()])
-
     def weights_blob(self) -> bytes:
         return b"".join(w.tobytes() for w in self.locals_.arrays())
 
@@ -215,6 +218,7 @@ class Server:
         self.relu_flags = layer_relu_flags(cfg)
         self.drop_rates = layer_dropout_rates(cfg)
         self.rng_dropout = make_rng(seed, "dropout")
+        # holder p's row i, in its NodeIndex order, is universe row holder_rows[p][i]
         self.holder_rows: dict[int, np.ndarray] = {}
         self.tapes: list = [None] * cfg.layers
         # Without local tensors, layer 0 pools the fixed features: its pooled
@@ -262,7 +266,6 @@ class Session:
     channel: Channel
     comm: CommStats
     audit: AuditLog
-    digests: np.ndarray                 # (n, 16) uint8, universe order
 
 
 def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
@@ -282,6 +285,9 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     if universe_ids.size == 0:
         raise ProtocolError("no holder has a node")
     seed = config.train.seed
+    # One table of the union's digests, hashed once: holder p's rows of it are
+    # what it would hash from its own ids with the shared salt, and the only
+    # rows it is given. The server keeps the whole table in id order.
     digests = node_digests(universe_ids, make_rng(seed, "salt").bytes(32))
 
     comm = CommStats()
@@ -289,7 +295,8 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     channel = Channel(comm, audit)
 
     cfg = config.model
-    holders = [DataHolder(lg, universe_ids, cfg, n_classes, config.train.lr, seed)
+    holders = [DataHolder(lg, digests[np.searchsorted(universe_ids, lg.graph.node_ids)], cfg,
+                          n_classes, config.train.lr, seed)
                for lg in holders_data]
     first = holders[0].locals_
     server = Server(digests=digests, cfg=cfg, feat_dim=feats.pop(),
@@ -300,10 +307,10 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
         p = holder.holder_id
         decoded = channel.send(holder_party(p), SERVER_PARTY, MessageKind.NODE_INDEX,
                                layer=-1, epoch=-1,
-                               fields={"keys": digests[holder.node_ranks].ravel()}, sender_id=p)
+                               fields={"keys": holder.digests.ravel()}, sender_id=p)
         server.holder_rows[p] = server.rows_of(decoded["keys"], p)
     return Session(config=config, holders=holders, server=server, channel=channel,
-                   comm=comm, audit=audit, digests=digests)
+                   comm=comm, audit=audit)
 
 
 # ---------------------------------------------------------------------------
@@ -317,66 +324,91 @@ class ForwardResult:
 
 
 def _total_loss(holders, split: str = "train") -> float:
-    """Sum per-label loss terms in ascending universe-row order.
+    """Sum per-label loss terms in ascending node-id order, which is the
+    universe-row order.
 
     Label ownership is disjoint, so this reproduces the exact float
     summation order of a single machine iterating all labels at once."""
-    rows = [np.empty(0, dtype=np.int64)]
+    ids = [np.empty(0, dtype=np.int64)]
     terms = [np.empty(0)]
     for holder in holders:
-        r, t = holder.split_loss_terms(split)
-        rows.append(r)
+        i, t = holder.split_loss_terms(split)
+        ids.append(i)
         terms.append(t)
-    rows = np.concatenate(rows)
+    ids = np.concatenate(ids)
     terms = np.concatenate(terms)
-    if rows.size == 0:
+    if ids.size == 0:
         return 0.0
-    return float(np.sum(terms[np.argsort(rows, kind="stable")]))
+    return float(np.sum(terms[np.argsort(ids, kind="stable")]))
 
 
-def _secure_pool(session: Session, l: int, epoch: int, holder_payloads: list):
-    """Sealed element-wise max: holders feed candidates in, the server gets
-    only the winning values and the winning holder index per element."""
-    stacks, valids = [], []
-    for p, (t, participates) in enumerate(holder_payloads):
+def _row_fields(valid: np.ndarray, name: str, values: np.ndarray) -> dict:
+    """The fields of a sparse row message: a uint8 mask over the holder's
+    rows, in its NodeIndex order, and the masked rows of `values`."""
+    return {"valid": valid.astype(np.uint8), name: values[valid]}
+
+
+def _row_block(fields: dict, name: str, kind: MessageKind, holder: int, n_rows: int):
+    """(mask, value block) of a sparse row message to or from `holder`, whose
+    NodeIndex has `n_rows` rows; a mask of another length, or a value block
+    of another row count than the mask's, is refused."""
+    valid = fields["valid"].astype(bool)
+    values = fields[name]
+    if valid.shape != (n_rows,):
+        raise ProtocolError(f"holder {holder}: {kind.value} valid mask has shape {valid.shape}, "
+                            f"the holder has {n_rows} rows")
+    count = int(np.count_nonzero(valid))
+    if values.shape[:1] != (count,):
+        raise ProtocolError(f"holder {holder}: {kind.value} carries a value block of shape "
+                            f"{values.shape} for {count} valid rows")
+    return valid, values
+
+
+def _stack_rows(holder_rows: dict, n: int, blocks: list):
+    """The holders' sparse row blocks placed at their universe rows: a
+    (P, n, d) stack, sentinel where a holder sent no row, and the (P, n)
+    mask of the rows each holder sent."""
+    d = blocks[0][1].shape[1]
+    stack = np.full((len(blocks), n, d), NEG_INF)
+    sent = np.zeros((len(blocks), n), dtype=bool)
+    for p, (valid, values) in enumerate(blocks):
+        rows = holder_rows[p][valid]
+        stack[p, rows] = values
+        sent[p, rows] = True
+    return stack, sent
+
+
+def _pool_layer(session: Session, l: int, epoch: int):
+    """Every holder's layer-l local embeddings, pooled: (m, winner) at the server.
+
+    Each holder sends only its participating rows. In naive mode the server
+    places them by its row maps and pools them; in secure-pooling mode the
+    sealed pool does, with the server's row maps, and the server gets only
+    the winning values and the winning holder index per element."""
+    server = session.server
+    secure = session.config.mode == "secure-pooling"
+    if secure:
+        kind, receiver, name = MessageKind.POOL_INPUT, POOL_PARTY, "values"
+    else:
+        kind, receiver, name = MessageKind.LOCAL_EMBEDDING, SERVER_PARTY, "t"
+    blocks = []
+    for p, holder in enumerate(session.holders):
+        t = holder.forward_local(l)
         decoded = session.channel.send(
-            holder_party(p), POOL_PARTY, MessageKind.POOL_INPUT, layer=l, epoch=epoch,
-            fields={"keys": session.digests.ravel(),
-                    "valid": participates.astype(np.uint8),
-                    "values": np.where(participates[:, None], t, 0.0)},
-            sender_id=p)
-        stacks.append(decoded["values"])
-        valids.append(decoded["valid"].astype(bool))
+            holder_party(p), receiver, kind, layer=l, epoch=epoch,
+            fields=_row_fields(holder.tapes[l].participates, name, t), sender_id=p)
+        blocks.append(_row_block(decoded, name, kind, p, len(server.holder_rows[p])))
+    stack, sent = _stack_rows(server.holder_rows, server.n, blocks)
     try:
-        m, winner = pooled_argmax(np.stack(stacks), np.stack(valids))
+        if not secure:
+            return stack_max(stack)
+        m, winner = pooled_argmax(stack, sent)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
     decoded = session.channel.send(
         POOL_PARTY, SERVER_PARTY, MessageKind.POOL_RESULT, layer=l, epoch=epoch,
-        fields={"keys": session.digests.ravel(), "m": m, "winner": winner})
+        fields={"m": m, "winner": winner})
     return decoded["m"], decoded["winner"].astype(np.int8)
-
-
-def _pool_layer(session: Session, l: int, epoch: int):
-    """Every holder's layer-l local embeddings, pooled: (m, winner) at the server."""
-    secure = session.config.mode == "secure-pooling"
-    ts, payloads = [], []
-    for p, holder in enumerate(session.holders):
-        t = holder.forward_local(l)
-        if secure:
-            payloads.append((t, holder.tapes[l].participates))
-        else:
-            decoded = session.channel.send(
-                holder_party(p), SERVER_PARTY, MessageKind.LOCAL_EMBEDDING,
-                layer=l, epoch=epoch,
-                fields={"keys": session.digests.ravel(), "t": t}, sender_id=p)
-            ts.append(decoded["t"])
-    if secure:
-        return _secure_pool(session, l, epoch, payloads)
-    try:
-        return stack_max(np.stack(ts))
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
 
 
 def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> ForwardResult:
@@ -400,11 +432,9 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
         h_next = server.forward_layer(l, m, winner, train)
         embeddings.append(h_next)
         for p, holder in enumerate(session.holders):
-            rows = server.holder_rows[p]
             decoded = session.channel.send(
                 SERVER_PARTY, holder_party(p), MessageKind.GLOBAL_EMBEDDING,
-                layer=l, epoch=epoch,
-                fields={"keys": session.digests[rows].ravel(), "h": h_next[rows]})
+                layer=l, epoch=epoch, fields={"h": h_next[server.holder_rows[p]]})
             holder.receive_global(l, decoded["h"])
 
     for holder in session.holders:
@@ -413,16 +443,14 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
                          embeddings=embeddings)
 
 
-@dataclass
-class BackwardResult:
-    server_grads: list       # per layer: grad of the global map; holders keep theirs in grad_acc
-
-
-def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
+def backward_pass(session: Session, epoch: int = 0) -> list:
     """Reverse sweep: prediction-head gradients to the server, per-layer
     routing through the recorded argmax winners, input gradients back up.
-    A weight-free layer 0 stops at the server's own gradient: it has no
-    holder tensor to train and sends no input gradient."""
+    Row gradients travel as sparse row messages that carry only nonzero
+    rows. A weight-free layer 0 stops at the server's own gradient: it has
+    no holder tensor to train and sends no input gradient. Returns the
+    server's per-layer global-map gradients; the holders keep theirs in
+    `grad_acc`."""
     cfg = session.config.model
     server = session.server
     n = server.n
@@ -437,7 +465,7 @@ def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
         rows, vals = holder.pred_backward()
         decoded = session.channel.send(
             holder_party(p), SERVER_PARTY, MessageKind.PRED_GRAD, layer=cfg.layers,
-            epoch=epoch, fields={"keys": session.digests[rows].ravel(), "g": vals},
+            epoch=epoch, fields={"keys": holder.digests[rows].ravel(), "g": vals},
             sender_id=p)
         G[server.rows_of(decoded["keys"], p)] += decoded["g"]
 
@@ -449,21 +477,32 @@ def backward_pass(session: Session, epoch: int = 0) -> BackwardResult:
         if l == 0 and server.first_layer_fixed:
             break
         G_next = np.zeros((n, session.holders[0].dims[l].d_in))
+        live = dM != 0.0
         for p, holder in enumerate(session.holders):
-            R_p = np.where(tape.winner == p, dM, 0.0)
+            # holder p's gradient is dM where p won the max; only its rows
+            # with a nonzero entry are gathered and sent
+            rows = server.holder_rows[p]
+            won = tape.winner == p
+            valid = (won & live).any(axis=1)[rows]
+            nonzero = rows[valid]
             decoded = session.channel.send(
                 SERVER_PARTY, holder_party(p), MessageKind.LOCAL_EMB_GRAD,
                 layer=l, epoch=epoch,
-                fields={"keys": session.digests.ravel(), "r": R_p})
-            dH = holder.backward_local(l, decoded["r"])
+                fields={"valid": valid.astype(np.uint8),
+                        "r": np.where(won[nonzero], dM[nonzero], 0.0)})
+            valid, r = _row_block(decoded, "r", MessageKind.LOCAL_EMB_GRAD, p, holder.n)
+            R = np.zeros((holder.n, holder.dims[l].t_dim))
+            R[valid] = r
+            dH = holder.backward_local(l, R)
             if l > 0:
-                decoded2 = session.channel.send(
+                decoded = session.channel.send(
                     holder_party(p), SERVER_PARTY, MessageKind.INPUT_GRAD,
-                    layer=l, epoch=epoch,
-                    fields={"keys": session.digests.ravel(), "g": dH}, sender_id=p)
-                G_next += decoded2["g"]
+                    layer=l, epoch=epoch, fields=_row_fields(dH.any(axis=1), "g", dH),
+                    sender_id=p)
+                valid, g = _row_block(decoded, "g", MessageKind.INPUT_GRAD, p, len(rows))
+                G_next[rows[valid]] += g
         G = G_next
-    return BackwardResult(server_grads=server_grads)
+    return server_grads
 
 
 def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
@@ -539,11 +578,12 @@ def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
                       epoch)
 
 
-def weight_update(session: Session, bwd: BackwardResult, epoch: int = 0) -> None:
-    """Server steps its weights directly; holders aggregate and step in
-    lock step. Raises if the replication invariant breaks."""
+def weight_update(session: Session, server_grads: list, epoch: int = 0) -> None:
+    """Server steps its weights with `server_grads`, its per-layer
+    global-map gradients; holders aggregate and step in lock step. Raises if
+    the replication invariant breaks."""
     server = session.server
-    server.weights[:] = adam_update(server.adams, server.weights, bwd.server_grads)
+    server.weights[:] = adam_update(server.adams, server.weights, server_grads)
     agg = aggregate_local_grads(session, epoch=epoch)
     for holder in session.holders:
         holder.apply_update(agg)
@@ -678,6 +718,16 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
     received gradient shares or partial sums, (c) no holder received another
     holder's local embeddings, and (d) in secure-pooling mode the server
     received no plaintext local-embedding message at all.
+
+    What the schema lets each party learn: a holder receives rows of its
+    own nodes only, addressed by position in its NodeIndex order, and no
+    digest, so it learns neither another holder's node ids nor the size of
+    the union. The server learns each holder's row map (from NodeIndex),
+    which of its rows take part in each layer (the `valid` masks) and which
+    rows carry a nonzero gradient. The sealed pool uses the server's row
+    maps and sees the same participation masks. The check reads kinds and
+    parties, not payloads: a payload that leaks more than its schema
+    promises is caught by the protocol tests, not here.
     """
     if mode is None:
         secure = any(r.kind in (MessageKind.POOL_INPUT.value, MessageKind.POOL_RESULT.value)

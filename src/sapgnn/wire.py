@@ -19,16 +19,20 @@ from .sharing import AuditLog
 
 
 class MessageKind(str, Enum):
-    NODE_INDEX = "NodeIndex"            # holder -> server: hashed node list (init)
-    LOCAL_EMBEDDING = "LocalEmbedding"  # holder -> server: per-layer local rows
-    GLOBAL_EMBEDDING = "GlobalEmbedding"  # server -> holder: pooled+updated rows
-    PRED_GRAD = "PredGrad"              # holder -> server: loss grad wrt final rows
-    LOCAL_EMB_GRAD = "LocalEmbGrad"     # server -> holder: grad wrt local rows
-    INPUT_GRAD = "InputGrad"            # holder -> server: grad wrt layer input
-    GRAD_SHARE = "GradShare"            # holder -> holder: additive share vector
+    """The closed schema. A holder's rows are its nodes in NodeIndex order;
+    the row kinds address them by that position, and the sparse ones
+    (fields `valid` and one value block) carry only the masked rows."""
+
+    NODE_INDEX = "NodeIndex"            # holder -> server: node digests, fixes row order (init)
+    LOCAL_EMBEDDING = "LocalEmbedding"  # holder -> server: participating local rows (sparse)
+    GLOBAL_EMBEDDING = "GlobalEmbedding"  # server -> holder: pooled+updated rows, every row
+    PRED_GRAD = "PredGrad"              # holder -> server: loss grad of labeled rows, by digest
+    LOCAL_EMB_GRAD = "LocalEmbGrad"     # server -> holder: nonzero local-row grads (sparse)
+    INPUT_GRAD = "InputGrad"            # holder -> server: nonzero layer-input grads (sparse)
+    GRAD_SHARE = "GradShare"            # holder -> holder: 32-byte seed of a share vector
     PARTIAL_SUM = "PartialSum"          # holder -> holder: summed shares
-    POOL_INPUT = "PoolInput"            # holder -> sealed pool (secure mode)
-    POOL_RESULT = "PoolResult"          # sealed pool -> server (secure mode)
+    POOL_INPUT = "PoolInput"            # holder -> sealed pool: participating rows (sparse)
+    POOL_RESULT = "PoolResult"          # sealed pool -> server: max and winner per element
 
 
 KIND_IDS = {kind: i for i, kind in enumerate(MessageKind)}

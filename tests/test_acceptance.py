@@ -74,13 +74,13 @@ def identity_sweep():
                     holders = build_partition(g, cfg.partition)
                     session = init_parties(cfg, holders)
                     fwd = forward_pass(session, train=True, epoch=0)
-                    bwd = backward_pass(session, epoch=0)
+                    server_grads = backward_pass(session, epoch=0)
                     emb_devs.append(max(
                         float(np.max(np.abs(h_p - h_r)))
                         for h_p, h_r in zip(fwd.embeddings, ref.embeddings)))
                     agg = aggregate_local_grads(session, epoch=0)
                     dev = float(np.max(np.abs(agg - ref_flat)))
-                    for l, dW in enumerate(bwd.server_grads):
+                    for l, dW in enumerate(server_grads):
                         dev = max(dev, float(np.max(np.abs(dW - ref.grads.w_global[l]))))
                     real_devs.append(dev)
                     session.config.share_mode = "fixed-point"
@@ -131,7 +131,7 @@ def test_criterion_3_finite_difference():
 
     session = init_parties(cfg, holders)
     forward_pass(session, train=True, epoch=0)
-    bwd = backward_pass(session, epoch=0)
+    server_grads = backward_pass(session, epoch=0)
     agg = aggregate_local_grads(session, epoch=0)
 
     def loss_with(local_override=None, server_override=None):
@@ -139,7 +139,8 @@ def test_criterion_3_finite_difference():
         if local_override is not None:
             name, arr = local_override
             for h in s2.holders:
-                h._assign(name, arr.copy())
+                h.locals_.set_arrays([arr.copy() if n == name else w
+                                      for n, w in h.locals_.tensors()])
         if server_override is not None:
             layer, arr = server_override
             s2.server.weights[layer] = arr.copy()
@@ -159,7 +160,7 @@ def test_criterion_3_finite_difference():
         assert np.all(gap <= 1e-9 + 1e-5 * scale), name
         worst = max(worst, float(np.max(gap / np.maximum(scale, 1e-4))))
         checked += w.size
-    for layer, dW in enumerate(bwd.server_grads):
+    for layer, dW in enumerate(server_grads):
         w = session.server.weights[layer]
         fd = finite_diff_grad(
             lambda arr, ll=layer: loss_with(server_override=(ll, arr)),
@@ -364,7 +365,7 @@ def test_criterion_9_privacy_audit():
     clean = verify_privacy_audit(res.audit, mode="naive")
     assert clean.ok, clean.summary()
 
-    res.audit.append("holder-0", "holder-1", "LocalEmbedding", "keys,t")
+    res.audit.append("holder-0", "holder-1", "LocalEmbedding", "valid,t")
     tampered = verify_privacy_audit(res.audit, mode="naive")
     assert len(tampered.findings) == 1
     assert tampered.findings[0].party == "holder-1"

@@ -49,16 +49,16 @@ def sha256(path) -> str:
 PROTOCOL_GOLDEN = {
     "p1-sum-naive-real": (
         "6da3ea9b72d29b68ac8bebcb6185f0740667c107baa9d413d3c3cbaed3f06779",
-        "86ff1e91a71713191b70acddbd2f78b403ba196240066957eed4788cf481d149",
-        "5a044ca09b671121dbba63aa11cbfe2e03d3bd611b9ae23249801a59bcb2cdfb"),
+        "a8168106b106125e7f1a70c5f4ffe13021a655c33654efb43547a1deac1e8855",
+        "2e23e359bd1eddc10d6b5a3c29e06ee49ce414fdeee3522cbebad33b19400f01"),
     "p3-gated-secure-fixed": (
         "2b6da6ebb9073dd83eca617af6a921a0f4332496d8efaaae957b854669b27cbb",
-        "394b763fc1c639dea17793e6273e4b665cb7664a0b55c0f079af776d3a235798",
-        "a4d37714a17c39212927578232596bd74fb46b04ac46e3c726d1dbc2af38ef04"),
+        "33bbdde33860f6bb77b21ed720a64c6cf2b557d3591d292823938c4089366439",
+        "630c32b1df90e899698c5231316ef56f013ce8db61fda7da3daa4aa310aa6dab"),
     "p3-skew-sum-naive-fixed": (
         "7bd38cfba1238dd8a78176e831dbe6e8cfcc73f4c9a7e656f687f20bf3038a4a",
-        "9a45855cc4c9fb4eb97cbad17859bbecdcb88da2145f47cf2b51c10fba33bfc1",
-        "e0d0bc4c42391c4ea249024220f9fe164aa14be7af40de43c60d81f991acb7f3"),
+        "68278eb4b10a274d2ae87e552039c81cc8afe2094e3eccfbebd92020bd9e5932",
+        "0325069d60c8ed15e12af17a6e72fe70da53ded7bd84c1fbd0a5ae14a6e6a862"),
 }
 
 # The one-holder protocol run and the centralized trainer write the same file.

@@ -1,16 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from sapgnn.config import (DatasetConfig, PartitionConfig, RunConfig, TrainConfig)
 from sapgnn.gnn import (ModelConfig, build_model_weights, centralized_forward_backward,
                         init_global_weights, init_local_weights)
-from sapgnn.graphs import Graph, generate_synthetic, split_edges_uniform, union_graph
+from sapgnn.graphs import (Graph, LocalGraph, generate_synthetic, node_digests,
+                           split_edges_uniform, union_graph)
 from sapgnn.numerics import make_rng
 from sapgnn.protocol import (ProtocolError, aggregate_local_grads, backward_pass,
-                             build_dataset, build_partition, forward_pass, init_parties,
-                             run_training, verify_privacy_audit, weight_update)
+                             build_dataset, build_partition, forward_pass, holder_party,
+                             init_parties, run_training, verify_privacy_audit, weight_update)
 from sapgnn.harness import compare_equivalence, train_centralized
-from sapgnn.wire import Channel, MessageKind, encode_message
+from sapgnn.wire import Channel, MessageKind
 
 
 def make_config(P=2, n=24, kind="sum", mode="naive", share_mode="real", seed=9,
@@ -242,12 +245,12 @@ def test_edge_incident_scope_matches_oracle():
     holders = build_partition(g, cfg.partition)
     session = init_parties(cfg, holders)
     fwd = forward_pass(session, train=True, epoch=0)
-    bwd = backward_pass(session, epoch=0)
+    server_grads = backward_pass(session, epoch=0)
     agg = aggregate_local_grads(session, epoch=0)
     ref = oracle_pass(cfg, holders)
     for h_prot, h_ref in zip(fwd.embeddings, ref.embeddings):
         assert np.max(np.abs(h_prot - h_ref)) < 1e-9
-    for l, dW in enumerate(bwd.server_grads):
+    for l, dW in enumerate(server_grads):
         assert np.max(np.abs(dW - ref.grads.w_global[l])) < 1e-9
 
 
@@ -257,10 +260,10 @@ def test_backward_matches_oracle_gradients():
     cfg = make_config(P=2, n=6, hidden=4)
     _, holders, session = make_session(cfg)
     forward_pass(session, train=True, epoch=0)
-    bwd = backward_pass(session, epoch=0)
+    server_grads = backward_pass(session, epoch=0)
     agg = aggregate_local_grads(session, epoch=0)
     ref = oracle_pass(cfg, holders)
-    for l, dW in enumerate(bwd.server_grads):
+    for l, dW in enumerate(server_grads):
         assert np.max(np.abs(dW - ref.grads.w_global[l])) < 1e-9
     assert np.max(np.abs(agg - ref.grads.local.flat())) < 1e-9
 
@@ -282,11 +285,11 @@ def test_backward_zero_loss_zero_grads():
         probs = np.zeros((holder.n, holder.n_classes))
         probs[rows, classes] = 1.0
         holder.probs = probs
-    bwd = backward_pass(session, epoch=0)
+    server_grads = backward_pass(session, epoch=0)
     for holder in session.holders:
         for g in holder.grad_acc.arrays():
             assert np.allclose(g, 0.0)
-    for dW in bwd.server_grads:
+    for dW in server_grads:
         assert np.allclose(dW, 0.0)
 
 
@@ -297,13 +300,11 @@ def test_update_equal_and_opposite_gradients_cancel():
     cfg = make_config(P=2, share_mode="fixed-point")
     _, _, session = make_session(cfg)
     forward_pass(session, train=True, epoch=0)
-    bwd = backward_pass(session, epoch=0)
+    server_grads = backward_pass(session, epoch=0)
     h0, h1 = session.holders
     h1.grad_acc.set_arrays([-g for g in h0.grad_acc.arrays()])
     before = h0.weights_blob()
-    for l in range(len(bwd.server_grads)):
-        bwd.server_grads[l] = np.zeros_like(bwd.server_grads[l])
-    weight_update(session, bwd, epoch=0)
+    weight_update(session, [np.zeros_like(dW) for dW in server_grads], epoch=0)
     assert h0.weights_blob() == before  # zero aggregate: Adam step is a no-op
     assert h1.weights_blob() == before
 
@@ -325,8 +326,8 @@ def test_update_preserves_replication():
         _, _, session = make_session(cfg)
         for epoch in range(2):
             forward_pass(session, train=True, epoch=epoch)
-            bwd = backward_pass(session, epoch=epoch)
-            weight_update(session, bwd, epoch=epoch)
+            server_grads = backward_pass(session, epoch=epoch)
+            weight_update(session, server_grads, epoch=epoch)
             assert len({h.weights_blob() for h in session.holders}) == 1
 
 
@@ -334,18 +335,18 @@ def test_update_detects_divergence():
     cfg = make_config(P=2)
     _, _, session = make_session(cfg)
     forward_pass(session, train=True, epoch=0)
-    bwd = backward_pass(session, epoch=0)
+    server_grads = backward_pass(session, epoch=0)
     session.holders[1].locals_.w_predict = session.holders[1].locals_.w_predict + 1.0
     with pytest.raises(ProtocolError, match="replication"):
-        weight_update(session, bwd, epoch=0)
+        weight_update(session, server_grads, epoch=0)
 
 
 def test_one_step_matches_centralized_adam():
     cfg = make_config(P=2, max_epochs=1)
     g, holders, session = make_session(cfg)
     forward_pass(session, train=True, epoch=0)
-    bwd = backward_pass(session, epoch=0)
-    weight_update(session, bwd, epoch=0)
+    server_grads = backward_pass(session, epoch=0)
+    weight_update(session, server_grads, epoch=0)
 
     combined = union_graph(holders)
     from sapgnn.numerics import AdamState, adam_step
@@ -477,38 +478,45 @@ def test_no_gradshare_traffic_with_single_holder():
     assert res.comm.bytes_for(kinds=[MessageKind.GRAD_SHARE, MessageKind.PARTIAL_SUM]) == 0
 
 
-def messages_at(comm, kind, layer, fields):
-    """{(direction, epoch): message count} of one kind at one layer, where
-    every message carries `fields` (shapes and dtypes fix its size)."""
-    size = len(encode_message(kind, layer, 0, 0, fields))
-    out = {}
-    for (k, direction, lay, epoch), n_bytes in comm.counts.items():
-        if k == kind.value and lay == layer:
-            assert n_bytes % size == 0
-            out[(direction, epoch)] = n_bytes // size
-    return out
+@pytest.fixture
+def sends(monkeypatch):
+    """Every message the test sends, in order, as (kind, direction, layer,
+    epoch, the fields the receiver decoded)."""
+    log = []
+    send = Channel.send
+
+    def recording(self, sender, receiver, kind, layer, epoch, *args, **kwargs):
+        decoded = send(self, sender, receiver, kind, layer, epoch, *args, **kwargs)
+        log.append((kind, f"{sender}->{receiver}", layer, epoch,
+                    {name: value.copy() for name, value in decoded.items()}))
+        return decoded
+
+    monkeypatch.setattr(Channel, "send", recording)
+    return log
+
+
+def messages_at(sends, kind, layer):
+    """{(direction, epoch): message count} of one kind at one layer."""
+    return Counter((direction, epoch) for k, direction, lay, epoch, _fields in sends
+                   if k is kind and lay == layer)
 
 
 @pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
 @pytest.mark.parametrize("message_linear", [False, True])
-def test_weight_free_first_layer_is_pooled_once_per_run(mode, message_linear):
-    P, E, n, F = 3, 3, 24, 5
-    cfg = make_config(P=P, n=n, mode=mode, max_epochs=E)
+def test_weight_free_first_layer_is_pooled_once_per_run(sends, mode, message_linear):
+    P, E = 3, 3
+    cfg = make_config(P=P, mode=mode, max_epochs=E)
     cfg.model.message_linear = message_linear
     res = run_training(cfg)
     assert res.epochs_run == E
-    keys = np.zeros(n * 16, dtype=np.uint8)
-    rows = np.zeros((n, F))
     if mode == "naive":
-        sent = messages_at(res.comm, MessageKind.LOCAL_EMBEDDING, 0, {"keys": keys, "t": rows})
+        sent = messages_at(sends, MessageKind.LOCAL_EMBEDDING, 0)
         to = "server"
     else:
-        sent = messages_at(res.comm, MessageKind.POOL_INPUT, 0,
-                           {"keys": keys, "valid": np.zeros(n, dtype=np.uint8), "values": rows})
-        pooled = messages_at(res.comm, MessageKind.POOL_RESULT, 0,
-                             {"keys": keys, "m": rows, "winner": rows.astype(np.int8)})
+        sent = messages_at(sends, MessageKind.POOL_INPUT, 0)
+        pooled = messages_at(sends, MessageKind.POOL_RESULT, 0)
         to = "sealed-pool"
-    grads = messages_at(res.comm, MessageKind.LOCAL_EMB_GRAD, 0, {"keys": keys, "r": rows})
+    grads = messages_at(sends, MessageKind.LOCAL_EMB_GRAD, 0)
     if message_linear:
         # layer 0 trains: two sweeps (training and evaluation) and one backward per epoch
         assert sent == {(f"holder-{p}->{to}", e): 2 for p in range(P) for e in range(E)}
@@ -520,3 +528,115 @@ def test_weight_free_first_layer_is_pooled_once_per_run(mode, message_linear):
         assert grads == {}
         if mode != "naive":
             assert pooled == {("sealed-pool->server", 0): 1}
+
+
+# -- holder-local row space ---------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
+def test_a_holder_sees_only_its_own_rows(sends, mode):
+    # a holder knows the salt, so any digest of a node it does not hold would
+    # give that node's id away; and a row count over its own would give n away
+    cfg = make_config(P=3, n=36, kind="gated", mode=mode, part_kind="label-skew", q=20.0)
+    cfg.model.message_linear = True
+    g = build_dataset(cfg.dataset)
+    holders = build_partition(g, cfg.partition)
+    session = init_parties(cfg, holders)
+    forward_pass(session, train=True, epoch=0)
+    weight_update(session, backward_pass(session, epoch=0), epoch=0)
+
+    table = node_digests(g.node_ids, make_rng(cfg.train.seed, "salt").bytes(32))
+    for lg, holder in zip(holders, session.holders, strict=True):
+        ids = lg.graph.node_ids
+        assert 0 < len(ids) < g.n_nodes
+        foreign = [d.tobytes() for d, nid in zip(table, g.node_ids) if nid not in ids]
+        got = [(kind, fields) for kind, direction, _layer, _epoch, fields in sends
+               if direction.endswith("->" + holder_party(lg.holder_id))]
+        assert {kind for kind, _ in got} == {
+            MessageKind.GLOBAL_EMBEDDING, MessageKind.LOCAL_EMB_GRAD,
+            MessageKind.GRAD_SHARE, MessageKind.PARTIAL_SUM}
+        for kind, fields in got:
+            for name, value in fields.items():
+                raw = value.tobytes()
+                assert not any(d in raw for d in foreign), (kind, name)
+            rows = {MessageKind.GLOBAL_EMBEDDING: "h", MessageKind.LOCAL_EMB_GRAD: "valid"}
+            if kind in rows:
+                assert len(fields[rows[kind]]) == len(ids), kind
+        arrays = [*holder.h, holder.probs]
+        for tape in holder.tapes:
+            arrays += [tape.winner, tape.participates, tape.m, tape.pre_gate]
+        assert all(a.shape[0] == len(ids) for a in arrays)
+
+
+def _spread_ids(lg: LocalGraph, extra: int = 0) -> LocalGraph:
+    """`lg` with every node id doubled, plus a path over the odd ids 1, 3, ...
+    of `extra` new nodes, every other one a train label."""
+    g = lg.graph
+    new = 2 * np.arange(extra) + 1
+    ids = np.concatenate([2 * g.node_ids, new])
+    order = np.argsort(ids)
+    rng = np.random.default_rng(0)
+    features = np.concatenate([g.features, rng.normal(size=(extra, g.feat_dim))])
+    labels = np.concatenate([g.labels, np.arange(extra) % g.n_classes])
+    edges = np.concatenate([2 * g.edges, np.stack([new[:-1], new[1:]], axis=1)])
+    graph = Graph(node_ids=ids[order], features=features[order], edges=edges,
+                  labels=labels[order], train_ids=np.sort(np.concatenate([2 * g.train_ids,
+                                                                          new[::2]])),
+                  val_ids=2 * g.val_ids, test_ids=2 * g.test_ids, n_classes=g.n_classes)
+    return LocalGraph(holder_id=lg.holder_id, graph=graph,
+                      isolated_owned=2 * lg.isolated_owned)
+
+
+@pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
+def test_holder_traffic_ignores_another_holders_component(mode):
+    # a component that only holder 1 holds, its ids interleaved with holder
+    # 0's, must not change one byte holder 0 sends or receives
+    cfg = make_config(P=2, n=30, kind="gated", mode=mode, part_kind="label-skew", q=20.0)
+    cfg.model.message_linear = True
+    holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
+    counts = []
+    for extra in (0, 9):
+        grown = [_spread_ids(holders[0]), _spread_ids(holders[1], extra)]
+        session = init_parties(cfg, grown)
+        forward_pass(session, train=True, epoch=0)
+        backward_pass(session, epoch=0)
+        counts.append({key: n for key, n in session.comm.counts.items()
+                       if "holder-0" in key[1]})
+    assert counts[0]
+    assert counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("mode, kind, party, field, message", [
+    ("naive", MessageKind.LOCAL_EMBEDDING, "holder-1", "valid",
+     "holder 1: LocalEmbedding valid mask .* the holder has"),
+    ("naive", MessageKind.LOCAL_EMBEDDING, "holder-1", "t",
+     "holder 1: LocalEmbedding carries .* for .* valid rows"),
+    ("secure-pooling", MessageKind.POOL_INPUT, "holder-1", "valid",
+     "holder 1: PoolInput valid mask .* the holder has"),
+    ("secure-pooling", MessageKind.POOL_INPUT, "holder-1", "values",
+     "holder 1: PoolInput carries .* for .* valid rows"),
+    ("naive", MessageKind.INPUT_GRAD, "holder-1", "valid",
+     "holder 1: InputGrad valid mask .* the holder has"),
+    ("naive", MessageKind.INPUT_GRAD, "holder-1", "g",
+     "holder 1: InputGrad carries .* for .* valid rows"),
+    ("naive", MessageKind.LOCAL_EMB_GRAD, "server->holder-1", "valid",
+     "holder 1: LocalEmbGrad valid mask .* the holder has"),
+    ("naive", MessageKind.LOCAL_EMB_GRAD, "server->holder-1", "r",
+     "holder 1: LocalEmbGrad carries .* for .* valid rows"),
+    ("naive", MessageKind.GLOBAL_EMBEDDING, "server->holder-1", "h",
+     "holder 1: GlobalEmbedding has shape .* the holder has .* rows"),
+])
+def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, party, field, message):
+    cfg = make_config(P=2, mode=mode, kind="gated")
+    _, _, session = make_session(cfg)
+    send = Channel.send
+
+    def tampered(self, sender, receiver, k, *args, **kwargs):
+        decoded = send(self, sender, receiver, k, *args, **kwargs)
+        if k is kind and party in (sender, f"{sender}->{receiver}"):
+            decoded[field] = decoded[field][:-1]
+        return decoded
+
+    monkeypatch.setattr(Channel, "send", tampered)
+    with pytest.raises(ProtocolError, match=message):
+        forward_pass(session, train=True, epoch=0)
+        backward_pass(session, epoch=0)
