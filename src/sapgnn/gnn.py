@@ -360,13 +360,19 @@ def global_backward(G: np.ndarray, z: np.ndarray, m: np.ndarray,
     return dW, dM
 
 
-def stack_max(t_stack: np.ndarray):
+def stack_max(blocks: list, n: int):
     """Element-wise max across holders with the winning holder per element
     (ties to the lowest holder).
 
-    Raises if any node is sentinel at every holder (nobody can embed it).
+    `blocks[p]` is holder p's `(rows, values)`, its values of the universe
+    rows `rows`, placed in a (P, n, d) stack that is sentinel where a
+    holder sent no row. Raises if a row is sentinel at every holder (nobody
+    can embed it).
     """
-    m, first = first_max(t_stack, len(t_stack))
+    stack = np.full((len(blocks), n, blocks[0][1].shape[1]), NEG_INF)
+    for p, (rows, values) in enumerate(blocks):
+        stack[p, rows] = values
+    m, first = first_max(stack, len(stack))
     if np.any(m <= SENTINEL_THRESHOLD):
         bad = int(np.flatnonzero((m <= SENTINEL_THRESHOLD).any(axis=1))[0])
         raise ValueError(f"node row {bad} is unknown to every holder")

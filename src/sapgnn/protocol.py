@@ -36,7 +36,7 @@ from .gnn import (LocalWeightSet, ModelConfig, ModelWeights, NeighborIndex, glob
 from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset, node_digests,
                      split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
-from .numerics import NEG_INF, AdamState, adam_step, dropout_mask, make_rng
+from .numerics import AdamState, adam_step, dropout_mask, make_rng
 from .sharing import (AuditLog, combine_vector_shares, expand_seed, pooled_argmax,
                       share_vector)
 from .wire import Channel, CommStats, MessageKind
@@ -228,7 +228,8 @@ class Server:
 
     def rows_of(self, keys: np.ndarray, sender_id: int) -> np.ndarray:
         """Universe rows of the 16-byte node digests that holder `sender_id`
-        sent, found by a sorted search; an unknown digest is refused."""
+        sent, found by a sorted search; an unknown or a repeated digest is
+        refused, so a holder's rows map one to one onto universe rows."""
         if keys.size % 16:
             raise ProtocolError(f"holder {sender_id} sent {keys.size} digest bytes, "
                                 "not a whole number of 16-byte digests")
@@ -236,6 +237,8 @@ class Server:
         pos = np.searchsorted(self.sorted_digests, keys).clip(max=self.n - 1)
         if not np.array_equal(self.sorted_digests[pos], keys):
             raise ProtocolError(f"holder {sender_id} sent a node digest the server does not know")
+        if np.unique(pos).size != pos.size:
+            raise ProtocolError(f"holder {sender_id} sent a node digest twice")
         return self.digest_order[pos]
 
     def forward_layer(self, l: int, m: np.ndarray, winner: np.ndarray,
@@ -364,27 +367,15 @@ def _row_block(fields: dict, name: str, kind: MessageKind, holder: int, n_rows: 
     return valid, values
 
 
-def _stack_rows(holder_rows: dict, n: int, blocks: list):
-    """The holders' sparse row blocks placed at their universe rows: a
-    (P, n, d) stack, sentinel where a holder sent no row, and the (P, n)
-    mask of the rows each holder sent."""
-    d = blocks[0][1].shape[1]
-    stack = np.full((len(blocks), n, d), NEG_INF)
-    sent = np.zeros((len(blocks), n), dtype=bool)
-    for p, (valid, values) in enumerate(blocks):
-        rows = holder_rows[p][valid]
-        stack[p, rows] = values
-        sent[p, rows] = True
-    return stack, sent
-
-
 def _pool_layer(session: Session, l: int, epoch: int):
     """Every holder's layer-l local embeddings, pooled: (m, winner) at the server.
 
-    Each holder sends only its participating rows. In naive mode the server
-    places them by its row maps and pools them; in secure-pooling mode the
-    sealed pool does, with the server's row maps, and the server gets only
-    the winning values and the winning holder index per element."""
+    Each holder sends only its participating rows. The server's row maps
+    turn each holder's rows into a `(universe rows, values)` block; in
+    naive mode the server pools the blocks with `stack_max`, and in
+    secure-pooling mode the sealed pool does with `pooled_argmax`, so the
+    server gets only the winning values and the winning holder index per
+    element."""
     server = session.server
     secure = session.config.mode == "secure-pooling"
     if secure:
@@ -397,12 +388,12 @@ def _pool_layer(session: Session, l: int, epoch: int):
         decoded = session.channel.send(
             holder_party(p), receiver, kind, layer=l, epoch=epoch,
             fields=_row_fields(holder.tapes[l].participates, name, t), sender_id=p)
-        blocks.append(_row_block(decoded, name, kind, p, len(server.holder_rows[p])))
-    stack, sent = _stack_rows(server.holder_rows, server.n, blocks)
+        valid, values = _row_block(decoded, name, kind, p, len(server.holder_rows[p]))
+        blocks.append((server.holder_rows[p][valid], values))
     try:
         if not secure:
-            return stack_max(stack)
-        m, winner = pooled_argmax(stack, sent)
+            return stack_max(blocks, server.n)
+        m, winner = pooled_argmax(blocks, server.n)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
     decoded = session.channel.send(
@@ -509,19 +500,20 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
                epoch: int) -> np.ndarray:
     """All-holder secure sum of equal-length vectors; the server takes no part.
 
-    Holder j shares its vector among the P holders with its own rng (`mode`
-    "fixed-point" or "real", see `share_vector`): it sends every other
-    holder i one 32-byte seed as a GradShare (audit schema `seed`) and
-    keeps as its own share its vector minus the expansions of those seeds.
-    Each holder adds the expansions of the seeds it received and its own
-    share, in ascending sender order, into a partial sum and sends it to
-    every other holder as a PartialSum; each holder adds every partial into
-    one running sum as it arrives, again in ascending sender order, so only
-    O(P) vectors are alive at once. A seed reveals exactly what its
-    expanded vector would; it is drawn from numpy's PCG64, which is
-    simulator-grade and not a CSPRNG. Messages go sender outer, receiver
-    inner. Returns the total once every holder has reconstructed the same
-    one; with one holder its vector is the total and nothing is sent.
+    In turn, holder j shares its vector among the P holders with its own
+    rng (`mode` "fixed-point" or "real", see `share_vector`): it sends every
+    other holder i one 32-byte seed as a GradShare (audit schema `seed`)
+    and keeps as its own share its vector minus the expansions of those
+    seeds. Each holder adds its own share, or the expansion of a seed as it
+    arrives, into its partial sum, in ascending sender order, and then
+    sends the partial to every other holder as a PartialSum; each holder
+    adds every partial into one running sum as it arrives, again in
+    ascending sender order, so only O(P) vectors are alive at once. A seed
+    reveals exactly what its expanded vector would; it is drawn from
+    numpy's PCG64, which is simulator-grade and not a CSPRNG. Messages go
+    sender outer, receiver inner. Returns the total once every holder has
+    reconstructed the same one; with one holder its vector is the total
+    and nothing is sent.
     """
     P = len(vectors)
     shapes = {np.shape(v) for v in vectors}
@@ -530,36 +522,28 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     if P == 1:
         return vectors[0]
     shape = shapes.pop()
-    try:
-        outgoing = [share_vector(v, P, rng, mode=mode)
-                    for v, rng in zip(vectors, rngs, strict=True)]
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
 
     def send(kind: MessageKind, j: int, i: int, name: str, value):
         return channel.send(holder_party(j), holder_party(i), kind, layer=-1, epoch=epoch,
                             fields={name: value}, sender_id=j)[name]
 
-    # seeds_at[i][j]: the seed holder i received from holder j; holder j
-    # keeps its P-1 seeds in ascending receiver order
-    seeds_at = [[None] * P for _ in range(P)]
-    for j, (seeds, _own) in enumerate(outgoing):
+    partials = [None] * P  # partials[i]: holder i's own share plus the expansions so far
+    for j, (vector, rng) in enumerate(zip(vectors, rngs, strict=True)):
+        try:
+            seeds, own = share_vector(vector, P, rng, mode=mode)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
         for i in range(P):
-            if i != j:
-                seeds_at[i][j] = send(MessageKind.GRAD_SHARE, j, i, "seed", seeds[i - (i > j)])
-
-    def partial_sum(j: int):
-        """Holder j's own share plus the expansions of the seeds it received,
-        in ascending sender order; the own share is dropped once added."""
-        own = outgoing[j][1]
-        outgoing[j] = None
-        return combine_vector_shares(
-            (own if k == j else expand_seed(seeds_at[j][k], shape, mode) for k in range(P)),
-            mode=mode, decode=False)
+            share = own if i == j else expand_seed(
+                send(MessageKind.GRAD_SHARE, j, i, "seed", seeds[i - (i > j)]), shape, mode)
+            if partials[i] is None:
+                partials[i] = share
+            else:
+                np.add(partials[i], share, out=partials[i])
 
     sums = [None] * P      # sums[i]: holder i's running sum of the partials so far
     for j in range(P):
-        partial = partial_sum(j)
+        partial, partials[j] = partials[j], None
         for i in range(P):
             got = partial if i == j else send(MessageKind.PARTIAL_SUM, j, i, "partial", partial)
             if sums[i] is None:

@@ -260,17 +260,13 @@ def share_vector(x: np.ndarray, P: int, rng: np.random.Generator,
     return seeds, own
 
 
-def combine_vector_shares(shares, mode: str = "fixed-point", decode: bool = True):
+def combine_vector_shares(shares, mode: str = "fixed-point"):
     """Sum share vectors in the order given (ascending party order in the
-    protocol); decode fixed-point if asked. `shares` may be any iterable,
-    so a caller can expand one vector at a time."""
-    shares = iter(shares)
-    acc = np.array(next(shares))
-    for s in shares:
+    protocol), decoded in mode "fixed-point"."""
+    acc = np.array(shares[0])
+    for s in shares[1:]:
         np.add(acc, s, out=acc)
-    if mode == "fixed-point" and decode:
-        return decode_vector(acc)
-    return acc
+    return decode_vector(acc) if mode == "fixed-point" else acc
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +278,10 @@ def secure_argmax(values: list[FixedPoint], rng: np.random.Generator,
     """One-hot boolean shares of the maximum's index among P scalars.
 
     A sealed evaluator gathers the parties' shares and compares the values
-    with `pooled_argmax` on a (P, 1, 1) stack (signed; ties go to the lowest
-    party index), re-encoding them at their own fraction bits so that the
-    comparison is exact, and XOR-shares the indicator vector back out.
+    with `pooled_argmax`, each party's value a one-row block (signed; ties
+    go to the lowest party index), re-encoding them at their own fraction
+    bits so that the comparison is exact, and XOR-shares the indicator
+    vector back out.
     Returns (list of BooleanShare, audit).
     """
     P = len(values)
@@ -293,8 +290,8 @@ def secure_argmax(values: list[FixedPoint], rng: np.random.Generator,
     audit = audit if audit is not None else AuditLog()
     for p in range(P):
         audit.append(f"holder-{p}", "sealed-evaluator", "ArgmaxInput", schema="fixed-point scalar")
-    stack = np.array([v.decode() for v in values]).reshape(P, 1, 1)
-    _, winner = pooled_argmax(stack, np.ones((P, 1), dtype=bool),
+    row = np.zeros(1, dtype=np.int64)
+    _, winner = pooled_argmax([(row, np.array([[v.decode()]])) for v in values], 1,
                               frac_bits=max(v.frac_bits for v in values))
     onehot = np.zeros(P, dtype=np.uint8)
     onehot[winner[0, 0]] = 1
@@ -304,26 +301,32 @@ def secure_argmax(values: list[FixedPoint], rng: np.random.Generator,
     return shares, audit
 
 
-def pooled_argmax(stack: np.ndarray, valid: np.ndarray,
-                  frac_bits: int = ARGMAX_FRAC_BITS):
+def pooled_argmax(blocks: list, n: int, frac_bits: int = ARGMAX_FRAC_BITS):
     """Vectorized sealed-evaluator core for the pooling functionality.
 
-    stack: (P, N, d) float64 candidate values; valid: (P, N) row validity.
-    Comparison happens on fixed-point encodings (monotone, so comparing the
-    signed integers equals comparing the decoded values); the returned max
-    values are the winners' original float64 entries, selected, not
-    recomputed. Ties go to the lowest holder index. Raises if some element
-    has no valid candidate.
+    `blocks[p]` is holder p's `(rows, values)`: float64 candidate values of
+    the universe rows `rows` out of n, one row each. Each block is encoded
+    once at `frac_bits` into a (P, n, d) int64 stack that holds int64.min,
+    below every encoding, where a holder sent no row. Comparison happens on
+    these signed encodings (monotone, so comparing them equals comparing
+    the decoded values); the returned max values are the winners' original
+    float64 entries, selected from their blocks, not recomputed. Ties go to
+    the lowest holder index. Raises if some row has no candidate.
     """
-    P, N, d = stack.shape
-    if valid.shape != (P, N):
-        raise ValueError("validity mask shape mismatch")
-    if not valid.any(axis=0).all():
-        bad = int(np.flatnonzero(~valid.any(axis=0))[0])
-        raise ValueError(f"node row {bad} has no valid candidate at any holder")
-    # only valid rows are encoded, so an invalid row may hold anything
-    enc = np.full((P, N, d), np.iinfo(np.int64).min)
-    enc[valid] = encode_vector(stack[valid], frac_bits).view(np.int64)
-    winner = first_max(enc, P)[1].astype(np.int8)      # first max: lowest holder
-    max_values = np.take_along_axis(stack, winner[None], axis=0)[0]
+    unsent = np.iinfo(np.int64).min
+    enc = np.full((len(blocks), n, blocks[0][1].shape[1]), unsent)
+    for p, (rows, values) in enumerate(blocks):
+        enc[p, rows] = encode_vector(values, frac_bits).view(np.int64)
+    best, winner = first_max(enc, len(enc))          # first max: lowest holder
+    missing = (best == unsent).any(axis=1)
+    if missing.any():
+        raise ValueError(f"node row {int(np.flatnonzero(missing)[0])} has no valid candidate "
+                         "at any holder")
+    winner = winner.astype(np.int8)
+    # every element is written once, from the block of the holder that won it
+    max_values = np.empty(best.shape)
+    for p, (rows, values) in enumerate(blocks):
+        won = max_values[rows]
+        np.copyto(won, values, where=winner[rows] == p)
+        max_values[rows] = won
     return max_values, winner

@@ -224,19 +224,28 @@ def test_local_backward_matches_bruteforce_routing(inputs):
 
 # -- cross-holder pooling --------------------------------------------------------
 
+def row_blocks(stack, sent):
+    """Holder p's `(rows, values)` block: the rows `sent[p]` marks, out of
+    the dense (P, n, d) `stack`."""
+    return [(np.flatnonzero(s), x[s]) for x, s in zip(stack, sent, strict=True)]
+
+
 def test_stack_max_single_holder_identity():
-    t = make_rng(14, 0).normal(size=(1, 5, 3))
-    m, winner = stack_max(t)
-    assert np.array_equal(m, t[0])
+    t = make_rng(14, 0).normal(size=(5, 3))
+    m, winner = stack_max([(np.arange(5), t)], 5)
+    assert np.array_equal(m, t)
     assert np.all(winner == 0)
 
 
 def test_stack_max_sentinel_never_wins():
-    real = make_rng(15, 0).normal(size=(4, 3))
-    sentinel = np.full((4, 3), NEG_INF)
-    m, winner = stack_max(np.stack([real, sentinel]))
-    assert np.array_equal(m, real)
-    assert np.all(winner == 0)
+    low = np.full((4, 3), -1e300)                # far below any other value, still sent
+    high = make_rng(15, 0).normal(size=(2, 3))
+    m, winner = stack_max([(np.arange(4), low), (np.array([1, 3]), high)], 4)
+    assert np.array_equal(m[[0, 2]], low[[0, 2]]) and np.all(winner[[0, 2]] == 0)
+    assert np.array_equal(m[[1, 3]], high) and np.all(winner[[1, 3]] == 1)
+    m, winner = stack_max([(np.arange(4), low), (np.empty(0, dtype=np.int64),
+                                                 np.empty((0, 3)))], 4)
+    assert np.array_equal(m, low) and np.all(winner == 0)
 
 
 def first_strictly_greater(stack):
@@ -254,21 +263,25 @@ def first_strictly_greater(stack):
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 3), st.data())
 def test_stack_max_matches_bruteforce(P, n, d, data):
     # few distinct values, so ties between holders are common
-    values = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0, NEG_INF]),
+    values = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0]),
                                 min_size=P * n * d, max_size=P * n * d))
-    stacks = np.array(values).reshape(P, n, d)
-    stacks[0][(stacks == NEG_INF).all(axis=0)] = 2.0   # every element known somewhere
-    m, winner = stack_max(stacks)
-    want = first_strictly_greater(stacks)
+    stack = np.array(values).reshape(P, n, d)
+    sent = np.array(data.draw(st.lists(st.booleans(), min_size=P * n, max_size=P * n)))
+    sent = sent.reshape(P, n)
+    sent[0, ~sent.any(axis=0)] = True             # every row sent by some holder
+    m, winner = stack_max(row_blocks(stack, sent), n)
+    dense = np.where(sent[:, :, None], stack, NEG_INF)
+    want = first_strictly_greater(dense)
     assert winner.dtype == np.int8 and np.array_equal(winner, want)
-    assert np.array_equal(m, np.take_along_axis(stacks, want[None], axis=0)[0])
+    assert np.all(sent[want, np.arange(n)[:, None]])     # the winner sent the row
+    assert np.array_equal(m, np.take_along_axis(dense, want[None], axis=0)[0])
 
 
 def test_stack_max_refuses_nan():
-    stacks = np.zeros((2, 3, 2))
-    stacks[1, 2, 1] = np.nan
+    t = np.zeros((3, 2))
+    t[2, 1] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        stack_max(stacks)
+        stack_max([(np.arange(3), np.zeros((3, 2))), (np.arange(3), t)], 3)
 
 
 def test_pooled_messages_refuses_a_pooled_nan():
@@ -291,10 +304,9 @@ def test_neighbor_index_padded_layout():
 
 
 def test_stack_max_all_sentinel_node_raises():
-    sentinel = np.full((2, 2, 2), NEG_INF)
-    sentinel[:, 0, :] = 1.0
-    with pytest.raises(ValueError, match="unknown to every holder"):
-        stack_max(sentinel)
+    rows = np.array([0, 2])
+    with pytest.raises(ValueError, match="node row 1 is unknown to every holder"):
+        stack_max([(rows, np.ones((2, 2))), (rows, np.zeros((2, 2)))], 3)
 
 
 def test_global_update_without_relu_or_mask_is_linear_map():

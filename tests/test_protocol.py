@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from sapgnn.gnn import (ModelConfig, build_model_weights, centralized_forward_ba
 from sapgnn.graphs import (Graph, LocalGraph, generate_synthetic, node_digests,
                            split_edges_uniform, union_graph)
 from sapgnn.numerics import make_rng
-from sapgnn.protocol import (ProtocolError, aggregate_local_grads, backward_pass,
+from sapgnn.protocol import (ProtocolError, _pool_layer, aggregate_local_grads, backward_pass,
                              build_dataset, build_partition, forward_pass, holder_party,
                              init_parties, run_training, verify_privacy_audit, weight_update)
 from sapgnn.harness import compare_equivalence, train_centralized
@@ -136,6 +137,48 @@ def test_backward_refuses_an_unknown_pred_grad_digest(monkeypatch, tamper, messa
         backward_pass(session)
 
 
+def _repeat_first_digest(keys):
+    keys = keys.copy()
+    keys[-16:] = keys[:16]
+    return keys
+
+
+def test_init_refuses_a_repeated_node_digest(monkeypatch):
+    # a repeated digest would map two holder rows to one universe row, and
+    # the server's placement of that holder's rows would drop one of them
+    cfg = make_config(P=2)
+    holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
+    send = Channel.send
+
+    def tampered(self, sender, receiver, kind, *args, **kwargs):
+        decoded = send(self, sender, receiver, kind, *args, **kwargs)
+        if kind is MessageKind.NODE_INDEX and sender == "holder-1":
+            decoded["keys"] = _repeat_first_digest(decoded["keys"])
+        return decoded
+
+    monkeypatch.setattr(Channel, "send", tampered)
+    with pytest.raises(ProtocolError, match="holder 1 sent a node digest twice"):
+        init_parties(cfg, holders)
+
+
+def test_backward_refuses_a_repeated_pred_grad_digest(monkeypatch):
+    cfg = make_config(P=2)
+    _, holders, session = make_session(cfg)
+    assert holders[1].graph.train_ids.size > 1     # two PredGrad rows to collide
+    forward_pass(session)
+    send = Channel.send
+
+    def tampered(self, sender, receiver, kind, *args, **kwargs):
+        decoded = send(self, sender, receiver, kind, *args, **kwargs)
+        if kind is MessageKind.PRED_GRAD and sender == "holder-1":
+            decoded["keys"] = _repeat_first_digest(decoded["keys"])
+        return decoded
+
+    monkeypatch.setattr(Channel, "send", tampered)
+    with pytest.raises(ProtocolError, match="holder 1 sent a node digest twice"):
+        backward_pass(session)
+
+
 def test_init_refuses_holders_without_nodes():
     cfg = make_config(P=2)
     holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
@@ -210,6 +253,29 @@ def test_forward_secure_pooling_equals_naive():
     for a, b in zip(fwd_naive.embeddings, fwd_sec.embeddings):
         assert np.array_equal(a, b)
     assert fwd_naive.total_loss == fwd_sec.total_loss
+
+
+@pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
+def test_pooling_builds_one_dense_stack(mode):
+    # each pool places the holders' row blocks in the one (P, n, d) stack it
+    # compares: floats in naive mode, int64 codes in the sealed pool
+    cfg = RunConfig(
+        dataset=DatasetConfig(n_nodes=2000, n_classes=4, feat_dim=32,
+                              intra_class_edge_prob=0.01, inter_class_edge_prob=0.001, seed=5),
+        partition=PartitionConfig(kind="label-skew", P=4, q=10.0, seed=6),
+        model=ModelConfig(layers=2, hidden=16, update_kind="gated", message_linear=True),
+        train=TrainConfig(seed=7), mode=mode, share_mode="fixed-point")
+    _, _, session = make_session(cfg)
+    for holder in session.holders:
+        holder.begin_forward()
+    tracemalloc.start()
+    try:
+        m, _ = _pool_layer(session, 0, epoch=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = len(session.holders) * m.size * 8
+    assert peak < 3.25 * stack, f"peak {peak / stack:.2f} (P, n, d) float64 stacks"
 
 
 def test_secure_pooling_refuses_a_nan_pool_input(monkeypatch):
