@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .gnn import ModelConfig
 
@@ -43,6 +43,19 @@ class TrainConfig:
     seed: int = 11
 
 
+def _refuse_unknown(d: dict, cls, where: str):
+    """ValueError naming the first key of `d` that is no field of `cls`."""
+    names = {f.name for f in fields(cls)}
+    for key in d:
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} in {where}")
+
+
+# the RunConfig fields that hold a nested config, and its class
+_SECTIONS = {"dataset": DatasetConfig, "partition": PartitionConfig, "model": ModelConfig,
+             "train": TrainConfig}
+
+
 @dataclass
 class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
@@ -68,18 +81,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        kwargs = {}
-        if "dataset" in d:
-            kwargs["dataset"] = DatasetConfig(**d["dataset"])
-        if "partition" in d:
-            kwargs["partition"] = PartitionConfig(**d["partition"])
-        if "model" in d:
-            kwargs["model"] = ModelConfig(**d["model"])
-        if "train" in d:
-            kwargs["train"] = TrainConfig(**d["train"])
-        for key in ("mode", "share_mode"):
+        """The config a plain dict describes; a key that names no field, at
+        the top level or inside a section, is refused by name."""
+        _refuse_unknown(d, cls, "the config")
+        kwargs = dict(d)
+        for key, section in _SECTIONS.items():
             if key in d:
-                kwargs[key] = d[key]
+                _refuse_unknown(d[key], section, f"config section {key!r}")
+                kwargs[key] = section(**d[key])
         return cls(**kwargs)
 
     @classmethod
@@ -95,7 +104,8 @@ def _parse_value(text: str):
 
 
 def apply_overrides(config_dict: dict, overrides: list[str]) -> dict:
-    """Apply "section.key=value" overrides to a plain config dict."""
+    """Apply "section.key=value" overrides to a plain config dict. A dotted
+    key that descends through a value that is not a section is refused."""
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not key=value")
@@ -104,5 +114,7 @@ def apply_overrides(config_dict: dict, overrides: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             target = target.setdefault(part, {})
+            if not isinstance(target, dict):
+                raise ValueError(f"override {key!r}: {part!r} is a value, not a config section")
         target[parts[-1]] = _parse_value(raw)
     return config_dict

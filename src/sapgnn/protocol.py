@@ -18,6 +18,11 @@ Each training epoch runs four phases in lock step:
      themselves (the server sees none of it) and apply identical optimizer
      steps, preserving the replication invariant.
 
+After each update, an evaluation forward sweep scores the new weights. With
+every dropout rate at 0 that sweep is exactly the next epoch's training
+sweep, so the session keeps it and the next forward returns it: epoch 0
+makes two sweeps and every later epoch one.
+
 All cross-party values travel through the metered channel, so byte counts
 and the audit log reflect exactly what each party could observe.
 """
@@ -269,6 +274,9 @@ class Session:
     channel: Channel
     comm: CommStats
     audit: AuditLog
+    # The last forward sweep, while no update has run since and no dropout
+    # mask can be drawn: the next forward returns it instead of sweeping.
+    last_forward: ForwardResult | None = None
 
 
 def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
@@ -406,7 +414,14 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
     """One synchronized forward sweep over all layers: local embeddings up,
     pooled global embeddings back down, then private per-holder loss
     computation. A weight-free layer 0 is pooled in the first sweep only;
-    later sweeps reuse the server's kept (m, winner)."""
+    later sweeps reuse the server's kept (m, winner).
+
+    When no layer draws a dropout mask, `train` changes nothing, so a sweep
+    stays valid until `weight_update` changes the weights: the session keeps
+    it, and a forward before the next update returns it, holder and server
+    tapes included, and sends nothing."""
+    if session.last_forward is not None:
+        return session.last_forward
     cfg = session.config.model
     server = session.server
     for holder in session.holders:
@@ -430,8 +445,11 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
 
     for holder in session.holders:
         holder.compute_predictions()
-    return ForwardResult(total_loss=_total_loss(session.holders, "train"),
-                         embeddings=embeddings)
+    result = ForwardResult(total_loss=_total_loss(session.holders, "train"),
+                           embeddings=embeddings)
+    if not any(server.drop_rates):
+        session.last_forward = result
+    return result
 
 
 def backward_pass(session: Session, epoch: int = 0) -> list:
@@ -565,8 +583,13 @@ def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
 def weight_update(session: Session, server_grads: list, epoch: int = 0) -> None:
     """Server steps its weights with `server_grads`, its per-layer
     global-map gradients; holders aggregate and step in lock step. Raises if
-    the replication invariant breaks."""
+    the replication invariant breaks. The kept forward sweep and the
+    holders' predictions describe the old weights, so both are dropped: the
+    next forward sweeps again, and a backward before it is refused."""
     server = session.server
+    session.last_forward = None
+    for holder in session.holders:
+        holder.probs = None
     server.weights[:] = adam_update(server.adams, server.weights, server_grads)
     agg = aggregate_local_grads(session, epoch=epoch)
     for holder in session.holders:
@@ -631,7 +654,8 @@ def fit(train_epoch, score, final_weights, max_epochs: int, patience: int,
 
 def evaluate(session: Session, epoch: int) -> dict:
     """Dropout-free forward pass; each label owner scores its own labels and
-    the integer confusion counts are summed across holders."""
+    the integer confusion counts are summed across holders. Without dropout
+    the sweep is kept, and the next epoch's training forward returns it."""
     forward_pass(session, train=False, epoch=epoch)
     return {split: split_scores(sum(h.split_confusion(split) for h in session.holders),
                                 _total_loss(session.holders, split))

@@ -121,6 +121,27 @@ def test_apply_overrides_parses_types():
         apply_overrides(d, ["no-equals-sign"])
 
 
+@pytest.mark.parametrize("override, message", [
+    ("partiton.P=3", "unknown key 'partiton' in the config"),
+    ("model.hiden=8", "unknown key 'hiden' in config section 'model'"),
+])
+def test_config_refuses_an_unknown_key_by_name(override, message):
+    d = apply_overrides(RunConfig().to_dict(), [override])
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict(d)
+
+
+def test_apply_overrides_refuses_a_key_below_a_value():
+    with pytest.raises(ValueError, match="'mode' is a value, not a config section"):
+        apply_overrides(RunConfig().to_dict(), ["mode.x=1"])
+
+
+def test_cli_refuses_a_misspelled_override(tmp_path):
+    with pytest.raises(ValueError, match="partiton"):
+        main(["train-sapgnn", "--out", str(tmp_path / "bad"), "--set", "partiton.P=3"])
+    assert not (tmp_path / "bad").exists()
+
+
 def test_training_without_validation_labels(tmp_path, capsys):
     # no epoch can improve validation accuracy, so the final metrics stay NaN
     cfg = write_config(tmp_path)

@@ -49,8 +49,8 @@ def sha256(path) -> str:
 PROTOCOL_GOLDEN = {
     "p1-sum-naive-real": (
         "6da3ea9b72d29b68ac8bebcb6185f0740667c107baa9d413d3c3cbaed3f06779",
-        "a8168106b106125e7f1a70c5f4ffe13021a655c33654efb43547a1deac1e8855",
-        "2e23e359bd1eddc10d6b5a3c29e06ee49ce414fdeee3522cbebad33b19400f01"),
+        "8aab6724361c5104e3788ea0ea866f4f4608e9f423edf8e1da09bf18319dc507",
+        "44b12f1692612b3e3739b442811240544d5bc82cfac2e02da353690ad4d6b125"),
     "p3-gated-secure-fixed": (
         "2b6da6ebb9073dd83eca617af6a921a0f4332496d8efaaae957b854669b27cbb",
         "33bbdde33860f6bb77b21ed720a64c6cf2b557d3591d292823938c4089366439",

@@ -584,16 +584,86 @@ def test_weight_free_first_layer_is_pooled_once_per_run(sends, mode, message_lin
         to = "sealed-pool"
     grads = messages_at(sends, MessageKind.LOCAL_EMB_GRAD, 0)
     if message_linear:
-        # layer 0 trains: two sweeps (training and evaluation) and one backward per epoch
-        assert sent == {(f"holder-{p}->{to}", e): 2 for p in range(P) for e in range(E)}
+        # layer 0 trains, so every sweep pools it: epoch 0 sweeps for training
+        # and evaluation, and each later epoch trains on the evaluation sweep
+        # before it; one backward per epoch
+        sweeps = {e: 2 if e == 0 else 1 for e in range(E)}
+        assert sent == {(f"holder-{p}->{to}", e): sweeps[e] for p in range(P) for e in range(E)}
         assert grads == {(f"server->holder-{p}", e): 1 for p in range(P) for e in range(E)}
         if mode != "naive":
-            assert pooled == {("sealed-pool->server", e): 2 for e in range(E)}
+            assert pooled == {("sealed-pool->server", e): sweeps[e] for e in range(E)}
     else:
         assert sent == {(f"holder-{p}->{to}", 0): 1 for p in range(P)}
         assert grads == {}
         if mode != "naive":
             assert pooled == {("sealed-pool->server", 0): 1}
+
+
+# -- one forward sweep per epoch ----------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
+def test_without_dropout_each_later_epoch_makes_one_sweep(sends, mode):
+    # the evaluation sweep after epoch e's update is epoch e+1's training sweep
+    P, E = 3, 4
+    cfg = make_config(P=P, mode=mode, kind="gated", max_epochs=E)
+    res = run_training(cfg)
+    assert res.epochs_run == E
+    up = MessageKind.LOCAL_EMBEDDING if mode == "naive" else MessageKind.POOL_INPUT
+    for kind in (up, MessageKind.GLOBAL_EMBEDDING):
+        first = res.comm.bytes_for(kinds=[kind], epoch=0)
+        assert first > 0
+        for e in range(1, E):
+            assert 2 * res.comm.bytes_for(kinds=[kind], epoch=e) == first, (kind, e)
+    down = messages_at(sends, MessageKind.GLOBAL_EMBEDDING, 1)
+    assert down == {(f"server->holder-{p}", e): 2 if e == 0 else 1
+                    for p in range(P) for e in range(E)}
+
+
+def test_with_dropout_every_epoch_makes_two_sweeps(sends):
+    P, E = 3, 3
+    res = run_training(make_config(P=P, kind="gated", dropout=0.3, max_epochs=E))
+    assert res.epochs_run == E
+    assert messages_at(sends, MessageKind.LOCAL_EMBEDDING, 1) == {
+        (f"holder-{p}->server", e): 2 for p in range(P) for e in range(E)}
+    assert messages_at(sends, MessageKind.GLOBAL_EMBEDDING, 1) == {
+        (f"server->holder-{p}", e): 2 for p in range(P) for e in range(E)}
+
+
+def test_a_second_forward_before_an_update_sends_nothing(sends):
+    _, _, session = make_session(make_config(P=3, kind="gated"))
+    first = forward_pass(session, train=True, epoch=0)
+    probs = [h.probs for h in session.holders]
+    sent = len(sends)
+    assert sent > 0
+    again = forward_pass(session, train=False, epoch=1)
+    assert len(sends) == sent
+    assert again is first
+    assert all(h.probs is p for h, p in zip(session.holders, probs, strict=True))
+
+
+def test_a_forward_after_an_update_sweeps_again(sends):
+    _, _, session = make_session(make_config(P=3, kind="gated"))
+    first = forward_pass(session, train=True, epoch=0)
+    weight_update(session, backward_pass(session, epoch=0), epoch=0)
+    sent = len(sends)
+    again = forward_pass(session, train=False, epoch=0)
+    swept = Counter(kind for kind, *_rest in sends[sent:])
+    layers = session.config.model.layers
+    assert swept == {MessageKind.LOCAL_EMBEDDING: 3 * layers,
+                     MessageKind.GLOBAL_EMBEDDING: 3 * layers}
+    assert again is not first
+    assert again.total_loss != first.total_loss
+
+
+def test_a_backward_after_an_update_needs_a_new_forward():
+    # the tapes and predictions describe the weights before the update
+    _, _, session = make_session(make_config(P=2))
+    forward_pass(session, train=True, epoch=0)
+    weight_update(session, backward_pass(session, epoch=0), epoch=0)
+    with pytest.raises(ProtocolError, match="backward requires a completed forward pass"):
+        backward_pass(session, epoch=0)
+    forward_pass(session, train=True, epoch=1)
+    backward_pass(session, epoch=1)
 
 
 # -- holder-local row space ---------------------------------------------------------------
@@ -608,10 +678,13 @@ def test_a_holder_sees_only_its_own_rows(sends, mode):
     holders = build_partition(g, cfg.partition)
     session = init_parties(cfg, holders)
     forward_pass(session, train=True, epoch=0)
-    weight_update(session, backward_pass(session, epoch=0), epoch=0)
+    server_grads = backward_pass(session, epoch=0)
+    # the update drops the predictions, so the holder arrays are read before it
+    held = [[*holder.h, holder.probs] for holder in session.holders]
+    weight_update(session, server_grads, epoch=0)
 
     table = node_digests(g.node_ids, make_rng(cfg.train.seed, "salt").bytes(32))
-    for lg, holder in zip(holders, session.holders, strict=True):
+    for lg, holder, arrays in zip(holders, session.holders, held, strict=True):
         ids = lg.graph.node_ids
         assert 0 < len(ids) < g.n_nodes
         foreign = [d.tobytes() for d, nid in zip(table, g.node_ids) if nid not in ids]
@@ -627,7 +700,6 @@ def test_a_holder_sees_only_its_own_rows(sends, mode):
             rows = {MessageKind.GLOBAL_EMBEDDING: "h", MessageKind.LOCAL_EMB_GRAD: "valid"}
             if kind in rows:
                 assert len(fields[rows[kind]]) == len(ids), kind
-        arrays = [*holder.h, holder.probs]
         for tape in holder.tapes:
             arrays += [tape.winner, tape.participates, tape.m, tape.pre_gate]
         assert all(a.shape[0] == len(ids) for a in arrays)
