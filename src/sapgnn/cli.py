@@ -4,7 +4,9 @@ Subcommands: gen-data, partition, train-centralized, train-sp, train-sapgnn,
 verify-equivalence, sweep, audit. Every training subcommand accepts
 --config <json> plus repeated --set section.key=value overrides.
 
-Exit codes: 0 success, 2 equivalence-test failure, 3 audit finding.
+Exit codes: 0 success, 2 equivalence-test failure, 3 audit finding, 4 refused
+input (a bad config, dataset or file, or a run the protocol refuses), named
+on stderr as "sapgnn: refused: <message>".
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from .graphs import generate_synthetic, load_dataset, write_dataset
 from .harness import (ExperimentSpec, SWEEP_HEADER, compare_equivalence, run_sweep,
                       train_centralized, train_sp, write_audit_jsonl, write_comm_csv,
                       write_metrics_csv)
-from .protocol import build_dataset, build_partition, run_training, verify_privacy_audit
+from .protocol import (ProtocolError, build_dataset, build_partition, run_training,
+                       verify_privacy_audit)
 from .sharing import AuditLog
 
 EXIT_OK = 0
 EXIT_EQUIVALENCE_FAIL = 2
 EXIT_AUDIT_FINDING = 3
+EXIT_REFUSED = 4
 
 
 def _load_config(args) -> RunConfig:
@@ -213,7 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ProtocolError, OSError) as exc:   # WireError is a ValueError
+        print(f"sapgnn: refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

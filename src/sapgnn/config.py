@@ -44,7 +44,10 @@ class TrainConfig:
 
 
 def _refuse_unknown(d: dict, cls, where: str):
-    """ValueError naming the first key of `d` that is no field of `cls`."""
+    """ValueError if `d` is no dict, or naming its first key that is no field
+    of `cls`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} is not a JSON object")
     names = {f.name for f in fields(cls)}
     for key in d:
         if key not in names:
@@ -81,8 +84,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        """The config a plain dict describes; a key that names no field, at
-        the top level or inside a section, is refused by name."""
+        """The config a plain dict describes; a config or section that is no
+        dict, or a key that names no field, is refused by name."""
         _refuse_unknown(d, cls, "the config")
         kwargs = dict(d)
         for key, section in _SECTIONS.items():

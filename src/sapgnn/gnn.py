@@ -20,8 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .graphs import Graph
-from .numerics import (NEG_INF, SENTINEL_THRESHOLD, first_max, glorot_init, relu, relu_grad,
-                       softmax_rows)
+from .numerics import NEG_INF, first_max, glorot_init, relu, relu_grad, softmax_rows
 
 PROB_CLAMP = 1e-12
 
@@ -365,17 +364,20 @@ def stack_max(blocks: list, n: int):
     (ties to the lowest holder).
 
     `blocks[p]` is holder p's `(rows, values)`, its values of the universe
-    rows `rows`, placed in a (P, n, d) stack that is sentinel where a
-    holder sent no row. Raises if a row is sentinel at every holder (nobody
-    can embed it).
+    rows `rows`, all blocks of one dtype (floats, or the sealed pool's int64
+    codes). They are placed in a (P, n, d) stack that holds the dtype's
+    lowest value where a holder sent no row. Raises if the max of some row
+    is that value (no holder sent it, so nobody can embed it).
     """
-    stack = np.full((len(blocks), n, blocks[0][1].shape[1]), NEG_INF)
+    dtype = blocks[0][1].dtype
+    unsent = np.finfo(dtype).min if dtype.kind == "f" else np.iinfo(dtype).min
+    stack = np.full((len(blocks), n, blocks[0][1].shape[1]), unsent, dtype=dtype)
     for p, (rows, values) in enumerate(blocks):
         stack[p, rows] = values
     m, first = first_max(stack, len(stack))
-    if np.any(m <= SENTINEL_THRESHOLD):
-        bad = int(np.flatnonzero((m <= SENTINEL_THRESHOLD).any(axis=1))[0])
-        raise ValueError(f"node row {bad} is unknown to every holder")
+    missing = (m <= unsent).any(axis=1)
+    if missing.any():
+        raise ValueError(f"node row {int(np.flatnonzero(missing)[0])} is unknown to every holder")
     return m, first.astype(np.int8)
 
 

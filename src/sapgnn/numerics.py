@@ -17,9 +17,6 @@ import numpy as np
 # It must never survive a max over at least one real participant.
 NEG_INF = float(np.finfo(np.float64).min)
 
-# Threshold below which a value is considered a sentinel row.
-SENTINEL_THRESHOLD = NEG_INF / 2
-
 
 def _stream_key(stream) -> int:
     """Map a stream label (int, str, or tuple) to a stable 64-bit integer."""

@@ -101,15 +101,14 @@ class DataHolder:
     `node_ids[i]`. The holder never learns how many nodes the union has.
     """
 
-    def __init__(self, local: LocalGraph, digests: np.ndarray, cfg: ModelConfig,
-                 n_classes: int, lr: float, seed: int):
+    def __init__(self, local: LocalGraph, cfg: ModelConfig, n_classes: int, lr: float,
+                 seed: int):
         graph = local.graph
         self.holder_id = local.holder_id
         self.cfg = cfg
         self.kind = cfg.update_kind
         self.node_ids = graph.node_ids
         self.n = len(self.node_ids)
-        self.digests = digests              # (n, 16) uint8: node_ids[i] digests to row i
         self.feat_dim = graph.feat_dim
         self.n_classes = n_classes
         self.dims = layer_dims(cfg, self.feat_dim)
@@ -172,12 +171,13 @@ class DataHolder:
     def begin_backward(self):
         self.grad_acc = self.locals_.zeros_like()
 
-    def pred_backward(self):
+    def pred_backward(self) -> np.ndarray:
+        """The loss gradient w.r.t. the final embedding, zero off train rows."""
         rows, classes = self.label_rows["train"]
         dW, dH = predict_backward(self.h[-1], self.probs, rows, classes,
                                   self.locals_.w_predict)
         self.grad_acc.w_predict += dW
-        return rows, dH[rows]
+        return dH
 
     def backward_local(self, l: int, R: np.ndarray) -> np.ndarray:
         dwm, dwg, dH = local_backward(self.h[l], self.tapes[l], self.kind,
@@ -212,12 +212,9 @@ class ServerTape:
 class Server:
     """Semi-honest coordinator: pools local embeddings, owns the global maps."""
 
-    def __init__(self, digests: np.ndarray, cfg: ModelConfig, feat_dim: int, lr: float,
-                 seed: int, first_layer_fixed: bool):
-        self.n = len(digests)
-        row_digests = digests.view("V16").ravel()
-        self.digest_order = np.argsort(row_digests)
-        self.sorted_digests = row_digests[self.digest_order]
+    def __init__(self, n: int, cfg: ModelConfig, feat_dim: int, lr: float, seed: int,
+                 first_layer_fixed: bool):
+        self.n = n
         self.weights = init_global_weights(cfg, feat_dim, make_rng(seed, "server-init"))
         self.adams = [AdamState.for_param(w.shape, lr=lr) for w in self.weights]
         self.relu_flags = layer_relu_flags(cfg)
@@ -230,21 +227,6 @@ class Server:
         # (m, winner) is the same in every sweep, so the first sweep's is kept.
         self.first_layer_fixed = first_layer_fixed
         self.first_pool: tuple[np.ndarray, np.ndarray] | None = None
-
-    def rows_of(self, keys: np.ndarray, sender_id: int) -> np.ndarray:
-        """Universe rows of the 16-byte node digests that holder `sender_id`
-        sent, found by a sorted search; an unknown or a repeated digest is
-        refused, so a holder's rows map one to one onto universe rows."""
-        if keys.size % 16:
-            raise ProtocolError(f"holder {sender_id} sent {keys.size} digest bytes, "
-                                "not a whole number of 16-byte digests")
-        keys = keys.view("V16")
-        pos = np.searchsorted(self.sorted_digests, keys).clip(max=self.n - 1)
-        if not np.array_equal(self.sorted_digests[pos], keys):
-            raise ProtocolError(f"holder {sender_id} sent a node digest the server does not know")
-        if np.unique(pos).size != pos.size:
-            raise ProtocolError(f"holder {sender_id} sent a node digest twice")
-        return self.digest_order[pos]
 
     def forward_layer(self, l: int, m: np.ndarray, winner: np.ndarray,
                       train: bool) -> np.ndarray:
@@ -296,30 +278,39 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     if universe_ids.size == 0:
         raise ProtocolError("no holder has a node")
     seed = config.train.seed
-    # One table of the union's digests, hashed once: holder p's rows of it are
-    # what it would hash from its own ids with the shared salt, and the only
-    # rows it is given. The server keeps the whole table in id order.
-    digests = node_digests(universe_ids, make_rng(seed, "salt").bytes(32))
 
     comm = CommStats()
     audit = AuditLog()
     channel = Channel(comm, audit)
 
     cfg = config.model
-    holders = [DataHolder(lg, digests[np.searchsorted(universe_ids, lg.graph.node_ids)], cfg,
-                          n_classes, config.train.lr, seed)
-               for lg in holders_data]
+    holders = [DataHolder(lg, cfg, n_classes, config.train.lr, seed) for lg in holders_data]
     first = holders[0].locals_
-    server = Server(digests=digests, cfg=cfg, feat_dim=feats.pop(),
-                    lr=config.train.lr, seed=seed,
+    server = Server(universe_ids.size, cfg, feats.pop(), config.train.lr, seed,
                     first_layer_fixed=first.w_message[0] is None and first.w_gate[0] is None)
 
+    # The run's only digests: holder p's rows of the union's table are what it
+    # would hash from its own ids with the shared salt. The server's sorted
+    # search refuses an unknown or a repeated one, so holder_rows is 1-to-1.
+    table = node_digests(universe_ids, make_rng(seed, "salt").bytes(32))
+    order = np.argsort(table.view("V16").ravel())
+    known = table.view("V16").ravel()[order]
     for holder in holders:
         p = holder.holder_id
-        decoded = channel.send(holder_party(p), SERVER_PARTY, MessageKind.NODE_INDEX,
-                               layer=-1, epoch=-1,
-                               fields={"keys": holder.digests.ravel()}, sender_id=p)
-        server.holder_rows[p] = server.rows_of(decoded["keys"], p)
+        own = table[np.searchsorted(universe_ids, holder.node_ids)]
+        keys = channel.send(holder_party(p), SERVER_PARTY, MessageKind.NODE_INDEX,
+                            layer=-1, epoch=-1, fields={"keys": own.ravel()},
+                            sender_id=p)["keys"]
+        if keys.size % 16:
+            raise ProtocolError(f"holder {p} sent {keys.size} digest bytes, "
+                                "not a whole number of 16-byte digests")
+        keys = keys.view("V16")
+        pos = np.searchsorted(known, keys).clip(max=known.size - 1)
+        if not np.array_equal(known[pos], keys):
+            raise ProtocolError(f"holder {p} sent a node digest the server does not know")
+        if np.unique(pos).size != pos.size:
+            raise ProtocolError(f"holder {p} sent a node digest twice")
+        server.holder_rows[p] = order[pos]
     return Session(config=config, holders=holders, server=server, channel=channel,
                    comm=comm, audit=audit)
 
@@ -353,26 +344,37 @@ def _total_loss(holders, split: str = "train") -> float:
     return float(np.sum(terms[np.argsort(ids, kind="stable")]))
 
 
-def _row_fields(valid: np.ndarray, name: str, values: np.ndarray) -> dict:
-    """The fields of a sparse row message: a uint8 mask over the holder's
-    rows, in its NodeIndex order, and the masked rows of `values`."""
-    return {"valid": valid.astype(np.uint8), name: values[valid]}
-
-
-def _row_block(fields: dict, name: str, kind: MessageKind, holder: int, n_rows: int):
-    """(mask, value block) of a sparse row message to or from `holder`, whose
-    NodeIndex has `n_rows` rows; a mask of another length, or a value block
-    of another row count than the mask's, is refused."""
-    valid = fields["valid"].astype(bool)
-    values = fields[name]
+def _send_rows(session: Session, sender: str, receiver: str, kind: MessageKind, layer: int,
+               epoch: int, p: int, valid: np.ndarray, name: str, block: np.ndarray):
+    """Send a sparse row message between holder p and the server or the
+    sealed pool: `valid`, a uint8 mask over the holder's rows, and under
+    `name` the block of the masked rows' values. Returns the (mask, block)
+    the receiver decodes and checks: a mask of another length than the
+    holder's row count, or a block of another row count, is refused."""
+    decoded = session.channel.send(sender, receiver, kind, layer=layer, epoch=epoch,
+                                   fields={"valid": valid.astype(np.uint8), name: block},
+                                   sender_id=p if sender == holder_party(p) else -1)
+    valid, block = decoded["valid"].astype(bool), decoded[name]
+    n_rows = session.holders[p].n
     if valid.shape != (n_rows,):
-        raise ProtocolError(f"holder {holder}: {kind.value} valid mask has shape {valid.shape}, "
+        raise ProtocolError(f"holder {p}: {kind.value} valid mask has shape {valid.shape}, "
                             f"the holder has {n_rows} rows")
     count = int(np.count_nonzero(valid))
-    if values.shape[:1] != (count,):
-        raise ProtocolError(f"holder {holder}: {kind.value} carries a value block of shape "
-                            f"{values.shape} for {count} valid rows")
-    return valid, values
+    if block.shape[:1] != (count,):
+        raise ProtocolError(f"holder {p}: {kind.value} carries a value block of shape "
+                            f"{block.shape} for {count} valid rows")
+    return valid, block
+
+
+def _send_input_grad(session: Session, kind: MessageKind, layer: int, epoch: int, p: int,
+                     dH: np.ndarray, G: np.ndarray):
+    """Holder p sends the nonzero rows of dH, its gradient w.r.t. its rows
+    of a layer input (the final embedding for a PredGrad); the server adds
+    them into its universe rows of G."""
+    valid = dH.any(axis=1)
+    valid, g = _send_rows(session, holder_party(p), SERVER_PARTY, kind, layer, epoch, p,
+                          valid, "g", dH[valid])
+    G[session.server.holder_rows[p][valid]] += g
 
 
 def _pool_layer(session: Session, l: int, epoch: int):
@@ -393,10 +395,9 @@ def _pool_layer(session: Session, l: int, epoch: int):
     blocks = []
     for p, holder in enumerate(session.holders):
         t = holder.forward_local(l)
-        decoded = session.channel.send(
-            holder_party(p), receiver, kind, layer=l, epoch=epoch,
-            fields=_row_fields(holder.tapes[l].participates, name, t), sender_id=p)
-        valid, values = _row_block(decoded, name, kind, p, len(server.holder_rows[p]))
+        valid = holder.tapes[l].participates
+        valid, values = _send_rows(session, holder_party(p), receiver, kind, l, epoch, p,
+                                   valid, name, t[valid])
         blocks.append((server.holder_rows[p][valid], values))
     try:
         if not secure:
@@ -471,12 +472,8 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
 
     G = np.zeros((n, server.weights[-1].shape[0]))
     for p, holder in enumerate(session.holders):
-        rows, vals = holder.pred_backward()
-        decoded = session.channel.send(
-            holder_party(p), SERVER_PARTY, MessageKind.PRED_GRAD, layer=cfg.layers,
-            epoch=epoch, fields={"keys": holder.digests[rows].ravel(), "g": vals},
-            sender_id=p)
-        G[server.rows_of(decoded["keys"], p)] += decoded["g"]
+        _send_input_grad(session, MessageKind.PRED_GRAD, cfg.layers, epoch, p,
+                         holder.pred_backward(), G)
 
     server_grads = [None] * cfg.layers
     for l in reversed(range(cfg.layers)):
@@ -494,22 +491,14 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
             won = tape.winner == p
             valid = (won & live).any(axis=1)[rows]
             nonzero = rows[valid]
-            decoded = session.channel.send(
-                SERVER_PARTY, holder_party(p), MessageKind.LOCAL_EMB_GRAD,
-                layer=l, epoch=epoch,
-                fields={"valid": valid.astype(np.uint8),
-                        "r": np.where(won[nonzero], dM[nonzero], 0.0)})
-            valid, r = _row_block(decoded, "r", MessageKind.LOCAL_EMB_GRAD, p, holder.n)
+            valid, r = _send_rows(session, SERVER_PARTY, holder_party(p),
+                                  MessageKind.LOCAL_EMB_GRAD, l, epoch, p, valid, "r",
+                                  np.where(won[nonzero], dM[nonzero], 0.0))
             R = np.zeros((holder.n, holder.dims[l].t_dim))
             R[valid] = r
             dH = holder.backward_local(l, R)
             if l > 0:
-                decoded = session.channel.send(
-                    holder_party(p), SERVER_PARTY, MessageKind.INPUT_GRAD,
-                    layer=l, epoch=epoch, fields=_row_fields(dH.any(axis=1), "g", dH),
-                    sender_id=p)
-                valid, g = _row_block(decoded, "g", MessageKind.INPUT_GRAD, p, len(rows))
-                G_next[rows[valid]] += g
+                _send_input_grad(session, MessageKind.INPUT_GRAD, l, epoch, p, dH, G_next)
         G = G_next
     return server_grads
 
@@ -727,15 +716,17 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
     holder's local embeddings, and (d) in secure-pooling mode the server
     received no plaintext local-embedding message at all.
 
-    What the schema lets each party learn: a holder receives rows of its
-    own nodes only, addressed by position in its NodeIndex order, and no
+    What the schema lets each party learn: only NodeIndex carries digests;
+    every other row message addresses a holder's rows by position in its
+    NodeIndex order. A holder receives rows of its own nodes only and no
     digest, so it learns neither another holder's node ids nor the size of
     the union. The server learns each holder's row map (from NodeIndex),
     which of its rows take part in each layer (the `valid` masks) and which
-    rows carry a nonzero gradient. The sealed pool uses the server's row
-    maps and sees the same participation masks. The check reads kinds and
-    parties, not payloads: a payload that leaks more than its schema
-    promises is caught by the protocol tests, not here.
+    rows carry a nonzero gradient; from PredGrad, which rows hold a train
+    label. The sealed pool uses the server's row maps and sees the same
+    participation masks. The check reads kinds and parties, not payloads: a
+    payload that leaks more than its schema promises is caught by the
+    protocol tests, not here.
     """
     if mode is None:
         secure = any(r.kind in (MessageKind.POOL_INPUT.value, MessageKind.POOL_RESULT.value)

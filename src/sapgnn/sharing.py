@@ -1,9 +1,10 @@
 """n-out-of-n additive and boolean secret sharing over Z_{2^b}.
 
 Real values are carried as two's-complement fixed-point residues (default
-b=64 with 20 fraction bits; an 8-bit toy ring is available for exhaustive
-tests). Gradient aggregation sums shares modularly, so reconstruction is
-exact and the only loss is the initial encoding quantization. A share
+b=64 with 20 fraction bits, 32 for gradient shares; an 8-bit toy ring is
+available for exhaustive tests). Gradient aggregation sums shares modularly,
+so reconstruction is exact and the only loss is the initial encoding
+quantization. A share
 vector meant for another party is sent as the 32-byte seed it expands from
 (`expand_seed`, the seed-expansion trick of Bonawitz et al., CCS 2017); a
 seed reveals exactly what its expanded vector would. Seeds and expansions
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import first_max
+from .gnn import stack_max
 
 DEFAULT_FRAC_BITS = 20
 DEFAULT_RING_BITS = 64
@@ -33,6 +34,11 @@ DEFAULT_RING_BITS = 64
 # so the secured argmax agrees with plain float64 argmax except for values
 # closer than 2^-40.
 ARGMAX_FRAC_BITS = 40
+
+# Fraction bits of the fixed-point gradient shares: Adam turns the rounding of
+# a near-zero aggregate into a step of up to lr, so 20 bits let weights drift
+# from the reference. A holder's value must stay below 2^63 / (P * 2^32).
+GRAD_FRAC_BITS = 32
 
 # A share seed is SEED_WORDS uint64 words: 32 bytes stand in for a share vector.
 SEED_WORDS = 4
@@ -235,9 +241,10 @@ def share_vector(x: np.ndarray, P: int, rng: np.random.Generator,
     vector would, so sending the seed in place of the vector changes the
     bytes on the wire and nothing else.
 
-    mode "fixed-point": uint64 residues, exact modular reconstruction up to
-    the encoding quantization; each encoded value must stay below 2^63 / P
-    so that a sum over P holders cannot wrap. mode "real": float64 offsets;
+    mode "fixed-point": uint64 residues at GRAD_FRAC_BITS fraction bits,
+    exact modular reconstruction up to the encoding quantization; each
+    encoded value must stay below 2^63 / P so that a sum over P holders
+    cannot wrap. mode "real": float64 offsets;
     bypasses quantization so logic errors can be isolated from rounding
     (test mode, not a security mode).
     """
@@ -245,7 +252,7 @@ def share_vector(x: np.ndarray, P: int, rng: np.random.Generator,
         raise ValueError("sharing needs at least 2 parties")
     x = np.asarray(x, dtype=np.float64)
     if mode == "fixed-point":
-        own = encode_vector(x)
+        own = encode_vector(x, GRAD_FRAC_BITS)
         # P summands below 2^63 / P each cannot wrap the signed 64-bit sum
         if np.any(np.abs(own.view(np.int64)) >= (1 << 63) // P):
             raise ValueError(f"value overflows the 64-bit ring when summed over {P} holders")
@@ -262,11 +269,11 @@ def share_vector(x: np.ndarray, P: int, rng: np.random.Generator,
 
 def combine_vector_shares(shares, mode: str = "fixed-point"):
     """Sum share vectors in the order given (ascending party order in the
-    protocol), decoded in mode "fixed-point"."""
+    protocol), decoded at GRAD_FRAC_BITS in mode "fixed-point"."""
     acc = np.array(shares[0])
     for s in shares[1:]:
         np.add(acc, s, out=acc)
-    return decode_vector(acc) if mode == "fixed-point" else acc
+    return decode_vector(acc, GRAD_FRAC_BITS) if mode == "fixed-point" else acc
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +312,15 @@ def pooled_argmax(blocks: list, n: int, frac_bits: int = ARGMAX_FRAC_BITS):
     """Vectorized sealed-evaluator core for the pooling functionality.
 
     `blocks[p]` is holder p's `(rows, values)`: float64 candidate values of
-    the universe rows `rows` out of n, one row each. Each block is encoded
-    once at `frac_bits` into a (P, n, d) int64 stack that holds int64.min,
-    below every encoding, where a holder sent no row. Comparison happens on
-    these signed encodings (monotone, so comparing them equals comparing
-    the decoded values); the returned max values are the winners' original
-    float64 entries, selected from their blocks, not recomputed. Ties go to
-    the lowest holder index. Raises if some row has no candidate.
+    the universe rows `rows` out of n. Each block is encoded once at
+    `frac_bits` into signed int64 codes, which `stack_max` pools (the
+    encoding is monotone, so comparing codes compares values). The returned
+    maxima are the winners' float64 entries, selected from their blocks.
     """
-    unsent = np.iinfo(np.int64).min
-    enc = np.full((len(blocks), n, blocks[0][1].shape[1]), unsent)
-    for p, (rows, values) in enumerate(blocks):
-        enc[p, rows] = encode_vector(values, frac_bits).view(np.int64)
-    best, winner = first_max(enc, len(enc))          # first max: lowest holder
-    missing = (best == unsent).any(axis=1)
-    if missing.any():
-        raise ValueError(f"node row {int(np.flatnonzero(missing)[0])} has no valid candidate "
-                         "at any holder")
-    winner = winner.astype(np.int8)
+    codes = [(rows, encode_vector(values, frac_bits).view(np.int64)) for rows, values in blocks]
+    _, winner = stack_max(codes, n)
     # every element is written once, from the block of the holder that won it
-    max_values = np.empty(best.shape)
+    max_values = np.empty(winner.shape)
     for p, (rows, values) in enumerate(blocks):
         won = max_values[rows]
         np.copyto(won, values, where=winner[rows] == p)

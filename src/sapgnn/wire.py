@@ -26,7 +26,7 @@ class MessageKind(str, Enum):
     NODE_INDEX = "NodeIndex"            # holder -> server: node digests, fixes row order (init)
     LOCAL_EMBEDDING = "LocalEmbedding"  # holder -> server: participating local rows (sparse)
     GLOBAL_EMBEDDING = "GlobalEmbedding"  # server -> holder: pooled+updated rows, every row
-    PRED_GRAD = "PredGrad"              # holder -> server: loss grad of labeled rows, by digest
+    PRED_GRAD = "PredGrad"              # holder -> server: nonzero final-layer loss grads (sparse)
     LOCAL_EMB_GRAD = "LocalEmbGrad"     # server -> holder: nonzero local-row grads (sparse)
     INPUT_GRAD = "InputGrad"            # holder -> server: nonzero layer-input grads (sparse)
     GRAD_SHARE = "GradShare"            # holder -> holder: 32-byte seed of a share vector

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sapgnn.cli import main
+from sapgnn.cli import EXIT_REFUSED, main
 from sapgnn.config import RunConfig, apply_overrides
 
 
@@ -136,10 +136,34 @@ def test_apply_overrides_refuses_a_key_below_a_value():
         apply_overrides(RunConfig().to_dict(), ["mode.x=1"])
 
 
-def test_cli_refuses_a_misspelled_override(tmp_path):
-    with pytest.raises(ValueError, match="partiton"):
-        main(["train-sapgnn", "--out", str(tmp_path / "bad"), "--set", "partiton.P=3"])
+def test_cli_refuses_a_misspelled_override(tmp_path, capsys):
+    assert main(["train-sapgnn", "--out", str(tmp_path / "bad"),
+                 "--set", "partiton.P=3"]) == EXIT_REFUSED
+    assert capsys.readouterr().err == (
+        "sapgnn: refused: unknown key 'partiton' in the config\n")
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"model": 3}, "config section 'model' is not a JSON object"),
+    ({"train": [1, 2]}, "config section 'train' is not a JSON object"),
+    (3, "the config is not a JSON object"),
+])
+def test_config_refuses_a_non_object_by_name(config, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict(config)
+
+
+def test_cli_refuses_a_config_file_it_cannot_use(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": 3}))
+    assert main(["train-sapgnn", "--config", str(path), "--out", str(tmp_path)]) == EXIT_REFUSED
+    assert "sapgnn: refused: config section 'model'" in capsys.readouterr().err
+    missing = tmp_path / "missing.json"
+    assert main(["train-sapgnn", "--config", str(missing), "--out", str(tmp_path)]) == EXIT_REFUSED
+    assert "sapgnn: refused:" in capsys.readouterr().err
+    path.write_text("{")
+    assert main(["verify-equivalence", "--config", str(path)]) == EXIT_REFUSED
 
 
 def test_training_without_validation_labels(tmp_path, capsys):

@@ -49,16 +49,16 @@ def sha256(path) -> str:
 PROTOCOL_GOLDEN = {
     "p1-sum-naive-real": (
         "6da3ea9b72d29b68ac8bebcb6185f0740667c107baa9d413d3c3cbaed3f06779",
-        "8aab6724361c5104e3788ea0ea866f4f4608e9f423edf8e1da09bf18319dc507",
-        "44b12f1692612b3e3739b442811240544d5bc82cfac2e02da353690ad4d6b125"),
+        "17efa60683e744c86b35c6a03cad1ba94005f79c5028f6ea39da39f31d2f9939",
+        "5711cd023ca55ce67b4aacb517d1cbe406d44bcf757ede24ce9893697ad35dad"),
     "p3-gated-secure-fixed": (
-        "2b6da6ebb9073dd83eca617af6a921a0f4332496d8efaaae957b854669b27cbb",
-        "33bbdde33860f6bb77b21ed720a64c6cf2b557d3591d292823938c4089366439",
-        "630c32b1df90e899698c5231316ef56f013ce8db61fda7da3daa4aa310aa6dab"),
+        "eb15f0f5e6ed37d5094bd51c6d29fb965761659a1687f5319b6c6141846bacb3",
+        "55244bf0af6bda4e354eee3d902aa18535f319aa49afd813e2e87def59614021",
+        "a9f3a402ae308c61e9c58e62e2668453462b0ef215aac775579d509f044288ab"),
     "p3-skew-sum-naive-fixed": (
-        "7bd38cfba1238dd8a78176e831dbe6e8cfcc73f4c9a7e656f687f20bf3038a4a",
-        "68278eb4b10a274d2ae87e552039c81cc8afe2094e3eccfbebd92020bd9e5932",
-        "0325069d60c8ed15e12af17a6e72fe70da53ded7bd84c1fbd0a5ae14a6e6a862"),
+        "1138c18c0705276c02aacf59e9d5ac629bab4e5af8573113a0db086f2d21133d",
+        "7b192a94fd191950f4de47208e1562faf4cc2a30cb86a4903280113e68514f20",
+        "3b2acfae5337c6bac90d7034cad80d2320df68ba657b0ea9e1418a987ebf4ef8"),
 }
 
 # The one-holder protocol run and the centralized trainer write the same file.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sapgnn.numerics import make_rng
 from sapgnn.protocol import ProtocolError, secure_sum
-from sapgnn.sharing import (AdditiveShare, AuditLog, FixedPoint,
+from sapgnn.sharing import (GRAD_FRAC_BITS, AdditiveShare, AuditLog, FixedPoint,
                             combine_vector_shares, decode_vector, encode_vector,
                             pooled_argmax, reconstruct_additive, reconstruct_boolean,
                             SEED_WORDS, expand_seed, secure_argmax,
@@ -138,7 +138,7 @@ def run_sum(vectors, seed, mode="fixed-point"):
 
 def test_aggregate_zerovectors():
     total, _ = run_sum([np.zeros(8), np.zeros(8)], 4)
-    assert np.allclose(total, 0.0, atol=2 * 2 ** -20)
+    assert np.allclose(total, 0.0, atol=2 * 2.0 ** -GRAD_FRAC_BITS)
 
 
 def test_aggregate_dyadic_exact():
@@ -152,7 +152,7 @@ def test_aggregate_matches_plaintext_sum():
     vecs = [rng.uniform(-10, 10, size=64) for _ in range(4)]
     total, _ = run_sum(vecs, 7)
     expected = vecs[0] + vecs[1] + vecs[2] + vecs[3]
-    assert np.max(np.abs(total - expected)) <= 4 * 2 ** -20
+    assert np.max(np.abs(total - expected)) <= 4 * 2.0 ** -GRAD_FRAC_BITS
 
 
 def test_aggregate_real_mode():
@@ -164,11 +164,12 @@ def test_aggregate_real_mode():
 
 def test_aggregate_over_three_holders_refuses_to_wrap():
     # each value encodes below 2^62, but the three-holder sum passes 2^63
-    vecs = [np.array([1.5 * 2.0 ** 41])] * 3
+    big = 1.5 * 2.0 ** (61 - GRAD_FRAC_BITS)
+    vecs = [np.array([big])] * 3
     with pytest.raises(ProtocolError, match="summed over 3 holders"):
         run_sum(vecs, 3)
     total, _ = run_sum(vecs[:2], 3)
-    assert total[0] == 3.0 * 2.0 ** 41
+    assert total[0] == 2 * big
 
 
 def test_aggregate_refuses_a_nan_gradient():
@@ -214,12 +215,15 @@ def test_secure_sum_keeps_few_vectors_alive():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.max(np.abs(total - np.sum(vectors, axis=0))) <= P * 2.0 ** -20
+    assert np.max(np.abs(total - np.sum(vectors, axis=0))) <= P * 2.0 ** -GRAD_FRAC_BITS
     assert peak < (2 * P + 3.5) * L * 8, f"peak {peak / (L * 8):.1f} vectors of length L"
 
 
-# Fixed-point: |value| <= 2^20 stays far below the 2^43 / P wrap bound, and
-# float64 still carries every fraction bit of totals that large.
+# Fixed-point: |value| <= 2^20 stays far below the 2^31 / P wrap bound at
+# GRAD_FRAC_BITS = 32. Sums that large carry fewer fraction bits in float64
+# than the encoding does, so the check allows, on top of the encoding's
+# quantization, for float64 rounding of the plaintext sum and of the decoded
+# total, at most one spacing of the largest sum of magnitudes per holder.
 VALUE_BOUND = {"fixed-point": 2.0 ** 20, "real": 1e3}
 
 
@@ -242,7 +246,11 @@ def test_secure_sum_properties(inputs):
     P = len(vectors)
     total, channel = run_sum(vectors, seed, mode)
     expected = np.sum(vectors, axis=0)
-    tolerance = P * 2.0 ** -20 if mode == "fixed-point" else 1e-9
+    if mode == "fixed-point":
+        magnitude = np.max(np.sum(np.abs(vectors), axis=0))
+        tolerance = P * (2.0 ** -GRAD_FRAC_BITS + np.spacing(magnitude))
+    else:
+        tolerance = 1e-9
     assert np.max(np.abs(total - expected)) <= tolerance
 
     kinds = [rec.kind for rec in channel.audit.records]
@@ -266,10 +274,11 @@ def test_secure_sum_properties(inputs):
     if mode == "fixed-point":
         # exact mod 2^64: the total is the decoded sum of the encodings bit
         # for bit, whatever the seeds
-        encoded = encode_vector(vectors[0])
+        encoded = encode_vector(vectors[0], GRAD_FRAC_BITS)
         for v in vectors[1:]:
-            encoded = encoded + encode_vector(v)
-        assert np.array_equal(total.view(np.int64), decode_vector(encoded).view(np.int64))
+            encoded = encoded + encode_vector(v, GRAD_FRAC_BITS)
+        assert np.array_equal(total.view(np.int64),
+                              decode_vector(encoded, GRAD_FRAC_BITS).view(np.int64))
     # rebuild every holder's total from what it received: its own partial
     # (the one it sends to everyone else) plus the partials sent to it
     sent = {(s, r): f["partial"] for s, r, k, f in channel.delivered if k == "PartialSum"}
@@ -288,7 +297,8 @@ def test_share_vector_modes_reconstruct():
         assert own.shape == x.shape
         shares = [expand_seed(s, x.shape, mode) for s in seeds] + [own]
         got = combine_vector_shares(shares, mode=mode)
-        assert np.max(np.abs(got - x)) <= (2 ** -20 if mode == "fixed-point" else 1e-12)
+        assert np.max(np.abs(got - x)) <= (2.0 ** -GRAD_FRAC_BITS if mode == "fixed-point"
+                                           else 1e-12)
     # the expansion is fixed by the seed alone
     assert np.array_equal(expand_seed(seeds[0], (5,), "fixed-point"),
                           expand_seed(seeds[0].copy(), (5,), "fixed-point"))
@@ -385,7 +395,7 @@ def test_pooled_argmax_respects_validity():
 
 def test_pooled_argmax_all_invalid_raises():
     rows = np.array([0, 2])
-    with pytest.raises(ValueError, match="node row 1 has no valid candidate"):
+    with pytest.raises(ValueError, match="node row 1 is unknown to every holder"):
         pooled_argmax([(rows, np.zeros((2, 2))), (rows, np.ones((2, 2)))], 3)
 
 
