@@ -11,13 +11,13 @@ from sapgnn import (AuditLog, Channel, CommStats, FixedPoint, make_rng, reconstr
 
 rng = make_rng(2024, "demo")
 
-print("== scalar sharing over Z_2^64, 20 fraction bits ==")
+print("== scalar sharing over Z_2^64, 32 fraction bits ==")
 x = FixedPoint.encode(3.14159)
 shares = share_additive(x, 3, rng)
 for s in shares:
     print(f"  party {s.party_id}: 0x{s.value:016x}")
 back = reconstruct_additive(shares)
-print(f"  reconstructed: {back.decode():.6f} (quantization <= 2^-20)")
+print(f"  reconstructed: {back.decode():.6f} (quantization <= 2^-33)")
 
 print("\n== the same scheme on an 8-bit toy ring ==")
 toy = FixedPoint(raw=5, frac_bits=0, ring_bits=8)

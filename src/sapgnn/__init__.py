@@ -18,8 +18,8 @@ from .numerics import (NEG_INF, AdamState, adam_step, dropout_mask, finite_diff_
 from .protocol import (AuditReport, ProtocolError, Session, TrainResult,
                        aggregate_local_grads, backward_pass, forward_pass, init_parties,
                        run_training, secure_sum, verify_privacy_audit, weight_update)
-from .sharing import (AdditiveShare, AuditLog, BooleanShare, FixedPoint, reconstruct_additive,
-                      reconstruct_boolean, secure_argmax, share_additive, share_boolean)
-from .wire import Channel, CommStats, MessageKind, WireError
+from .sharing import (AdditiveShare, FixedPoint, reconstruct_additive, reconstruct_boolean,
+                      secure_argmax, share_additive, share_boolean)
+from .wire import AuditLog, Channel, CommStats, MessageKind, WireError
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .harness import (ExperimentSpec, SWEEP_HEADER, compare_equivalence, run_swe
                       write_metrics_csv)
 from .protocol import (ProtocolError, build_dataset, build_partition, run_training,
                        verify_privacy_audit)
-from .sharing import AuditLog
+from .wire import AuditLog
 
 EXIT_OK = 0
 EXIT_EQUIVALENCE_FAIL = 2

@@ -94,10 +94,6 @@ class RunConfig:
                 kwargs[key] = section(**d[key])
         return cls(**kwargs)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
-
 
 def _parse_value(text: str):
     try:

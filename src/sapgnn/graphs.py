@@ -120,17 +120,6 @@ class Graph:
         return dict(zip(SPLITS, (self.train_ids, self.val_ids, self.test_ids)))
 
 
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    return (np.array_equal(a.node_ids, b.node_ids)
-            and np.array_equal(a.features, b.features)
-            and np.array_equal(a.edges, b.edges)
-            and np.array_equal(a.labels, b.labels)
-            and np.array_equal(a.train_ids, b.train_ids)
-            and np.array_equal(a.val_ids, b.val_ids)
-            and np.array_equal(a.test_ids, b.test_ids)
-            and a.n_classes == b.n_classes)
-
-
 @dataclass
 class LocalGraph:
     """One data holder's private subgraph plus its owned label shares.

@@ -20,8 +20,7 @@ from .numerics import AdamState, dropout_mask, make_rng
 from .protocol import (TrainResult, adam_update, aggregate_local_grads, backward_pass,
                        build_dataset, build_partition, fit, forward_pass, init_parties,
                        run_training)
-from .sharing import AuditLog
-from .wire import CommStats, MessageKind
+from .wire import AuditLog, CommStats, MessageKind
 
 SWEEP_HEADER = ["method", "dataset", "P", "q", "repeat", "seed",
                 "accuracy", "macro_f1", "epochs", "wall_ms"]

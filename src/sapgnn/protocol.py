@@ -42,9 +42,8 @@ from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset
                      split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
 from .numerics import AdamState, adam_step, dropout_mask, make_rng
-from .sharing import (AuditLog, combine_vector_shares, expand_seed, pooled_argmax,
-                      share_vector)
-from .wire import Channel, CommStats, MessageKind
+from .sharing import SEED_WORDS, combine_vector_shares, expand_seed, pooled_argmax, share_vector
+from .wire import AuditLog, Channel, CommStats, MessageKind
 
 POOL_PARTY = "sealed-pool"
 SERVER_PARTY = "server"
@@ -408,7 +407,16 @@ def _pool_layer(session: Session, l: int, epoch: int):
     decoded = session.channel.send(
         POOL_PARTY, SERVER_PARTY, MessageKind.POOL_RESULT, layer=l, epoch=epoch,
         fields={"m": m, "winner": winner})
-    return decoded["m"], decoded["winner"].astype(np.int8)
+    m, winner = decoded.get("m"), decoded.get("winner")
+    shape = (server.n, server.weights[l].shape[1])
+    if (m is None or winner is None or m.shape != shape or winner.shape != shape
+            or m.dtype != np.float64 or winner.dtype != np.int8):
+        raise ProtocolError(f"{POOL_PARTY}: PoolResult must carry float64 m and int8 winner "
+                            f"of shape {shape}")
+    if winner.size and not 0 <= winner.min() <= winner.max() < len(session.holders):
+        raise ProtocolError(f"{POOL_PARTY}: PoolResult names a winner outside holders "
+                            f"0..{len(session.holders) - 1}")
+    return m, winner
 
 
 def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> ForwardResult:
@@ -518,7 +526,8 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     ascending sender order, so only O(P) vectors are alive at once. A seed
     reveals exactly what its expanded vector would; it is drawn from
     numpy's PCG64, which is simulator-grade and not a CSPRNG. Messages go
-    sender outer, receiver inner. Returns the total once every holder has
+    sender outer, receiver inner, and a receiver refuses a seed or partial
+    of another shape or dtype. Returns the total once every holder has
     reconstructed the same one; with one holder its vector is the total
     and nothing is sent.
     """
@@ -529,10 +538,18 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     if P == 1:
         return vectors[0]
     shape = shapes.pop()
+    dtype = np.dtype(np.uint64 if mode == "fixed-point" else np.float64)
 
-    def send(kind: MessageKind, j: int, i: int, name: str, value):
-        return channel.send(holder_party(j), holder_party(i), kind, layer=-1, epoch=epoch,
-                            fields={name: value}, sender_id=j)[name]
+    def send(kind: MessageKind, j: int, i: int, name: str, value, want: tuple):
+        """Holder j sends `value` to holder i, who refuses anything but one
+        `name` field of the (shape, dtype) `want`."""
+        got = channel.send(holder_party(j), holder_party(i), kind, layer=-1, epoch=epoch,
+                           fields={name: value}, sender_id=j).get(name)
+        if got is None or (got.shape, got.dtype) != want:
+            sent = "nothing" if got is None else f"{got.dtype} {got.shape}"
+            raise ProtocolError(f"holder {j}: {kind.value} to holder {i} carries {sent} as "
+                                f"{name!r}, expected {want[1]} {want[0]}")
+        return got
 
     partials = [None] * P  # partials[i]: holder i's own share plus the expansions so far
     for j, (vector, rng) in enumerate(zip(vectors, rngs, strict=True)):
@@ -542,7 +559,8 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
             raise ProtocolError(str(exc)) from exc
         for i in range(P):
             share = own if i == j else expand_seed(
-                send(MessageKind.GRAD_SHARE, j, i, "seed", seeds[i - (i > j)]), shape, mode)
+                send(MessageKind.GRAD_SHARE, j, i, "seed", seeds[i - (i > j)],
+                     ((SEED_WORDS,), seeds.dtype)), shape, mode)
             if partials[i] is None:
                 partials[i] = share
             else:
@@ -552,7 +570,8 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     for j in range(P):
         partial, partials[j] = partials[j], None
         for i in range(P):
-            got = partial if i == j else send(MessageKind.PARTIAL_SUM, j, i, "partial", partial)
+            got = partial if i == j else send(MessageKind.PARTIAL_SUM, j, i, "partial", partial,
+                                              (shape, dtype))
             if sums[i] is None:
                 sums[i] = got.copy()
             else:

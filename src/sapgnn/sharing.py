@@ -1,10 +1,12 @@
 """n-out-of-n additive and boolean secret sharing over Z_{2^b}.
 
-Real values are carried as two's-complement fixed-point residues (default
-b=64 with 20 fraction bits, 32 for gradient shares; an 8-bit toy ring is
-available for exhaustive tests). Gradient aggregation sums shares modularly,
-so reconstruction is exact and the only loss is the initial encoding
-quantization. A share
+Real values are carried as two's-complement fixed-point residues, and
+`encode_vector`/`decode_vector` are the one codec: uint64 residues mod 2^b
+at a given number of fraction bits (b=64 with `GRAD_FRAC_BITS` = 32 by
+default; an 8-bit toy ring is available for exhaustive tests). The scalar
+`FixedPoint` API of the paper's sharing criteria encodes and decodes
+through it. Gradient aggregation sums shares modularly, so reconstruction
+is exact and the only loss is the initial encoding quantization. A share
 vector meant for another party is sent as the 32-byte seed it expands from
 (`expand_seed`, the seed-expansion trick of Bonawitz et al., CCS 2017); a
 seed reveals exactly what its expanded vector would. Seeds and expansions
@@ -12,23 +14,19 @@ come from numpy's PCG64, which is simulator-grade randomness and not a
 CSPRNG, as were the share vectors that seeds replaced. This module holds
 the primitives; who sends which share to whom in the holders' secure
 gradient sum is `protocol.secure_sum`, where a GradShare's audit schema is
-`seed`. The secure element-wise argmax is an ideal functionality: a
-sealed evaluator reconstructs inside a boundary, compares, and re-shares
-the one-hot winner; the audit log shows that no party outside the
-boundary saw plaintext values.
+`seed`. Boolean shares are one (P, k) uint8 array whose row p is party
+p's share. The secure element-wise argmax is an ideal functionality: a
+sealed evaluator reconstructs inside a boundary, compares, and XOR-shares
+the one-hot winner back out.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gnn import stack_max
-
-DEFAULT_FRAC_BITS = 20
-DEFAULT_RING_BITS = 64
 
 # Finer encoding used only for comparisons inside the pooling functionality,
 # so the secured argmax agrees with plain float64 argmax except for values
@@ -49,24 +47,20 @@ class FixedPoint:
     """A two's-complement fixed-point residue in Z_{2^ring_bits}."""
 
     raw: int
-    frac_bits: int = DEFAULT_FRAC_BITS
-    ring_bits: int = DEFAULT_RING_BITS
+    frac_bits: int = GRAD_FRAC_BITS
+    ring_bits: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "raw", int(self.raw) % (1 << self.ring_bits))
 
     @classmethod
-    def encode(cls, x: float, frac_bits: int = DEFAULT_FRAC_BITS,
-               ring_bits: int = DEFAULT_RING_BITS) -> "FixedPoint":
-        scaled = int(np.rint(float(x) * (1 << frac_bits)))
-        if not -(1 << (ring_bits - 1)) <= scaled < (1 << (ring_bits - 1)):
-            raise ValueError(f"value {x} overflows a {ring_bits}-bit ring at f={frac_bits}")
-        return cls(raw=scaled % (1 << ring_bits), frac_bits=frac_bits, ring_bits=ring_bits)
+    def encode(cls, x: float, frac_bits: int = GRAD_FRAC_BITS,
+               ring_bits: int = 64) -> "FixedPoint":
+        return cls(int(encode_vector([x], frac_bits, ring_bits)[0]), frac_bits, ring_bits)
 
     def decode(self) -> float:
-        half = 1 << (self.ring_bits - 1)
-        signed = self.raw - (1 << self.ring_bits) if self.raw >= half else self.raw
-        return signed / float(1 << self.frac_bits)
+        return float(decode_vector(np.array([self.raw], np.uint64), self.frac_bits,
+                                   self.ring_bits)[0])
 
 
 @dataclass(frozen=True)
@@ -77,66 +71,39 @@ class AdditiveShare:
     party_id: int
     value: int
     n_parties: int = 2
-    frac_bits: int = DEFAULT_FRAC_BITS
-    ring_bits: int = DEFAULT_RING_BITS
+    frac_bits: int = GRAD_FRAC_BITS
+    ring_bits: int = 64
 
 
-@dataclass(frozen=True)
-class BooleanShare:
-    """One party's XOR share of a bit vector."""
+# ---------------------------------------------------------------------------
+# Fixed-point codec
+# ---------------------------------------------------------------------------
 
-    party_id: int
-    bits: np.ndarray
+def encode_vector(x, frac_bits: int, ring_bits: int = 64) -> np.ndarray:
+    """x scaled by 2^frac_bits and rounded, as uint64 residues mod 2^ring_bits.
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.uint8) & 1)
+    A NaN, or a value whose scaled magnitude reaches 2^(ring_bits - 2), is
+    refused, so that the sum of two encodings stays in the signed range."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):     # an overflow to inf is refused below
+        scaled = np.rint(x * float(1 << frac_bits))
+    # written as "all below" so that a NaN, which compares False, is refused
+    if not np.all(np.abs(scaled) < float(1 << (ring_bits - 2))):
+        raise ValueError(f"value is NaN or overflows the {ring_bits}-bit ring "
+                         f"at this precision")
+    raw = scaled.astype(np.int64).view(np.uint64)
+    if ring_bits < 64:
+        np.bitwise_and(raw, np.uint64((1 << ring_bits) - 1), out=raw)
+    return raw
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    ts: int          # logical clock, not wall time, so runs stay bit-reproducible
-    sender: str
-    receiver: str
-    kind: str
-    schema: str
-
-
-class AuditLog:
-    """Append-only transmission log: one record per message, schema only.
-
-    Payload values are never stored; the log answers "who sent what kind of
-    message to whom", which is what the privacy checks are defined over.
-    """
-
-    def __init__(self):
-        self.records: list[AuditRecord] = []
-
-    def append(self, sender: str, receiver: str, kind: str, schema: str) -> AuditRecord:
-        rec = AuditRecord(ts=len(self.records), sender=sender, receiver=receiver,
-                          kind=kind, schema=schema)
-        self.records.append(rec)
-        return rec
-
-    def __len__(self):
-        return len(self.records)
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps({"ts": r.ts, "sender": r.sender, "receiver": r.receiver,
-                             "kind": r.kind, "schema": r.schema}, sort_keys=True)
-                 for r in self.records]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "AuditLog":
-        log = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            log.records.append(AuditRecord(ts=d["ts"], sender=d["sender"],
-                                           receiver=d["receiver"], kind=d["kind"],
-                                           schema=d["schema"]))
-        return log
+def decode_vector(raw: np.ndarray, frac_bits: int, ring_bits: int = 64) -> np.ndarray:
+    """The float64 values of uint64 residues mod 2^ring_bits (two's complement)."""
+    signed = raw.view(np.int64)
+    if ring_bits < 64:
+        shift = np.int64(64 - ring_bits)
+        signed = (signed << shift) >> shift
+    return signed.astype(np.float64) / float(1 << frac_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -174,46 +141,26 @@ def reconstruct_additive(shares: list[AdditiveShare]) -> FixedPoint:
     return FixedPoint(raw=total, frac_bits=fracs.pop(), ring_bits=ring_bits)
 
 
-def share_boolean(bits, P: int, rng: np.random.Generator) -> list[BooleanShare]:
+def share_boolean(bits, P: int, rng: np.random.Generator) -> np.ndarray:
+    """XOR shares of a bit vector: a (P, k) uint8 array whose row p is party
+    p's share, P-1 uniform rows plus the XOR of the bits with all of them."""
     if P < 2:
         raise ValueError("boolean sharing needs at least 2 parties")
     bits = np.asarray(bits, dtype=np.uint8) & 1
-    shares = [rng.integers(0, 2, size=bits.shape, dtype=np.uint8) for _ in range(P - 1)]
-    last = bits.copy()
-    for s in shares:
-        last ^= s
-    shares.append(last)
-    return [BooleanShare(party_id=i, bits=b) for i, b in enumerate(shares)]
+    shares = np.empty((P,) + bits.shape, dtype=np.uint8)
+    shares[:-1] = rng.integers(0, 2, size=shares[:-1].shape, dtype=np.uint8)
+    shares[-1] = bits ^ np.bitwise_xor.reduce(shares[:-1], axis=0)
+    return shares
 
 
-def reconstruct_boolean(shares: list[BooleanShare]) -> np.ndarray:
-    ids = sorted(s.party_id for s in shares)
-    if ids != list(range(len(shares))):
-        raise ValueError(f"need each party id exactly once, got {ids}")
-    out = np.zeros_like(shares[0].bits)
-    for s in shares:
-        out ^= s.bits
-    return out
+def reconstruct_boolean(shares: np.ndarray) -> np.ndarray:
+    """XOR of every party's share, row p of `shares` being party p's."""
+    return np.bitwise_xor.reduce(np.asarray(shares, dtype=np.uint8), axis=0)
 
 
 # ---------------------------------------------------------------------------
-# Vector fixed-point helpers (64-bit ring, numpy uint64 wraparound is modular)
+# Vector sharing (64-bit ring, numpy uint64 wraparound is modular)
 # ---------------------------------------------------------------------------
-
-def encode_vector(x: np.ndarray, frac_bits: int = DEFAULT_FRAC_BITS) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):     # an overflow to inf is refused below
-        scaled = np.rint(x * float(1 << frac_bits))
-    limit = float(1 << 62)
-    # written as "all below" so that a NaN, which compares False, is refused
-    if not np.all(np.abs(scaled) < limit):
-        raise ValueError("value is NaN or overflows the 64-bit ring at this precision")
-    return scaled.astype(np.int64).view(np.uint64)
-
-
-def decode_vector(raw: np.ndarray, frac_bits: int = DEFAULT_FRAC_BITS) -> np.ndarray:
-    return raw.view(np.int64).astype(np.float64) / float(1 << frac_bits)
-
 
 def expand_seed(seed: np.ndarray, shape, mode: str = "fixed-point") -> np.ndarray:
     """The share vector that a 32-byte seed stands for.
@@ -280,32 +227,25 @@ def combine_vector_shares(shares, mode: str = "fixed-point"):
 # Secure element-wise argmax (ideal functionality)
 # ---------------------------------------------------------------------------
 
-def secure_argmax(values: list[FixedPoint], rng: np.random.Generator,
-                  audit: AuditLog | None = None):
+def secure_argmax(values: list[FixedPoint], rng: np.random.Generator) -> np.ndarray:
     """One-hot boolean shares of the maximum's index among P scalars.
 
     A sealed evaluator gathers the parties' shares and compares the values
     with `pooled_argmax`, each party's value a one-row block (signed; ties
     go to the lowest party index), re-encoding them at their own fraction
     bits so that the comparison is exact, and XOR-shares the indicator
-    vector back out.
-    Returns (list of BooleanShare, audit).
+    vector back out as `share_boolean` does: row p of the returned (P, P)
+    array is party p's share.
     """
     P = len(values)
     if P < 2:
         raise ValueError("secure argmax needs at least 2 parties")
-    audit = audit if audit is not None else AuditLog()
-    for p in range(P):
-        audit.append(f"holder-{p}", "sealed-evaluator", "ArgmaxInput", schema="fixed-point scalar")
     row = np.zeros(1, dtype=np.int64)
     _, winner = pooled_argmax([(row, np.array([[v.decode()]])) for v in values], 1,
                               frac_bits=max(v.frac_bits for v in values))
     onehot = np.zeros(P, dtype=np.uint8)
     onehot[winner[0, 0]] = 1
-    shares = share_boolean(onehot, P, rng)
-    for p in range(P):
-        audit.append("sealed-evaluator", f"holder-{p}", "ArgmaxShare", schema=f"bits[{P}]")
-    return shares, audit
+    return share_boolean(onehot, P, rng)
 
 
 def pooled_argmax(blocks: list, n: int, frac_bits: int = ARGMAX_FRAC_BITS):

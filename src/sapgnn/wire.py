@@ -1,21 +1,24 @@
-"""Wire format, in-process channel, and communication accounting.
+"""Wire format, in-process channel, communication accounting and audit log.
 
 Every cross-party value travels as a length-prefixed, schema-tagged binary
-message (little-endian, float64 payloads). The channel serializes, meters
-bytes into CommStats, appends one audit record per transmission, and hands
-the receiver a decoded copy. The message-kind enum is the closed schema the
-privacy audit is defined over.
+message (little-endian; floats as float64, unsigned integers as uint8 or
+uint64, signed as int8 or int64, so every payload arrives exactly as sent;
+a field of any other dtype is refused). The channel serializes, meters
+bytes into CommStats, appends one record per transmission to the AuditLog,
+and hands the receiver a decoded copy. The message-kind enum is the closed
+schema the privacy audit is defined over. This module imports nothing else
+from the package.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .sharing import AuditLog
 
 
 class MessageKind(str, Enum):
@@ -44,19 +47,27 @@ _HEADER = "<2sBhiB"  # magic, kind id, layer, epoch, field count
 _SENDER = "<h"       # sender id, after the last field
 
 
-def _norm_dtype(arr: np.ndarray) -> np.ndarray:
+class WireError(ValueError):
+    """A field handed to encode_message has a dtype that no wire code holds
+    exactly, or the bytes handed to decode_message are not exactly one
+    well-formed message."""
+
+
+def _norm_dtype(name: str, arr: np.ndarray) -> np.ndarray:
     """arr in its wire dtype, same shape (0-d stays 0-d); tobytes() writes C
-    order whatever the memory layout."""
-    kind = arr.dtype.kind
-    if kind == "f":
+    order whatever the memory layout. Every value is kept exactly: a dtype
+    that no wire code holds (complex, object, a float wider than 8 bytes,
+    a string) is refused."""
+    kind, size = arr.dtype.kind, arr.dtype.itemsize
+    if kind == "f" and size <= 8:
         return arr.astype("<f8", copy=False)
-    if kind == "u" and arr.dtype.itemsize == 8:
-        return arr.astype("<u8", copy=False)
     if kind == "u":
-        return arr.astype("|u1", copy=False)
-    if kind == "i" and arr.dtype.itemsize == 1:
+        return arr.astype("|u1" if size == 1 else "<u8", copy=False)
+    if kind == "i" and size == 1:
         return arr.astype("|i1", copy=False)
-    return arr.astype("<i8", copy=False)
+    if kind in "bi":
+        return arr.astype("<i8", copy=False)
+    raise WireError(f"field {name!r}: no wire code holds dtype {arr.dtype} exactly")
 
 
 def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,
@@ -64,9 +75,7 @@ def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,
     """Serialize one message; the leading u32 is the body length."""
     parts = [b"", struct.pack(_HEADER, b"SG", KIND_IDS[kind], layer, epoch, len(fields))]
     for name, arr in fields.items():
-        if isinstance(arr, (bytes, bytearray)):
-            arr = np.frombuffer(bytes(arr), dtype=np.uint8)
-        arr = _norm_dtype(np.asarray(arr))
+        arr = _norm_dtype(name, np.asarray(arr))
         code = _DTYPE_CODES[arr.dtype.str]
         raw = arr.tobytes()
         name_b = name.encode("utf-8")
@@ -79,10 +88,6 @@ def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,
     # the length prefix goes into the one join rather than onto a copy of the body
     parts[0] = struct.pack("<I", sum(map(len, parts)))
     return b"".join(parts)
-
-
-class WireError(ValueError):
-    """The bytes handed to decode_message are not exactly one well-formed message."""
 
 
 def _unpack(fmt: str, body, off: int) -> tuple:
@@ -178,6 +183,53 @@ class CommStats:
             key = (epoch, kind, direction)
             agg[key] = agg.get(key, 0) + n
         return [(*key, agg[key]) for key in sorted(agg)]
+
+
+@dataclass(frozen=True)
+class AuditRecord:
+    ts: int          # logical clock, not wall time, so runs stay bit-reproducible
+    sender: str
+    receiver: str
+    kind: str
+    schema: str
+
+
+class AuditLog:
+    """Append-only transmission log: one record per message, schema only.
+
+    Payload values are never stored; the log answers "who sent what kind of
+    message to whom", which is what the privacy checks are defined over.
+    """
+
+    def __init__(self):
+        self.records: list[AuditRecord] = []
+
+    def append(self, sender: str, receiver: str, kind: str, schema: str) -> AuditRecord:
+        rec = AuditRecord(ts=len(self.records), sender=sender, receiver=receiver,
+                          kind=kind, schema=schema)
+        self.records.append(rec)
+        return rec
+
+    def __len__(self):
+        return len(self.records)
+
+    def to_jsonl(self) -> str:
+        lines = [json.dumps({"ts": r.ts, "sender": r.sender, "receiver": r.receiver,
+                             "kind": r.kind, "schema": r.schema}, sort_keys=True)
+                 for r in self.records]
+        return "\n".join(lines) + ("\n" if lines else "")
+
+    @classmethod
+    def from_jsonl(cls, text: str) -> "AuditLog":
+        log = cls()
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            d = json.loads(line)
+            log.records.append(AuditRecord(ts=d["ts"], sender=d["sender"],
+                                           receiver=d["receiver"], kind=d["kind"],
+                                           schema=d["schema"]))
+        return log
 
 
 class Channel:

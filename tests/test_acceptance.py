@@ -254,7 +254,7 @@ def test_criterion_6_secure_argmax():
         vals = rng.uniform(-100, 100, size=P)
         if i % 10 == 0:
             vals[: P // 2 + 1] = vals[0]   # force ties: lowest index must win
-        shares, _ = secure_argmax([FixedPoint.encode(v) for v in vals], rng)
+        shares = secure_argmax([FixedPoint.encode(v) for v in vals], rng)
         onehot = reconstruct_boolean(shares)
         assert onehot.sum() == 1
         assert int(np.argmax(onehot)) == int(np.argmax(vals))

@@ -107,7 +107,7 @@ def test_sweep_subcommand(tmp_path, capsys):
 
 def test_config_round_trip():
     cfg = RunConfig()
-    again = RunConfig.from_json(cfg.to_json())
+    again = RunConfig.from_dict(json.loads(cfg.to_json()))
     assert again.to_dict() == cfg.to_dict()
 
 

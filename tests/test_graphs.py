@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -5,9 +6,8 @@ import numpy as np
 import pytest
 
 from sapgnn import graphs as G
-from sapgnn.graphs import (Graph, LocalGraph, generate_synthetic, graphs_equal, load_dataset,
-                           node_digests, split_edges_uniform, split_label_skew, union_graph,
-                           write_dataset)
+from sapgnn.graphs import (Graph, LocalGraph, generate_synthetic, load_dataset, node_digests,
+                           split_edges_uniform, split_label_skew, union_graph, write_dataset)
 
 
 def tiny_graph(n=6, seed=3, **kw):
@@ -15,6 +15,12 @@ def tiny_graph(n=6, seed=3, **kw):
     kw.setdefault("inter_class_edge_prob", 0.3)
     return generate_synthetic(n, 2, 3, seed=seed, **kw)
 
+
+
+def graphs_equal(a: Graph, b: Graph) -> bool:
+    """Every field of the two graphs is equal, array by array."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(Graph))
 
 # -- synthetic generation ----------------------------------------------------
 

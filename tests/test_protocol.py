@@ -761,3 +761,30 @@ def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, party, fiel
     with pytest.raises(ProtocolError, match=message):
         forward_pass(session, train=True, epoch=0)
         backward_pass(session, epoch=0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda f: {**f, "m": f["m"][:-1]}, "must carry float64 m", id="short-m"),
+    pytest.param(lambda f: {**f, "winner": f["winner"][:, :-1]}, "must carry float64 m",
+                 id="narrow-winner"),
+    pytest.param(lambda f: {**f, "winner": f["winner"].astype(np.int64)}, "must carry float64 m",
+                 id="wide-winner"),
+    pytest.param(lambda f: {"m": f["m"]}, "must carry", id="no-winner"),
+    pytest.param(lambda f: {**f, "winner": np.full_like(f["winner"], 2)},
+                 r"names a winner outside holders 0\.\.1", id="winner-too-large"),
+    pytest.param(lambda f: {**f, "winner": np.full_like(f["winner"], -1)},
+                 r"names a winner outside holders 0\.\.1", id="negative-winner"),
+])
+def test_a_malformed_pool_result_is_refused(monkeypatch, edit, message):
+    cfg = make_config(P=2, mode="secure-pooling", kind="gated")
+    _, _, session = make_session(cfg)
+    send = Channel.send
+
+    def tampered(self, sender, receiver, kind, *args, **kwargs):
+        decoded = send(self, sender, receiver, kind, *args, **kwargs)
+        return edit(decoded) if kind is MessageKind.POOL_RESULT else decoded
+
+    monkeypatch.setattr(Channel, "send", tampered)
+    with pytest.raises(ProtocolError, match="sealed-pool: PoolResult " + message):
+        forward_pass(session, train=True, epoch=0)
+        backward_pass(session, epoch=0)

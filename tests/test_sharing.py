@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from sapgnn.numerics import make_rng
 from sapgnn.protocol import ProtocolError, secure_sum
-from sapgnn.sharing import (GRAD_FRAC_BITS, AdditiveShare, AuditLog, FixedPoint,
-                            combine_vector_shares, decode_vector, encode_vector,
-                            pooled_argmax, reconstruct_additive, reconstruct_boolean,
-                            SEED_WORDS, expand_seed, secure_argmax,
+from sapgnn.sharing import (GRAD_FRAC_BITS, AdditiveShare, FixedPoint, combine_vector_shares,
+                            decode_vector, encode_vector, pooled_argmax, reconstruct_additive,
+                            reconstruct_boolean, SEED_WORDS, expand_seed, secure_argmax,
                             share_additive, share_boolean, share_vector)
-from sapgnn.wire import Channel, CommStats, MessageKind, encode_message
+from sapgnn.wire import AuditLog, Channel, CommStats, MessageKind, encode_message
 
 
 # -- fixed point ---------------------------------------------------------------
@@ -21,12 +20,13 @@ from sapgnn.wire import Channel, CommStats, MessageKind, encode_message
 def test_fixed_point_round_trip_bound():
     for x in (0.0, 1.0, -1.0, 3.75, -1234.56789, 1e6):
         fp = FixedPoint.encode(x)
-        assert abs(fp.decode() - x) <= 2 ** -20
+        assert fp.frac_bits == GRAD_FRAC_BITS and fp.ring_bits == 64
+        assert abs(fp.decode() - x) <= 2.0 ** -(GRAD_FRAC_BITS + 1)
 
 
 def test_fixed_point_pi_round_trip():
     fp = FixedPoint.encode(math.pi)
-    assert abs(fp.decode() - math.pi) <= 2 ** -20
+    assert abs(fp.decode() - math.pi) <= 2.0 ** -(GRAD_FRAC_BITS + 1)
 
 
 def test_fixed_point_overflow_rejected():
@@ -36,13 +36,56 @@ def test_fixed_point_overflow_rejected():
 
 def test_encode_decode_vector():
     x = make_rng(1, 0).uniform(-100, 100, size=64)
-    assert np.max(np.abs(decode_vector(encode_vector(x)) - x)) <= 2 ** -20
+    back = decode_vector(encode_vector(x, GRAD_FRAC_BITS), GRAD_FRAC_BITS)
+    assert np.max(np.abs(back - x)) <= 2.0 ** -(GRAD_FRAC_BITS + 1)
 
 
 def test_encode_vector_refuses_nan_and_overflow():
     for bad in (np.nan, np.inf, -np.inf, 2.0 ** 43, -1e300):
         with pytest.raises(ValueError, match="NaN or overflows"):
-            encode_vector(np.array([1.0, bad]))
+            encode_vector(np.array([1.0, bad]), 20)
+
+
+RING_BITS = (8, 16, 32, 64)
+
+
+@st.composite
+def codec_inputs(draw):
+    """(x, frac_bits, ring_bits) with |x| * 2^frac_bits at most 2^(ring_bits - 3)."""
+    ring_bits = draw(st.sampled_from(RING_BITS))
+    frac_bits = draw(st.integers(0, ring_bits - 3))
+    bound = 2.0 ** (ring_bits - 3 - frac_bits)
+    return draw(st.floats(-bound, bound)), frac_bits, ring_bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(codec_inputs())
+def test_codec_round_trip_on_every_ring(inputs):
+    x, f, b = inputs
+    raw = encode_vector([x], f, b)
+    assert raw.dtype == np.uint64 and int(raw[0]) < 2 ** b
+    assert abs(decode_vector(raw, f, b)[0] - x) <= 2.0 ** -(f + 1)
+    # the scalar API is the same codec: round(x * 2^f) mod 2^b, as Python ints
+    fp = FixedPoint.encode(x, f, b)
+    assert fp.raw == int(raw[0]) == round(x * 2 ** f) % 2 ** b
+    assert fp.decode() == decode_vector(raw, f, b)[0]
+
+
+@pytest.mark.parametrize("ring_bits", RING_BITS)
+def test_codec_refuses_the_bound_and_nan(ring_bits):
+    f = 2
+    top = 2.0 ** (ring_bits - 2 - f)       # scales to exactly 2^(ring_bits - 2)
+    # rounds to 2^(ring_bits - 2) - 1 where float64 holds that integer, else
+    # to the largest float below the bound
+    below = np.nextafter(top - 2.0 ** -f, 0.0)
+    ok = np.array([below, -below])
+    assert np.all(np.abs(decode_vector(encode_vector(ok, f, ring_bits), f, ring_bits) - ok)
+                  <= 2.0 ** -(f + 1))
+    for bad in (top, -top, np.nan):
+        with pytest.raises(ValueError, match=f"NaN or overflows the {ring_bits}-bit ring"):
+            encode_vector([1.0, bad], f, ring_bits)
+        with pytest.raises(ValueError, match="NaN or overflows"):
+            FixedPoint.encode(bad, f, ring_bits)
 
 
 # -- additive sharing -----------------------------------------------------------
@@ -111,6 +154,9 @@ def test_additive_homomorphism():
 def test_boolean_round_trip():
     bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     shares = share_boolean(bits, 4, make_rng(3, 0))
+    # row p is party p's share, and the rows XOR to the bits
+    assert shares.shape == (4, 5) and shares.dtype == np.uint8
+    assert np.array_equal(shares[0] ^ shares[1] ^ shares[2] ^ shares[3], bits)
     assert np.array_equal(reconstruct_boolean(shares), bits)
 
 
@@ -129,9 +175,9 @@ class RecordingChannel(Channel):
         return decoded
 
 
-def run_sum(vectors, seed, mode="fixed-point"):
+def run_sum(vectors, seed, mode="fixed-point", channel=None):
     """secure_sum over a fresh channel, one rng per holder; (total, channel)."""
-    channel = RecordingChannel()
+    channel = channel or RecordingChannel()
     rngs = [make_rng(seed, ("holder", p)) for p in range(len(vectors))]
     return secure_sum(channel, vectors, rngs, mode, epoch=0), channel
 
@@ -190,6 +236,42 @@ def test_aggregate_audit_never_touches_server():
     for rec in channel.audit.records:
         assert "server" not in (rec.sender, rec.receiver)
         assert rec.kind in ("GradShare", "PartialSum")
+
+
+class TamperingChannel(RecordingChannel):
+    """Hands the receiver of holder 1's `kind` messages `edit` of the
+    decoded fields."""
+
+    def __init__(self, kind, edit):
+        super().__init__()
+        self.kind, self.edit = kind, edit
+
+    def send(self, sender, receiver, kind, layer, epoch, fields, sender_id=-1):
+        decoded = super().send(sender, receiver, kind, layer, epoch, fields, sender_id)
+        return self.edit(decoded) if (kind.value, sender) == (self.kind, "holder-1") else decoded
+
+
+@pytest.mark.parametrize("mode, kind, edit, message", [
+    pytest.param("fixed-point", "GradShare", lambda f: {"seed": f["seed"][:3]},
+                 r"holder 1: GradShare to holder 0 carries uint64 \(3,\) as 'seed'",
+                 id="short-seed"),
+    pytest.param("fixed-point", "GradShare", lambda f: {"seed": f["seed"].astype(np.float64)},
+                 "holder 1: GradShare to holder 0 carries float64", id="float-seed"),
+    pytest.param("fixed-point", "GradShare", lambda f: {},
+                 "holder 1: GradShare to holder 0 carries nothing as 'seed'", id="no-seed"),
+    pytest.param("fixed-point", "PartialSum", lambda f: {"partial": f["partial"][:-1]},
+                 r"holder 1: PartialSum to holder 0 carries uint64 \(4,\)", id="short-partial"),
+    pytest.param("fixed-point", "PartialSum",
+                 lambda f: {"partial": f["partial"].view(np.int64)},
+                 "holder 1: PartialSum to holder 0 carries int64", id="signed-partial"),
+    pytest.param("real", "PartialSum", lambda f: {"partial": f["partial"].view(np.uint64)},
+                 r"holder 1: PartialSum to holder 0 carries uint64 .* expected float64 \(5,\)",
+                 id="real-partial-as-residues"),
+])
+def test_secure_sum_refuses_a_malformed_share(mode, kind, edit, message):
+    vecs = [np.full(5, float(p + 1)) for p in range(3)]
+    with pytest.raises(ProtocolError, match=message):
+        run_sum(vecs, 4, mode, channel=TamperingChannel(kind, edit))
 
 
 def test_single_holder_aggregate_is_identity():
@@ -310,14 +392,14 @@ def test_share_vector_modes_reconstruct():
 
 def test_secure_argmax_basic():
     vals = [FixedPoint.encode(v) for v in (3.0, 7.0, 1.0)]
-    shares, audit = secure_argmax(vals, make_rng(1, 0))
+    shares = secure_argmax(vals, make_rng(1, 0))
+    assert shares.shape == (3, 3)  # one row of shares per party
     assert np.array_equal(reconstruct_boolean(shares), np.array([0, 1, 0], dtype=np.uint8))
-    assert len(audit) == 6  # one input and one share record per party
 
 
 def test_secure_argmax_tie_lowest_index():
     vals = [FixedPoint.encode(5.0), FixedPoint.encode(5.0)]
-    shares, _ = secure_argmax(vals, make_rng(2, 0))
+    shares = secure_argmax(vals, make_rng(2, 0))
     assert np.array_equal(reconstruct_boolean(shares), np.array([1, 0], dtype=np.uint8))
 
 
@@ -326,7 +408,7 @@ def test_secure_argmax_matches_plaintext():
     for _ in range(200):
         P = int(rng.integers(2, 5))
         raw = rng.uniform(-100, 100, size=P)
-        shares, _ = secure_argmax([FixedPoint.encode(v) for v in raw], rng)
+        shares = secure_argmax([FixedPoint.encode(v) for v in raw], rng)
         onehot = reconstruct_boolean(shares)
         assert onehot.sum() == 1
         assert int(np.argmax(onehot)) == int(np.argmax(raw))
@@ -398,14 +480,3 @@ def test_pooled_argmax_all_invalid_raises():
     with pytest.raises(ValueError, match="node row 1 is unknown to every holder"):
         pooled_argmax([(rows, np.zeros((2, 2))), (rows, np.ones((2, 2)))], 3)
 
-
-# -- audit log ------------------------------------------------------------------------
-
-def test_audit_log_jsonl_round_trip():
-    log = AuditLog()
-    log.append("holder-0", "server", "LocalEmbedding", "keys,t")
-    log.append("server", "holder-0", "GlobalEmbedding", "keys,h")
-    text = log.to_jsonl()
-    back = AuditLog.from_jsonl(text)
-    assert [r.__dict__ for r in back.records] == [r.__dict__ for r in log.records]
-    assert back.records[0].ts == 0 and back.records[1].ts == 1

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sapgnn.sharing import AuditLog
-from sapgnn.wire import (Channel, CommStats, MessageKind, WireError, decode_message,
+from sapgnn.wire import (AuditLog, Channel, CommStats, MessageKind, WireError, decode_message,
                          encode_message)
 
 
@@ -33,10 +32,31 @@ def test_codec_length_prefix():
     assert length == len(buf) - 4
 
 
-def test_codec_bytes_field():
-    buf = encode_message(MessageKind.NODE_INDEX, -1, -1, 0, {"keys": b"\x01\x02\x03"})
-    _, _, _, _, out = decode_message(buf)
-    assert np.array_equal(out["keys"], np.array([1, 2, 3], dtype=np.uint8))
+def test_codec_widens_integers_without_truncation():
+    fields = {"u16": np.array([300, 65535], dtype=np.uint16),
+              "u32": np.array([70000, 2 ** 32 - 1], dtype=np.uint32),
+              "i16": np.array([-300, 32767], dtype=np.int16),
+              "i32": np.array([-70000, 2 ** 31 - 1], dtype=np.int32),
+              "f4": np.array([0.1, -3.5], dtype=np.float32)}
+    _, _, _, _, out = decode_message(encode_message(MessageKind.PRED_GRAD, 0, 0, 0, fields))
+    for name, arr in fields.items():
+        assert np.array_equal(out[name], arr), name
+    assert out["u16"].dtype == out["u32"].dtype == np.uint64
+    assert out["i16"].dtype == out["i32"].dtype == np.int64
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(np.array([1 + 2j]), id="complex"),
+    pytest.param(np.array([1, 2], dtype=object), id="object"),
+    pytest.param(np.array([0.1], dtype=np.longdouble), id="longdouble",
+                 marks=pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8,
+                                          reason="long double is float64 here")),
+    pytest.param(b"\x01\x02\x03", id="bytes"),
+    pytest.param(np.array(["abc"]), id="string"),
+])
+def test_codec_refuses_a_dtype_it_cannot_hold(value):
+    with pytest.raises(WireError, match="field 'x': no wire code holds dtype"):
+        encode_message(MessageKind.PRED_GRAD, 0, 0, 0, {"ok": np.zeros(2), "x": value})
 
 
 def test_comm_stats_accounting():
@@ -68,6 +88,18 @@ def test_channel_meters_and_audits():
     rec = audit.records[0]
     assert (rec.sender, rec.receiver, rec.kind) == ("holder-0", "server", "LocalEmbedding")
     assert rec.schema == "t"
+
+
+# -- audit log ------------------------------------------------------------------------
+
+def test_audit_log_jsonl_round_trip():
+    log = AuditLog()
+    log.append("holder-0", "server", "LocalEmbedding", "keys,t")
+    log.append("server", "holder-0", "GlobalEmbedding", "keys,h")
+    text = log.to_jsonl()
+    back = AuditLog.from_jsonl(text)
+    assert [r.__dict__ for r in back.records] == [r.__dict__ for r in log.records]
+    assert back.records[0].ts == 0 and back.records[1].ts == 1
 
 
 # -- malformed buffers -------------------------------------------------------------
