@@ -226,19 +226,24 @@ def pooled_messages(msg: np.ndarray, idx: NeighborIndex):
     """Per-node element-wise max over incoming messages, with provenance.
 
     One first-max sweep over the neighbour positions picks, per element, the
-    lowest source rank among the maxima; the max is then read back from that
-    source's message, so a tie between -0.0 and +0.0 keeps the winner's sign.
-    Rows without incoming edges keep NEG_INF and winner -1.
+    lowest source rank among the maxima. The running max is one of the
+    messages bit for bit, except that a tie between -0.0 and +0.0 may keep
+    either sign; so only where it is zero is the max read back from the
+    winner's message. Rows without incoming edges keep NEG_INF and winner -1.
     """
     n, d_msg = msg.shape
     m = np.full((n, d_msg), NEG_INF)
     winner = np.full((n, d_msg), -1, dtype=np.int64)
     K = len(idx.counts)
     if K:
-        _, pos = first_max((msg[idx.src[j, :c]] for j, c in enumerate(idx.counts)), K)
+        best, pos = first_max((msg[idx.src[j, :c]] for j, c in enumerate(idx.counts)), K)
         won = np.take_along_axis(idx.src.T, pos, axis=1)
         winner[idx.rows] = won
-        m[idx.rows] = np.take_along_axis(msg, won, axis=0)
+        # best is first_max's own C-ordered array, so flat is a view of it
+        flat = best.ravel()
+        zero = np.flatnonzero(flat == 0.0)
+        flat[zero] = msg.ravel()[won.ravel()[zero] * d_msg + zero % d_msg]
+        m[idx.rows] = best
     return m, winner
 
 

@@ -6,7 +6,8 @@ Each training epoch runs four phases in lock step:
      subgraph and ships the rows it has a value for (or, in secure-pooling
      mode, feeds them to a sealed element-wise max evaluator); the server
      pools element-wise maxima, applies the global linear map, and sends
-     each holder the rows of its own nodes.
+     each holder the rows it reads: its participating rows of a lower
+     layer, its labelled rows of the top layer.
   2. prediction: each holder evaluates the prediction head on its own
      labels; losses stay local, only the loss gradient w.r.t. the final
      embedding travels.
@@ -120,6 +121,17 @@ class DataHolder:
             ids = np.sort(ids)
             self.label_rows[split] = (graph.rank_of(ids), graph.labels_for(ids))
 
+        # The rows of each layer's output the holder reads, declared in its
+        # NodeIndex: a lower layer's at its participating rows (the next
+        # local layer reads no other), the top layer's at its labelled rows.
+        participates = np.zeros(self.n, dtype=bool)
+        participates[self.idx.rows] = True
+        participates[self.iso_ranks] = True
+        labelled = np.zeros(self.n, dtype=bool)
+        for rows, _classes in self.label_rows.values():
+            labelled[rows] = True
+        self.wants = np.stack([participates] * (cfg.layers - 1) + [labelled])
+
         # identical stream across holders: the replication invariant starts here
         self.locals_ = init_local_weights(cfg, self.feat_dim, n_classes,
                                           make_rng(seed, "local-init"))
@@ -145,11 +157,11 @@ class DataHolder:
         self.tapes[l] = tape
         return t
 
-    def receive_global(self, l: int, values: np.ndarray):
-        if values.shape[:1] != (self.n,):
-            raise ProtocolError(f"holder {self.holder_id}: GlobalEmbedding has shape "
-                                f"{values.shape}, the holder has {self.n} rows")
-        self.h[l + 1] = values
+    def receive_global(self, l: int, valid: np.ndarray, block: np.ndarray):
+        """Layer l's output at the `valid` rows; the rows it does not read are 0."""
+        h = np.zeros((self.n, block.shape[1]))
+        h[valid] = block
+        self.h[l + 1] = h
 
     def compute_predictions(self):
         self.probs = predict_probs(self.h[-1], self.locals_.w_predict)
@@ -219,8 +231,10 @@ class Server:
         self.relu_flags = layer_relu_flags(cfg)
         self.drop_rates = layer_dropout_rates(cfg)
         self.rng_dropout = make_rng(seed, "dropout")
-        # holder p's row i, in its NodeIndex order, is universe row holder_rows[p][i]
+        # holder p's row i, in its NodeIndex order, is universe row holder_rows[p][i];
+        # wants[p][l] masks the rows of layer l's output that holder p reads
         self.holder_rows: dict[int, np.ndarray] = {}
+        self.wants: dict[int, np.ndarray] = {}
         self.tapes: list = [None] * cfg.layers
         # Without local tensors, layer 0 pools the fixed features: its pooled
         # (m, winner) is the same in every sweep, so the first sweep's is kept.
@@ -263,7 +277,7 @@ class Session:
 def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     """Set up all parties from `config.train.seed`: replicated local weights
     from its local-init stream, server weights from its server-init stream,
-    hashed node lists registered."""
+    hashed node lists and the rows each holder reads registered."""
     if len(holders_data) > MAX_HOLDERS:
         raise ProtocolError(f"{len(holders_data)} holders exceed the limit of {MAX_HOLDERS}: "
                             "the winning holder index is an int8")
@@ -297,19 +311,28 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     for holder in holders:
         p = holder.holder_id
         own = table[np.searchsorted(universe_ids, holder.node_ids)]
-        keys = channel.send(holder_party(p), SERVER_PARTY, MessageKind.NODE_INDEX,
-                            layer=-1, epoch=-1, fields={"keys": own.ravel()},
-                            sender_id=p)["keys"]
+        decoded = channel.send(holder_party(p), SERVER_PARTY, MessageKind.NODE_INDEX,
+                               layer=-1, epoch=-1,
+                               fields={"keys": own.ravel(),
+                                       "wants": holder.wants.astype(np.uint8)},
+                               sender_id=p)
+        keys, wants = decoded["keys"], decoded.get("wants")
         if keys.size % 16:
             raise ProtocolError(f"holder {p} sent {keys.size} digest bytes, "
                                 "not a whole number of 16-byte digests")
         keys = keys.view("V16")
+        shape = (cfg.layers, keys.size)
+        if wants is None or wants.shape != shape or wants.dtype != np.uint8:
+            sent = "nothing" if wants is None else f"{wants.dtype} {wants.shape}"
+            raise ProtocolError(f"holder {p} sent {sent} as its wanted rows, "
+                                f"expected uint8 {shape}")
         pos = np.searchsorted(known, keys).clip(max=known.size - 1)
         if not np.array_equal(known[pos], keys):
             raise ProtocolError(f"holder {p} sent a node digest the server does not know")
         if np.unique(pos).size != pos.size:
             raise ProtocolError(f"holder {p} sent a node digest twice")
         server.holder_rows[p] = order[pos]
+        server.wants[p] = wants.astype(bool)
     return Session(config=config, holders=holders, server=server, channel=channel,
                    comm=comm, audit=audit)
 
@@ -344,12 +367,14 @@ def _total_loss(holders, split: str = "train") -> float:
 
 
 def _send_rows(session: Session, sender: str, receiver: str, kind: MessageKind, layer: int,
-               epoch: int, p: int, valid: np.ndarray, name: str, block: np.ndarray):
+               epoch: int, p: int, valid: np.ndarray, name: str, block: np.ndarray,
+               width: int):
     """Send a sparse row message between holder p and the server or the
     sealed pool: `valid`, a uint8 mask over the holder's rows, and under
     `name` the block of the masked rows' values. Returns the (mask, block)
     the receiver decodes and checks: a mask of another length than the
-    holder's row count, or a block of another row count, is refused."""
+    holder's row count, or a block that is not float64 of one row per
+    masked row and `width` columns, is refused."""
     decoded = session.channel.send(sender, receiver, kind, layer=layer, epoch=epoch,
                                    fields={"valid": valid.astype(np.uint8), name: block},
                                    sender_id=p if sender == holder_party(p) else -1)
@@ -358,10 +383,10 @@ def _send_rows(session: Session, sender: str, receiver: str, kind: MessageKind, 
     if valid.shape != (n_rows,):
         raise ProtocolError(f"holder {p}: {kind.value} valid mask has shape {valid.shape}, "
                             f"the holder has {n_rows} rows")
-    count = int(np.count_nonzero(valid))
-    if block.shape[:1] != (count,):
-        raise ProtocolError(f"holder {p}: {kind.value} carries a value block of shape "
-                            f"{block.shape} for {count} valid rows")
+    want = (int(np.count_nonzero(valid)), width)
+    if block.shape != want or block.dtype != np.float64:
+        raise ProtocolError(f"holder {p}: {kind.value} carries a {block.dtype} block of shape "
+                            f"{block.shape} for {want[0]} valid rows; expected float64 {want}")
     return valid, block
 
 
@@ -372,7 +397,7 @@ def _send_input_grad(session: Session, kind: MessageKind, layer: int, epoch: int
     them into its universe rows of G."""
     valid = dH.any(axis=1)
     valid, g = _send_rows(session, holder_party(p), SERVER_PARTY, kind, layer, epoch, p,
-                          valid, "g", dH[valid])
+                          valid, "g", dH[valid], G.shape[1])
     G[session.server.holder_rows[p][valid]] += g
 
 
@@ -396,7 +421,7 @@ def _pool_layer(session: Session, l: int, epoch: int):
         t = holder.forward_local(l)
         valid = holder.tapes[l].participates
         valid, values = _send_rows(session, holder_party(p), receiver, kind, l, epoch, p,
-                                   valid, name, t[valid])
+                                   valid, name, t[valid], server.weights[l].shape[1])
         blocks.append((server.holder_rows[p][valid], values))
     try:
         if not secure:
@@ -447,10 +472,11 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
         h_next = server.forward_layer(l, m, winner, train)
         embeddings.append(h_next)
         for p, holder in enumerate(session.holders):
-            decoded = session.channel.send(
-                SERVER_PARTY, holder_party(p), MessageKind.GLOBAL_EMBEDDING,
-                layer=l, epoch=epoch, fields={"h": h_next[server.holder_rows[p]]})
-            holder.receive_global(l, decoded["h"])
+            valid = server.wants[p][l]
+            valid, h = _send_rows(session, SERVER_PARTY, holder_party(p),
+                                  MessageKind.GLOBAL_EMBEDDING, l, epoch, p, valid, "h",
+                                  h_next[server.holder_rows[p][valid]], holder.dims[l].d_out)
+            holder.receive_global(l, valid, h)
 
     for holder in session.holders:
         holder.compute_predictions()
@@ -501,7 +527,8 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
             nonzero = rows[valid]
             valid, r = _send_rows(session, SERVER_PARTY, holder_party(p),
                                   MessageKind.LOCAL_EMB_GRAD, l, epoch, p, valid, "r",
-                                  np.where(won[nonzero], dM[nonzero], 0.0))
+                                  np.where(won[nonzero], dM[nonzero], 0.0),
+                                  holder.dims[l].t_dim)
             R = np.zeros((holder.n, holder.dims[l].t_dim))
             R[valid] = r
             dH = holder.backward_local(l, R)
@@ -739,13 +766,15 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
     every other row message addresses a holder's rows by position in its
     NodeIndex order. A holder receives rows of its own nodes only and no
     digest, so it learns neither another holder's node ids nor the size of
-    the union. The server learns each holder's row map (from NodeIndex),
-    which of its rows take part in each layer (the `valid` masks) and which
-    rows carry a nonzero gradient; from PredGrad, which rows hold a train
-    label. The sealed pool uses the server's row maps and sees the same
-    participation masks. The check reads kinds and parties, not payloads: a
-    payload that leaks more than its schema promises is caught by the
-    protocol tests, not here.
+    the union, and only the final embeddings of nodes whose label it owns.
+    The server learns each holder's row map and the rows it reads (from
+    NodeIndex: its participating rows and the rows that hold a label of any
+    split), which of its rows take part in each layer (the `valid` masks)
+    and which rows carry a nonzero gradient; from PredGrad, which rows hold
+    a train label. The sealed pool uses the server's row maps and sees the
+    same participation masks. The check reads kinds and parties, not
+    payloads: a payload that leaks more than its schema promises is caught
+    by the protocol tests, not here.
     """
     if mode is None:
         secure = any(r.kind in (MessageKind.POOL_INPUT.value, MessageKind.POOL_RESULT.value)

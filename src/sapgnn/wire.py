@@ -24,11 +24,13 @@ import numpy as np
 class MessageKind(str, Enum):
     """The closed schema. A holder's rows are its nodes in NodeIndex order;
     the row kinds address them by that position, and the sparse ones
-    (fields `valid` and one value block) carry only the masked rows."""
+    (fields `valid` and one value block) carry only the masked rows.
+    NodeIndex also declares, per layer, the rows of that layer's output the
+    holder reads (`wants`), and GlobalEmbedding masks exactly those."""
 
-    NODE_INDEX = "NodeIndex"            # holder -> server: node digests, fixes row order (init)
+    NODE_INDEX = "NodeIndex"            # holder -> server (init): node digests and wanted rows
     LOCAL_EMBEDDING = "LocalEmbedding"  # holder -> server: participating local rows (sparse)
-    GLOBAL_EMBEDDING = "GlobalEmbedding"  # server -> holder: pooled+updated rows, every row
+    GLOBAL_EMBEDDING = "GlobalEmbedding"  # server -> holder: pooled+updated rows it reads (sparse)
     PRED_GRAD = "PredGrad"              # holder -> server: nonzero final-layer loss grads (sparse)
     LOCAL_EMB_GRAD = "LocalEmbGrad"     # server -> holder: nonzero local-row grads (sparse)
     INPUT_GRAD = "InputGrad"            # holder -> server: nonzero layer-input grads (sparse)

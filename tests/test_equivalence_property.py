@@ -27,11 +27,13 @@ EPOCHS = 3
 # holder's gradient to 2^-GRAD_FRAC_BITS, and Adam turns that rounding of a
 # near-zero gradient into a step of up to the learning rate. At the former
 # 20 fraction bits weights ended up to 0.11 apart and losses up to 0.17
-# (the ring `@example` below); at 32 bits that draw reads 8.5e-6 and
-# 2.0e-5. Fixed-point weights are not compared yet, and the loss tolerance
-# still dates from 20 bits. At P=1 no share is sent: bit for bit in both.
-LOSS_TOLERANCE = {"real": 1e-6, "fixed-point": 0.1}
-WEIGHT_TOLERANCE_REAL = 1e-6
+# (the ring `@example` below). At 32 bits, over 4000 fixed-point draws
+# (1922 trained with P > 1), losses stayed within 5.2e-8 and weights within
+# 6.1e-5; the ring reads 8.5e-6 (loss) and 2.0e-5 (weights). The fixed-point
+# tolerances are about 100 times the worst of these. At P=1 no share is
+# sent: bit for bit in both.
+LOSS_TOLERANCE = {"real": 1e-6, "fixed-point": 1e-3}
+WEIGHT_TOLERANCE = {"real": 1e-6, "fixed-point": 6e-3}
 
 # What a partitioner may refuse a drawn graph with, by message.
 PARTITION_REFUSALS = ("edge-incident scope leaves", "need n_classes >= P",
@@ -99,7 +101,8 @@ def label_skew_case(g, P):
                                labels=[UNLABELED, UNLABELED], train_ids=[], val_ids=[],
                                test_ids=[], n_classes=2), 2))
 # fixed-point shares at 20 fraction bits drifted 0.17 (relative) from the
-# reference loss on this ring; 32 bits keep it within 1e-5
+# reference loss on this ring; 32 bits keep it within 1e-5, the weights
+# within 3e-5
 @example((Graph(node_ids=3 * np.arange(17) + 1,
                 features=np.random.default_rng(0).normal(size=(17, 3)),
                 edges=[[1, 40], [16, 40], [34, 40]]
@@ -140,6 +143,5 @@ def test_protocol_matches_combined_graph_reference(inputs):
         loss, want_loss = row["loss"], ref_row["loss"]
         assert (math.isnan(loss) and math.isnan(want_loss)) or \
             abs(loss - want_loss) < tol * max(1.0, abs(want_loss))
-    if config.share_mode == "real":
-        assert max(float(np.max(np.abs(a - b)))
-                   for a, b in zip(got, want, strict=True)) < WEIGHT_TOLERANCE_REAL
+    assert max(float(np.max(np.abs(a - b)))
+               for a, b in zip(got, want, strict=True)) < WEIGHT_TOLERANCE[config.share_mode]

@@ -49,16 +49,16 @@ def sha256(path) -> str:
 PROTOCOL_GOLDEN = {
     "p1-sum-naive-real": (
         "6da3ea9b72d29b68ac8bebcb6185f0740667c107baa9d413d3c3cbaed3f06779",
-        "17efa60683e744c86b35c6a03cad1ba94005f79c5028f6ea39da39f31d2f9939",
-        "5711cd023ca55ce67b4aacb517d1cbe406d44bcf757ede24ce9893697ad35dad"),
+        "9da61185f080c27529185e1021a8328a1a048c8d9898e3dc6c1d0f5802730acc",
+        "a5e2abb5a00fd4a9cbdfcdcfc400ce404563e9ed8446cee7e40b7b3e53c67f4c"),
     "p3-gated-secure-fixed": (
         "eb15f0f5e6ed37d5094bd51c6d29fb965761659a1687f5319b6c6141846bacb3",
-        "55244bf0af6bda4e354eee3d902aa18535f319aa49afd813e2e87def59614021",
-        "a9f3a402ae308c61e9c58e62e2668453462b0ef215aac775579d509f044288ab"),
+        "c2a6452ca6db3dd198433184c4d4eb15ebc439b4687d7ed4ee3f335a02f529a1",
+        "27eac06875195f902b0ea9467ea987b7c8520b64d4f9c6463fb534849c16eed4"),
     "p3-skew-sum-naive-fixed": (
         "1138c18c0705276c02aacf59e9d5ac629bab4e5af8573113a0db086f2d21133d",
-        "7b192a94fd191950f4de47208e1562faf4cc2a30cb86a4903280113e68514f20",
-        "3b2acfae5337c6bac90d7034cad80d2320df68ba657b0ea9e1418a987ebf4ef8"),
+        "70c2327252a6795154bdc9700d73a8fca9167f98a384525805532c72c1974059",
+        "a2daecc2f4a6128ee3c2b5e609c4bbf0753fb1cc7d734c8b9afc37b7e6da8c60"),
 }
 
 # The one-holder protocol run and the centralized trainer write the same file.

@@ -135,6 +135,31 @@ def test_init_refuses_a_repeated_node_digest(monkeypatch):
         init_parties(cfg, holders)
 
 
+@pytest.mark.parametrize("edit, sent", [
+    pytest.param(lambda w: w[:, :-1], r"uint8 \(2, \d+\)", id="short"),
+    pytest.param(lambda w: w[:1], r"uint8 \(1, \d+\)", id="one-layer"),
+    pytest.param(lambda w: w.astype(np.int64), r"int64 \(2, \d+\)", id="int64"),
+    pytest.param(lambda w: None, "nothing", id="missing"),
+])
+def test_init_refuses_a_misshapen_wants_mask(monkeypatch, edit, sent):
+    cfg = make_config(P=2)
+    holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
+    send = Channel.send
+
+    def tampered(self, sender, receiver, kind, *args, **kwargs):
+        decoded = send(self, sender, receiver, kind, *args, **kwargs)
+        if kind is MessageKind.NODE_INDEX and sender == "holder-1":
+            wants = edit(decoded.pop("wants"))
+            if wants is not None:
+                decoded["wants"] = wants
+        return decoded
+
+    monkeypatch.setattr(Channel, "send", tampered)
+    with pytest.raises(ProtocolError,
+                       match=rf"holder 1 sent {sent} as its wanted rows, expected uint8 \(2, "):
+        init_parties(cfg, holders)
+
+
 def test_init_refuses_holders_without_nodes():
     cfg = make_config(P=2)
     holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
@@ -654,12 +679,50 @@ def test_a_holder_sees_only_its_own_rows(sends, mode):
             for name, value in fields.items():
                 raw = value.tobytes()
                 assert not any(d in raw for d in foreign), (kind, name)
-            rows = {MessageKind.GLOBAL_EMBEDDING: "h", MessageKind.LOCAL_EMB_GRAD: "valid"}
-            if kind in rows:
-                assert len(fields[rows[kind]]) == len(ids), kind
+            if kind in (MessageKind.GLOBAL_EMBEDDING, MessageKind.LOCAL_EMB_GRAD):
+                assert len(fields["valid"]) == len(ids), kind
         for tape in holder.tapes:
             arrays += [tape.winner, tape.participates, tape.m, tape.pre_gate]
         assert all(a.shape[0] == len(ids) for a in arrays)
+
+
+def labelled_ids(lg: LocalGraph) -> np.ndarray:
+    return np.concatenate(list(lg.graph.split_ids().values()))
+
+
+@pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
+def test_global_embedding_carries_only_the_rows_a_holder_reads(sends, mode):
+    # a lower layer's output feeds the next local layer, which reads only the
+    # participating rows; the top layer's feeds the prediction head, which
+    # reads only labelled rows. With full scope every holder has every node
+    # and owns about a third of the labels.
+    layers = 3
+    cfg = make_config(P=3, n=30, kind="gated", mode=mode, layers=layers, max_epochs=2)
+    cfg.model.message_linear = True
+    holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
+    run_training(cfg, holders)
+    up_kind = MessageKind.LOCAL_EMBEDDING if mode == "naive" else MessageKind.POOL_INPUT
+    up, checked = {}, Counter()
+    for kind, direction, layer, _epoch, fields in sends:
+        sender, receiver = direction.split("->")
+        if kind is up_kind:
+            up[sender, layer] = fields["valid"]
+        if kind is not MessageKind.GLOBAL_EMBEDDING:
+            continue
+        lg = holders[int(receiver.removeprefix("holder-"))]
+        valid = fields["valid"].astype(bool)
+        assert fields["h"].shape == (np.count_nonzero(valid), cfg.model.hidden)
+        if layer < layers - 1:
+            # the same sweep's participation mask, which the server already has
+            assert np.array_equal(fields["valid"], up[receiver, layer])
+        else:
+            assert np.array_equal(valid, np.isin(lg.graph.node_ids, labelled_ids(lg)))
+            others = np.concatenate([labelled_ids(o) for o in holders if o is not lg])
+            assert np.isin(lg.graph.node_ids, others).any()
+            assert not np.isin(lg.graph.node_ids[valid], others).any()
+            assert 0 < np.count_nonzero(valid) < lg.graph.n_nodes
+        checked[layer < layers - 1] += 1
+    assert checked[True] > 0 and checked[False] > 0
 
 
 @pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
@@ -722,31 +785,32 @@ def test_holder_traffic_ignores_another_holders_component(mode):
     assert counts[1] == counts[0]
 
 
-@pytest.mark.parametrize("mode, kind, party, field, message", [
-    ("naive", MessageKind.LOCAL_EMBEDDING, "holder-1", "valid",
-     "holder 1: LocalEmbedding valid mask .* the holder has"),
-    ("naive", MessageKind.LOCAL_EMBEDDING, "holder-1", "t",
-     "holder 1: LocalEmbedding carries .* for .* valid rows"),
-    ("secure-pooling", MessageKind.POOL_INPUT, "holder-1", "valid",
-     "holder 1: PoolInput valid mask .* the holder has"),
-    ("secure-pooling", MessageKind.POOL_INPUT, "holder-1", "values",
-     "holder 1: PoolInput carries .* for .* valid rows"),
-    ("naive", MessageKind.INPUT_GRAD, "holder-1", "valid",
-     "holder 1: InputGrad valid mask .* the holder has"),
-    ("naive", MessageKind.INPUT_GRAD, "holder-1", "g",
-     "holder 1: InputGrad carries .* for .* valid rows"),
-    ("naive", MessageKind.LOCAL_EMB_GRAD, "server->holder-1", "valid",
-     "holder 1: LocalEmbGrad valid mask .* the holder has"),
-    ("naive", MessageKind.LOCAL_EMB_GRAD, "server->holder-1", "r",
-     "holder 1: LocalEmbGrad carries .* for .* valid rows"),
-    ("naive", MessageKind.PRED_GRAD, "holder-1", "valid",
-     "holder 1: PredGrad valid mask .* the holder has"),
-    ("naive", MessageKind.PRED_GRAD, "holder-1", "g",
-     "holder 1: PredGrad carries .* for .* valid rows"),
-    ("naive", MessageKind.GLOBAL_EMBEDDING, "server->holder-1", "h",
-     "holder 1: GlobalEmbedding has shape .* the holder has .* rows"),
+# How a test tampers with one decoded field: a row fewer, a column fewer, or
+# the float64 bytes read as uint64.
+ROW_EDITS = {"short": lambda a: a[:-1], "narrow": lambda a: a[:, :-1],
+             "uint64-view": lambda a: a.view(np.uint64)}
+# (mode, kind, party, the value block's field) of every sparse row kind
+ROW_BLOCKS = [
+    ("naive", MessageKind.LOCAL_EMBEDDING, "holder-1", "t"),
+    ("secure-pooling", MessageKind.POOL_INPUT, "holder-1", "values"),
+    ("naive", MessageKind.INPUT_GRAD, "holder-1", "g"),
+    ("naive", MessageKind.LOCAL_EMB_GRAD, "server->holder-1", "r"),
+    ("naive", MessageKind.PRED_GRAD, "holder-1", "g"),
+    ("naive", MessageKind.GLOBAL_EMBEDDING, "server->holder-1", "h"),
+]
+
+
+@pytest.mark.parametrize("mode, kind, party, field, message, edit", [
+    *[(mode, kind, party, "valid", f"holder 1: {kind.value} valid mask .* the holder has",
+       "short") for mode, kind, party, _block in ROW_BLOCKS],
+    *[(mode, kind, party, block, f"holder 1: {kind.value} carries .* for .* valid rows", "short")
+      for mode, kind, party, block in ROW_BLOCKS],
+    *[(mode, kind, party, block,
+       f"holder 1: {kind.value} carries .* for .* valid rows; expected float64", edit)
+      for mode, kind, party, block in ROW_BLOCKS for edit in ("narrow", "uint64-view")],
 ])
-def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, party, field, message):
+def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, party, field, message,
+                                            edit):
     cfg = make_config(P=2, mode=mode, kind="gated")
     _, _, session = make_session(cfg)
     send = Channel.send
@@ -754,7 +818,7 @@ def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, party, fiel
     def tampered(self, sender, receiver, k, *args, **kwargs):
         decoded = send(self, sender, receiver, k, *args, **kwargs)
         if k is kind and party in (sender, f"{sender}->{receiver}"):
-            decoded[field] = decoded[field][:-1]
+            decoded[field] = ROW_EDITS[edit](decoded[field])
         return decoded
 
     monkeypatch.setattr(Channel, "send", tampered)
