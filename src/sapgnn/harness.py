@@ -136,6 +136,17 @@ def train_sp(holders: list[LocalGraph], shared: Graph, model_cfg: ModelConfig,
 # Equivalence verification
 # ---------------------------------------------------------------------------
 
+# Largest deviation from the reference that `compare_equivalence` passes,
+# per share mode. Fixed-point shares round each holder's gradient to
+# 2^-(GRAD_FRAC_BITS + 1), so the aggregate can move by P times that plus
+# float64 rounding; embeddings do not depend on the shares. Over 7810
+# fixed-point draws of the equivalence property test's strategy (5351 with
+# P > 1) the worst gradient deviation was 4.7e-10 and the worst embedding
+# deviation 2.2e-16; the P=8 benchmark workload reads 7.6e-10. The
+# tolerance is about 100 times the worst draw.
+EQUIVALENCE_TOLERANCE = {"real": 1e-9, "fixed-point": 5e-8}
+
+
 @dataclass
 class EquivalenceReport:
     embedding_dev: list             # per layer, max abs deviation
@@ -197,10 +208,10 @@ def compare_equivalence(config: RunConfig,
     for l, dW in enumerate(server_grads):
         grad_dev[f"w_global[{l}]"] = float(np.max(np.abs(dW - ref.grads.w_global[l])))
 
-    tolerance = 1e-9 if config.share_mode == "real" else 1e-4
     return EquivalenceReport(embedding_dev=embedding_dev, grad_dev=grad_dev,
                              loss_dev=abs(fwd.total_loss - ref.loss),
-                             tolerance=tolerance, share_mode=config.share_mode)
+                             tolerance=EQUIVALENCE_TOLERANCE[config.share_mode],
+                             share_mode=config.share_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ Each training epoch runs four phases in lock step:
      accumulates its own weight gradients, and holders return their input
      gradients for the next layer down.
   4. update: the server steps its weights directly; holders aggregate their
-     local-weight gradients through additive secret sharing among
+     local-weight gradients through a pairwise-mask secure sum among
      themselves (the server sees none of it) and apply identical optimizer
      steps, preserving the replication invariant.
 
@@ -43,7 +43,7 @@ from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset
                      split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
 from .numerics import AdamState, adam_step, dropout_mask, make_rng
-from .sharing import SEED_WORDS, combine_vector_shares, expand_seed, pooled_argmax, share_vector
+from .sharing import SEED_WORDS, combine_vector_shares, pooled_argmax, share_vector
 from .wire import AuditLog, Channel, CommStats, MessageKind
 
 POOL_PARTY = "sealed-pool"
@@ -542,21 +542,25 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
                epoch: int) -> np.ndarray:
     """All-holder secure sum of equal-length vectors; the server takes no part.
 
-    In turn, holder j shares its vector among the P holders with its own
-    rng (`mode` "fixed-point" or "real", see `share_vector`): it sends every
-    other holder i one 32-byte seed as a GradShare (audit schema `seed`)
-    and keeps as its own share its vector minus the expansions of those
-    seeds. Each holder adds its own share, or the expansion of a seed as it
-    arrives, into its partial sum, in ascending sender order, and then
-    sends the partial to every other holder as a PartialSum; each holder
-    adds every partial into one running sum as it arrives, again in
-    ascending sender order, so only O(P) vectors are alive at once. A seed
-    reveals exactly what its expanded vector would; it is drawn from
-    numpy's PCG64, which is simulator-grade and not a CSPRNG. Messages go
-    sender outer, receiver inner, and a receiver refuses a seed or partial
-    of another shape or dtype. Returns the total once every holder has
-    reconstructed the same one; with one holder its vector is the total
-    and nothing is sent.
+    A pairwise-mask sum (Bonawitz et al., CCS 2017, section 4, without
+    dropout recovery: holders never drop out here). For each pair i < j,
+    holder j draws one 32-byte seed from its rng and sends it to holder i as
+    a GradShare (audit schema `seed`), sender outer and receiver inner, both
+    ascending: P(P-1)/2 messages. Each holder masks its vector with
+    `share_vector` (`mode` "fixed-point" or "real"): it adds the expansions
+    of the seeds it drew and subtracts those of the seeds it received, so
+    each seed is expanded by its two holders only and the masks cancel in
+    the total. Each holder then sends its masked vector to every other
+    holder as a PartialSum, and each adds the P masked vectors into one
+    running sum as they arrive, in ascending sender order, so only O(P)
+    vectors are alive at once. A masked vector is unmasked only by all P-1
+    other holders together. A seed reveals exactly what its expanded vector
+    would; it is drawn from numpy's PCG64, which is simulator-grade and not
+    a CSPRNG. A NaN or infinite entry is refused, naming its holder, before
+    anything is sent; a receiver refuses a seed or masked vector of another
+    shape or dtype. Returns the total once every holder has reconstructed
+    the same one; with one holder its vector is the total, as in the
+    centralized trainer, and nothing is sent.
     """
     P = len(vectors)
     shapes = {np.shape(v) for v in vectors}
@@ -564,6 +568,9 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
         raise ProtocolError(f"holders disagree on gradient vector length: {sorted(shapes)}")
     if P == 1:
         return vectors[0]
+    for j, vector in enumerate(vectors):
+        if not np.all(np.isfinite(vector)):
+            raise ProtocolError(f"holder {j}: gradient has a NaN or infinite entry")
     shape = shapes.pop()
     dtype = np.dtype(np.uint64 if mode == "fixed-point" else np.float64)
 
@@ -578,31 +585,34 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
                                 f"{name!r}, expected {want[1]} {want[0]}")
         return got
 
-    partials = [None] * P  # partials[i]: holder i's own share plus the expansions so far
-    for j, (vector, rng) in enumerate(zip(vectors, rngs, strict=True)):
-        try:
-            seeds, own = share_vector(vector, P, rng, mode=mode)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from exc
-        for i in range(P):
-            share = own if i == j else expand_seed(
-                send(MessageKind.GRAD_SHARE, j, i, "seed", seeds[i - (i > j)],
-                     ((SEED_WORDS,), seeds.dtype)), shape, mode)
-            if partials[i] is None:
-                partials[i] = share
-            else:
-                np.add(partials[i], share, out=partials[i])
+    drawn = []                          # drawn[j][i]: the seed of pair (i, j), i < j
+    received = [[] for _ in range(P)]   # received[i]: the seeds of pairs (i, j), j > i
+    for j, (_vector, rng) in enumerate(zip(vectors, rngs, strict=True)):
+        seeds = rng.integers(0, 2 ** 64 - 1, size=(j, SEED_WORDS), dtype=np.uint64,
+                             endpoint=True)
+        for i, seed in enumerate(seeds):
+            received[i].append(send(MessageKind.GRAD_SHARE, j, i, "seed", seed,
+                                    ((SEED_WORDS,), seeds.dtype)))
+        drawn.append(seeds)
 
-    sums = [None] * P      # sums[i]: holder i's running sum of the partials so far
+    masked = []
+    for j, vector in enumerate(vectors):
+        try:
+            masked.append(share_vector(vector, P, drawn[j], received[j], mode=mode))
+        except ValueError as exc:
+            raise ProtocolError(f"holder {j}: {exc}") from exc
+
+    sums = [None] * P      # sums[i]: holder i's running sum of the masked vectors so far
     for j in range(P):
-        partial, partials[j] = partials[j], None
+        vector, masked[j] = masked[j], None
         for i in range(P):
-            got = partial if i == j else send(MessageKind.PARTIAL_SUM, j, i, "partial", partial,
-                                              (shape, dtype))
-            if sums[i] is None:
-                sums[i] = got.copy()
-            else:
+            got = vector if i == j else send(MessageKind.PARTIAL_SUM, j, i, "partial", vector,
+                                             (shape, dtype))
+            if sums[i] is not None:
                 np.add(sums[i], got, out=sums[i])
+            else:
+                # a decoded vector is already the receiver's own
+                sums[i] = vector.copy() if i == j else got
     if any(not np.array_equal(sums[0], s) for s in sums[1:]):
         raise ProtocolError("holders reconstructed different gradient aggregates")
     return combine_vector_shares(sums[:1], mode=mode)

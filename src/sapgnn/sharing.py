@@ -5,19 +5,18 @@ Real values are carried as two's-complement fixed-point residues, and
 at a given number of fraction bits (b=64 with `GRAD_FRAC_BITS` = 32 by
 default; an 8-bit toy ring is available for exhaustive tests). The scalar
 `FixedPoint` API of the paper's sharing criteria encodes and decodes
-through it. Gradient aggregation sums shares modularly, so reconstruction
-is exact and the only loss is the initial encoding quantization. A share
-vector meant for another party is sent as the 32-byte seed it expands from
-(`expand_seed`, the seed-expansion trick of Bonawitz et al., CCS 2017); a
+through it. Gradient aggregation sums pairwise-masked vectors modularly
+(`share_vector`, Bonawitz et al., CCS 2017, section 4), so the masks cancel
+exactly and the only loss is the initial encoding quantization. A mask is
+the expansion of a 32-byte seed that two holders share (`expand_seed`); a
 seed reveals exactly what its expanded vector would. Seeds and expansions
 come from numpy's PCG64, which is simulator-grade randomness and not a
-CSPRNG, as were the share vectors that seeds replaced. This module holds
-the primitives; who sends which share to whom in the holders' secure
-gradient sum is `protocol.secure_sum`, where a GradShare's audit schema is
-`seed`. Boolean shares are one (P, k) uint8 array whose row p is party
-p's share. The secure element-wise argmax is an ideal functionality: a
-sealed evaluator reconstructs inside a boundary, compares, and XOR-shares
-the one-hot winner back out.
+CSPRNG. This module holds the primitives; who sends which seed to whom in
+the holders' secure gradient sum is `protocol.secure_sum`, where a
+GradShare's audit schema is `seed`. Boolean shares are one (P, k) uint8
+array whose row p is party p's share. The secure element-wise argmax is an
+ideal functionality: a sealed evaluator reconstructs inside a boundary,
+compares, and XOR-shares the one-hot winner back out.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ ARGMAX_FRAC_BITS = 40
 # from the reference. A holder's value must stay below 2^63 / (P * 2^32).
 GRAD_FRAC_BITS = 32
 
-# A share seed is SEED_WORDS uint64 words: 32 bytes stand in for a share vector.
+# A mask seed is SEED_WORDS uint64 words: 32 bytes stand in for a mask vector.
 SEED_WORDS = 4
 
 
@@ -163,10 +162,10 @@ def reconstruct_boolean(shares: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def expand_seed(seed: np.ndarray, shape, mode: str = "fixed-point") -> np.ndarray:
-    """The share vector that a 32-byte seed stands for.
+    """The mask vector that a 32-byte seed stands for.
 
-    Sender and receiver both call this on the same seed and get the same
-    vector: uniform over Z_2^64 (uint64 residues) in mode "fixed-point",
+    The two holders that share a seed both call this on it and get the
+    same vector: uniform over Z_2^64 (uint64 residues) in mode "fixed-point",
     uniform on [-1, 1) (float64) in mode "real".
     """
     bits = np.random.PCG64(seed)
@@ -177,45 +176,44 @@ def expand_seed(seed: np.ndarray, shape, mode: str = "fixed-point") -> np.ndarra
     raise ValueError(f"unknown share mode {mode!r}")
 
 
-def share_vector(x: np.ndarray, P: int, rng: np.random.Generator,
-                 mode: str = "fixed-point") -> tuple[np.ndarray, np.ndarray]:
-    """Share a float vector among P parties as P-1 seeds plus one vector.
+def share_vector(x: np.ndarray, P: int, add, subtract, mode: str = "fixed-point") -> np.ndarray:
+    """One holder's masked vector in a pairwise-mask sum over P holders.
 
-    Returns `(seeds, own)`: `seeds` is a (P-1, SEED_WORDS) uint64 array
-    drawn from `rng`, one seed per other party, and `own` is x minus the
-    `expand_seed` expansions of every seed, so that the P-1 expansions
-    plus `own` sum back to x. A seed reveals exactly what its expanded
-    vector would, so sending the seed in place of the vector changes the
-    bytes on the wire and nothing else.
+    Returns x encoded, plus the `expand_seed` expansion of every seed in
+    `add` and minus that of every seed in `subtract` (each a sequence of
+    (SEED_WORDS,) uint64 seeds). In the protocol every seed is added by one
+    holder and subtracted by exactly one other, so the masks cancel in the
+    sum of all P masked vectors, while each masked vector on its own is
+    uniform to anyone who lacks one of its holder's seeds.
 
     mode "fixed-point": uint64 residues at GRAD_FRAC_BITS fraction bits,
-    exact modular reconstruction up to the encoding quantization; each
-    encoded value must stay below 2^63 / P so that a sum over P holders
-    cannot wrap. mode "real": float64 offsets;
-    bypasses quantization so logic errors can be isolated from rounding
-    (test mode, not a security mode).
+    exact modular sum up to the encoding quantization; each encoded value
+    must stay below 2^63 / P so that a sum over P holders cannot wrap.
+    mode "real": a float64 copy masked with float offsets; bypasses
+    quantization so logic errors can be isolated from rounding (test mode,
+    not a security mode).
     """
     if P < 2:
         raise ValueError("sharing needs at least 2 parties")
     x = np.asarray(x, dtype=np.float64)
     if mode == "fixed-point":
-        own = encode_vector(x, GRAD_FRAC_BITS)
+        masked = encode_vector(x, GRAD_FRAC_BITS)
         # P summands below 2^63 / P each cannot wrap the signed 64-bit sum
-        if np.any(np.abs(own.view(np.int64)) >= (1 << 63) // P):
+        if np.any(np.abs(masked.view(np.int64)) >= (1 << 63) // P):
             raise ValueError(f"value overflows the 64-bit ring when summed over {P} holders")
     elif mode == "real":
-        own = x.copy()
+        masked = x.copy()
     else:
         raise ValueError(f"unknown share mode {mode!r}")
-    seeds = rng.integers(0, 2 ** 64 - 1, size=(P - 1, SEED_WORDS), dtype=np.uint64,
-                         endpoint=True)
-    for seed in seeds:
-        np.subtract(own, expand_seed(seed, x.shape, mode), out=own)
-    return seeds, own
+    for seed in add:
+        np.add(masked, expand_seed(seed, x.shape, mode), out=masked)
+    for seed in subtract:
+        np.subtract(masked, expand_seed(seed, x.shape, mode), out=masked)
+    return masked
 
 
 def combine_vector_shares(shares, mode: str = "fixed-point"):
-    """Sum share vectors in the order given (ascending party order in the
+    """Sum masked vectors in the order given (ascending party order in the
     protocol), decoded at GRAD_FRAC_BITS in mode "fixed-point"."""
     acc = np.array(shares[0])
     for s in shares[1:]:

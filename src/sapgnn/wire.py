@@ -34,8 +34,8 @@ class MessageKind(str, Enum):
     PRED_GRAD = "PredGrad"              # holder -> server: nonzero final-layer loss grads (sparse)
     LOCAL_EMB_GRAD = "LocalEmbGrad"     # server -> holder: nonzero local-row grads (sparse)
     INPUT_GRAD = "InputGrad"            # holder -> server: nonzero layer-input grads (sparse)
-    GRAD_SHARE = "GradShare"            # holder -> holder: 32-byte seed of a share vector
-    PARTIAL_SUM = "PartialSum"          # holder -> holder: summed shares
+    GRAD_SHARE = "GradShare"            # holder -> lower holder: 32-byte seed of a pair's mask
+    PARTIAL_SUM = "PartialSum"          # holder -> holder: its masked gradient vector
     POOL_INPUT = "PoolInput"            # holder -> sealed pool: participating rows (sparse)
     POOL_RESULT = "PoolResult"          # sealed pool -> server: max and winner per element
 
@@ -55,41 +55,51 @@ class WireError(ValueError):
     well-formed message."""
 
 
-def _norm_dtype(name: str, arr: np.ndarray) -> np.ndarray:
-    """arr in its wire dtype, same shape (0-d stays 0-d); tobytes() writes C
-    order whatever the memory layout. Every value is kept exactly: a dtype
-    that no wire code holds (complex, object, a float wider than 8 bytes,
-    a string) is refused."""
-    kind, size = arr.dtype.kind, arr.dtype.itemsize
+def _wire_dtype(name: str, dtype: np.dtype) -> np.dtype:
+    """The wire dtype that holds every value of `dtype` exactly; a dtype
+    that no wire code holds (complex, object, a float wider than 8 bytes, a
+    string) is refused."""
+    kind, size = dtype.kind, dtype.itemsize
     if kind == "f" and size <= 8:
-        return arr.astype("<f8", copy=False)
+        return np.dtype("<f8")
     if kind == "u":
-        return arr.astype("|u1" if size == 1 else "<u8", copy=False)
+        return np.dtype("|u1" if size == 1 else "<u8")
     if kind == "i" and size == 1:
-        return arr.astype("|i1", copy=False)
+        return np.dtype("|i1")
     if kind in "bi":
-        return arr.astype("<i8", copy=False)
-    raise WireError(f"field {name!r}: no wire code holds dtype {arr.dtype} exactly")
+        return np.dtype("<i8")
+    raise WireError(f"field {name!r}: no wire code holds dtype {dtype} exactly")
 
 
 def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,
-                   fields: dict[str, np.ndarray]) -> bytes:
-    """Serialize one message; the leading u32 is the body length."""
-    parts = [b"", struct.pack(_HEADER, b"SG", KIND_IDS[kind], layer, epoch, len(fields))]
+                   fields: dict[str, np.ndarray]) -> bytearray:
+    """Serialize one message; the leading u32 is the body length.
+
+    The message is sized first and filled in place: each payload is written
+    once, in C order whatever its memory layout, through a view of the one
+    buffer."""
+    laid_out = []   # per field: its metadata format, name, wire dtype and values
+    size = 4 + struct.calcsize(_HEADER) + struct.calcsize(_SENDER)
     for name, arr in fields.items():
-        arr = _norm_dtype(name, np.asarray(arr))
-        code = _DTYPE_CODES[arr.dtype.str]
-        raw = arr.tobytes()
+        arr = np.asarray(arr)
+        wire = _wire_dtype(name, arr.dtype)
         name_b = name.encode("utf-8")
-        parts.append(struct.pack("<B", len(name_b)) + name_b)
-        parts.append(struct.pack("<cB", code, arr.ndim))
-        parts.append(b"".join(struct.pack("<i", s) for s in arr.shape))
-        parts.append(struct.pack("<q", len(raw)))
-        parts.append(raw)
-    parts.append(struct.pack(_SENDER, sender_id))
-    # the length prefix goes into the one join rather than onto a copy of the body
-    parts[0] = struct.pack("<I", sum(map(len, parts)))
-    return b"".join(parts)
+        meta = f"<B{len(name_b)}scB{arr.ndim}iq"
+        laid_out.append((meta, name_b, wire, arr))
+        size += struct.calcsize(meta) + arr.size * wire.itemsize
+    buf = bytearray(size)
+    struct.pack_into("<I", buf, 0, size - 4)
+    struct.pack_into(_HEADER, buf, 4, b"SG", KIND_IDS[kind], layer, epoch, len(fields))
+    off = 4 + struct.calcsize(_HEADER)
+    for meta, name_b, wire, arr in laid_out:
+        raw_len = arr.size * wire.itemsize
+        struct.pack_into(meta, buf, off, len(name_b), name_b, _DTYPE_CODES[wire.str],
+                         arr.ndim, *arr.shape, raw_len)
+        off += struct.calcsize(meta)
+        np.frombuffer(buf, wire, arr.size, off).reshape(arr.shape)[...] = arr
+        off += raw_len
+    struct.pack_into(_SENDER, buf, off, sender_id)
+    return buf
 
 
 def _unpack(fmt: str, body, off: int) -> tuple:

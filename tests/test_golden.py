@@ -53,12 +53,12 @@ PROTOCOL_GOLDEN = {
         "a5e2abb5a00fd4a9cbdfcdcfc400ce404563e9ed8446cee7e40b7b3e53c67f4c"),
     "p3-gated-secure-fixed": (
         "eb15f0f5e6ed37d5094bd51c6d29fb965761659a1687f5319b6c6141846bacb3",
-        "c2a6452ca6db3dd198433184c4d4eb15ebc439b4687d7ed4ee3f335a02f529a1",
-        "27eac06875195f902b0ea9467ea987b7c8520b64d4f9c6463fb534849c16eed4"),
+        "135dfe9697c03f450daece307c75e251a39ab71ef7b3074fd3a943a4f27590e6",
+        "771f39107e19b99c878c5ba3710024f898565e205d2308ba321d4614a63d0126"),
     "p3-skew-sum-naive-fixed": (
         "1138c18c0705276c02aacf59e9d5ac629bab4e5af8573113a0db086f2d21133d",
-        "70c2327252a6795154bdc9700d73a8fca9167f98a384525805532c72c1974059",
-        "a2daecc2f4a6128ee3c2b5e609c4bbf0753fb1cc7d734c8b9afc37b7e6da8c60"),
+        "4ca51337127b8283d00fb0682da15516223083853a6a4694c456b62fb5f6726e",
+        "7892b34a3f8347eb04af59f608ceb070fd6321b401994501f873c0c99b59649f"),
 }
 
 # The one-holder protocol run and the centralized trainer write the same file.

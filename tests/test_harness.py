@@ -164,7 +164,7 @@ def test_compare_equivalence_with_duplicated_edges():
 
 def test_compare_equivalence_fixed_point_tolerance():
     report = compare_equivalence(base_config(P=2, share_mode="fixed-point"))
-    assert report.tolerance == 1e-4
+    assert report.tolerance == 5e-8
     assert report.passed, report.summary()
 
 

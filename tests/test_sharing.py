@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sapgnn import protocol, sharing
 from sapgnn.numerics import make_rng
 from sapgnn.protocol import ProtocolError, secure_sum
 from sapgnn.sharing import (GRAD_FRAC_BITS, AdditiveShare, FixedPoint, combine_vector_shares,
@@ -163,7 +164,8 @@ def test_boolean_round_trip():
 # -- secure aggregation ------------------------------------------------------------
 
 class RecordingChannel(Channel):
-    """A metered channel that also keeps every delivered message."""
+    """A metered channel that also keeps a copy of every delivered message
+    (the receiver owns what it is handed and may add into it)."""
 
     def __init__(self):
         super().__init__(CommStats(), AuditLog())
@@ -171,7 +173,8 @@ class RecordingChannel(Channel):
 
     def send(self, sender, receiver, kind, layer, epoch, fields, sender_id=-1):
         decoded = super().send(sender, receiver, kind, layer, epoch, fields, sender_id)
-        self.delivered.append((sender, receiver, kind.value, decoded))
+        self.delivered.append((sender, receiver, kind.value,
+                               {name: arr.copy() for name, arr in decoded.items()}))
         return decoded
 
 
@@ -282,10 +285,10 @@ def test_single_holder_aggregate_is_identity():
 
 
 def test_secure_sum_keeps_few_vectors_alive():
-    # each holder folds every share into its partial and every partial into
-    # one running sum as it arrives, so the peak stays O(P) vectors rather
-    # than the P(P-1) partials in flight; the P partials and the P running
-    # sums overlap during the PartialSum round
+    # each holder masks its vector in place and adds every masked vector
+    # into one running sum as it arrives, so the peak stays O(P) vectors
+    # rather than the P(P-1) vectors in flight; the P masked vectors and the
+    # P running sums overlap during the PartialSum round
     P, L = 8, 200_000
     rng = make_rng(12, 0)
     vectors = [rng.uniform(-1.0, 1.0, size=L) for _ in range(P)]
@@ -336,18 +339,22 @@ def test_secure_sum_properties(inputs):
     assert np.max(np.abs(total - expected)) <= tolerance
 
     kinds = [rec.kind for rec in channel.audit.records]
-    assert kinds.count("GradShare") == P * (P - 1)
+    # one seed per pair of holders, sent by the higher to the lower
+    assert kinds.count("GradShare") == P * (P - 1) // 2
+    assert [(s, r) for s, r, k, _f in channel.delivered if k == "GradShare"] == [
+        (f"holder-{j}", f"holder-{i}") for j in range(P) for i in range(j)]
     # a GradShare is one 32-byte seed, whatever the vector length
     seed_bytes = len(encode_message(MessageKind.GRAD_SHARE, -1, 0, 0,
                                     {"seed": np.zeros(SEED_WORDS, dtype=np.uint64)}))
-    assert channel.comm.bytes_for(["GradShare"]) == P * (P - 1) * seed_bytes
+    assert seed_bytes == 67
+    assert channel.comm.bytes_for(["GradShare"]) == P * (P - 1) // 2 * seed_bytes
     for _s, _r, kind, fields in channel.delivered:
         if kind == "GradShare":
             assert list(fields) == ["seed"]
             assert fields["seed"].shape == (SEED_WORDS,)
             assert fields["seed"].dtype == np.uint64
     assert kinds.count("PartialSum") == P * (P - 1)
-    assert len(kinds) == 2 * P * (P - 1)          # P=1 sends nothing
+    assert len(kinds) == 3 * P * (P - 1) // 2     # P=1 sends nothing
     for rec in channel.audit.records:
         assert rec.sender.startswith("holder-") and rec.receiver.startswith("holder-")
 
@@ -372,20 +379,69 @@ def test_secure_sum_properties(inputs):
 
 
 def test_share_vector_modes_reconstruct():
-    x = make_rng(3, 0).uniform(-50, 50, size=(8, 4))
+    # four holders, one seed per pair: the higher holder adds its expansion
+    # and the lower one subtracts it, so the masks cancel in the total
+    P = 4
+    xs = [make_rng(3, p).uniform(-50, 50, size=(8, 4)) for p in range(P)]
     for mode, seed in (("fixed-point", 4), ("real", 5)):
-        seeds, own = share_vector(x, 4, make_rng(seed, 0), mode=mode)
-        assert seeds.shape == (3, SEED_WORDS) and seeds.dtype == np.uint64
-        assert own.shape == x.shape
-        shares = [expand_seed(s, x.shape, mode) for s in seeds] + [own]
-        got = combine_vector_shares(shares, mode=mode)
-        assert np.max(np.abs(got - x)) <= (2.0 ** -GRAD_FRAC_BITS if mode == "fixed-point"
-                                           else 1e-12)
+        rng = make_rng(seed, 0)
+        pair = {(i, j): rng.integers(0, 2 ** 64 - 1, size=SEED_WORDS, dtype=np.uint64,
+                                     endpoint=True) for j in range(P) for i in range(j)}
+        masked = [share_vector(x, P, [pair[(i, j)] for i in range(j)],
+                               [pair[(j, k)] for k in range(j + 1, P)], mode=mode)
+                  for j, x in enumerate(xs)]
+        assert all(m.shape == xs[0].shape for m in masked)
+        got = combine_vector_shares(masked, mode=mode)
+        if mode == "fixed-point":
+            assert all(m.dtype == np.uint64 for m in masked)
+            assert not np.array_equal(masked[0], encode_vector(xs[0], GRAD_FRAC_BITS))
+            encoded = sum(encode_vector(x, GRAD_FRAC_BITS) for x in xs)
+            assert np.array_equal(got, decode_vector(encoded, GRAD_FRAC_BITS))
+        else:
+            assert np.max(np.abs(got - sum(xs))) <= 1e-12
     # the expansion is fixed by the seed alone
-    assert np.array_equal(expand_seed(seeds[0], (5,), "fixed-point"),
-                          expand_seed(seeds[0].copy(), (5,), "fixed-point"))
-    assert not np.array_equal(expand_seed(seeds[0], (5,), "fixed-point"),
-                              expand_seed(seeds[1], (5,), "fixed-point"))
+    a, b = pair[(0, 1)], pair[(0, 2)]
+    assert np.array_equal(expand_seed(a, (5,), "fixed-point"),
+                          expand_seed(a.copy(), (5,), "fixed-point"))
+    assert not np.array_equal(expand_seed(a, (5,), "fixed-point"),
+                              expand_seed(b, (5,), "fixed-point"))
+
+
+@pytest.mark.parametrize("mode", ["fixed-point", "real"])
+def test_secure_sum_expands_each_seed_by_its_two_holders(monkeypatch, mode):
+    P = 5
+    vectors = [np.full(6, float(p)) for p in range(P)]
+    masking, expanded = [], []
+
+    def traced_share_vector(x, *args, **kwargs):
+        masking.append(next(p for p, v in enumerate(vectors) if v is x))
+        return share_vector(x, *args, **kwargs)
+
+    def traced_expand_seed(seed, shape, mode):
+        expanded.append((masking[-1], seed.tobytes()))
+        return expand_seed(seed, shape, mode)
+
+    monkeypatch.setattr(sharing, "expand_seed", traced_expand_seed)
+    monkeypatch.setattr(protocol, "share_vector", traced_share_vector)
+    total, channel = run_sum(vectors, 6, mode)
+    assert np.allclose(total, sum(vectors), atol=1e-9)
+    assert masking == list(range(P))
+    assert len(expanded) == P * (P - 1)
+    seeds = {f["seed"].tobytes(): (int(s[7:]), int(r[7:]))
+             for s, r, k, f in channel.delivered if k == "GradShare"}
+    assert len(seeds) == P * (P - 1) // 2
+    for seed, (sender, receiver) in seeds.items():
+        assert sorted(p for p, s in expanded if s == seed) == [receiver, sender]
+
+
+@pytest.mark.parametrize("mode", ["fixed-point", "real"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_secure_sum_refuses_a_non_finite_gradient_by_holder(mode, bad):
+    vecs = [np.array([1.0, 0.5]), np.array([2.0, bad]), np.array([0.25, 0.25])]
+    channel = RecordingChannel()
+    with pytest.raises(ProtocolError, match="holder 1: .*NaN"):
+        run_sum(vecs, 2, mode, channel=channel)
+    assert len(channel.audit) == 0 and channel.comm.total() == 0
 
 
 # -- secure argmax ------------------------------------------------------------------

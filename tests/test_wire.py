@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -57,6 +58,56 @@ def test_codec_widens_integers_without_truncation():
 def test_codec_refuses_a_dtype_it_cannot_hold(value):
     with pytest.raises(WireError, match="field 'x': no wire code holds dtype"):
         encode_message(MessageKind.PRED_GRAD, 0, 0, 0, {"ok": np.zeros(2), "x": value})
+
+
+def _pinned_fields() -> dict:
+    grid = np.arange(12, dtype=np.float64).reshape(3, 4) - 5.5
+    return {"f8": np.array([[1.5, -2.25], [0.0, 1e300]]),
+            "u8": np.array([0, 1, 2 ** 64 - 1], dtype=np.uint64),
+            "i8": np.array([-5, 7, -(2 ** 63)], dtype=np.int64),
+            "u1": np.arange(250, 256, dtype=np.uint8),
+            "i1": np.array([-128, 0, 127], dtype=np.int8),
+            "u16": np.array([300, 65535], dtype=np.uint16),
+            "i32": np.array([-70000, 2 ** 31 - 1], dtype=np.int32),
+            "f4": np.array([0.1, -3.5], dtype=np.float32),
+            "bool": np.array([True, False, True]),
+            "scalar": np.float64(-0.0),
+            "zero_d": np.array(7, dtype=np.uint64),
+            "empty": np.zeros((0, 3)),
+            "transposed": grid.T,
+            "sliced": grid[::2, 1::2],
+            "fortran": np.asfortranarray(grid.astype(np.int64)),
+            "list": [1, -2],
+            "ünï": np.array([1.0])}
+
+
+def test_encoded_bytes_are_pinned():
+    # every dtype code and every widening, 0-d and empty fields, and inputs
+    # that are not C-contiguous: the encoder's bytes must not move
+    buf = encode_message(MessageKind.PARTIAL_SUM, -1, 123456, 7, _pinned_fields())
+    assert len(buf) == 779
+    assert hashlib.sha256(buf).hexdigest() == (
+        "9faca65e31a9cd3bbd74c9295811336995ea68f7ee15dbefbe39715ed3c55f57")
+    _, _, _, _, out = decode_message(buf)
+    for name, arr in _pinned_fields().items():
+        arr = np.asarray(arr)
+        assert out[name].shape == arr.shape and np.array_equal(out[name], arr), name
+
+
+def test_channel_delivers_writable_arrays_that_share_no_memory():
+    fields = {"t": np.arange(6, dtype=np.float64).reshape(2, 3),
+              "valid": np.ones(2, dtype=np.uint8), "z": np.zeros((0, 4))}
+    fields["tt"] = fields["t"].T
+    chan = Channel(CommStats(), AuditLog())
+    out = chan.send("holder-0", "server", MessageKind.LOCAL_EMBEDDING, 0, 0, fields)
+    for name, sent in fields.items():
+        got = out[name]
+        assert got.flags.writeable and got.flags.c_contiguous, name
+        assert not np.shares_memory(got, sent), name
+        assert all(not np.shares_memory(got, other) for other in out.values()
+                   if other is not got and other.size), name
+        got[...] = 1
+    assert np.array_equal(fields["t"], np.arange(6, dtype=np.float64).reshape(2, 3))
 
 
 def test_comm_stats_accounting():
