@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .graphs import Graph
-from .numerics import NEG_INF, first_max, glorot_init, relu, relu_grad, softmax_rows
+from .numerics import first_max, glorot_init, relu, relu_grad, softmax_rows
 
 PROB_CLAMP = 1e-12
 
@@ -171,10 +171,6 @@ def build_model_weights(cfg: ModelConfig, feat_dim: int, n_classes: int,
 # Message construction and pooling
 # ---------------------------------------------------------------------------
 
-def message_matrix(h: np.ndarray, w_message: np.ndarray | None) -> np.ndarray:
-    return h if w_message is None else h @ w_message.T
-
-
 @dataclass
 class NeighborIndex:
     """Directed edges in one padded layout, destinations by in-degree.
@@ -182,13 +178,16 @@ class NeighborIndex:
     `rows` lists the destination rows, highest in-degree first; column i of
     `src` holds the source rows of rows[i], ascending down the column and
     padded with -1; `counts[j]` is how many rows have an in-degree above j,
-    so position j's sources are the prefix src[j, :counts[j]]. Each holder
-    builds its index once, and every layer and epoch pools through it.
+    so position j's sources are the prefix src[j, :counts[j]]. `sources`
+    lists, ascending, the rows that are the source of some edge: the only
+    rows whose message is ever read. Each holder builds its index once, and
+    every layer and epoch pools through it.
     """
 
-    rows: np.ndarray    # (r,) destination rows
-    src: np.ndarray     # (K, r) source rows, K the largest in-degree
-    counts: np.ndarray  # (K,) rows with an in-degree above j
+    rows: np.ndarray     # (r,) destination rows
+    src: np.ndarray      # (K, r) source rows, K the largest in-degree
+    counts: np.ndarray   # (K,) rows with an in-degree above j
+    sources: np.ndarray  # (s,) ascending rows that feed some destination
 
     @classmethod
     def from_edges(cls, edge_ranks: np.ndarray) -> "NeighborIndex":
@@ -205,46 +204,49 @@ class NeighborIndex:
         K = int(degree.max(initial=0))
         padded = np.full((K, len(nodes)), -1, dtype=np.int64)
         padded[position, column[node_of_edge]] = src
+        # every edge runs both ways, so the sources are the destinations
         return cls(rows=nodes[by_degree], src=padded,
-                   counts=np.bincount(position, minlength=K))
+                   counts=np.bincount(position, minlength=K), sources=nodes)
 
 
 @dataclass
 class LocalTape:
-    """Forward record one holder needs to run its backward pass."""
+    """Forward record one holder needs to run its backward pass, one row
+    per participating row: row i of every array belongs to holder row
+    `rows[i]`."""
 
-    winner: np.ndarray        # (n, d_in) source row of the pooled max, -1 if none
-    participates: np.ndarray  # (n,) rows with a real (non-sentinel) embedding
-    m: np.ndarray             # (n, d_in) pooled messages
-    pre_gate: np.ndarray | None
-    # winner == -1 on a participating row means the pooled message is the
-    # constant zero vector (an owned node with no neighbors anywhere), so no
-    # max subgradient is routed for it.
+    rows: np.ndarray          # (r,) ascending participating rows
+    sources: np.ndarray       # the index's sources, the only rows a message gradient reaches
+    winner: np.ndarray        # (r, d_in) source row of the pooled max, -1 if none
+    m: np.ndarray             # (r, d_in) pooled messages
+    pre_gate: np.ndarray | None  # (r, d_in) W_g h of the gated update
+    # winner == -1 means the pooled message is the constant zero vector (an
+    # owned node with no neighbors anywhere), so no max subgradient is
+    # routed for it.
 
 
 def pooled_messages(msg: np.ndarray, idx: NeighborIndex):
-    """Per-node element-wise max over incoming messages, with provenance.
+    """Per-destination element-wise max over incoming messages, with provenance.
 
-    One first-max sweep over the neighbour positions picks, per element, the
+    `msg` has one row per holder row and is read at `idx.sources` only. One
+    first-max sweep over the neighbour positions picks, per element, the
     lowest source rank among the maxima. The running max is one of the
     messages bit for bit, except that a tie between -0.0 and +0.0 may keep
     either sign; so only where it is zero is the max read back from the
-    winner's message. Rows without incoming edges keep NEG_INF and winner -1.
+    winner's message. Returns (m, winner), one row per destination in the
+    order of `idx.rows`.
     """
-    n, d_msg = msg.shape
-    m = np.full((n, d_msg), NEG_INF)
-    winner = np.full((n, d_msg), -1, dtype=np.int64)
+    d_msg = msg.shape[1]
     K = len(idx.counts)
-    if K:
-        best, pos = first_max((msg[idx.src[j, :c]] for j, c in enumerate(idx.counts)), K)
-        won = np.take_along_axis(idx.src.T, pos, axis=1)
-        winner[idx.rows] = won
-        # best is first_max's own C-ordered array, so flat is a view of it
-        flat = best.ravel()
-        zero = np.flatnonzero(flat == 0.0)
-        flat[zero] = msg.ravel()[won.ravel()[zero] * d_msg + zero % d_msg]
-        m[idx.rows] = best
-    return m, winner
+    if not K:
+        return np.empty((0, d_msg)), np.empty((0, d_msg), dtype=np.int64)
+    best, pos = first_max((msg[idx.src[j, :c]] for j, c in enumerate(idx.counts)), K)
+    won = np.take_along_axis(idx.src.T, pos, axis=1)
+    # best is first_max's own C-ordered array, so flat is a view of it
+    flat = best.ravel()
+    zero = np.flatnonzero(flat == 0.0)
+    flat[zero] = msg.ravel()[won.ravel()[zero] * d_msg + zero % d_msg]
+    return best, won
 
 
 def _apply_update(kind: UpdateKind, h: np.ndarray, m: np.ndarray, gate) -> np.ndarray:
@@ -264,30 +266,37 @@ def _apply_update(kind: UpdateKind, h: np.ndarray, m: np.ndarray, gate) -> np.nd
 def local_embedding(h: np.ndarray, idx: NeighborIndex, iso_ranks: np.ndarray,
                     kind: UpdateKind, w_message: np.ndarray | None,
                     w_gate: np.ndarray | None):
-    """Per-node local embeddings over the rows of `h`: a holder's own nodes,
-    or every node of the combined graph in the centralized reference.
+    """Local embeddings of the participating rows of `h`, whose rows are a
+    holder's own nodes, or every node of the combined graph in the
+    centralized reference.
 
-    Rows for nodes with local neighbors get the local update applied to the
-    pooled message; an owned node with no neighbors anywhere in the combined
-    graph (listed in iso_ranks) updates against a zero message, so its own
-    state still flows through the local update; every other row is the
-    sentinel, meaning "this holder has no neighbor of this node".
+    A row participates when it has local neighbors, and gets the local
+    update applied to its pooled message, or when it is an owned node with
+    no neighbors anywhere in the combined graph (listed in iso_ranks), and
+    updates against a zero message, so its own state still flows through
+    the local update. Every other row is left out: this holder has no
+    neighbor of that node. Messages are computed at `idx.sources` only.
+    Returns (t, tape): t holds one row per participating row, in the
+    ascending order of `tape.rows`.
     """
-    msg = message_matrix(h, w_message)
-    m, winner = pooled_messages(msg, idx)
-    participates = winner[:, 0] >= 0
-    iso_ranks = np.asarray(iso_ranks, dtype=np.int64)
-    m[iso_ranks] = 0.0
-    participates[iso_ranks] = True
+    if w_message is None:
+        msg = h
+    else:
+        msg = np.zeros((h.shape[0], w_message.shape[0]))
+        msg[idx.sources] = h[idx.sources] @ w_message.T
+    best, won = pooled_messages(msg, idx)
+    rows = np.union1d(idx.rows, np.asarray(iso_ranks, dtype=np.int64))
+    pooled = np.searchsorted(rows, idx.rows)
+    m = np.zeros((len(rows), msg.shape[1]))
+    m[pooled] = best
+    winner = np.full(m.shape, -1, dtype=np.int64)
+    winner[pooled] = won
 
-    pre_gate = h @ w_gate.T if kind is UpdateKind.GATED else None
-    rows = np.flatnonzero(participates)
-    gate = relu(pre_gate[rows]) if pre_gate is not None else None
-    t_rows = _apply_update(kind, h[rows], m[rows], gate)
-    t = np.full((h.shape[0], t_rows.shape[1]), NEG_INF)
-    t[rows] = t_rows
-    tape = LocalTape(winner=winner, participates=participates, m=m, pre_gate=pre_gate)
-    return t, tape
+    h_rows = h[rows]
+    pre_gate = h_rows @ w_gate.T if kind is UpdateKind.GATED else None
+    gate = relu(pre_gate) if pre_gate is not None else None
+    t = _apply_update(kind, h_rows, m, gate)
+    return t, LocalTape(rows=rows, sources=idx.sources, winner=winner, m=m, pre_gate=pre_gate)
 
 
 def local_backward(h: np.ndarray, tape: LocalTape, kind: UpdateKind,
@@ -295,49 +304,51 @@ def local_backward(h: np.ndarray, tape: LocalTape, kind: UpdateKind,
                    R: np.ndarray):
     """Backward through the local update and pooling.
 
-    R is the loss gradient w.r.t. this holder's local embeddings (zero on
-    elements this holder did not win). Returns (dw_message, dw_gate, dH)
-    where dH is this holder's accumulated contribution to the gradient with
-    respect to the layer input, including the paths through neighbors'
-    pooled messages.
+    R is the loss gradient w.r.t. this holder's local embeddings, one row
+    per tape row (zero on elements this holder did not win). Returns
+    (dw_message, dw_gate, dH) where dH is this holder's accumulated
+    contribution to the gradient with respect to the layer input, one row
+    per row of h, including the paths through neighbors' pooled messages.
+    Row products run only on rows that can be nonzero. The weight-gradient
+    reductions sum over every tape row (dw_gate) and every row of h
+    (dw_message), zero or not: a sum over fewer rows rounds differently.
     """
     n, d_in = h.shape
     dH = np.zeros((n, d_in))
     dw_message = None
     dw_gate = None if w_gate is None else np.zeros_like(w_gate)
-    rows = np.flatnonzero(tape.participates)
-    R_sub = R[rows]
+    rows = tape.rows
 
     if kind is UpdateKind.SUM:
-        dH[rows] += R_sub
-        dM_sub = R_sub
+        dH[rows] += R
+        dM = R
     elif kind is UpdateKind.CONCAT:
-        dH[rows] += R_sub[:, :d_in]
-        dM_sub = R_sub[:, d_in:]
+        dH[rows] += R[:, :d_in]
+        dM = R[:, d_in:]
     elif kind is UpdateKind.GATED:
-        pre = tape.pre_gate[rows]
-        gate = relu(pre)
-        dgate = R_sub * tape.m[rows]
-        dpre = dgate * relu_grad(pre)
+        pre = tape.pre_gate
+        dpre = R * tape.m * relu_grad(pre)
         dw_gate += dpre.T @ h[rows]
-        dH[rows] += dpre @ w_gate
-        dM_sub = R_sub * gate
+        # dH starts at +0.0, which a zero row of dpre @ w_gate leaves as it is
+        live = dpre.any(axis=1)
+        dH[rows[live]] += dpre[live] @ w_gate
+        dM = R * relu(pre)
     elif kind is UpdateKind.NEGATED_SUM:
-        dH[rows] += R_sub
-        dM_sub = -R_sub
+        dH[rows] += R
+        dM = -R
     else:  # pragma: no cover
         raise ValueError(kind)
 
     # each max subgradient goes to the winning source of its column; an
     # isolated row's constant zero message (winner -1) routes nowhere. The
     # message is h itself without a map, so the scatter lands in dH directly.
-    winner_sub = tape.winner[rows]
-    vi, vk = np.nonzero((dM_sub != 0.0) & (winner_sub >= 0))
-    grad_msg = dH if w_message is None else np.zeros((n, dM_sub.shape[1]))
-    np.add.at(grad_msg, (winner_sub[vi, vk], vk), dM_sub[vi, vk])
+    vi, vk = np.nonzero((dM != 0.0) & (tape.winner >= 0))
+    grad_msg = dH if w_message is None else np.zeros((n, dM.shape[1]))
+    np.add.at(grad_msg, (tape.winner[vi, vk], vk), dM[vi, vk])
     if w_message is not None:
         dw_message = grad_msg.T @ h
-        dH += grad_msg @ w_message
+        # only a source row wins a max, so the other rows of grad_msg are 0
+        dH[tape.sources] += grad_msg[tape.sources] @ w_message
     return dw_message, dw_gate, dH
 
 
@@ -467,7 +478,7 @@ def _central_forward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
     for l, use_relu in enumerate(layer_relu_flags(cfg)):
         t, tape = local_embedding(h, idx, iso, cfg.update_kind, local.w_message[l],
                                   local.w_gate[l])
-        if np.any(~tape.participates):
+        if len(tape.rows) != g.n_nodes:
             raise ValueError("combined graph has a node no computation covers")
         mask = dropout_masks[l] if dropout_masks is not None else None
         h_next, z = global_update(t, weights.w_global[l], use_relu, mask)

@@ -125,8 +125,8 @@ class LocalGraph:
     """One data holder's private subgraph plus its owned label shares.
 
     isolated_owned lists nodes this holder owns that have no neighbors in the
-    combined graph; the holder still produces a real embedding for them (via a
-    self message) instead of a sentinel row.
+    combined graph; the holder still embeds them, against a zero message,
+    where it leaves out every other node without a local neighbor.
     """
 
     holder_id: int

@@ -98,7 +98,9 @@ class DataHolder:
 
     Every holder array covers the holder's own nodes only, one row per node
     in ascending id order (its NodeIndex order); row i is node
-    `node_ids[i]`. The holder never learns how many nodes the union has.
+    `node_ids[i]`. A local layer's tape and output keep only the
+    participating rows, in the same order. The holder never learns how many
+    nodes the union has.
     """
 
     def __init__(self, local: LocalGraph, cfg: ModelConfig, n_classes: int, lr: float,
@@ -124,13 +126,13 @@ class DataHolder:
         # The rows of each layer's output the holder reads, declared in its
         # NodeIndex: a lower layer's at its participating rows (the next
         # local layer reads no other), the top layer's at its labelled rows.
-        participates = np.zeros(self.n, dtype=bool)
-        participates[self.idx.rows] = True
-        participates[self.iso_ranks] = True
+        self.participates = np.zeros(self.n, dtype=bool)
+        self.participates[self.idx.rows] = True
+        self.participates[self.iso_ranks] = True
         labelled = np.zeros(self.n, dtype=bool)
         for rows, _classes in self.label_rows.values():
             labelled[rows] = True
-        self.wants = np.stack([participates] * (cfg.layers - 1) + [labelled])
+        self.wants = np.stack([self.participates] * (cfg.layers - 1) + [labelled])
 
         # identical stream across holders: the replication invariant starts here
         self.locals_ = init_local_weights(cfg, self.feat_dim, n_classes,
@@ -152,6 +154,7 @@ class DataHolder:
         self.probs = None
 
     def forward_local(self, l: int):
+        """Layer l's local embeddings at the participating rows."""
         t, tape = local_embedding(self.h[l], self.idx, self.iso_ranks, self.kind,
                                   self.locals_.w_message[l], self.locals_.w_gate[l])
         self.tapes[l] = tape
@@ -190,8 +193,14 @@ class DataHolder:
         self.grad_acc.w_predict += dW
         return dH
 
-    def backward_local(self, l: int, R: np.ndarray) -> np.ndarray:
-        dwm, dwg, dH = local_backward(self.h[l], self.tapes[l], self.kind,
+    def backward_local(self, l: int, valid: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Backward through local layer l from the gradient rows `r` of the
+        `valid` rows, all of them participating rows; returns dH over every
+        holder row."""
+        tape = self.tapes[l]
+        R = np.zeros((len(tape.rows), r.shape[1]))
+        R[valid[tape.rows]] = r
+        dwm, dwg, dH = local_backward(self.h[l], tape, self.kind,
                                       self.locals_.w_message[l], self.locals_.w_gate[l], R)
         if dwm is not None:
             self.grad_acc.w_message[l] += dwm
@@ -404,12 +413,12 @@ def _send_input_grad(session: Session, kind: MessageKind, layer: int, epoch: int
 def _pool_layer(session: Session, l: int, epoch: int):
     """Every holder's layer-l local embeddings, pooled: (m, winner) at the server.
 
-    Each holder sends only its participating rows. The server's row maps
-    turn each holder's rows into a `(universe rows, values)` block; in
-    naive mode the server pools the blocks with `stack_max`, and in
-    secure-pooling mode the sealed pool does with `pooled_argmax`, so the
-    server gets only the winning values and the winning holder index per
-    element."""
+    Each holder computes and sends only its participating rows. The
+    server's row maps turn each holder's rows into a `(universe rows,
+    values)` block; in naive mode the server pools the blocks with
+    `stack_max`, and in secure-pooling mode the sealed pool does with
+    `pooled_argmax`, so the server gets only the winning values and the
+    winning holder index per element."""
     server = session.server
     secure = session.config.mode == "secure-pooling"
     if secure:
@@ -418,10 +427,9 @@ def _pool_layer(session: Session, l: int, epoch: int):
         kind, receiver, name = MessageKind.LOCAL_EMBEDDING, SERVER_PARTY, "t"
     blocks = []
     for p, holder in enumerate(session.holders):
-        t = holder.forward_local(l)
-        valid = holder.tapes[l].participates
         valid, values = _send_rows(session, holder_party(p), receiver, kind, l, epoch, p,
-                                   valid, name, t[valid], server.weights[l].shape[1])
+                                   holder.participates, name, holder.forward_local(l),
+                                   server.weights[l].shape[1])
         blocks.append((server.holder_rows[p][valid], values))
     try:
         if not secure:
@@ -529,9 +537,10 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
                                   MessageKind.LOCAL_EMB_GRAD, l, epoch, p, valid, "r",
                                   np.where(won[nonzero], dM[nonzero], 0.0),
                                   holder.dims[l].t_dim)
-            R = np.zeros((holder.n, holder.dims[l].t_dim))
-            R[valid] = r
-            dH = holder.backward_local(l, R)
+            if np.any(valid & ~holder.participates):
+                raise ProtocolError(f"holder {p}: {MessageKind.LOCAL_EMB_GRAD.value} carries a "
+                                    "gradient for a row the holder did not embed")
+            dH = holder.backward_local(l, valid, r)
             if l > 0:
                 _send_input_grad(session, MessageKind.INPUT_GRAD, l, epoch, p, dH, G_next)
         G = G_next

@@ -73,9 +73,10 @@ def test_pooled_messages_matches_scan(inputs):
     idx = NeighborIndex.from_edges(edges)
     m, winner = pooled_messages(msg, idx)
     want_m, want_winner = scan_pool(edges, msg)
-    # by bit pattern: array_equal takes -0.0 == +0.0 and would miss a sign flip
-    assert np.array_equal(m.view(np.int64), want_m.view(np.int64))
-    assert np.array_equal(winner, want_winner)
+    # one row per destination in idx.rows, compared by bit pattern:
+    # array_equal takes -0.0 == +0.0 and would miss a sign flip
+    assert np.array_equal(m.view(np.int64), want_m[idx.rows].view(np.int64))
+    assert np.array_equal(winner, want_winner[idx.rows])
     if n > 40:
         return   # the lowering sweep below is quadratic in n
     # the max subgradient goes to the winner alone: lowering any other
@@ -98,16 +99,17 @@ def test_local_embedding_sum_example():
     t, tape = local_embedding(h, idx, np.empty(0, dtype=np.int64), UpdateKind.SUM,
                               None, None)
     assert np.array_equal(t[0], [3.0, 3.0])
-    assert tape.participates.all()
+    assert tape.rows.tolist() == [0, 1, 2]
 
 
-def test_local_embedding_non_owned_is_sentinel():
-    h = np.zeros((4, 2))
-    idx = NeighborIndex.from_edges([[0, 1]])  # rows 2, 3 have no local neighbors
-    t, tape = local_embedding(h, idx, np.empty(0, dtype=np.int64), UpdateKind.SUM,
-                              None, None)
-    assert np.all(t[2] == NEG_INF) and np.all(t[3] == NEG_INF)
-    assert not tape.participates[2] and not tape.participates[3]
+def test_local_embedding_leaves_out_non_participating_rows():
+    h = np.arange(10.0).reshape(5, 2)
+    idx = NeighborIndex.from_edges([[3, 1]])  # rows 0, 2, 4 have no local neighbors
+    t, tape = local_embedding(h, idx, np.array([4]), UpdateKind.GATED, np.eye(2), np.eye(2))
+    assert tape.rows.tolist() == [1, 3, 4]   # row 4 is isolated in the combined graph
+    assert np.array_equal(t, [[2.0 * 6.0, 3.0 * 7.0], [6.0 * 2.0, 7.0 * 3.0], [0.0, 0.0]])
+    for a in (t, tape.winner, tape.m, tape.pre_gate):
+        assert a.shape == (3, 2)
 
 
 def test_local_embedding_isolated_node_keeps_state():
@@ -115,24 +117,23 @@ def test_local_embedding_isolated_node_keeps_state():
     idx = NeighborIndex.from_edges(np.empty((0, 2)))
     t, tape = local_embedding(h, idx, np.array([0]), UpdateKind.SUM, None, None)
     assert np.array_equal(t[0], [5.0, -1.0])   # zero message: state passes through
-    assert tape.participates[0] and tape.winner[0, 0] == -1
+    assert tape.rows.tolist() == [0] and tape.winner[0, 0] == -1
 
 
 def test_local_embedding_matches_bruteforce_replay():
     g = generate_synthetic(6, 2, 3, 0.9, 0.6, seed=4)
     ranks = g.rank_of(g.edges.ravel()).reshape(-1, 2)
     h = make_rng(13, 0).normal(size=(6, 3))
-    t, _ = local_embedding(h, NeighborIndex.from_edges(ranks),
-                           np.empty(0, dtype=np.int64), UpdateKind.SUM, None, None)
+    t, tape = local_embedding(h, NeighborIndex.from_edges(ranks),
+                              np.empty(0, dtype=np.int64), UpdateKind.SUM, None, None)
     neigh = {v: [] for v in range(6)}
     for u, v in ranks.tolist():
         neigh[u].append(v)
         neigh[v].append(u)
-    for v in range(6):
-        if not neigh[v]:
-            continue
+    assert tape.rows.tolist() == [v for v in range(6) if neigh[v]]
+    for i, v in enumerate(tape.rows):
         expected = h[v] + np.max(h[neigh[v]], axis=0)
-        assert np.array_equal(t[v], expected)
+        assert np.array_equal(t[i], expected)
 
 
 def test_local_embedding_concat_and_gated_shapes():
@@ -168,34 +169,37 @@ def backward_inputs(draw):
     kind = draw(st.sampled_from(list(UpdateKind)))
     w_message = matrix(d, d) if draw(st.booleans()) else None
     w_gate = matrix(d, d) if kind is UpdateKind.GATED else None
-    R = matrix(n, 2 * d if kind is UpdateKind.CONCAT else d)
+    # one row per participating row: an edge endpoint or an isolated row
+    R = matrix(len(set(edges.ravel().tolist()) | set(iso)),
+               2 * d if kind is UpdateKind.CONCAT else d)
     return edges, h, np.array(iso, dtype=np.int64), kind, w_message, w_gate, R
 
 
 def brute_backward(h, tape, kind, w_message, w_gate, R):
-    """Row by row: the update's own-state gradient first, then each (row,
+    """Row by row over the tape's rows (R and the tape arrays hold row i of
+    `tape.rows[i]`): the update's own-state gradient first, then each (row,
     column) max subgradient sent to that column's winner."""
     n, d = h.shape
     dH = np.zeros((n, d))
     dw_message = None if w_message is None else np.zeros((d, d))
     dw_gate = None if w_gate is None else np.zeros((d, d))
     dM = {}
-    for v in np.flatnonzero(tape.participates):
+    for i, v in enumerate(tape.rows):
         if kind is UpdateKind.CONCAT:
-            dH[v] += R[v, :d]
-            dM[v] = R[v, d:]
+            dH[v] += R[i, :d]
+            dM[i] = R[i, d:]
         elif kind is UpdateKind.GATED:
             pre = w_gate @ h[v]
-            dpre = R[v] * tape.m[v] * (pre > 0)
+            dpre = R[i] * tape.m[i] * (pre > 0)
             dw_gate += np.outer(dpre, h[v])
             dH[v] += dpre @ w_gate
-            dM[v] = R[v] * np.maximum(pre, 0.0)
+            dM[i] = R[i] * np.maximum(pre, 0.0)
         else:
-            dH[v] += R[v]
-            dM[v] = -R[v] if kind is UpdateKind.NEGATED_SUM else R[v]
-    for v, grad in dM.items():
+            dH[v] += R[i]
+            dM[i] = -R[i] if kind is UpdateKind.NEGATED_SUM else R[i]
+    for i, grad in dM.items():
         for k, g in enumerate(grad):
-            u = tape.winner[v, k]
+            u = tape.winner[i, k]
             if u < 0:
                 continue
             if w_message is None:
@@ -298,9 +302,11 @@ def test_neighbor_index_padded_layout():
     idx = NeighborIndex.from_edges([[2, 0], [2, 1], [0, 1], [2, 3]])
     assert idx.rows.tolist() == [2, 0, 1, 3]           # in-degree 3, 2, 2, 1
     assert idx.src.tolist() == [[0, 1, 0, 2], [1, 2, 2, -1], [3, -1, -1, -1]]
+    assert idx.sources.tolist() == [0, 1, 2, 3]
     assert idx.counts.tolist() == [4, 3, 1]
     empty = NeighborIndex.from_edges(np.empty((0, 2)))
     assert empty.rows.size == 0 and empty.src.shape == (0, 0) and empty.counts.size == 0
+    assert empty.sources.size == 0
 
 
 def test_stack_max_all_sentinel_node_raises():

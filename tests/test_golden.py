@@ -39,6 +39,17 @@ def golden_config(name: str) -> RunConfig:
                          model=ModelConfig(layers=2, hidden=6, update_kind="sum", dropout=0.5),
                          train=TrainConfig(lr=0.02, max_epochs=5, patience=50, seed=5),
                          mode="naive", share_mode="fixed-point")
+    if name == "p4-gated-linear-real":
+        # wide enough (F=256, hidden 64) that a matrix product summed over a
+        # different set of rows changes its last bits, and so this file
+        return RunConfig(dataset=DatasetConfig(n_nodes=400, n_classes=4, feat_dim=256,
+                                               intra_class_edge_prob=0.06,
+                                               inter_class_edge_prob=0.006, seed=21),
+                         partition=PartitionConfig(kind="uniform", P=4, seed=3),
+                         model=ModelConfig(layers=2, hidden=64, update_kind="gated",
+                                           message_linear=True),
+                         train=TrainConfig(lr=0.02, max_epochs=2, patience=50, seed=5),
+                         mode="naive", share_mode="real")
     raise KeyError(name)
 
 
@@ -59,6 +70,10 @@ PROTOCOL_GOLDEN = {
         "1138c18c0705276c02aacf59e9d5ac629bab4e5af8573113a0db086f2d21133d",
         "4ca51337127b8283d00fb0682da15516223083853a6a4694c456b62fb5f6726e",
         "7892b34a3f8347eb04af59f608ceb070fd6321b401994501f873c0c99b59649f"),
+    "p4-gated-linear-real": (
+        "ec126f331701832192dec74a0ae53e43e1b4f4f59ec4cafe5fffc606b3ed2f32",
+        "29d88284a7f400854acd345a4f04008689874819d2263b3c878d47ead5390117",
+        "0472d42110c4e71ca6c49356ad0878bc06694685846bd931cdc48ad3a4a2d7cb"),
 }
 
 # The one-holder protocol run and the centralized trainer write the same file.

@@ -266,7 +266,7 @@ def test_secure_pooling_refuses_a_nan_pool_input(monkeypatch):
 
     def poisoned(l):
         t = forward_local(l)
-        t[np.flatnonzero(holder.tapes[l].participates)[0], 0] = np.nan
+        t[0, 0] = np.nan      # t holds the participating rows only
         return t
 
     monkeypatch.setattr(holder, "forward_local", poisoned)
@@ -684,9 +684,10 @@ def test_a_holder_sees_only_its_own_rows(sends, mode):
                 assert not any(d in raw for d in foreign), (kind, name)
             if kind in (MessageKind.GLOBAL_EMBEDDING, MessageKind.LOCAL_EMB_GRAD):
                 assert len(fields["valid"]) == len(ids), kind
-        for tape in holder.tapes:
-            arrays += [tape.winner, tape.participates, tape.m, tape.pre_gate]
         assert all(a.shape[0] == len(ids) for a in arrays)
+        for tape in holder.tapes:
+            assert tape.rows.max() < len(ids)
+            assert all(a.shape[0] == len(tape.rows) for a in (tape.winner, tape.m, tape.pre_gate))
 
 
 def labelled_ids(lg: LocalGraph) -> np.ndarray:
@@ -855,3 +856,64 @@ def test_a_malformed_pool_result_is_refused(monkeypatch, edit, message):
     with pytest.raises(ProtocolError, match="sealed-pool: PoolResult " + message):
         forward_pass(session, train=True, epoch=0)
         backward_pass(session, epoch=0)
+
+
+def test_a_local_emb_grad_row_the_holder_never_sent_is_refused(monkeypatch):
+    # the server routes gradient only to rows a holder embedded; a row outside
+    # them, here with a huge value, would reach the holder's weights unseen
+    cfg = make_config(P=4, n=120, kind="gated")
+    cfg.model.message_linear = True
+    _, _, session = make_session(cfg)
+    forward_pass(session, train=True, epoch=0)
+    embedded = session.holders[2].wants[0]      # the participating rows: 117 of 120
+    extra = int(np.flatnonzero(~embedded)[0])
+    send = Channel.send
+
+    def tampered(self, sender, receiver, kind, *args, **kwargs):
+        decoded = send(self, sender, receiver, kind, *args, **kwargs)
+        if kind is MessageKind.LOCAL_EMB_GRAD and receiver == "holder-2":
+            valid = decoded["valid"].astype(bool)
+            at = int(np.count_nonzero(valid[:extra]))
+            valid[extra] = True
+            decoded["valid"] = valid.astype(np.uint8)
+            decoded["r"] = np.insert(decoded["r"], at, 1e6, axis=0)
+        return decoded
+
+    monkeypatch.setattr(Channel, "send", tampered)
+    with pytest.raises(ProtocolError, match="holder 2: LocalEmbGrad .* row the holder did not"):
+        backward_pass(session, epoch=0)
+
+
+def test_a_local_layer_keeps_only_the_participating_rows():
+    # on a uniform P=8 split each holder has a local edge at only a third of
+    # its rows; its embeddings and tapes hold those rows and no others
+    cfg = RunConfig(
+        dataset=DatasetConfig(n_nodes=240, n_classes=4, feat_dim=64, intra_class_edge_prob=0.04,
+                              inter_class_edge_prob=0.004, seed=3),
+        partition=PartitionConfig(kind="uniform", P=8, seed=4),
+        model=ModelConfig(layers=2, hidden=16, update_kind="gated", message_linear=True),
+        train=TrainConfig(seed=5), share_mode="fixed-point")
+    _, _, session = make_session(cfg)
+    forward_pass(session, train=True, epoch=0)
+    for holder in session.holders:
+        rows = np.flatnonzero(holder.participates)
+        assert 0 < rows.size < holder.n
+        for l in range(cfg.model.layers):
+            t = holder.forward_local(l)
+            tape = holder.tapes[l]
+            assert t.shape[0] == rows.size
+            assert np.array_equal(tape.rows, rows)
+            for a in (tape.winner, tape.m, tape.pre_gate):
+                assert a.shape[0] == rows.size
+    # Layer 0 of the holder with the fewest participating rows (75 of 240),
+    # in units of one full-height float64 matrix (n x F): 3.43 measured, the
+    # bound 4 leaves 17%; with full-height tapes and outputs it took 5.67.
+    holder = min(session.holders, key=lambda h: np.count_nonzero(h.participates))
+    tracemalloc.start()
+    try:
+        holder.forward_local(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full = holder.n * holder.feat_dim * 8
+    assert peak < 4.0 * full, f"peak {peak / full:.2f} full-height matrices"
