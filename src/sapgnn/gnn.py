@@ -173,24 +173,26 @@ def build_model_weights(cfg: ModelConfig, feat_dim: int, n_classes: int,
 
 @dataclass
 class NeighborIndex:
-    """Directed edges in one padded layout, destinations by in-degree.
+    """A local layer's rows and its directed edges, unpadded, O(E).
 
-    `rows` lists the destination rows, highest in-degree first; column i of
-    `src` holds the source rows of rows[i], ascending down the column and
-    padded with -1; `counts[j]` is how many rows have an in-degree above j,
-    so position j's sources are the prefix src[j, :counts[j]]. `sources`
+    `rows` lists, ascending, every edge endpoint and every isolated row: the
+    participating rows. `dst` holds the positions in `rows` of the
+    destinations, highest in-degree first; position j's sources are
+    src[offsets[j]:offsets[j+1]], one per destination of in-degree above j,
+    in `dst` order, and each destination's sources ascend with j. `sources`
     lists, ascending, the rows that are the source of some edge: the only
     rows whose message is ever read. Each holder builds its index once, and
     every layer and epoch pools through it.
     """
 
-    rows: np.ndarray     # (r,) destination rows
-    src: np.ndarray      # (K, r) source rows, K the largest in-degree
-    counts: np.ndarray   # (K,) rows with an in-degree above j
+    rows: np.ndarray     # (r,) ascending participating rows
+    dst: np.ndarray      # (k,) positions in rows of the destinations, by in-degree
+    src: np.ndarray      # (E,) source rows, position-major
+    offsets: np.ndarray  # (K + 1,) position j's sources start at offsets[j]
     sources: np.ndarray  # (s,) ascending rows that feed some destination
 
     @classmethod
-    def from_edges(cls, edge_ranks: np.ndarray) -> "NeighborIndex":
+    def from_edges(cls, edge_ranks: np.ndarray, isolated: np.ndarray) -> "NeighborIndex":
         edge_ranks = np.asarray(edge_ranks, dtype=np.int64).reshape(-1, 2)
         directed = np.concatenate([edge_ranks, edge_ranks[:, ::-1]], axis=0)
         order = np.lexsort((directed[:, 1], directed[:, 0]))
@@ -201,12 +203,13 @@ class NeighborIndex:
         column[by_degree] = np.arange(len(nodes))
         node_of_edge = np.repeat(np.arange(len(nodes)), degree)
         position = np.arange(len(dst)) - starts[node_of_edge]
-        K = int(degree.max(initial=0))
-        padded = np.full((K, len(nodes)), -1, dtype=np.int64)
-        padded[position, column[node_of_edge]] = src
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(position))])
+        flat = np.empty_like(src)
+        flat[offsets[position] + column[node_of_edge]] = src
+        rows = np.union1d(nodes, np.asarray(isolated, dtype=np.int64))
         # every edge runs both ways, so the sources are the destinations
-        return cls(rows=nodes[by_degree], src=padded,
-                   counts=np.bincount(position, minlength=K), sources=nodes)
+        return cls(rows=rows, dst=np.searchsorted(rows, nodes[by_degree]), src=flat,
+                   offsets=offsets, sources=nodes)
 
 
 @dataclass
@@ -234,14 +237,15 @@ def pooled_messages(msg: np.ndarray, idx: NeighborIndex):
     messages bit for bit, except that a tie between -0.0 and +0.0 may keep
     either sign; so only where it is zero is the max read back from the
     winner's message. Returns (m, winner), one row per destination in the
-    order of `idx.rows`.
+    order of `idx.dst`.
     """
     d_msg = msg.shape[1]
-    K = len(idx.counts)
+    K = len(idx.offsets) - 1
     if not K:
         return np.empty((0, d_msg)), np.empty((0, d_msg), dtype=np.int64)
-    best, pos = first_max((msg[idx.src[j, :c]] for j, c in enumerate(idx.counts)), K)
-    won = np.take_along_axis(idx.src.T, pos, axis=1)
+    best, pos = first_max((msg[s] for s in np.split(idx.src, idx.offsets[1:-1])), K)
+    # destination i's source at position j sits at offsets[j] + i
+    won = idx.src.take(idx.offsets.take(pos) + np.arange(len(best))[:, None])
     # best is first_max's own C-ordered array, so flat is a view of it
     flat = best.ravel()
     zero = np.flatnonzero(flat == 0.0)
@@ -263,21 +267,20 @@ def _apply_update(kind: UpdateKind, h: np.ndarray, m: np.ndarray, gate) -> np.nd
     raise ValueError(kind)
 
 
-def local_embedding(h: np.ndarray, idx: NeighborIndex, iso_ranks: np.ndarray,
-                    kind: UpdateKind, w_message: np.ndarray | None,
-                    w_gate: np.ndarray | None):
+def local_embedding(h: np.ndarray, idx: NeighborIndex, kind: UpdateKind,
+                    w_message: np.ndarray | None, w_gate: np.ndarray | None):
     """Local embeddings of the participating rows of `h`, whose rows are a
     holder's own nodes, or every node of the combined graph in the
     centralized reference.
 
-    A row participates when it has local neighbors, and gets the local
-    update applied to its pooled message, or when it is an owned node with
-    no neighbors anywhere in the combined graph (listed in iso_ranks), and
-    updates against a zero message, so its own state still flows through
-    the local update. Every other row is left out: this holder has no
-    neighbor of that node. Messages are computed at `idx.sources` only.
-    Returns (t, tape): t holds one row per participating row, in the
-    ascending order of `tape.rows`.
+    The participating rows are `idx.rows`. A row with local neighbors gets
+    the local update applied to its pooled message; an isolated row, an
+    owned node with no neighbors anywhere in the combined graph, updates
+    against a zero message, so its own state still flows through the local
+    update. Every other row is left out: this holder has no neighbor of
+    that node. Messages are computed at `idx.sources` only. Returns
+    (t, tape): t holds one row per participating row, in the ascending
+    order of `tape.rows`.
     """
     if w_message is None:
         msg = h
@@ -285,12 +288,11 @@ def local_embedding(h: np.ndarray, idx: NeighborIndex, iso_ranks: np.ndarray,
         msg = np.zeros((h.shape[0], w_message.shape[0]))
         msg[idx.sources] = h[idx.sources] @ w_message.T
     best, won = pooled_messages(msg, idx)
-    rows = np.union1d(idx.rows, np.asarray(iso_ranks, dtype=np.int64))
-    pooled = np.searchsorted(rows, idx.rows)
+    rows = idx.rows
     m = np.zeros((len(rows), msg.shape[1]))
-    m[pooled] = best
+    m[idx.dst] = best
     winner = np.full(m.shape, -1, dtype=np.int64)
-    winner[pooled] = won
+    winner[idx.dst] = won
 
     h_rows = h[rows]
     pre_gate = h_rows @ w_gate.T if kind is UpdateKind.GATED else None
@@ -456,19 +458,19 @@ class CentralPass:
     grads: ModelWeights
 
 
-def _combined_index(g: Graph):
-    """The combined graph's neighbour index and isolated rows. Graphs are
-    immutable by convention, so each one is indexed once and keeps the pair."""
+def _combined_index(g: Graph) -> NeighborIndex:
+    """The combined graph's neighbour index. Graphs are immutable by
+    convention, so each one is indexed once and keeps it."""
     cached = getattr(g, "_combined_index", None)
     if cached is None:
-        idx = NeighborIndex.from_edges(g.rank_of(g.edges))
-        cached = g._combined_index = (idx, np.flatnonzero(g.degrees() == 0))
+        cached = g._combined_index = NeighborIndex.from_edges(
+            g.rank_of(g.edges), np.flatnonzero(g.degrees() == 0))
     return cached
 
 
 def _central_forward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
                      dropout_masks: list | None):
-    idx, iso = _combined_index(g)
+    idx = _combined_index(g)
     local = weights.local
 
     h = g.features
@@ -476,10 +478,8 @@ def _central_forward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
     tapes = []
     server_tapes = []
     for l, use_relu in enumerate(layer_relu_flags(cfg)):
-        t, tape = local_embedding(h, idx, iso, cfg.update_kind, local.w_message[l],
+        t, tape = local_embedding(h, idx, cfg.update_kind, local.w_message[l],
                                   local.w_gate[l])
-        if len(tape.rows) != g.n_nodes:
-            raise ValueError("combined graph has a node no computation covers")
         mask = dropout_masks[l] if dropout_masks is not None else None
         h_next, z = global_update(t, weights.w_global[l], use_relu, mask)
         tapes.append(tape)

@@ -12,11 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# "No information" sentinel for pooled embeddings. Kept at the most negative
-# finite float64 (not IEEE -inf) so that arithmetic downstream stays finite.
-# It must never survive a max over at least one real participant.
-NEG_INF = float(np.finfo(np.float64).min)
-
 
 def _stream_key(stream) -> int:
     """Map a stream label (int, str, or tuple) to a stable 64-bit integer."""

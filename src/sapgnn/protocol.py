@@ -115,8 +115,8 @@ class DataHolder:
         self.n_classes = n_classes
         self.dims = layer_dims(cfg, self.feat_dim)
 
-        self.idx = NeighborIndex.from_edges(graph.rank_of(graph.edges))
-        self.iso_ranks = graph.rank_of(local.isolated_owned)
+        self.idx = NeighborIndex.from_edges(graph.rank_of(graph.edges),
+                                            graph.rank_of(local.isolated_owned))
 
         self.label_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for split, ids in graph.split_ids().items():
@@ -128,7 +128,6 @@ class DataHolder:
         # local layer reads no other), the top layer's at its labelled rows.
         self.participates = np.zeros(self.n, dtype=bool)
         self.participates[self.idx.rows] = True
-        self.participates[self.iso_ranks] = True
         labelled = np.zeros(self.n, dtype=bool)
         for rows, _classes in self.label_rows.values():
             labelled[rows] = True
@@ -155,8 +154,8 @@ class DataHolder:
 
     def forward_local(self, l: int):
         """Layer l's local embeddings at the participating rows."""
-        t, tape = local_embedding(self.h[l], self.idx, self.iso_ranks, self.kind,
-                                  self.locals_.w_message[l], self.locals_.w_gate[l])
+        t, tape = local_embedding(self.h[l], self.idx, self.kind, self.locals_.w_message[l],
+                                  self.locals_.w_gate[l])
         self.tapes[l] = tape
         return t
 
@@ -264,6 +263,9 @@ class Server:
         tape = self.tapes[l]
         if tape is None:
             raise ProtocolError(f"no forward tape for layer {l}")
+        if self.drop_rates[l] > 0.0 and tape.mask is None:
+            raise ProtocolError(f"layer {l} has dropout {self.drop_rates[l]} but its tape comes "
+                                "from an evaluation sweep with no mask")
         return global_backward(G, tape.z, tape.m, tape.mask, self.weights[l],
                                self.relu_flags[l])
 

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sapgnn.numerics import (NEG_INF, AdamState, adam_step, dropout_mask,
-                             finite_diff_grad, first_max, glorot_init, make_rng, relu,
-                             relu_grad, softmax_rows)
+from sapgnn.numerics import (AdamState, adam_step, dropout_mask, finite_diff_grad, first_max,
+                             glorot_init, make_rng, relu, relu_grad, softmax_rows)
 
 
 def test_make_rng_deterministic_per_stream():
@@ -112,11 +111,6 @@ def test_dropout_mask_reproducible_and_scaled():
     assert set(np.unique(m1)) <= {0.0, 2.0}
     with pytest.raises(ValueError):
         dropout_mask(make_rng(0, 0), 1.0, (2,))
-
-
-def test_neg_inf_is_finite():
-    assert np.isfinite(NEG_INF)
-    assert NEG_INF < -1e300
 
 
 def test_first_max_keeps_the_first_of_tied_candidates():

@@ -12,8 +12,9 @@ from sapgnn.graphs import (Graph, LocalGraph, generate_synthetic, node_digests,
 from sapgnn.numerics import make_rng
 from sapgnn.sharing import GRAD_FRAC_BITS
 from sapgnn.protocol import (ProtocolError, _pool_layer, aggregate_local_grads, backward_pass,
-                             build_dataset, build_partition, forward_pass, holder_party,
-                             init_parties, run_training, verify_privacy_audit, weight_update)
+                             build_dataset, build_partition, evaluate, forward_pass,
+                             holder_party, init_parties, run_training, verify_privacy_audit,
+                             weight_update)
 from sapgnn.harness import compare_equivalence, train_centralized
 from sapgnn.wire import Channel, MessageKind
 
@@ -646,6 +647,31 @@ def test_a_backward_after_an_update_needs_a_new_forward():
         backward_pass(session, epoch=0)
     forward_pass(session, train=True, epoch=1)
     backward_pass(session, epoch=1)
+
+
+def test_a_backward_through_an_evaluation_sweep_with_dropout_is_refused():
+    # evaluation draws no dropout mask, so its tapes are not the network
+    # that a training step differentiates
+    _, _, session = make_session(make_config(P=3, kind="gated", dropout=0.5))
+    evaluate(session, epoch=0)
+    with pytest.raises(ProtocolError, match="layer 0 has dropout 0.5 but its tape comes from "
+                                            "an evaluation sweep"):
+        backward_pass(session, epoch=0)
+    forward_pass(session, train=True, epoch=0)
+    backward_pass(session, epoch=0)
+
+
+def test_a_backward_after_evaluate_without_dropout_is_accepted():
+    # without dropout the evaluation sweep is the training sweep, so its
+    # gradients are those of a training forward
+    cfg = make_config(P=3, kind="gated")
+    _, _, evaluated = make_session(cfg)
+    evaluate(evaluated, epoch=0)
+    _, _, trained = make_session(cfg)
+    forward_pass(trained, train=True, epoch=0)
+    for a, b in zip(backward_pass(evaluated, epoch=0), backward_pass(trained, epoch=0),
+                    strict=True):
+        assert np.array_equal(a, b)
 
 
 # -- holder-local row space ---------------------------------------------------------------
