@@ -98,6 +98,10 @@ class LocalWeightSet:
                     yield f"{family}[{l}]", arrays, l
         yield "w_predict", vars(self), "w_predict"
 
+    def trains(self, l: int) -> bool:
+        """Whether local layer l has a holder tensor to train."""
+        return self.w_message[l] is not None or self.w_gate[l] is not None
+
     def tensors(self):
         """(name, array) pairs in the canonical aggregation order."""
         return [(name, container[key]) for name, container, key in self._slots()]

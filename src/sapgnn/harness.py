@@ -346,9 +346,9 @@ def summarize_sweep(rows: list[dict]) -> list[dict]:
 
 def comm_profile(config: RunConfig, epochs: int = 1) -> dict:
     """Measured bytes per epoch, split into embedding and gradient-share
-    traffic (init-time node-index transfers excluded). The first epoch
-    makes two forward sweeps (training and evaluation); without dropout each
-    later epoch makes one, so `epochs=1` reports the first epoch's two."""
+    traffic (init-time node-index transfers excluded). Epoch 0 makes two full
+    sweeps; a later epoch reuses the evaluation sweep (whole without dropout,
+    else its layer-0 pool), so `epochs=1` reports epoch 0's two sweeps."""
     res = run_training(replace(config, train=replace(config.train, max_epochs=epochs,
                                                      patience=epochs + 1)))
     per_epoch_emb = res.comm.bytes_for(kinds=EMBEDDING_KINDS) / max(res.epochs_run, 1)

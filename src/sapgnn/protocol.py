@@ -19,10 +19,12 @@ Each training epoch runs four phases in lock step:
      themselves (the server sees none of it) and apply identical optimizer
      steps, preserving the replication invariant.
 
-After each update, an evaluation forward sweep scores the new weights. With
-every dropout rate at 0 that sweep is exactly the next epoch's training
-sweep, so the session keeps it and the next forward returns it: epoch 0
-makes two sweeps and every later epoch one.
+After each update, an evaluation forward sweep scores the new weights. What
+a sweep computed is kept until an update changes something it read. Layer
+0's pool reads only the features and layer 0's holder weights, the layers
+above also the server's weights and any dropout mask. So without dropout the
+evaluation sweep is the next training sweep; with dropout that sweep reuses
+the evaluation's layer-0 pool (and a weight-free layer 0 is pooled once).
 
 All cross-party values travel through the metered channel, so byte counts
 and the audit log reflect exactly what each party could observe.
@@ -147,9 +149,11 @@ class DataHolder:
 
     # -- forward ------------------------------------------------------------
 
-    def begin_forward(self):
+    def begin_forward(self, keep_pool: bool):
+        """Drop what the sweep recomputes: all but a kept layer-0 tape."""
+        kept = self.tapes[0] if keep_pool else None
         self.h = [self.features] + [None] * self.cfg.layers
-        self.tapes = [None] * self.cfg.layers
+        self.tapes = [kept] + [None] * (self.cfg.layers - 1)
         self.probs = None
 
     def forward_local(self, l: int):
@@ -231,8 +235,7 @@ class ServerTape:
 class Server:
     """Semi-honest coordinator: pools local embeddings, owns the global maps."""
 
-    def __init__(self, n: int, cfg: ModelConfig, feat_dim: int, lr: float, seed: int,
-                 first_layer_fixed: bool):
+    def __init__(self, n: int, cfg: ModelConfig, feat_dim: int, lr: float, seed: int):
         self.n = n
         self.weights = init_global_weights(cfg, feat_dim, make_rng(seed, "server-init"))
         self.adams = [AdamState.for_param(w.shape, lr=lr) for w in self.weights]
@@ -244,10 +247,6 @@ class Server:
         self.holder_rows: dict[int, np.ndarray] = {}
         self.wants: dict[int, np.ndarray] = {}
         self.tapes: list = [None] * cfg.layers
-        # Without local tensors, layer 0 pools the fixed features: its pooled
-        # (m, winner) is the same in every sweep, so the first sweep's is kept.
-        self.first_layer_fixed = first_layer_fixed
-        self.first_pool: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward_layer(self, l: int, m: np.ndarray, winner: np.ndarray,
                       train: bool) -> np.ndarray:
@@ -259,15 +258,14 @@ class Server:
         self.tapes[l] = ServerTape(m=m, z=z, mask=mask, winner=winner)
         return h_next
 
-    def backward_layer(self, l: int, G: np.ndarray):
-        tape = self.tapes[l]
-        if tape is None:
-            raise ProtocolError(f"no forward tape for layer {l}")
-        if self.drop_rates[l] > 0.0 and tape.mask is None:
-            raise ProtocolError(f"layer {l} has dropout {self.drop_rates[l]} but its tape comes "
-                                "from an evaluation sweep with no mask")
-        return global_backward(G, tape.z, tape.m, tape.mask, self.weights[l],
-                               self.relu_flags[l])
+    def check_tapes(self):
+        """Refuse a backward through a missing tape or an unmasked dropout layer."""
+        for l, (tape, rate) in enumerate(zip(self.tapes, self.drop_rates, strict=True)):
+            if tape is None:
+                raise ProtocolError(f"no forward tape for layer {l}")
+            if rate > 0.0 and tape.mask is None:
+                raise ProtocolError(f"layer {l} has dropout {rate} but its tape comes from an "
+                                    "evaluation sweep with no mask")
 
 
 @dataclass
@@ -280,9 +278,11 @@ class Session:
     channel: Channel
     comm: CommStats
     audit: AuditLog
-    # The last forward sweep, while no update has run since and no dropout
-    # mask can be drawn: the next forward returns it instead of sweeping.
+    # What the last sweep computed, until `weight_update` changes what it
+    # read: the whole sweep if no layer draws a dropout mask, and whether
+    # layer 0's pool (the server's and the holders' tapes[0]) is kept.
     last_forward: ForwardResult | None = None
+    pool_kept: bool = False
 
 
 def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
@@ -309,9 +309,7 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
 
     cfg = config.model
     holders = [DataHolder(lg, cfg, n_classes, config.train.lr, seed) for lg in holders_data]
-    first = holders[0].locals_
-    server = Server(universe_ids.size, cfg, feats.pop(), config.train.lr, seed,
-                    first_layer_fixed=first.w_message[0] is None and first.w_gate[0] is None)
+    server = Server(universe_ids.size, cfg, feats.pop(), config.train.lr, seed)
 
     # The run's only digests: holder p's rows of the union's table are what it
     # would hash from its own ids with the shared salt. The server's sorted
@@ -457,28 +455,22 @@ def _pool_layer(session: Session, l: int, epoch: int):
 def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> ForwardResult:
     """One synchronized forward sweep over all layers: local embeddings up,
     pooled global embeddings back down, then private per-holder loss
-    computation. A weight-free layer 0 is pooled in the first sweep only;
-    later sweeps reuse the server's kept (m, winner).
-
-    When no layer draws a dropout mask, `train` changes nothing, so a sweep
-    stays valid until `weight_update` changes the weights: the session keeps
-    it, and a forward before the next update returns it, holder and server
-    tapes included, and sends nothing."""
+    computation. Without dropout, `train` changes nothing, so a kept sweep
+    is returned whole and nothing is sent; otherwise a kept layer-0 pool is
+    reused, and the server still applies its layer-0 map and mask to it."""
     if session.last_forward is not None:
         return session.last_forward
     cfg = session.config.model
     server = session.server
     for holder in session.holders:
-        holder.begin_forward()
+        holder.begin_forward(session.pool_kept)
 
     embeddings = []
     for l in range(cfg.layers):
-        if l == 0 and server.first_pool is not None:
-            m, winner = server.first_pool
+        if l == 0 and session.pool_kept:
+            m, winner = server.tapes[0].m, server.tapes[0].winner
         else:
             m, winner = _pool_layer(session, l, epoch)
-            if l == 0 and server.first_layer_fixed:
-                server.first_pool = (m, winner)
         h_next = server.forward_layer(l, m, winner, train)
         embeddings.append(h_next)
         for p, holder in enumerate(session.holders):
@@ -492,6 +484,7 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
         holder.compute_predictions()
     result = ForwardResult(total_loss=_total_loss(session.holders, "train"),
                            embeddings=embeddings)
+    session.pool_kept = True
     if not any(server.drop_rates):
         session.last_forward = result
     return result
@@ -504,14 +497,15 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
     rows. A weight-free layer 0 stops at the server's own gradient: it has
     no holder tensor to train and sends no input gradient. Returns the
     server's per-layer global-map gradients; the holders keep theirs in
-    `grad_acc`."""
+    `grad_acc`. A refused backward sends nothing and resets no `grad_acc`."""
     cfg = session.config.model
     server = session.server
     n = server.n
 
+    if any(holder.probs is None for holder in session.holders):
+        raise ProtocolError("backward requires a completed forward pass")
+    server.check_tapes()
     for holder in session.holders:
-        if holder.probs is None:
-            raise ProtocolError("backward requires a completed forward pass")
         holder.begin_backward()
 
     G = np.zeros((n, server.weights[-1].shape[0]))
@@ -522,9 +516,10 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
     server_grads = [None] * cfg.layers
     for l in reversed(range(cfg.layers)):
         tape = server.tapes[l]
-        dW, dM = server.backward_layer(l, G)
+        dW, dM = global_backward(G, tape.z, tape.m, tape.mask, server.weights[l],
+                                 server.relu_flags[l])
         server_grads[l] = dW
-        if l == 0 and server.first_layer_fixed:
+        if l == 0 and not session.holders[0].locals_.trains(0):
             break
         G_next = np.zeros((n, session.holders[0].dims[l].d_in))
         live = dM != 0.0
@@ -637,18 +632,19 @@ def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
 
 
 def weight_update(session: Session, server_grads: list, epoch: int = 0) -> None:
-    """Server steps its weights with `server_grads`, its per-layer
-    global-map gradients; holders aggregate and step in lock step. Raises if
-    the replication invariant breaks. The kept forward sweep and the
-    holders' predictions describe the old weights, so both are dropped: the
-    next forward sweeps again, and a backward before it is refused."""
+    """Holders aggregate their gradients (a refused sum changes nothing),
+    then the server steps its weights with `server_grads` and holders step
+    in lock step. Raises if the replication invariant breaks. The kept
+    sweep, a kept layer-0 pool that read holder weights and the predictions
+    are dropped: a forward sweeps again, and a backward before it is refused."""
     server = session.server
+    agg = aggregate_local_grads(session, epoch=epoch)
     session.last_forward = None
+    if session.holders[0].locals_.trains(0):
+        session.pool_kept = False
+    server.weights[:] = adam_update(server.adams, server.weights, server_grads)
     for holder in session.holders:
         holder.probs = None
-    server.weights[:] = adam_update(server.adams, server.weights, server_grads)
-    agg = aggregate_local_grads(session, epoch=epoch)
-    for holder in session.holders:
         holder.apply_update(agg)
     blobs = {h.weights_blob() for h in session.holders}
     if len(blobs) != 1:
@@ -710,8 +706,8 @@ def fit(train_epoch, score, final_weights, max_epochs: int, patience: int,
 
 def evaluate(session: Session, epoch: int) -> dict:
     """Dropout-free forward pass; each label owner scores its own labels and
-    the integer confusion counts are summed across holders. Without dropout
-    the sweep is kept, and the next epoch's training forward returns it."""
+    the integer confusion counts are summed across holders. The next
+    training forward reuses its sweep (without dropout) or its layer-0 pool."""
     forward_pass(session, train=False, epoch=epoch)
     return {split: split_scores(sum(h.split_confusion(split) for h in session.holders),
                                 _total_loss(session.holders, split))

@@ -64,8 +64,8 @@ PROTOCOL_GOLDEN = {
         "a5e2abb5a00fd4a9cbdfcdcfc400ce404563e9ed8446cee7e40b7b3e53c67f4c"),
     "p3-gated-secure-fixed": (
         "eb15f0f5e6ed37d5094bd51c6d29fb965761659a1687f5319b6c6141846bacb3",
-        "135dfe9697c03f450daece307c75e251a39ab71ef7b3074fd3a943a4f27590e6",
-        "771f39107e19b99c878c5ba3710024f898565e205d2308ba321d4614a63d0126"),
+        "510189706a738675ba48fe7b18081e34bd0e8d9d12e38c694e44b9258db2d3b3",
+        "527400bd4917ded4e1ac1f69b885e224ef88cb0547441be5c1435e131fd385ae"),
     "p3-skew-sum-naive-fixed": (
         "1138c18c0705276c02aacf59e9d5ac629bab4e5af8573113a0db086f2d21133d",
         "4ca51337127b8283d00fb0682da15516223083853a6a4694c456b62fb5f6726e",

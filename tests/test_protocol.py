@@ -249,7 +249,7 @@ def test_pooling_builds_one_dense_stack(mode):
         train=TrainConfig(seed=7), mode=mode, share_mode="fixed-point")
     _, _, session = make_session(cfg)
     for holder in session.holders:
-        holder.begin_forward()
+        holder.begin_forward(keep_pool=False)
     tracemalloc.start()
     try:
         m, _ = _pool_layer(session, 0, epoch=0)
@@ -378,6 +378,29 @@ def test_update_preserves_replication():
             server_grads = backward_pass(session, epoch=epoch)
             weight_update(session, server_grads, epoch=epoch)
             assert len({h.weights_blob() for h in session.holders}) == 1
+
+
+@pytest.mark.parametrize("share_mode", ["real", "fixed-point"])
+def test_a_refused_update_changes_nothing(share_mode):
+    # the secure sum refuses a NaN gradient before the server or any holder
+    # steps, and before any holder sends a share
+    _, _, session = make_session(make_config(P=3, kind="gated", share_mode=share_mode))
+    forward_pass(session, train=True, epoch=0)
+    server_grads = backward_pass(session, epoch=0)
+    session.holders[1].grad_acc.w_predict[0, 0] = np.nan
+    server = session.server
+    weights = [w.copy() for w in server.weights]
+    adams = [(a.m.copy(), a.v.copy(), a.step) for a in server.adams]
+    blobs = [h.weights_blob() for h in session.holders]
+    sent, total = len(session.audit.records), session.comm.total()
+    with pytest.raises(ProtocolError, match="holder 1: gradient has a NaN"):
+        weight_update(session, server_grads, epoch=0)
+    assert all(np.array_equal(a, b) for a, b in zip(server.weights, weights, strict=True))
+    for a, (m, v, step) in zip(server.adams, adams, strict=True):
+        assert np.array_equal(a.m, m) and np.array_equal(a.v, v) and a.step == step
+    assert [h.weights_blob() for h in session.holders] == blobs
+    assert len(session.audit.records) == sent
+    assert session.comm.total() == total
 
 
 def test_update_detects_divergence():
@@ -602,12 +625,23 @@ def test_without_dropout_each_later_epoch_makes_one_sweep(sends, mode):
                     for p in range(P) for e in range(E)}
 
 
-def test_with_dropout_every_epoch_makes_two_sweeps(sends):
+@pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
+def test_with_dropout_every_epoch_makes_two_sweeps(sends, mode):
+    # layer 0 has gate weights, and no update runs between an evaluation and
+    # the next training sweep, so that sweep reuses the evaluation's layer-0
+    # pool; layer 1 reads a fresh dropout mask and is pooled in both
     P, E = 3, 3
-    res = run_training(make_config(P=P, kind="gated", dropout=0.3, max_epochs=E))
+    res = run_training(make_config(P=P, kind="gated", mode=mode, dropout=0.3, max_epochs=E))
     assert res.epochs_run == E
-    assert messages_at(sends, MessageKind.LOCAL_EMBEDDING, 1) == {
-        (f"holder-{p}->server", e): 2 for p in range(P) for e in range(E)}
+    if mode == "naive":
+        pools = [(MessageKind.LOCAL_EMBEDDING, [f"holder-{p}->server" for p in range(P)])]
+    else:
+        pools = [(MessageKind.POOL_INPUT, [f"holder-{p}->sealed-pool" for p in range(P)]),
+                 (MessageKind.POOL_RESULT, ["sealed-pool->server"])]
+    for kind, directions in pools:
+        assert messages_at(sends, kind, 0) == {
+            (d, e): 2 if e == 0 else 1 for d in directions for e in range(E)}, kind
+        assert messages_at(sends, kind, 1) == {(d, e): 2 for d in directions for e in range(E)}
     assert messages_at(sends, MessageKind.GLOBAL_EMBEDDING, 1) == {
         (f"server->holder-{p}", e): 2 for p in range(P) for e in range(E)}
 
@@ -651,12 +685,23 @@ def test_a_backward_after_an_update_needs_a_new_forward():
 
 def test_a_backward_through_an_evaluation_sweep_with_dropout_is_refused():
     # evaluation draws no dropout mask, so its tapes are not the network
-    # that a training step differentiates
+    # that a training step differentiates; the refusal comes before anything
+    # is sent or any gradient is reset
     _, _, session = make_session(make_config(P=3, kind="gated", dropout=0.5))
+    forward_pass(session, train=True, epoch=0)
+    backward_pass(session, epoch=0)
+    grads = [h.grad_acc for h in session.holders]
+    flats = [g.flat() for g in grads]
     evaluate(session, epoch=0)
+    sent, total = len(session.audit.records), session.comm.total()
     with pytest.raises(ProtocolError, match="layer 0 has dropout 0.5 but its tape comes from "
                                             "an evaluation sweep"):
         backward_pass(session, epoch=0)
+    assert len(session.audit.records) == sent
+    assert session.comm.total() == total
+    for holder, g, flat in zip(session.holders, grads, flats, strict=True):
+        assert holder.grad_acc is g
+        assert np.array_equal(g.flat(), flat)
     forward_pass(session, train=True, epoch=0)
     backward_pass(session, epoch=0)
 
