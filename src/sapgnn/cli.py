@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen-data, partition, train-centralized, train-sp, train-sapgnn,
-verify-equivalence, sweep, audit. Every training subcommand accepts
+verify-equivalence, sweep, audit. Every subcommand but audit accepts
 --config <json> plus repeated --set section.key=value overrides.
 
 Exit codes: 0 success, 2 equivalence-test failure, 3 audit finding, 4 refused
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, apply_overrides
-from .graphs import generate_synthetic, load_dataset, write_dataset
+from .graphs import load_dataset, write_dataset
 from .harness import (ExperimentSpec, SWEEP_HEADER, compare_equivalence, run_sweep,
                       train_centralized, train_sp, write_audit_jsonl, write_comm_csv,
                       write_metrics_csv)
@@ -56,10 +56,7 @@ def _write_run_outputs(res, out_dir: Path):
 
 
 def cmd_gen_data(args) -> int:
-    g = generate_synthetic(args.n_nodes, args.n_classes, args.feat_dim,
-                           args.intra_p, args.inter_p, args.seed,
-                           train_frac=args.train_frac, val_frac=args.val_frac,
-                           class_sep=args.class_sep, noise=args.noise)
+    g = build_dataset(_load_config(args).dataset)
     write_dataset(g, args.out)
     print(f"wrote {g.n_nodes} nodes / {g.n_edges} edges / F={g.feat_dim} "
           f"C={g.n_classes} to {args.out}")
@@ -171,18 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Split-learning GNN protocol simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-nodes", type=int, default=80)
-    p.add_argument("--n-classes", type=int, default=3)
-    p.add_argument("--feat-dim", type=int, default=8)
-    p.add_argument("--intra-p", type=float, default=0.15)
-    p.add_argument("--inter-p", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--train-frac", type=float, default=0.3)
-    p.add_argument("--val-frac", type=float, default=0.2)
-    p.add_argument("--class-sep", type=float, default=2.0)
-    p.add_argument("--noise", type=float, default=1.0)
+    p = sub.add_parser("gen-data", help="write the config's dataset as a dataset directory")
+    _add_config_args(p)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("partition", help="split a dataset into holder subgraphs")

@@ -46,10 +46,9 @@ from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset
 from .metrics import EarlyStopper, confusion_matrix, split_scores
 from .numerics import AdamState, adam_step, dropout_mask, make_rng
 from .sharing import SEED_WORDS, combine_vector_shares, pooled_argmax, share_vector
-from .wire import AuditLog, Channel, CommStats, MessageKind
+from .wire import (HOLDER, POOL_PARTY, ROUTES, SERVER_PARTY, AuditLog, Channel, CommStats,
+                   MessageKind, holder_index, holder_party)
 
-POOL_PARTY = "sealed-pool"
-SERVER_PARTY = "server"
 # The winning holder per pooled element is an int8 (`stack_max`,
 # `pooled_argmax` and the PoolResult wire field), so holder ids must fit it.
 MAX_HOLDERS = int(np.iinfo(np.int8).max)
@@ -57,10 +56,6 @@ MAX_HOLDERS = int(np.iinfo(np.int8).max)
 
 class ProtocolError(RuntimeError):
     pass
-
-
-def holder_party(p: int) -> str:
-    return f"holder-{p}"
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +152,11 @@ class DataHolder:
         self.probs = None
 
     def forward_local(self, l: int):
-        """Layer l's local embeddings at the participating rows."""
+        """Layer l's local embeddings at the participating rows. A weight-free
+        layer 0 keeps no tape: the backward pass stops at the server's map."""
         t, tape = local_embedding(self.h[l], self.idx, self.kind, self.locals_.w_message[l],
                                   self.locals_.w_gate[l])
-        self.tapes[l] = tape
+        self.tapes[l] = tape if l or self.locals_.trains(0) else None
         return t
 
     def receive_global(self, l: int, valid: np.ndarray, block: np.ndarray):
@@ -319,22 +315,19 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     known = table.view("V16").ravel()[order]
     for holder in holders:
         p = holder.holder_id
+
+        def whole_digests(fields):
+            if fields["keys"].size % 16:
+                raise ProtocolError(f"holder {p} sent {fields['keys'].size} digest bytes, "
+                                    "not a whole number of 16-byte digests")
+            return (fields["keys"].size,)
+
         own = table[np.searchsorted(universe_ids, holder.node_ids)]
-        decoded = channel.send(holder_party(p), SERVER_PARTY, MessageKind.NODE_INDEX,
-                               layer=-1, epoch=-1,
-                               fields={"keys": own.ravel(),
-                                       "wants": holder.wants.astype(np.uint8)},
-                               sender_id=p)
-        keys, wants = decoded["keys"], decoded.get("wants")
-        if keys.size % 16:
-            raise ProtocolError(f"holder {p} sent {keys.size} digest bytes, "
-                                "not a whole number of 16-byte digests")
-        keys = keys.view("V16")
-        shape = (cfg.layers, keys.size)
-        if wants is None or wants.shape != shape or wants.dtype != np.uint8:
-            sent = "nothing" if wants is None else f"{wants.dtype} {wants.shape}"
-            raise ProtocolError(f"holder {p} sent {sent} as its wanted rows, "
-                                f"expected uint8 {shape}")
+        got = _send(channel, MessageKind.NODE_INDEX, holder_party(p), SERVER_PARTY, -1, -1,
+                    {"keys": own.ravel(), "wants": holder.wants.astype(np.uint8)},
+                    {"keys": whole_digests,
+                     "wants": lambda f: (cfg.layers, f["keys"].size // 16)})
+        keys, wants = got["keys"].view("V16"), got["wants"]
         pos = np.searchsorted(known, keys).clip(max=known.size - 1)
         if not np.array_equal(known[pos], keys):
             raise ProtocolError(f"holder {p} sent a node digest the server does not know")
@@ -375,28 +368,42 @@ def _total_loss(holders, split: str = "train") -> float:
     return float(np.sum(terms[np.argsort(ids, kind="stable")]))
 
 
-def _send_rows(session: Session, sender: str, receiver: str, kind: MessageKind, layer: int,
-               epoch: int, p: int, valid: np.ndarray, name: str, block: np.ndarray,
-               width: int):
-    """Send a sparse row message between holder p and the server or the
-    sealed pool: `valid`, a uint8 mask over the holder's rows, and under
-    `name` the block of the masked rows' values. Returns the (mask, block)
-    the receiver decodes and checks: a mask of another length than the
-    holder's row count, or a block that is not float64 of one row per
-    masked row and `width` columns, is refused."""
-    decoded = session.channel.send(sender, receiver, kind, layer=layer, epoch=epoch,
-                                   fields={"valid": valid.astype(np.uint8), name: block},
-                                   sender_id=p if sender == holder_party(p) else -1)
-    valid, block = decoded["valid"].astype(bool), decoded[name]
-    n_rows = session.holders[p].n
-    if valid.shape != (n_rows,):
-        raise ProtocolError(f"holder {p}: {kind.value} valid mask has shape {valid.shape}, "
-                            f"the holder has {n_rows} rows")
-    want = (int(np.count_nonzero(valid)), width)
-    if block.shape != want or block.dtype != np.float64:
-        raise ProtocolError(f"holder {p}: {kind.value} carries a {block.dtype} block of shape "
-                            f"{block.shape} for {want[0]} valid rows; expected float64 {want}")
-    return valid, block
+def _send(channel: Channel, kind: MessageKind, sender: str, receiver: str, layer: int,
+          epoch: int, fields: dict, shapes: dict, share_mode: str | None = None) -> dict:
+    """Send `fields` and return what the receiver decoded. It is refused
+    unless it carries exactly the fields ROUTES declares for `kind`, each in
+    its declared dtype (a PartialSum's that of `share_mode`) and of the
+    shape `shapes` names for it: a tuple, or a function of the fields."""
+    got = channel.send(sender, receiver, kind, layer, epoch, fields, holder_index(sender))
+    declared = ROUTES[kind].fields
+    where = f"{sender}: {kind.value} to {receiver} carries"
+    if got.keys() - declared.keys():
+        raise ProtocolError(f"{where} undeclared fields {sorted(got.keys() - declared.keys())}")
+    for name, dtype in declared.items():
+        dtype = np.dtype(dtype[share_mode] if isinstance(dtype, dict) else dtype)
+        shape = shapes[name](got) if callable(shapes.get(name)) else shapes.get(name)
+        value = got.get(name)
+        if value is None or value.dtype != dtype or shape not in (None, value.shape):
+            sent = "nothing" if value is None else f"{value.dtype} {value.shape}"
+            raise ProtocolError(f"{where} {sent} as {name!r}, expected {dtype}"
+                                + ("" if shape is None else f" {shape}"))
+    return got
+
+
+def _send_rows(session: Session, kind: MessageKind, layer: int, epoch: int, p: int,
+               valid: np.ndarray, block: np.ndarray, width: int):
+    """Send a sparse row message of holder p's rows on its route: the
+    `valid` mask over the holder's rows and the block of the masked rows,
+    `width` columns wide. Returns the (mask, block) the receiver decoded."""
+    route = ROUTES[kind]
+    sender, receiver = (holder_party(p) if role == HOLDER else role
+                        for role in (route.sender, route.receiver))
+    _valid, name = route.fields
+    got = _send(session.channel, kind, sender, receiver, layer, epoch,
+                {"valid": valid.astype(np.uint8), name: block},
+                {"valid": (session.holders[p].n,),
+                 name: lambda f: (int(np.count_nonzero(f["valid"])), width)})
+    return got["valid"].astype(bool), got[name]
 
 
 def _send_input_grad(session: Session, kind: MessageKind, layer: int, epoch: int, p: int,
@@ -405,8 +412,7 @@ def _send_input_grad(session: Session, kind: MessageKind, layer: int, epoch: int
     of a layer input (the final embedding for a PredGrad); the server adds
     them into its universe rows of G."""
     valid = dH.any(axis=1)
-    valid, g = _send_rows(session, holder_party(p), SERVER_PARTY, kind, layer, epoch, p,
-                          valid, "g", dH[valid], G.shape[1])
+    valid, g = _send_rows(session, kind, layer, epoch, p, valid, dH[valid], G.shape[1])
     G[session.server.holder_rows[p][valid]] += g
 
 
@@ -421,15 +427,12 @@ def _pool_layer(session: Session, l: int, epoch: int):
     winning holder index per element."""
     server = session.server
     secure = session.config.mode == "secure-pooling"
-    if secure:
-        kind, receiver, name = MessageKind.POOL_INPUT, POOL_PARTY, "values"
-    else:
-        kind, receiver, name = MessageKind.LOCAL_EMBEDDING, SERVER_PARTY, "t"
+    kind = MessageKind.POOL_INPUT if secure else MessageKind.LOCAL_EMBEDDING
+    shape = (server.n, server.weights[l].shape[1])
     blocks = []
     for p, holder in enumerate(session.holders):
-        valid, values = _send_rows(session, holder_party(p), receiver, kind, l, epoch, p,
-                                   holder.participates, name, holder.forward_local(l),
-                                   server.weights[l].shape[1])
+        valid, values = _send_rows(session, kind, l, epoch, p, holder.participates,
+                                   holder.forward_local(l), shape[1])
         blocks.append((server.holder_rows[p][valid], values))
     try:
         if not secure:
@@ -437,15 +440,9 @@ def _pool_layer(session: Session, l: int, epoch: int):
         m, winner = pooled_argmax(blocks, server.n)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
-    decoded = session.channel.send(
-        POOL_PARTY, SERVER_PARTY, MessageKind.POOL_RESULT, layer=l, epoch=epoch,
-        fields={"m": m, "winner": winner})
-    m, winner = decoded.get("m"), decoded.get("winner")
-    shape = (server.n, server.weights[l].shape[1])
-    if (m is None or winner is None or m.shape != shape or winner.shape != shape
-            or m.dtype != np.float64 or winner.dtype != np.int8):
-        raise ProtocolError(f"{POOL_PARTY}: PoolResult must carry float64 m and int8 winner "
-                            f"of shape {shape}")
+    got = _send(session.channel, MessageKind.POOL_RESULT, POOL_PARTY, SERVER_PARTY, l, epoch,
+                {"m": m, "winner": winner}, {"m": shape, "winner": shape})
+    m, winner = got["m"], got["winner"]
     if winner.size and not 0 <= winner.min() <= winner.max() < len(session.holders):
         raise ProtocolError(f"{POOL_PARTY}: PoolResult names a winner outside holders "
                             f"0..{len(session.holders) - 1}")
@@ -475,8 +472,7 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
         embeddings.append(h_next)
         for p, holder in enumerate(session.holders):
             valid = server.wants[p][l]
-            valid, h = _send_rows(session, SERVER_PARTY, holder_party(p),
-                                  MessageKind.GLOBAL_EMBEDDING, l, epoch, p, valid, "h",
+            valid, h = _send_rows(session, MessageKind.GLOBAL_EMBEDDING, l, epoch, p, valid,
                                   h_next[server.holder_rows[p][valid]], holder.dims[l].d_out)
             holder.receive_global(l, valid, h)
 
@@ -530,8 +526,7 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
             won = tape.winner == p
             valid = (won & live).any(axis=1)[rows]
             nonzero = rows[valid]
-            valid, r = _send_rows(session, SERVER_PARTY, holder_party(p),
-                                  MessageKind.LOCAL_EMB_GRAD, l, epoch, p, valid, "r",
+            valid, r = _send_rows(session, MessageKind.LOCAL_EMB_GRAD, l, epoch, p, valid,
                                   np.where(won[nonzero], dM[nonzero], 0.0),
                                   holder.dims[l].t_dim)
             if np.any(valid & ~holder.participates):
@@ -563,8 +558,7 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     other holders together. A seed reveals exactly what its expanded vector
     would; it is drawn from numpy's PCG64, which is simulator-grade and not
     a CSPRNG. A NaN or infinite entry is refused, naming its holder, before
-    anything is sent; a receiver refuses a seed or masked vector of another
-    shape or dtype. Returns the total once every holder has reconstructed
+    anything is sent. Returns the total once every holder has reconstructed
     the same one; with one holder its vector is the total, as in the
     centralized trainer, and nothing is sent.
     """
@@ -578,18 +572,11 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
         if not np.all(np.isfinite(vector)):
             raise ProtocolError(f"holder {j}: gradient has a NaN or infinite entry")
     shape = shapes.pop()
-    dtype = np.dtype(np.uint64 if mode == "fixed-point" else np.float64)
 
     def send(kind: MessageKind, j: int, i: int, name: str, value, want: tuple):
-        """Holder j sends `value` to holder i, who refuses anything but one
-        `name` field of the (shape, dtype) `want`."""
-        got = channel.send(holder_party(j), holder_party(i), kind, layer=-1, epoch=epoch,
-                           fields={name: value}, sender_id=j).get(name)
-        if got is None or (got.shape, got.dtype) != want:
-            sent = "nothing" if got is None else f"{got.dtype} {got.shape}"
-            raise ProtocolError(f"holder {j}: {kind.value} to holder {i} carries {sent} as "
-                                f"{name!r}, expected {want[1]} {want[0]}")
-        return got
+        """Holder j sends `value` to holder i, who expects a field `name` of shape `want`."""
+        return _send(channel, kind, holder_party(j), holder_party(i), -1, epoch, {name: value},
+                     {name: want}, mode)[name]
 
     drawn = []                          # drawn[j][i]: the seed of pair (i, j), i < j
     received = [[] for _ in range(P)]   # received[i]: the seeds of pairs (i, j), j > i
@@ -598,7 +585,7 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
                              endpoint=True)
         for i, seed in enumerate(seeds):
             received[i].append(send(MessageKind.GRAD_SHARE, j, i, "seed", seed,
-                                    ((SEED_WORDS,), seeds.dtype)))
+                                    (SEED_WORDS,)))
         drawn.append(seeds)
 
     masked = []
@@ -613,7 +600,7 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
         vector, masked[j] = masked[j], None
         for i in range(P):
             got = vector if i == j else send(MessageKind.PARTIAL_SUM, j, i, "partial", vector,
-                                             (shape, dtype))
+                                             shape)
             if sums[i] is not None:
                 np.add(sums[i], got, out=sums[i])
             else:
@@ -632,12 +619,19 @@ def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
 
 
 def weight_update(session: Session, server_grads: list, epoch: int = 0) -> None:
-    """Holders aggregate their gradients (a refused sum changes nothing),
-    then the server steps its weights with `server_grads` and holders step
-    in lock step. Raises if the replication invariant breaks. The kept
-    sweep, a kept layer-0 pool that read holder weights and the predictions
-    are dropped: a forward sweeps again, and a backward before it is refused."""
+    """Holders aggregate their gradients, then the server steps its weights
+    with `server_grads` and holders step in lock step; a refused sum or
+    `server_grads` change nothing. Raises if the replication invariant
+    breaks. The kept sweep, a kept layer-0 pool that read holder weights and
+    the predictions are dropped: a forward sweeps again, and a backward
+    before it is refused."""
     server = session.server
+    shapes = [np.shape(g) for g in server_grads]
+    if shapes != [w.shape for w in server.weights]:
+        raise ProtocolError(f"server gradients of shapes {shapes} for maps of shapes "
+                            f"{[w.shape for w in server.weights]}")
+    if not all(np.isfinite(g).all() for g in server_grads):
+        raise ProtocolError("server gradient has a NaN or infinite entry")
     agg = aggregate_local_grads(session, epoch=epoch)
     session.last_forward = None
     if session.holders[0].locals_.trains(0):
@@ -760,75 +754,40 @@ class AuditReport:
         return "\n".join(lines)
 
 
-_SERVER_INBOUND = {
-    "naive": {MessageKind.NODE_INDEX.value, MessageKind.LOCAL_EMBEDDING.value,
-              MessageKind.PRED_GRAD.value, MessageKind.INPUT_GRAD.value},
-    "secure-pooling": {MessageKind.NODE_INDEX.value, MessageKind.POOL_RESULT.value,
-                       MessageKind.PRED_GRAD.value, MessageKind.INPUT_GRAD.value},
-}
-_HOLDER_INBOUND = {MessageKind.GLOBAL_EMBEDDING.value, MessageKind.LOCAL_EMB_GRAD.value,
-                   MessageKind.GRAD_SHARE.value, MessageKind.PARTIAL_SUM.value}
-_POOL_INBOUND = {MessageKind.POOL_INPUT.value}
-
-
 def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
-    """Check a completed run's transmissions against the closed wire schema.
-
-    Asserts that (a) only known message kinds occurred, (b) the server never
-    received gradient shares or partial sums, (c) no holder received another
-    holder's local embeddings, and (d) in secure-pooling mode the server
-    received no plaintext local-embedding message at all.
-
-    What the schema lets each party learn: only NodeIndex carries digests;
-    every other row message addresses a holder's rows by position in its
-    NodeIndex order. A holder receives rows of its own nodes only and no
-    digest, so it learns neither another holder's node ids nor the size of
-    the union, and only the final embeddings of nodes whose label it owns.
-    The server learns each holder's row map and the rows it reads (from
-    NodeIndex: its participating rows and the rows that hold a label of any
-    split), which of its rows take part in each layer (the `valid` masks)
-    and which rows carry a nonzero gradient; from PredGrad, which rows hold
-    a train label. The sealed pool uses the server's row maps and sees the
-    same participation masks. The check reads kinds and parties, not
+    """Check a completed run's transmissions against ROUTES, the closed wire
+    schema. Each record must name a known kind, travel that kind's route
+    (so the server never receives gradient shares or partial sums, and no
+    holder another holder's local embeddings), carry the kind's declared
+    fields in send order (its `schema`), and belong to the run's pooling
+    mode (so in secure-pooling mode the server receives no plaintext local
+    embedding). A record yields at most one finding, at its receiver. What
+    each party may learn from the schema is set out in the README ("What
+    each party sees"). The check reads kinds, parties and field names, not
     payloads: a payload that leaks more than its schema promises is caught
     by the protocol tests, not here.
     """
+    routes = {kind.value: route for kind, route in ROUTES.items()}
     if mode is None:
-        secure = any(r.kind in (MessageKind.POOL_INPUT.value, MessageKind.POOL_RESULT.value)
-                     for r in log.records)
+        secure = any(routes[r.kind].mode == "secure-pooling"
+                     for r in log.records if r.kind in routes)
         mode = "secure-pooling" if secure else "naive"
-    known = {k.value for k in MessageKind}
     findings: list[Finding] = []
-    seen: set[tuple] = set()
-
-    def add(party: str, kind: str, description: str):
-        key = (party, kind, description)
-        if key not in seen:
-            seen.add(key)
-            findings.append(Finding(party=party, kind=kind, description=description))
-
     for rec in log.records:
-        if rec.kind not in known:
-            add(rec.sender, rec.kind, "message kind outside the closed schema")
-            continue
-        if rec.receiver == SERVER_PARTY:
-            if rec.kind in (MessageKind.GRAD_SHARE.value, MessageKind.PARTIAL_SUM.value):
-                add(rec.receiver, rec.kind, "server observed gradient-share traffic")
-            elif mode == "secure-pooling" and rec.kind == MessageKind.LOCAL_EMBEDDING.value:
-                add(rec.receiver, rec.kind,
-                    "server observed a plaintext local embedding in secure-pooling mode")
-            elif rec.kind not in _SERVER_INBOUND[mode]:
-                add(rec.receiver, rec.kind, "unexpected message kind at the server")
-        elif rec.receiver.startswith("holder-"):
-            if rec.kind == MessageKind.LOCAL_EMBEDDING.value:
-                add(rec.receiver, rec.kind, "holder observed another holder's local embedding")
-            elif rec.kind not in _HOLDER_INBOUND:
-                add(rec.receiver, rec.kind, "unexpected message kind at a holder")
-        elif rec.receiver == POOL_PARTY:
-            if rec.kind not in _POOL_INBOUND:
-                add(rec.receiver, rec.kind, "unexpected message kind at the pool boundary")
-            elif mode != "secure-pooling":
-                add(rec.receiver, rec.kind, "pool traffic outside secure-pooling mode")
+        route = routes.get(rec.kind)
+        sent = " -> ".join(HOLDER if holder_index(party) >= 0 else party
+                           for party in (rec.sender, rec.receiver))
+        if route is None:
+            problem = "message kind outside the closed schema"
+        elif sent != (path := f"{route.sender} -> {route.receiver}"):
+            problem = f"sent {sent}, off its route {path}"
+        elif rec.schema != (schema := ",".join(route.fields)):
+            problem = f"carries fields {rec.schema!r}, not {schema!r}"
+        elif route.mode not in (None, mode):
+            problem = f"belongs to {route.mode} runs, not to a {mode} run"
         else:
-            add(rec.receiver, rec.kind, "unknown receiving party")
+            continue
+        finding = Finding(party=rec.receiver, kind=rec.kind, description=problem)
+        if finding not in findings:
+            findings.append(finding)
     return AuditReport(findings=findings, mode=mode, n_records=len(log.records))

@@ -5,9 +5,9 @@ message (little-endian; floats as float64, unsigned integers as uint8 or
 uint64, signed as int8 or int64, so every payload arrives exactly as sent;
 a field of any other dtype is refused). The channel serializes, meters
 bytes into CommStats, appends one record per transmission to the AuditLog,
-and hands the receiver a decoded copy. The message-kind enum is the closed
-schema the privacy audit is defined over. This module imports nothing else
-from the package.
+and hands the receiver a decoded copy. ROUTES declares each message kind's
+route and fields: every receiver's check and the privacy audit read it.
+This module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -22,22 +22,70 @@ import numpy as np
 
 
 class MessageKind(str, Enum):
-    """The closed schema. A holder's rows are its nodes in NodeIndex order;
-    the row kinds address them by that position, and the sparse ones
-    (fields `valid` and one value block) carry only the masked rows.
-    NodeIndex also declares, per layer, the rows of that layer's output the
-    holder reads (`wants`), and GlobalEmbedding masks exactly those."""
+    """The closed schema; ROUTES declares each kind's route and fields. A
+    holder's rows are its nodes in NodeIndex order, and the row kinds
+    address them by that position: the sparse ones (a `valid` mask and one
+    value block) carry only the masked rows. NodeIndex carries the holder's
+    node digests, 16 bytes each, and declares per layer the rows of that
+    layer's output it reads (`wants`); GlobalEmbedding masks exactly those.
+    GradShare carries the 32-byte seed of a pair's mask to the pair's lower
+    holder, PartialSum a masked gradient vector in the share mode's words,
+    and PoolResult the max and the winning holder of every pooled element."""
 
-    NODE_INDEX = "NodeIndex"            # holder -> server (init): node digests and wanted rows
-    LOCAL_EMBEDDING = "LocalEmbedding"  # holder -> server: participating local rows (sparse)
-    GLOBAL_EMBEDDING = "GlobalEmbedding"  # server -> holder: pooled+updated rows it reads (sparse)
-    PRED_GRAD = "PredGrad"              # holder -> server: nonzero final-layer loss grads (sparse)
-    LOCAL_EMB_GRAD = "LocalEmbGrad"     # server -> holder: nonzero local-row grads (sparse)
-    INPUT_GRAD = "InputGrad"            # holder -> server: nonzero layer-input grads (sparse)
-    GRAD_SHARE = "GradShare"            # holder -> lower holder: 32-byte seed of a pair's mask
-    PARTIAL_SUM = "PartialSum"          # holder -> holder: its masked gradient vector
-    POOL_INPUT = "PoolInput"            # holder -> sealed pool: participating rows (sparse)
-    POOL_RESULT = "PoolResult"          # sealed pool -> server: max and winner per element
+    NODE_INDEX = "NodeIndex"
+    LOCAL_EMBEDDING = "LocalEmbedding"
+    GLOBAL_EMBEDDING = "GlobalEmbedding"
+    PRED_GRAD = "PredGrad"
+    LOCAL_EMB_GRAD = "LocalEmbGrad"
+    INPUT_GRAD = "InputGrad"
+    GRAD_SHARE = "GradShare"
+    PARTIAL_SUM = "PartialSum"
+    POOL_INPUT = "PoolInput"
+    POOL_RESULT = "PoolResult"
+
+
+SERVER_PARTY, POOL_PARTY = "server", "sealed-pool"
+HOLDER = "holder"   # the role of every party holder-<p>; any other party is its own role
+
+
+def holder_party(p: int) -> str:
+    return f"{HOLDER}-{p}"
+
+
+def holder_index(party: str) -> int:
+    """p for the party holder-<p>, else -1: the sender id its messages carry."""
+    role, _, p = party.partition("-")
+    return int(p) if role == HOLDER and p.isdigit() else -1
+
+
+@dataclass(frozen=True)
+class Route:
+    """Who sends a kind to whom, its fields in send order ({name: dtype}),
+    and the pooling mode whose runs send it (None: both)."""
+    sender: str
+    receiver: str
+    fields: dict
+    mode: str | None = None
+
+
+def _rows(block: str) -> dict:
+    return {"valid": "uint8", block: "float64"}
+
+
+ROUTES = {
+    MessageKind.NODE_INDEX: Route(HOLDER, SERVER_PARTY, {"keys": "uint8", "wants": "uint8"}),
+    MessageKind.LOCAL_EMBEDDING: Route(HOLDER, SERVER_PARTY, _rows("t"), "naive"),
+    MessageKind.POOL_INPUT: Route(HOLDER, POOL_PARTY, _rows("values"), "secure-pooling"),
+    MessageKind.POOL_RESULT: Route(POOL_PARTY, SERVER_PARTY, {"m": "float64", "winner": "int8"},
+                                   "secure-pooling"),
+    MessageKind.GLOBAL_EMBEDDING: Route(SERVER_PARTY, HOLDER, _rows("h")),
+    MessageKind.PRED_GRAD: Route(HOLDER, SERVER_PARTY, _rows("g")),
+    MessageKind.LOCAL_EMB_GRAD: Route(SERVER_PARTY, HOLDER, _rows("r")),
+    MessageKind.INPUT_GRAD: Route(HOLDER, SERVER_PARTY, _rows("g")),
+    MessageKind.GRAD_SHARE: Route(HOLDER, HOLDER, {"seed": "uint64"}),
+    MessageKind.PARTIAL_SUM: Route(HOLDER, HOLDER,
+                                   {"partial": {"fixed-point": "uint64", "real": "float64"}}),
+}
 
 
 KIND_IDS = {kind: i for i, kind in enumerate(MessageKind)}

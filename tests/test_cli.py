@@ -24,10 +24,12 @@ def write_config(tmp_path, **overrides):
 
 def test_gen_data_and_partition(tmp_path, capsys):
     data_dir = tmp_path / "data"
-    assert main(["gen-data", "--out", str(data_dir), "--n-nodes", "20",
-                 "--n-classes", "2", "--feat-dim", "4", "--seed", "3"]) == 0
+    assert main(["gen-data", "--out", str(data_dir), "--set", "dataset.n_nodes=20",
+                 "--set", "dataset.n_classes=2", "--set", "dataset.feat_dim=4",
+                 "--set", "dataset.seed=3"]) == 0
     for name in ("nodes.tsv", "features.tsv", "edges.tsv", "manifest.json"):
         assert (data_dir / name).exists()
+    assert json.loads((data_dir / "manifest.json").read_text())["nodes"] == 20
     cfg = write_config(tmp_path)
     out = tmp_path / "parts"
     assert main(["partition", "--config", str(cfg), "--data", str(data_dir),

@@ -16,7 +16,7 @@ from sapgnn.protocol import (ProtocolError, _pool_layer, aggregate_local_grads, 
                              holder_party, init_parties, run_training, verify_privacy_audit,
                              weight_update)
 from sapgnn.harness import compare_equivalence, train_centralized
-from sapgnn.wire import Channel, MessageKind
+from sapgnn.wire import AuditLog, Channel, MessageKind
 
 
 def make_config(P=2, n=24, kind="sum", mode="naive", share_mode="real", seed=9,
@@ -156,8 +156,29 @@ def test_init_refuses_a_misshapen_wants_mask(monkeypatch, edit, sent):
         return decoded
 
     monkeypatch.setattr(Channel, "send", tampered)
-    with pytest.raises(ProtocolError,
-                       match=rf"holder 1 sent {sent} as its wanted rows, expected uint8 \(2, "):
+    with pytest.raises(ProtocolError, match=rf"holder-1: NodeIndex to server carries {sent} "
+                                            r"as 'wants', expected uint8 \(2, "):
+        init_parties(cfg, holders)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda k: k[:-5], id="cut"),
+    pytest.param(lambda k: np.concatenate([k, k[:5]]), id="padded"),
+])
+def test_init_refuses_keys_that_are_not_whole_digests(monkeypatch, edit):
+    cfg = make_config(P=2)
+    holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
+    send = Channel.send
+
+    def tampered(self, sender, receiver, kind, *args, **kwargs):
+        decoded = send(self, sender, receiver, kind, *args, **kwargs)
+        if kind is MessageKind.NODE_INDEX and sender == "holder-1":
+            decoded["keys"] = edit(decoded["keys"])
+        return decoded
+
+    monkeypatch.setattr(Channel, "send", tampered)
+    with pytest.raises(ProtocolError, match=r"holder 1 sent \d+ digest bytes, not a whole "
+                                            "number of 16-byte digests"):
         init_parties(cfg, holders)
 
 
@@ -380,20 +401,33 @@ def test_update_preserves_replication():
             assert len({h.weights_blob() for h in session.holders}) == 1
 
 
-@pytest.mark.parametrize("share_mode", ["real", "fixed-point"])
-def test_a_refused_update_changes_nothing(share_mode):
-    # the secure sum refuses a NaN gradient before the server or any holder
-    # steps, and before any holder sends a share
+def _holder_nan(session, server_grads):
+    session.holders[1].grad_acc.w_predict[0, 0] = np.nan
+    return server_grads
+
+
+@pytest.mark.parametrize("share_mode, fault, message", [
+    pytest.param("real", _holder_nan, "holder 1: gradient has a NaN", id="real"),
+    pytest.param("fixed-point", _holder_nan, "holder 1: gradient has a NaN", id="fixed-point"),
+    pytest.param("fixed-point", lambda s, g: [np.zeros((2, 2)), *g[1:]],
+                 r"server gradients of shapes \[\(2, 2\), ", id="misshapen-server-grad"),
+    pytest.param("fixed-point", lambda s, g: g[:-1],
+                 r"server gradients of shapes \[\(\d+, \d+\)\] for maps", id="short-server-grads"),
+    pytest.param("real", lambda s, g: [g[0], np.full_like(g[1], np.inf)],
+                 "server gradient has a NaN", id="infinite-server-grad"),
+])
+def test_a_refused_update_changes_nothing(share_mode, fault, message):
+    # a malformed server gradient or a NaN holder gradient is refused before
+    # the server or any holder steps, and before any holder sends a share
     _, _, session = make_session(make_config(P=3, kind="gated", share_mode=share_mode))
     forward_pass(session, train=True, epoch=0)
-    server_grads = backward_pass(session, epoch=0)
-    session.holders[1].grad_acc.w_predict[0, 0] = np.nan
+    server_grads = fault(session, backward_pass(session, epoch=0))
     server = session.server
     weights = [w.copy() for w in server.weights]
     adams = [(a.m.copy(), a.v.copy(), a.step) for a in server.adams]
     blobs = [h.weights_blob() for h in session.holders]
     sent, total = len(session.audit.records), session.comm.total()
-    with pytest.raises(ProtocolError, match="holder 1: gradient has a NaN"):
+    with pytest.raises(ProtocolError, match=message):
         weight_update(session, server_grads, epoch=0)
     assert all(np.array_equal(a, b) for a, b in zip(server.weights, weights, strict=True))
     for a, (m, v, step) in zip(server.adams, adams, strict=True):
@@ -532,6 +566,40 @@ def test_audit_flags_unknown_kind():
     session.audit.append("holder-0", "server", "SideChannel", "raw")
     report = verify_privacy_audit(session.audit, mode="naive")
     assert any("closed schema" in f.description for f in report.findings)
+
+
+@pytest.fixture(scope="module", params=["naive", "secure-pooling"])
+def run_log(request):
+    """(mode, the audit log of a one-epoch run in that mode)."""
+    return request.param, run_training(make_config(P=2, mode=request.param, max_epochs=1)).audit
+
+
+# (sender, receiver, kind, schema) of records no run sends: each is off its
+# kind's route, or carries the node digests (`keys`) that row messages no
+# longer carry
+OFF_TABLE = {
+    "pool-result-forged-by-a-holder": ("holder-0", "server", "PoolResult", "m,winner"),
+    "partial-sum-from-the-server": ("server", "holder-0", "PartialSum", "partial"),
+    "grad-share-from-the-server": ("server", "holder-0", "GradShare", "seed"),
+    "global-embedding-between-holders": ("holder-1", "holder-0", "GlobalEmbedding", "valid,h"),
+    "node-index-to-itself": ("server", "server", "NodeIndex", "keys,wants"),
+    "pool-input-from-the-server": ("server", "sealed-pool", "PoolInput", "valid,values"),
+    "pred-grad-with-keys": ("holder-0", "server", "PredGrad", "valid,g,keys"),
+    "input-grad-with-keys": ("holder-0", "server", "InputGrad", "valid,g,keys"),
+    "local-embedding-with-keys": ("holder-0", "server", "LocalEmbedding", "valid,t,keys"),
+}
+
+
+@pytest.mark.parametrize("record", OFF_TABLE.values(), ids=OFF_TABLE.keys())
+def test_audit_flags_a_record_off_its_route_or_fields(run_log, record):
+    mode, clean = run_log
+    log = AuditLog()
+    log.records = list(clean.records)
+    assert verify_privacy_audit(log, mode=mode).ok
+    sender, receiver, kind, schema = record
+    log.append(sender, receiver, kind, schema)
+    report = verify_privacy_audit(log, mode=mode)
+    assert [(f.party, f.kind) for f in report.findings] == [(receiver, kind)], report.summary()
 
 
 # -- communication accounting -----------------------------------------------------------
@@ -676,6 +744,9 @@ def test_a_backward_after_an_update_needs_a_new_forward():
     # the tapes and predictions describe the weights before the update
     _, _, session = make_session(make_config(P=2))
     forward_pass(session, train=True, epoch=0)
+    # layer 0 is weight-free, and the backward stops at the server's layer-0
+    # map, so no holder keeps a layer-0 tape
+    assert all(holder.tapes[0] is None for holder in session.holders)
     weight_update(session, backward_pass(session, epoch=0), epoch=0)
     with pytest.raises(ProtocolError, match="backward requires a completed forward pass"):
         backward_pass(session, epoch=0)
@@ -756,6 +827,7 @@ def test_a_holder_sees_only_its_own_rows(sends, mode):
             if kind in (MessageKind.GLOBAL_EMBEDDING, MessageKind.LOCAL_EMB_GRAD):
                 assert len(fields["valid"]) == len(ids), kind
         assert all(a.shape[0] == len(ids) for a in arrays)
+        assert holder.tapes[0] is not None      # layer 0 trains its message map
         for tape in holder.tapes:
             assert tape.rows.max() < len(ids)
             assert all(a.shape[0] == len(tape.rows) for a in (tape.winner, tape.m, tape.pre_gate))
@@ -860,41 +932,58 @@ def test_holder_traffic_ignores_another_holders_component(mode):
     assert counts[1] == counts[0]
 
 
-# How a test tampers with one decoded field: a row fewer, a column fewer, or
-# the float64 bytes read as uint64.
-ROW_EDITS = {"short": lambda a: a[:-1], "narrow": lambda a: a[:, :-1],
-             "uint64-view": lambda a: a.view(np.uint64)}
-# (mode, kind, party, the value block's field) of every sparse row kind
+# How a test tampers with field `name` of the decoded fields: a row fewer, a
+# column fewer, its float64 bytes read as uint64, the field left out, its
+# values halved (so a uint8 mask turns float64) or widened to uint64, or a
+# `keys` field, which no row kind declares, added.
+ROW_EDITS = {"short": lambda f, name: {**f, name: f[name][:-1]},
+             "narrow": lambda f, name: {**f, name: f[name][:, :-1]},
+             "uint64-view": lambda f, name: {**f, name: f[name].view(np.uint64)},
+             "no-valid": lambda f, name: {k: v for k, v in f.items() if k != name},
+             "float-valid": lambda f, name: {**f, name: f[name] * 0.5},
+             "uint64-valid": lambda f, name: {**f, name: f[name].astype(np.uint64)},
+             "extra-field": lambda f, name: {**f, "keys": np.zeros(16, dtype=np.uint8)}}
+# (mode, kind, sender, receiver, the value block's field) of every sparse row kind
 ROW_BLOCKS = [
-    ("naive", MessageKind.LOCAL_EMBEDDING, "holder-1", "t"),
-    ("secure-pooling", MessageKind.POOL_INPUT, "holder-1", "values"),
-    ("naive", MessageKind.INPUT_GRAD, "holder-1", "g"),
-    ("naive", MessageKind.LOCAL_EMB_GRAD, "server->holder-1", "r"),
-    ("naive", MessageKind.PRED_GRAD, "holder-1", "g"),
-    ("naive", MessageKind.GLOBAL_EMBEDDING, "server->holder-1", "h"),
+    ("naive", MessageKind.LOCAL_EMBEDDING, "holder-1", "server", "t"),
+    ("secure-pooling", MessageKind.POOL_INPUT, "holder-1", "sealed-pool", "values"),
+    ("naive", MessageKind.INPUT_GRAD, "holder-1", "server", "g"),
+    ("naive", MessageKind.LOCAL_EMB_GRAD, "server", "holder-1", "r"),
+    ("naive", MessageKind.PRED_GRAD, "holder-1", "server", "g"),
+    ("naive", MessageKind.GLOBAL_EMBEDDING, "server", "holder-1", "h"),
+]
+# (the edited field, or None for the value block; the edit; what the
+# refusal says after "<sender>: <kind> to <receiver> carries")
+_BLOCK = r"\(\d+, \d+\) as '{}', expected float64 \(\d+, \d+\)"
+ROW_CASES = [
+    ("valid", "short", r"uint8 \(\d+,\) as 'valid', expected uint8 \(\d+,\)"),
+    (None, "short", "float64 " + _BLOCK),
+    (None, "narrow", "float64 " + _BLOCK),
+    (None, "uint64-view", "uint64 " + _BLOCK),
+    ("valid", "no-valid", "nothing as 'valid', expected uint8"),
+    ("valid", "float-valid", r"float64 \(\d+,\) as 'valid', expected uint8 \(\d+,\)"),
+    ("valid", "uint64-valid", r"uint64 \(\d+,\) as 'valid', expected uint8 \(\d+,\)"),
+    ("valid", "extra-field", r"undeclared fields \['keys'\]"),
 ]
 
 
-@pytest.mark.parametrize("mode, kind, party, field, message, edit", [
-    *[(mode, kind, party, "valid", f"holder 1: {kind.value} valid mask .* the holder has",
-       "short") for mode, kind, party, _block in ROW_BLOCKS],
-    *[(mode, kind, party, block, f"holder 1: {kind.value} carries .* for .* valid rows", "short")
-      for mode, kind, party, block in ROW_BLOCKS],
-    *[(mode, kind, party, block,
-       f"holder 1: {kind.value} carries .* for .* valid rows; expected float64", edit)
-      for mode, kind, party, block in ROW_BLOCKS for edit in ("narrow", "uint64-view")],
+@pytest.mark.parametrize("mode, kind, sender, receiver, field, edit, message", [
+    pytest.param(mode, kind, sender, receiver, field or block, edit,
+                 f"{sender}: {kind.value} to {receiver} carries {refusal.format(block)}",
+                 id=f"{kind.value}-{field or block}-{edit}")
+    for mode, kind, sender, receiver, block in ROW_BLOCKS
+    for field, edit, refusal in ROW_CASES
 ])
-def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, party, field, message,
-                                            edit):
+def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, sender, receiver, field,
+                                            edit, message):
     cfg = make_config(P=2, mode=mode, kind="gated")
     _, _, session = make_session(cfg)
     send = Channel.send
 
-    def tampered(self, sender, receiver, k, *args, **kwargs):
-        decoded = send(self, sender, receiver, k, *args, **kwargs)
-        if k is kind and party in (sender, f"{sender}->{receiver}"):
-            decoded[field] = ROW_EDITS[edit](decoded[field])
-        return decoded
+    def tampered(self, s, r, k, *args, **kwargs):
+        decoded = send(self, s, r, k, *args, **kwargs)
+        hit = (k, s, r) == (kind, sender, receiver)
+        return ROW_EDITS[edit](decoded, field) if hit else decoded
 
     monkeypatch.setattr(Channel, "send", tampered)
     with pytest.raises(ProtocolError, match=message):
@@ -903,12 +992,17 @@ def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, party, fiel
 
 
 @pytest.mark.parametrize("edit, message", [
-    pytest.param(lambda f: {**f, "m": f["m"][:-1]}, "must carry float64 m", id="short-m"),
-    pytest.param(lambda f: {**f, "winner": f["winner"][:, :-1]}, "must carry float64 m",
+    pytest.param(lambda f: {**f, "m": f["m"][:-1]},
+                 r"to server carries float64 \(\d+, \d+\) as 'm', expected float64 \(",
+                 id="short-m"),
+    pytest.param(lambda f: {**f, "winner": f["winner"][:, :-1]},
+                 r"to server carries int8 \(\d+, \d+\) as 'winner', expected int8 \(",
                  id="narrow-winner"),
-    pytest.param(lambda f: {**f, "winner": f["winner"].astype(np.int64)}, "must carry float64 m",
+    pytest.param(lambda f: {**f, "winner": f["winner"].astype(np.int64)},
+                 r"to server carries int64 \(\d+, \d+\) as 'winner', expected int8 \(",
                  id="wide-winner"),
-    pytest.param(lambda f: {"m": f["m"]}, "must carry", id="no-winner"),
+    pytest.param(lambda f: {"m": f["m"]}, "to server carries nothing as 'winner', expected int8",
+                 id="no-winner"),
     pytest.param(lambda f: {**f, "winner": np.full_like(f["winner"], 2)},
                  r"names a winner outside holders 0\.\.1", id="winner-too-large"),
     pytest.param(lambda f: {**f, "winner": np.full_like(f["winner"], -1)},

@@ -256,19 +256,25 @@ class TamperingChannel(RecordingChannel):
 
 @pytest.mark.parametrize("mode, kind, edit, message", [
     pytest.param("fixed-point", "GradShare", lambda f: {"seed": f["seed"][:3]},
-                 r"holder 1: GradShare to holder 0 carries uint64 \(3,\) as 'seed'",
-                 id="short-seed"),
+                 r"holder-1: GradShare to holder-0 carries uint64 \(3,\) as 'seed', "
+                 r"expected uint64 \(4,\)", id="short-seed"),
     pytest.param("fixed-point", "GradShare", lambda f: {"seed": f["seed"].astype(np.float64)},
-                 "holder 1: GradShare to holder 0 carries float64", id="float-seed"),
+                 r"holder-1: GradShare to holder-0 carries float64 \(4,\) as 'seed', "
+                 "expected uint64", id="float-seed"),
     pytest.param("fixed-point", "GradShare", lambda f: {},
-                 "holder 1: GradShare to holder 0 carries nothing as 'seed'", id="no-seed"),
+                 "holder-1: GradShare to holder-0 carries nothing as 'seed', expected uint64",
+                 id="no-seed"),
     pytest.param("fixed-point", "PartialSum", lambda f: {"partial": f["partial"][:-1]},
-                 r"holder 1: PartialSum to holder 0 carries uint64 \(4,\)", id="short-partial"),
+                 r"holder-1: PartialSum to holder-0 carries uint64 \(4,\) as 'partial', "
+                 r"expected uint64 \(5,\)", id="short-partial"),
     pytest.param("fixed-point", "PartialSum",
                  lambda f: {"partial": f["partial"].view(np.int64)},
-                 "holder 1: PartialSum to holder 0 carries int64", id="signed-partial"),
+                 r"holder-1: PartialSum to holder-0 carries int64 \(5,\) as 'partial', "
+                 "expected uint64",
+                 id="signed-partial"),
     pytest.param("real", "PartialSum", lambda f: {"partial": f["partial"].view(np.uint64)},
-                 r"holder 1: PartialSum to holder 0 carries uint64 .* expected float64 \(5,\)",
+                 r"holder-1: PartialSum to holder-0 carries uint64 \(5,\) as 'partial', "
+                 r"expected float64 \(5,\)",
                  id="real-partial-as-residues"),
 ])
 def test_secure_sum_refuses_a_malformed_share(mode, kind, edit, message):
