@@ -28,7 +28,7 @@ print(f"  5 splits into {vals}; {vals[0]} + {vals[1]} = {sum(vals)} = "
 
 print("\n== holder-side gradient aggregation ==")
 grads = [rng.normal(size=6) for _ in range(3)]
-channel = Channel(CommStats(), AuditLog())
+channel = Channel(AuditLog())
 holder_rngs = [make_rng(2024, ("shares", p)) for p in range(len(grads))]
 total = secure_sum(channel, grads, holder_rngs, "fixed-point", epoch=0)
 print("  per-holder gradients:")
@@ -42,4 +42,4 @@ audit = channel.audit
 senders = {r.sender for r in audit.records} | {r.receiver for r in audit.records}
 print(f"\n  parties on the wire: {sorted(senders)} (the server is never one of them)")
 print(f"  message kinds: {sorted({r.kind for r in audit.records})}, "
-      f"{len(audit)} messages, {channel.comm.total()} bytes")
+      f"{len(audit)} messages, {CommStats.of(audit).total()} bytes")

@@ -31,7 +31,7 @@ report = verify_privacy_audit(res.audit, mode="naive")
 print(f"\naudit verdict: {report.summary()}")
 
 print("\nnow inject a rogue message: holder-0 ships raw embeddings to holder-1")
-res.audit.append("holder-0", "holder-1", "LocalEmbedding", "valid,t")
+res.audit.append("holder-0", "holder-1", "LocalEmbedding", "valid,t", 0, 0, 64)
 report = verify_privacy_audit(res.audit, mode="naive")
 print(report.summary())
 

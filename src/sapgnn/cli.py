@@ -49,9 +49,8 @@ def _add_config_args(p: argparse.ArgumentParser):
 def _write_run_outputs(res, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(res.metrics_rows, out_dir / "metrics.csv")
-    if res.comm.counts:
-        write_comm_csv(res.comm, out_dir / "comm.csv")
     if len(res.audit):
+        write_comm_csv(res.comm, out_dir / "comm.csv")
         write_audit_jsonl(res.audit, out_dir / "audit.jsonl")
 
 
@@ -65,7 +64,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_partition(args) -> int:
     cfg = _load_config(args)
-    g = (load_dataset(args.data, "edge-list-dir") if args.data
+    g = (load_dataset(args.data) if args.data
          else build_dataset(cfg.dataset))
     holders = build_partition(g, cfg.partition)
     out = Path(args.out)

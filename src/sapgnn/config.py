@@ -10,8 +10,8 @@ from .gnn import ModelConfig
 
 @dataclass
 class DatasetConfig:
-    kind: str = "synthetic"        # "synthetic" | "edge-list-dir" | "synthetic-spec"
-    path: str | None = None        # for the file-backed kinds
+    kind: str = "synthetic"        # "synthetic" | "edge-list-dir"
+    path: str | None = None        # for "edge-list-dir"
     name: str = "synthetic"
     n_nodes: int = 80
     n_classes: int = 3

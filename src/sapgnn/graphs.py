@@ -256,7 +256,11 @@ def write_dataset(g: Graph, path) -> None:
         f.write("\n")
 
 
-def _load_edge_list_dir(path: Path) -> Graph:
+def load_dataset(path) -> Graph:
+    """Load a dataset directory in the plain-text layout written by write_dataset."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"dataset path {path} does not exist")
     for name in DATASET_FILES:
         if not (path / name).exists():
             raise FileNotFoundError(f"missing dataset file {path / name}")
@@ -316,25 +320,6 @@ def _load_edge_list_dir(path: Path) -> Graph:
         if actual != expected:
             raise ValueError(f"manifest mismatch for {key}: file says {expected}, data has {actual}")
     return g
-
-
-def load_dataset(path, format: str = "edge-list-dir") -> Graph:
-    """Load a dataset from disk.
-
-    Formats: "edge-list-dir" (the plain-text directory layout written by
-    write_dataset) and "synthetic-spec" (a JSON file of generate_synthetic
-    keyword arguments; loading is deterministic in the embedded seed).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset path {path} does not exist")
-    if format == "edge-list-dir":
-        return _load_edge_list_dir(path)
-    if format == "synthetic-spec":
-        spec = json.loads(path.read_text(encoding="utf-8"))
-        spec.pop("kind", None)
-        return generate_synthetic(**spec)
-    raise ValueError(f"unknown dataset format {format!r}")
 
 
 # ---------------------------------------------------------------------------

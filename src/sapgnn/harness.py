@@ -76,7 +76,7 @@ def train_centralized(g: Graph, model_cfg: ModelConfig, lr: float = 0.01,
                                     loss_from_probs(probs, rows, classes))
                 for split, (rows, classes) in eval_rows.items()}
 
-    return fit(train_epoch, score, lambda: weights, max_epochs, patience, CommStats(), AuditLog())
+    return fit(train_epoch, score, lambda: weights, max_epochs, patience, AuditLog())
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +351,12 @@ def comm_profile(config: RunConfig, epochs: int = 1) -> dict:
     else its layer-0 pool), so `epochs=1` reports epoch 0's two sweeps."""
     res = run_training(replace(config, train=replace(config.train, max_epochs=epochs,
                                                      patience=epochs + 1)))
-    per_epoch_emb = res.comm.bytes_for(kinds=EMBEDDING_KINDS) / max(res.epochs_run, 1)
-    per_epoch_share = res.comm.bytes_for(kinds=GRADSHARE_KINDS) / max(res.epochs_run, 1)
+    comm = res.comm
+    per_epoch_emb = comm.bytes_for(kinds=EMBEDDING_KINDS) / max(res.epochs_run, 1)
+    per_epoch_share = comm.bytes_for(kinds=GRADSHARE_KINDS) / max(res.epochs_run, 1)
     return {"embedding_bytes_per_epoch": per_epoch_emb,
             "gradshare_bytes_per_epoch": per_epoch_share,
-            "total_bytes": res.comm.total(), "epochs": res.epochs_run}
+            "total_bytes": comm.total(), "epochs": res.epochs_run}
 
 
 def linear_fit_r2(x, y):

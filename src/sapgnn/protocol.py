@@ -26,8 +26,9 @@ above also the server's weights and any dropout mask. So without dropout the
 evaluation sweep is the next training sweep; with dropout that sweep reuses
 the evaluation's layer-0 pool (and a weight-free layer 0 is pooled once).
 
-All cross-party values travel through the metered channel, so byte counts
-and the audit log reflect exactly what each party could observe.
+All cross-party values travel through the channel, whose audit log records
+each message's parties, schema and bytes, so the log and the byte counts
+folded from it reflect exactly what each party could observe.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ def build_dataset(dcfg: DatasetConfig) -> Graph:
                                   dcfg.seed, train_frac=dcfg.train_frac,
                                   val_frac=dcfg.val_frac, class_sep=dcfg.class_sep,
                                   noise=dcfg.noise)
-    if dcfg.kind in ("edge-list-dir", "synthetic-spec"):
+    if dcfg.kind == "edge-list-dir":
         if not dcfg.path:
             raise ValueError(f"dataset kind {dcfg.kind} needs a path")
-        return load_dataset(dcfg.path, format=dcfg.kind)
+        return load_dataset(dcfg.path)
     raise ValueError(f"unknown dataset kind {dcfg.kind!r}")
 
 
@@ -266,13 +267,12 @@ class Server:
 
 @dataclass
 class Session:
-    """All parties of one protocol run plus the shared channel and meters."""
+    """All parties of one protocol run plus the shared channel and its log."""
 
     config: RunConfig
     holders: list
     server: Server
     channel: Channel
-    comm: CommStats
     audit: AuditLog
     # What the last sweep computed, until `weight_update` changes what it
     # read: the whole sweep if no layer draws a dropout mask, and whether
@@ -299,9 +299,8 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
         raise ProtocolError("no holder has a node")
     seed = config.train.seed
 
-    comm = CommStats()
     audit = AuditLog()
-    channel = Channel(comm, audit)
+    channel = Channel(audit)
 
     cfg = config.model
     holders = [DataHolder(lg, cfg, n_classes, config.train.lr, seed) for lg in holders_data]
@@ -336,7 +335,7 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
         server.holder_rows[p] = order[pos]
         server.wants[p] = wants.astype(bool)
     return Session(config=config, holders=holders, server=server, channel=channel,
-                   comm=comm, audit=audit)
+                   audit=audit)
 
 
 # ---------------------------------------------------------------------------
@@ -663,15 +662,19 @@ def adam_update(states: list, params: list, grads: list) -> list:
 class TrainResult:
     weights: ModelWeights
     metrics_rows: list       # dicts: epoch, split, accuracy, macro_f1, loss
-    comm: CommStats
     audit: AuditLog
     best_epoch: int
     epochs_run: int
     final: dict              # test metrics at the best validation epoch (NaN if none)
 
+    @property
+    def comm(self) -> CommStats:
+        """The run's byte counters, folded from its audit log."""
+        return CommStats.of(self.audit)
+
 
 def fit(train_epoch, score, final_weights, max_epochs: int, patience: int,
-        comm: CommStats, audit: AuditLog) -> TrainResult:
+        audit: AuditLog) -> TrainResult:
     """The epoch loop of every trainer: `train_epoch(epoch)` takes one
     optimizer step, `score(epoch)` returns accuracy / macro_f1 / loss per
     split, and training stops early on validation accuracy.
@@ -693,9 +696,8 @@ def fit(train_epoch, score, final_weights, max_epochs: int, patience: int,
                           "test_loss": scores["test"]["loss"]}
         if stopper.should_stop:
             break
-    return TrainResult(weights=final_weights(), metrics_rows=metrics_rows, comm=comm,
-                       audit=audit, best_epoch=stopper.best_epoch, epochs_run=epochs_run,
-                       final=best_final)
+    return TrainResult(weights=final_weights(), metrics_rows=metrics_rows, audit=audit,
+                       best_epoch=stopper.best_epoch, epochs_run=epochs_run, final=best_final)
 
 
 def evaluate(session: Session, epoch: int) -> dict:
@@ -722,7 +724,7 @@ def run_training(config: RunConfig, holders_data: list[LocalGraph] | None = None
 
     return fit(train_epoch, lambda epoch: evaluate(session, epoch),
                lambda: ModelWeights(session.holders[0].locals_, session.server.weights),
-               config.train.max_epochs, config.train.patience, session.comm, session.audit)
+               config.train.max_epochs, config.train.patience, session.audit)
 
 
 # ---------------------------------------------------------------------------
@@ -761,11 +763,14 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
     holder another holder's local embeddings), carry the kind's declared
     fields in send order (its `schema`), and belong to the run's pooling
     mode (so in secure-pooling mode the server receives no plaintext local
-    embedding). A record yields at most one finding, at its receiver. What
-    each party may learn from the schema is set out in the README ("What
-    each party sees"). The check reads kinds, parties and field names, not
-    payloads: a payload that leaks more than its schema promises is caught
-    by the protocol tests, not here.
+    embedding). Each holder it names must have sent a NodeIndex before the
+    log's first record of another kind (the run's holders register at
+    init), a GradShare must go to the pair's lower holder and a PartialSum
+    to another holder than its sender. A record yields at most one
+    finding, at its receiver. What each party may learn from the schema is
+    set out in the README ("What each party sees"). The check reads kinds,
+    parties and field names, not payloads: a payload that leaks more than
+    its schema promises is caught by the protocol tests, not here.
     """
     routes = {kind.value: route for kind, route in ROUTES.items()}
     if mode is None:
@@ -773,10 +778,16 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
                      for r in log.records if r.kind in routes)
         mode = "secure-pooling" if secure else "naive"
     findings: list[Finding] = []
+    registered, at_init = set(), True    # the holders whose NodeIndex opens the log
     for rec in log.records:
         route = routes.get(rec.kind)
+        at_init = at_init and rec.kind == MessageKind.NODE_INDEX.value
+        if at_init and holder_index(rec.sender) >= 0:
+            registered.add(rec.sender)
         sent = " -> ".join(HOLDER if holder_index(party) >= 0 else party
                            for party in (rec.sender, rec.receiver))
+        unregistered = [party for party in (rec.sender, rec.receiver)
+                        if holder_index(party) >= 0 and party not in registered]
         if route is None:
             problem = "message kind outside the closed schema"
         elif sent != (path := f"{route.sender} -> {route.receiver}"):
@@ -785,6 +796,14 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
             problem = f"carries fields {rec.schema!r}, not {schema!r}"
         elif route.mode not in (None, mode):
             problem = f"belongs to {route.mode} runs, not to a {mode} run"
+        elif unregistered:
+            problem = f"{unregistered[0]} sent no NodeIndex before it"
+        elif (rec.kind == MessageKind.GRAD_SHARE.value
+              and holder_index(rec.sender) <= holder_index(rec.receiver)):
+            problem = (f"a seed goes from a pair's higher holder to its lower, not from "
+                       f"{rec.sender} to {rec.receiver}")
+        elif rec.kind == MessageKind.PARTIAL_SUM.value and rec.sender == rec.receiver:
+            problem = "sent to its own sender"
         else:
             continue
         finding = Finding(party=rec.receiver, kind=rec.kind, description=problem)

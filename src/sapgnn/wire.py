@@ -3,10 +3,11 @@
 Every cross-party value travels as a length-prefixed, schema-tagged binary
 message (little-endian; floats as float64, unsigned integers as uint8 or
 uint64, signed as int8 or int64, so every payload arrives exactly as sent;
-a field of any other dtype is refused). The channel serializes, meters
-bytes into CommStats, appends one record per transmission to the AuditLog,
-and hands the receiver a decoded copy. ROUTES declares each message kind's
-route and fields: every receiver's check and the privacy audit read it.
+a field of any other dtype is refused). The channel serializes, appends one
+record per transmission to the AuditLog, the one ledger of the wire, and
+hands the receiver a decoded copy; CommStats is a fold over that log.
+ROUTES declares each message kind's route and fields: every receiver's
+check and the privacy audit read it.
 This module imports nothing else from the package.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import typing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -211,22 +213,34 @@ def decode_message(buf: bytes):
     return IDS_KIND[kind_id], layer, epoch, sender_id, fields
 
 
+def _kind_name(kind) -> str:
+    return kind.value if isinstance(kind, MessageKind) else kind
+
+
 class CommStats:
-    """Monotone byte counters keyed by (kind, direction, layer, epoch)."""
+    """Monotone byte counters keyed by (kind, direction, layer, epoch); a
+    run's are the fold of its audit log (`of`)."""
 
     def __init__(self):
         self.counts: dict[tuple, int] = {}
 
-    def add(self, kind: MessageKind, direction: str, layer: int, epoch: int, n_bytes: int):
-        key = (kind.value, direction, layer, epoch)
+    @classmethod
+    def of(cls, log: "AuditLog") -> "CommStats":
+        stats = cls()
+        for r in log.records:
+            stats.add(r.kind, f"{r.sender}->{r.receiver}", r.layer, r.epoch, r.n_bytes)
+        return stats
+
+    def add(self, kind: MessageKind | str, direction: str, layer: int, epoch: int,
+            n_bytes: int):
+        key = (_kind_name(kind), direction, layer, epoch)
         self.counts[key] = self.counts.get(key, 0) + n_bytes
 
     def total(self) -> int:
         return sum(self.counts.values())
 
     def bytes_for(self, kinds=None, epoch=None) -> int:
-        wanted = None if kinds is None else {k.value if isinstance(k, MessageKind) else k
-                                             for k in kinds}
+        wanted = None if kinds is None else {_kind_name(k) for k in kinds}
         out = 0
         for (kind, _direction, _layer, ep), n in self.counts.items():
             if wanted is not None and kind not in wanted:
@@ -252,21 +266,30 @@ class AuditRecord:
     receiver: str
     kind: str
     schema: str
+    layer: int
+    epoch: int
+    n_bytes: int     # the encoded message, length prefix included
+
+
+_RECORD_TYPES = typing.get_type_hints(AuditRecord)
 
 
 class AuditLog:
-    """Append-only transmission log: one record per message, schema only.
+    """Append-only transmission log: one record per message, its schema,
+    layer, epoch and encoded size, never its payload.
 
-    Payload values are never stored; the log answers "who sent what kind of
-    message to whom", which is what the privacy checks are defined over.
+    The log answers "who sent what kind of message to whom", which is what
+    the privacy checks are defined over, and how many bytes it took, which
+    is what the communication counters fold.
     """
 
     def __init__(self):
         self.records: list[AuditRecord] = []
 
-    def append(self, sender: str, receiver: str, kind: str, schema: str) -> AuditRecord:
-        rec = AuditRecord(ts=len(self.records), sender=sender, receiver=receiver,
-                          kind=kind, schema=schema)
+    def append(self, sender: str, receiver: str, kind: str, schema: str, layer: int,
+               epoch: int, n_bytes: int) -> AuditRecord:
+        rec = AuditRecord(ts=len(self.records), sender=sender, receiver=receiver, kind=kind,
+                          schema=schema, layer=layer, epoch=epoch, n_bytes=n_bytes)
         self.records.append(rec)
         return rec
 
@@ -274,41 +297,53 @@ class AuditLog:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"ts": r.ts, "sender": r.sender, "receiver": r.receiver,
-                             "kind": r.kind, "schema": r.schema}, sort_keys=True)
-                 for r in self.records]
+        lines = [json.dumps(r.__dict__, sort_keys=True) for r in self.records]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def from_jsonl(cls, text: str) -> "AuditLog":
+        """Inverse of to_jsonl. Raises ValueError, naming the line, for a
+        line that is not a JSON object or whose keys are not exactly a
+        record's, each of its type."""
         log = cls()
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            d = json.loads(line)
-            log.records.append(AuditRecord(ts=d["ts"], sender=d["sender"],
-                                           receiver=d["receiver"], kind=d["kind"],
-                                           schema=d["schema"]))
+            where = f"audit log line {n}"
+            try:
+                d = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where} is not JSON: {exc.msg}") from None
+            if not isinstance(d, dict):
+                raise ValueError(f"{where} is a JSON {type(d).__name__}, not an object")
+            unknown = sorted(d.keys() - _RECORD_TYPES.keys())
+            if unknown:
+                raise ValueError(f"{where} has unknown keys {unknown}")
+            for key, typ in _RECORD_TYPES.items():
+                if key not in d:
+                    raise ValueError(f"{where} lacks the key {key!r}")
+                if type(d[key]) is not typ:
+                    raise ValueError(f"{where}: {key!r} is {type(d[key]).__name__}, "
+                                     f"not {typ.__name__}")
+            log.records.append(AuditRecord(**d))
         return log
 
 
 class Channel:
-    """In-process transport: serialize, meter, audit, deliver.
+    """In-process transport: serialize, audit, deliver.
 
     The decoded copy returned to the caller is what the receiver sees; the
     original arrays never cross the party boundary. Tests may call send()
     directly with an arbitrary kind to inject rogue traffic for the audit.
     """
 
-    def __init__(self, comm: CommStats, audit: AuditLog):
-        self.comm = comm
+    def __init__(self, audit: AuditLog):
         self.audit = audit
 
     def send(self, sender: str, receiver: str, kind: MessageKind, layer: int,
              epoch: int, fields: dict[str, np.ndarray], sender_id: int = -1) -> dict:
         buf = encode_message(kind, layer, epoch, sender_id, fields)
-        self.comm.add(kind, f"{sender}->{receiver}", layer, epoch, len(buf))
-        self.audit.append(sender, receiver, kind.value,
-                          schema=",".join(fields.keys()))
+        self.audit.append(sender, receiver, kind.value, ",".join(fields.keys()), layer, epoch,
+                          len(buf))
         _kind, _layer, _epoch, _sid, decoded = decode_message(buf)
         return decoded

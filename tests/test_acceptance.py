@@ -365,7 +365,7 @@ def test_criterion_9_privacy_audit():
     clean = verify_privacy_audit(res.audit, mode="naive")
     assert clean.ok, clean.summary()
 
-    res.audit.append("holder-0", "holder-1", "LocalEmbedding", "valid,t")
+    res.audit.append("holder-0", "holder-1", "LocalEmbedding", "valid,t", 0, 0, 64)
     tampered = verify_privacy_audit(res.audit, mode="naive")
     assert len(tampered.findings) == 1
     assert tampered.findings[0].party == "holder-1"
@@ -429,7 +429,7 @@ def test_criterion_10_cora_reference_counts():
     """Optional: with a local Cora copy in the dataset directory format,
     check the published dataset statistics and the q=0 two-holder split's
     1097/543 node counts."""
-    g = load_dataset(Path(os.environ[CORA_ENV]), "edge-list-dir")
+    g = load_dataset(Path(os.environ[CORA_ENV]))
     assert (g.n_nodes, g.n_edges, g.feat_dim, g.n_classes) == (2708, 5278, 1433, 7)
     assert (len(g.train_ids), len(g.val_ids), len(g.test_ids)) == (140, 500, 1000)
     holders = split_label_skew(g, 2, 0.0, seed=0)

@@ -89,9 +89,51 @@ def test_audit_subcommand_exit_codes(tmp_path, capsys):
     # append a rogue record: server receiving a gradient share
     with open(log, "a") as f:
         f.write(json.dumps({"ts": 99999, "sender": "holder-0", "receiver": "server",
-                            "kind": "GradShare", "schema": "share"}) + "\n")
+                            "kind": "GradShare", "schema": "share", "layer": -1, "epoch": 0,
+                            "n_bytes": 67}) + "\n")
     assert main(["audit", "--log", str(log)]) == 3
     assert "finding" in capsys.readouterr().out
+
+
+@pytest.fixture
+def clean_log(tmp_path):
+    """The text of a clean two-holder run's audit.jsonl."""
+    out = tmp_path / "run"
+    assert main(["train-sapgnn", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    text = (out / "audit.jsonl").read_text()
+    assert main(["audit", "--log", str(out / "audit.jsonl")]) == 0
+    return text
+
+
+@pytest.mark.parametrize("sender,receiver,kind,schema", [
+    pytest.param("holder-0", "holder-1", "GradShare", "seed", id="grad-share-upward"),
+    pytest.param("holder-1", "holder-1", "PartialSum", "partial", id="partial-sum-to-itself"),
+    pytest.param("holder-7", "server", "PredGrad", "valid,g", id="unregistered-holder"),
+])
+def test_audit_subcommand_flags_holder_indices(tmp_path, capsys, clean_log, sender, receiver,
+                                               kind, schema):
+    log = tmp_path / "audit.jsonl"
+    log.write_text(clean_log + json.dumps(
+        {"ts": 99999, "sender": sender, "receiver": receiver, "kind": kind, "schema": schema,
+         "layer": -1, "epoch": 0, "n_bytes": 64}) + "\n")
+    assert main(["audit", "--log", str(log)]) == 3
+    assert f"{receiver}: {kind}:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line,reason", [
+    pytest.param(json.dumps({"ts": 99999, "sender": "server", "receiver": "holder-0",
+                             "kind": "PartialSum", "layer": -1, "epoch": 0, "n_bytes": 64}),
+                 "lacks the key 'schema'", id="record-without-schema"),
+    pytest.param('["server", "holder-0", "PartialSum"]', "is a JSON list, not an object",
+                 id="line-not-an-object"),
+])
+def test_audit_subcommand_refuses_a_malformed_log(tmp_path, capsys, clean_log, line, reason):
+    log = tmp_path / "audit.jsonl"
+    log.write_text(clean_log + line + "\n")
+    assert main(["audit", "--log", str(log)]) == EXIT_REFUSED
+    err = capsys.readouterr().err
+    assert f"sapgnn: refused: audit log line {len(clean_log.splitlines()) + 1}" in err
+    assert reason in err
 
 
 def test_sweep_subcommand(tmp_path, capsys):

@@ -61,19 +61,19 @@ PROTOCOL_GOLDEN = {
     "p1-sum-naive-real": (
         "6da3ea9b72d29b68ac8bebcb6185f0740667c107baa9d413d3c3cbaed3f06779",
         "9da61185f080c27529185e1021a8328a1a048c8d9898e3dc6c1d0f5802730acc",
-        "a5e2abb5a00fd4a9cbdfcdcfc400ce404563e9ed8446cee7e40b7b3e53c67f4c"),
+        "fd9c3bb74f4704a2cf109a46e15d2ab32d55f162a70c74ffe035dd8a54407bef"),
     "p3-gated-secure-fixed": (
         "eb15f0f5e6ed37d5094bd51c6d29fb965761659a1687f5319b6c6141846bacb3",
         "510189706a738675ba48fe7b18081e34bd0e8d9d12e38c694e44b9258db2d3b3",
-        "527400bd4917ded4e1ac1f69b885e224ef88cb0547441be5c1435e131fd385ae"),
+        "5cb4852a88e978a2b252b0a870cda14a5458d8b5eaea93177541b76001bbaada"),
     "p3-skew-sum-naive-fixed": (
         "1138c18c0705276c02aacf59e9d5ac629bab4e5af8573113a0db086f2d21133d",
         "4ca51337127b8283d00fb0682da15516223083853a6a4694c456b62fb5f6726e",
-        "7892b34a3f8347eb04af59f608ceb070fd6321b401994501f873c0c99b59649f"),
+        "cdb7830366f77baa062c30cdc7f3cb4b5fc5089657e021fcb9c8e53521ec57a5"),
     "p4-gated-linear-real": (
         "ec126f331701832192dec74a0ae53e43e1b4f4f59ec4cafe5fffc606b3ed2f32",
         "29d88284a7f400854acd345a4f04008689874819d2263b3c878d47ead5390117",
-        "0472d42110c4e71ca6c49356ad0878bc06694685846bd931cdc48ad3a4a2d7cb"),
+        "83ee106628ae69eb7ed076192bc12cbaaf3a1cb687c58aef064d2e9771579bd1"),
 }
 
 # The one-holder protocol run and the centralized trainer write the same file.

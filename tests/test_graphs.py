@@ -118,17 +118,17 @@ def test_graph_mask_refusals_in_check_order(masks, message):
 def test_write_load_round_trip(tmp_path):
     g = tiny_graph(12, seed=9)
     write_dataset(g, tmp_path / "ds")
-    loaded = load_dataset(tmp_path / "ds", "edge-list-dir")
+    loaded = load_dataset(tmp_path / "ds")
     assert graphs_equal(g, loaded)
 
 
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        load_dataset(tmp_path / "nope", "edge-list-dir")
+        load_dataset(tmp_path / "nope")
     (tmp_path / "partial").mkdir()
     (tmp_path / "partial" / "nodes.tsv").write_text("0\t-\tnone\n")
     with pytest.raises(FileNotFoundError):
-        load_dataset(tmp_path / "partial", "edge-list-dir")
+        load_dataset(tmp_path / "partial")
 
 
 def test_load_manifest_mismatch(tmp_path):
@@ -138,7 +138,7 @@ def test_load_manifest_mismatch(tmp_path):
     manifest["edges"] += 1
     (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="manifest mismatch"):
-        load_dataset(tmp_path / "ds", "edge-list-dir")
+        load_dataset(tmp_path / "ds")
 
 
 def test_load_inconsistent_feature_rows(tmp_path):
@@ -148,26 +148,15 @@ def test_load_inconsistent_feature_rows(tmp_path):
     lines[0] = lines[0] + "\t9.0"   # one row gains an extra dimension
     (tmp_path / "ds" / "features.tsv").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="inconsistent feature dimensions"):
-        load_dataset(tmp_path / "ds", "edge-list-dir")
+        load_dataset(tmp_path / "ds")
 
 
 def test_empty_edge_file_gives_isolated_nodes(tmp_path):
     g = generate_synthetic(3, 2, 2, 0.0, 0.0, seed=1)
     assert g.n_edges == 0
     write_dataset(g, tmp_path / "iso")
-    loaded = load_dataset(tmp_path / "iso", "edge-list-dir")
+    loaded = load_dataset(tmp_path / "iso")
     assert loaded.n_nodes == 3 and loaded.n_edges == 0
-
-
-def test_synthetic_spec_load_deterministic(tmp_path):
-    spec = {"n_nodes": 20, "n_classes": 2, "feat_dim": 4,
-            "intra_class_edge_prob": 0.5, "inter_class_edge_prob": 0.1, "seed": 7}
-    p = tmp_path / "spec.json"
-    p.write_text(json.dumps(spec))
-    a = load_dataset(p, "synthetic-spec")
-    b = load_dataset(p, "synthetic-spec")
-    assert graphs_equal(a, b)
-    assert a.n_nodes == 20 and a.feat_dim == 4
 
 
 # -- uniform edge split --------------------------------------------------------

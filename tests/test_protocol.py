@@ -15,8 +15,9 @@ from sapgnn.protocol import (ProtocolError, _pool_layer, aggregate_local_grads, 
                              build_dataset, build_partition, evaluate, forward_pass,
                              holder_party, init_parties, run_training, verify_privacy_audit,
                              weight_update)
-from sapgnn.harness import compare_equivalence, train_centralized
-from sapgnn.wire import AuditLog, Channel, MessageKind
+from sapgnn.harness import (compare_equivalence, train_centralized, write_audit_jsonl,
+                            write_comm_csv)
+from sapgnn.wire import AuditLog, Channel, CommStats, MessageKind
 
 
 def make_config(P=2, n=24, kind="sum", mode="naive", share_mode="real", seed=9,
@@ -426,7 +427,7 @@ def test_a_refused_update_changes_nothing(share_mode, fault, message):
     weights = [w.copy() for w in server.weights]
     adams = [(a.m.copy(), a.v.copy(), a.step) for a in server.adams]
     blobs = [h.weights_blob() for h in session.holders]
-    sent, total = len(session.audit.records), session.comm.total()
+    sent, total = len(session.audit.records), CommStats.of(session.audit).total()
     with pytest.raises(ProtocolError, match=message):
         weight_update(session, server_grads, epoch=0)
     assert all(np.array_equal(a, b) for a, b in zip(server.weights, weights, strict=True))
@@ -434,7 +435,7 @@ def test_a_refused_update_changes_nothing(share_mode, fault, message):
         assert np.array_equal(a.m, m) and np.array_equal(a.v, v) and a.step == step
     assert [h.weights_blob() for h in session.holders] == blobs
     assert len(session.audit.records) == sent
-    assert session.comm.total() == total
+    assert CommStats.of(session.audit).total() == total
 
 
 def test_update_detects_divergence():
@@ -563,7 +564,7 @@ def test_audit_flags_gradshare_at_server():
 def test_audit_flags_unknown_kind():
     cfg = make_config(P=2, max_epochs=1)
     _, _, session = make_session(cfg)
-    session.audit.append("holder-0", "server", "SideChannel", "raw")
+    session.audit.append("holder-0", "server", "SideChannel", "raw", 0, 0, 16)
     report = verify_privacy_audit(session.audit, mode="naive")
     assert any("closed schema" in f.description for f in report.findings)
 
@@ -575,8 +576,8 @@ def run_log(request):
 
 
 # (sender, receiver, kind, schema) of records no run sends: each is off its
-# kind's route, or carries the node digests (`keys`) that row messages no
-# longer carry
+# kind's route, carries the node digests (`keys`) that row messages no
+# longer carry, or names holders the way no run does
 OFF_TABLE = {
     "pool-result-forged-by-a-holder": ("holder-0", "server", "PoolResult", "m,winner"),
     "partial-sum-from-the-server": ("server", "holder-0", "PartialSum", "partial"),
@@ -587,6 +588,10 @@ OFF_TABLE = {
     "pred-grad-with-keys": ("holder-0", "server", "PredGrad", "valid,g,keys"),
     "input-grad-with-keys": ("holder-0", "server", "InputGrad", "valid,g,keys"),
     "local-embedding-with-keys": ("holder-0", "server", "LocalEmbedding", "valid,t,keys"),
+    "grad-share-to-the-higher-holder": ("holder-0", "holder-1", "GradShare", "seed"),
+    "partial-sum-to-its-sender": ("holder-1", "holder-1", "PartialSum", "partial"),
+    "unregistered-holder": ("holder-7", "server", "PredGrad", "valid,g"),
+    "holder-registering-after-init": ("holder-7", "server", "NodeIndex", "keys,wants"),
 }
 
 
@@ -597,7 +602,7 @@ def test_audit_flags_a_record_off_its_route_or_fields(run_log, record):
     log.records = list(clean.records)
     assert verify_privacy_audit(log, mode=mode).ok
     sender, receiver, kind, schema = record
-    log.append(sender, receiver, kind, schema)
+    log.append(sender, receiver, kind, schema, 0, 0, 64)
     report = verify_privacy_audit(log, mode=mode)
     assert [(f.party, f.kind) for f in report.findings] == [(receiver, kind)], report.summary()
 
@@ -610,6 +615,19 @@ def test_comm_totals_are_consistent():
     assert res.comm.total() == sum(n for *_k, n in res.comm.rows())
     assert res.comm.bytes_for(kinds=[MessageKind.LOCAL_EMBEDDING]) > 0
     assert res.comm.bytes_for(kinds=[MessageKind.GRAD_SHARE]) > 0
+
+
+def test_comm_csv_is_rebuilt_from_the_exported_audit_log(tmp_path):
+    # the audit log is the one ledger of the wire: comm.csv folded from the
+    # log read back from audit.jsonl is the run's own, byte for byte
+    res = run_training(make_config(P=3, mode="secure-pooling", share_mode="fixed-point",
+                                   max_epochs=2))
+    write_comm_csv(res.comm, tmp_path / "comm.csv")
+    write_audit_jsonl(res.audit, tmp_path / "audit.jsonl")
+    back = AuditLog.from_jsonl((tmp_path / "audit.jsonl").read_text(encoding="utf-8"))
+    write_comm_csv(CommStats.of(back), tmp_path / "rebuilt.csv")
+    assert (tmp_path / "rebuilt.csv").read_bytes() == (tmp_path / "comm.csv").read_bytes()
+    assert {r.kind for r in back.records} >= {"PoolInput", "PoolResult", "PartialSum"}
 
 
 def test_no_gradshare_traffic_with_single_holder():
@@ -764,12 +782,12 @@ def test_a_backward_through_an_evaluation_sweep_with_dropout_is_refused():
     grads = [h.grad_acc for h in session.holders]
     flats = [g.flat() for g in grads]
     evaluate(session, epoch=0)
-    sent, total = len(session.audit.records), session.comm.total()
+    sent, total = len(session.audit.records), CommStats.of(session.audit).total()
     with pytest.raises(ProtocolError, match="layer 0 has dropout 0.5 but its tape comes from "
                                             "an evaluation sweep"):
         backward_pass(session, epoch=0)
     assert len(session.audit.records) == sent
-    assert session.comm.total() == total
+    assert CommStats.of(session.audit).total() == total
     for holder, g, flat in zip(session.holders, grads, flats, strict=True):
         assert holder.grad_acc is g
         assert np.array_equal(g.flat(), flat)
@@ -926,7 +944,7 @@ def test_holder_traffic_ignores_another_holders_component(mode):
         session = init_parties(cfg, grown)
         forward_pass(session, train=True, epoch=0)
         backward_pass(session, epoch=0)
-        counts.append({key: n for key, n in session.comm.counts.items()
+        counts.append({key: n for key, n in CommStats.of(session.audit).counts.items()
                        if "holder-0" in key[1]})
     assert counts[0]
     assert counts[1] == counts[0]

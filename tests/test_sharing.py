@@ -164,11 +164,11 @@ def test_boolean_round_trip():
 # -- secure aggregation ------------------------------------------------------------
 
 class RecordingChannel(Channel):
-    """A metered channel that also keeps a copy of every delivered message
+    """A channel that also keeps a copy of every delivered message
     (the receiver owns what it is handed and may add into it)."""
 
     def __init__(self):
-        super().__init__(CommStats(), AuditLog())
+        super().__init__(AuditLog())
         self.delivered = []
 
     def send(self, sender, receiver, kind, layer, epoch, fields, sender_id=-1):
@@ -287,7 +287,7 @@ def test_single_holder_aggregate_is_identity():
     v = np.array([1.0, -2.0])
     total, channel = run_sum([v], 2)
     assert np.array_equal(total, v)
-    assert len(channel.audit) == 0 and channel.comm.total() == 0
+    assert len(channel.audit) == 0 and CommStats.of(channel.audit).total() == 0
 
 
 def test_secure_sum_keeps_few_vectors_alive():
@@ -299,7 +299,7 @@ def test_secure_sum_keeps_few_vectors_alive():
     rng = make_rng(12, 0)
     vectors = [rng.uniform(-1.0, 1.0, size=L) for _ in range(P)]
     rngs = [make_rng(12, ("holder", p)) for p in range(P)]
-    channel = Channel(CommStats(), AuditLog())
+    channel = Channel(AuditLog())
     tracemalloc.start()
     try:
         total = secure_sum(channel, vectors, rngs, "fixed-point", epoch=0)
@@ -353,7 +353,7 @@ def test_secure_sum_properties(inputs):
     seed_bytes = len(encode_message(MessageKind.GRAD_SHARE, -1, 0, 0,
                                     {"seed": np.zeros(SEED_WORDS, dtype=np.uint64)}))
     assert seed_bytes == 67
-    assert channel.comm.bytes_for(["GradShare"]) == P * (P - 1) // 2 * seed_bytes
+    assert CommStats.of(channel.audit).bytes_for(["GradShare"]) == P * (P - 1) // 2 * seed_bytes
     for _s, _r, kind, fields in channel.delivered:
         if kind == "GradShare":
             assert list(fields) == ["seed"]
@@ -447,7 +447,7 @@ def test_secure_sum_refuses_a_non_finite_gradient_by_holder(mode, bad):
     channel = RecordingChannel()
     with pytest.raises(ProtocolError, match="holder 1: .*NaN"):
         run_sum(vecs, 2, mode, channel=channel)
-    assert len(channel.audit) == 0 and channel.comm.total() == 0
+    assert len(channel.audit) == 0 and CommStats.of(channel.audit).total() == 0
 
 
 # -- secure argmax ------------------------------------------------------------------

@@ -18,6 +18,7 @@ from sapgnn.config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
 from sapgnn.gnn import ModelConfig
 from sapgnn.protocol import (ProtocolError, backward_pass, build_dataset, build_partition,
                              evaluate, forward_pass, init_parties, weight_update)
+from sapgnn.wire import CommStats
 
 CALLS = ("train", "evaluate", "step")
 
@@ -84,7 +85,7 @@ def test_reusing_a_kept_sweep_changes_no_result(case):
     for epoch, name in enumerate(calls):
         assert_same(call(reusing, name, epoch, clear=False), call(twin, name, epoch, clear=True))
         assert_same(weights(reusing), weights(twin))
-        assert reusing.comm.total() <= twin.comm.total()
+        assert CommStats.of(reusing.audit).total() <= CommStats.of(twin.audit).total()
 
 
 @pytest.mark.parametrize("kind, message_linear", [("sum", False), ("gated", False),
@@ -104,4 +105,4 @@ def test_an_evaluation_then_a_training_sweep_reuses_the_pool(kind, message_linea
     for epoch, name in enumerate(calls):
         assert_same(call(reusing, name, epoch, clear=False), call(twin, name, epoch, clear=True))
     assert_same(weights(reusing), weights(twin))
-    assert reusing.comm.total() < twin.comm.total()
+    assert CommStats.of(reusing.audit).total() < CommStats.of(twin.audit).total()

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import struct
 
@@ -98,7 +99,7 @@ def test_channel_delivers_writable_arrays_that_share_no_memory():
     fields = {"t": np.arange(6, dtype=np.float64).reshape(2, 3),
               "valid": np.ones(2, dtype=np.uint8), "z": np.zeros((0, 4))}
     fields["tt"] = fields["t"].T
-    chan = Channel(CommStats(), AuditLog())
+    chan = Channel(AuditLog())
     out = chan.send("holder-0", "server", MessageKind.LOCAL_EMBEDDING, 0, 0, fields)
     for name, sent in fields.items():
         got = out[name]
@@ -111,46 +112,95 @@ def test_channel_delivers_writable_arrays_that_share_no_memory():
 
 
 def test_comm_stats_accounting():
-    comm = CommStats()
-    comm.add(MessageKind.LOCAL_EMBEDDING, "holder-0->server", 0, 0, 100)
-    comm.add(MessageKind.LOCAL_EMBEDDING, "holder-0->server", 1, 0, 50)
-    comm.add(MessageKind.GRAD_SHARE, "holder-0->holder-1", -1, 0, 30)
-    comm.add(MessageKind.LOCAL_EMBEDDING, "holder-0->server", 0, 1, 10)
+    # the counters are a fold over the audit log, keyed by kind, direction,
+    # layer and epoch
+    log = AuditLog()
+    log.append("holder-0", "server", "LocalEmbedding", "valid,t", 0, 0, 100)
+    log.append("holder-0", "server", "LocalEmbedding", "valid,t", 1, 0, 50)
+    log.append("holder-1", "holder-0", "GradShare", "seed", -1, 0, 30)
+    log.append("holder-0", "server", "LocalEmbedding", "valid,t", 0, 1, 10)
+    comm = CommStats.of(log)
     assert comm.total() == 190
     assert comm.bytes_for(kinds=[MessageKind.LOCAL_EMBEDDING]) == 160
     assert comm.bytes_for(kinds=[MessageKind.LOCAL_EMBEDDING], epoch=0) == 150
+    assert comm.counts[("LocalEmbedding", "holder-0->server", 1, 0)] == 50
     rows = comm.rows()
-    assert rows[0] == (0, MessageKind.GRAD_SHARE.value, "holder-0->holder-1", 30)
+    assert rows[0] == (0, MessageKind.GRAD_SHARE.value, "holder-1->holder-0", 30)
     # counters only grow
     before = comm.total()
-    comm.add(MessageKind.PRED_GRAD, "holder-1->server", 2, 0, 5)
-    assert comm.total() == before + 5
+    log.append("holder-1", "server", "PredGrad", "valid,g", 2, 0, 5)
+    assert CommStats.of(log).total() == before + 5
+    # a hand-built CommStats counts the same way
+    built = CommStats()
+    built.add(MessageKind.LOCAL_EMBEDDING, "holder-0->server", 0, 0, 100)
+    built.add("LocalEmbedding", "holder-0->server", 0, 0, 1)
+    assert built.counts == {("LocalEmbedding", "holder-0->server", 0, 0): 101}
 
 
 def test_channel_meters_and_audits():
-    comm, audit = CommStats(), AuditLog()
-    chan = Channel(comm, audit)
+    audit = AuditLog()
+    chan = Channel(audit)
     sent = np.arange(6, dtype=np.float64).reshape(2, 3)
-    out = chan.send("holder-0", "server", MessageKind.LOCAL_EMBEDDING, 0, 0, {"t": sent})
+    out = chan.send("holder-0", "server", MessageKind.LOCAL_EMBEDDING, 1, 2, {"t": sent})
     assert np.array_equal(out["t"], sent)
     assert out["t"] is not sent        # the receiver gets a decoded copy
-    assert comm.total() > sent.nbytes  # header overhead included
+    assert CommStats.of(audit).total() > sent.nbytes  # header overhead included
     assert len(audit) == 1
     rec = audit.records[0]
     assert (rec.sender, rec.receiver, rec.kind) == ("holder-0", "server", "LocalEmbedding")
     assert rec.schema == "t"
+    # the record carries the message's layer, epoch and encoded size
+    assert (rec.layer, rec.epoch) == (1, 2)
+    assert rec.n_bytes == len(encode_message(MessageKind.LOCAL_EMBEDDING, 1, 2, -1, {"t": sent}))
 
 
 # -- audit log ------------------------------------------------------------------------
 
-def test_audit_log_jsonl_round_trip():
+def _two_record_log() -> AuditLog:
     log = AuditLog()
-    log.append("holder-0", "server", "LocalEmbedding", "keys,t")
-    log.append("server", "holder-0", "GlobalEmbedding", "keys,h")
+    log.append("holder-0", "server", "LocalEmbedding", "valid,t", 0, 3, 120)
+    log.append("server", "holder-0", "GlobalEmbedding", "valid,h", 1, 3, 88)
+    return log
+
+
+def test_audit_log_jsonl_round_trip():
+    log = _two_record_log()
     text = log.to_jsonl()
     back = AuditLog.from_jsonl(text)
     assert [r.__dict__ for r in back.records] == [r.__dict__ for r in log.records]
     assert back.records[0].ts == 0 and back.records[1].ts == 1
+    assert sorted(json.loads(text.splitlines()[0])) == [
+        "epoch", "kind", "layer", "n_bytes", "receiver", "schema", "sender", "ts"]
+
+
+def _second_line(edit) -> str:
+    first, second = _two_record_log().to_jsonl().splitlines()
+    record = json.loads(second)
+    edit(record)
+    return first + "\n" + json.dumps(record) + "\n"
+
+
+@pytest.mark.parametrize("text,reason", [
+    *[pytest.param(_second_line(lambda r, k=key: r.pop(k)), f"line 2 lacks the key '{key}'",
+                   id=f"no-{key}")
+      for key in ("ts", "sender", "receiver", "kind", "schema", "layer", "epoch", "n_bytes")],
+    pytest.param(_second_line(lambda r: r.update(n_bytes="88")), "line 2: 'n_bytes' is str",
+                 id="bytes-as-string"),
+    pytest.param(_second_line(lambda r: r.update(layer=1.0)), "line 2: 'layer' is float",
+                 id="layer-as-float"),
+    pytest.param(_second_line(lambda r: r.update(epoch=True)), "line 2: 'epoch' is bool",
+                 id="epoch-as-bool"),
+    pytest.param(_second_line(lambda r: r.update(sender=0)), "line 2: 'sender' is int",
+                 id="sender-as-int"),
+    pytest.param(_second_line(lambda r: r.update(payload=[1.5])), r"line 2 has unknown keys",
+                 id="unknown-key"),
+    pytest.param("[1, 2]\n", "line 1 is a JSON list, not an object", id="list"),
+    pytest.param("\n\n7\n", "line 3 is a JSON int, not an object", id="number"),
+    pytest.param('{"ts": 0,\n', "line 1 is not JSON", id="not-json"),
+])
+def test_malformed_audit_log_raises_value_error(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        AuditLog.from_jsonl(text)
 
 
 # -- malformed buffers -------------------------------------------------------------
