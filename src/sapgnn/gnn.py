@@ -7,9 +7,9 @@ primitives drive both the multi-party protocol and the single-machine model
 it is compared against, so a P=1 protocol run reproduces the reference
 bit for bit.
 
-Max pooling records, per element, which source contributed the maximum
-(ties to the lowest node rank); the backward pass routes the subgradient to
-exactly that source.
+Max pooling records, per element, the neighbour position of the source that
+contributed the maximum (ties to the lowest node rank); the backward pass
+resolves it to that source's row and routes the subgradient there alone.
 """
 
 from __future__ import annotations
@@ -185,8 +185,9 @@ class NeighborIndex:
     src[offsets[j]:offsets[j+1]], one per destination of in-degree above j,
     in `dst` order, and each destination's sources ascend with j. `sources`
     lists, ascending, the rows that are the source of some edge: the only
-    rows whose message is ever read. Each holder builds its index once, and
-    every layer and epoch pools through it.
+    rows whose message is ever read. `slot` maps each participating row to
+    its position in `dst`, -1 for an isolated row. Each holder builds its
+    index once, and every layer and epoch pools through it.
     """
 
     rows: np.ndarray     # (r,) ascending participating rows
@@ -194,13 +195,17 @@ class NeighborIndex:
     src: np.ndarray      # (E,) source rows, position-major
     offsets: np.ndarray  # (K + 1,) position j's sources start at offsets[j]
     sources: np.ndarray  # (s,) ascending rows that feed some destination
+    slot: np.ndarray     # (r,) each row's position in dst, -1 if isolated
 
     @classmethod
     def from_edges(cls, edge_ranks: np.ndarray, isolated: np.ndarray) -> "NeighborIndex":
         edge_ranks = np.asarray(edge_ranks, dtype=np.int64).reshape(-1, 2)
-        directed = np.concatenate([edge_ranks, edge_ranks[:, ::-1]], axis=0)
-        order = np.lexsort((directed[:, 1], directed[:, 0]))
-        dst, src = directed[order, 0], directed[order, 1]
+        # one sort of the key dst * base + src orders the directed edges by
+        # destination, then source; equal keys are equal (dst, src) pairs
+        base = int(edge_ranks.max(initial=0)) + 1
+        key = np.sort(np.concatenate([edge_ranks[:, 0] * base + edge_ranks[:, 1],
+                                      edge_ranks[:, 1] * base + edge_ranks[:, 0]]))
+        dst, src = np.divmod(key, base)
         nodes, starts, degree = np.unique(dst, return_index=True, return_counts=True)
         by_degree = np.argsort(-degree, kind="stable")
         column = np.empty_like(by_degree)
@@ -211,25 +216,35 @@ class NeighborIndex:
         flat = np.empty_like(src)
         flat[offsets[position] + column[node_of_edge]] = src
         rows = np.union1d(nodes, np.asarray(isolated, dtype=np.int64))
+        dst_rows = np.searchsorted(rows, nodes[by_degree])
+        slot = np.full(len(rows), -1, dtype=np.int64)
+        slot[dst_rows] = np.arange(len(dst_rows))
         # every edge runs both ways, so the sources are the destinations
-        return cls(rows=rows, dst=np.searchsorted(rows, nodes[by_degree]), src=flat,
-                   offsets=offsets, sources=nodes)
+        return cls(rows=rows, dst=dst_rows, src=flat, offsets=offsets, sources=nodes,
+                   slot=slot)
+
+    def source_of(self, slot: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The source rows at neighbour positions `pos` of the destinations
+        at `slot` (positions in `dst`), element-wise."""
+        return self.src[self.offsets[pos] + slot]
 
 
 @dataclass
 class LocalTape:
     """Forward record one holder needs to run its backward pass, one row
     per participating row: row i of every array belongs to holder row
-    `rows[i]`."""
+    `rows[i]`. An isolated row (slot -1 in the index) pools the constant
+    zero message, so its `pos` is 0 and routes no max subgradient."""
 
-    rows: np.ndarray          # (r,) ascending participating rows
-    sources: np.ndarray       # the index's sources, the only rows a message gradient reaches
-    winner: np.ndarray        # (r, d_in) source row of the pooled max, -1 if none
-    m: np.ndarray             # (r, d_in) pooled messages
+    idx: NeighborIndex        # the layer's index, which resolves pos to source rows
+    pos: np.ndarray           # (r, d_in) neighbour position of the pooled max, first_max's dtype
+    m: np.ndarray | None      # (r, d_in) pooled messages, kept for the gated update only
     pre_gate: np.ndarray | None  # (r, d_in) W_g h of the gated update
-    # winner == -1 means the pooled message is the constant zero vector (an
-    # owned node with no neighbors anywhere), so no max subgradient is
-    # routed for it.
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(r,) ascending participating rows."""
+        return self.idx.rows
 
 
 def pooled_messages(msg: np.ndarray, idx: NeighborIndex):
@@ -240,21 +255,21 @@ def pooled_messages(msg: np.ndarray, idx: NeighborIndex):
     lowest source rank among the maxima. The running max is one of the
     messages bit for bit, except that a tie between -0.0 and +0.0 may keep
     either sign; so only where it is zero is the max read back from the
-    winner's message. Returns (m, winner), one row per destination in the
-    order of `idx.dst`.
+    winner's message. Returns (m, pos), one row per destination in the
+    order of `idx.dst`: m[i, k] came from neighbour position pos[i, k], the
+    source row `idx.source_of(i, pos[i, k])`. pos is in first_max's dtype.
     """
     d_msg = msg.shape[1]
     K = len(idx.offsets) - 1
     if not K:
-        return np.empty((0, d_msg)), np.empty((0, d_msg), dtype=np.int64)
+        return np.empty((0, d_msg)), np.empty((0, d_msg), dtype=np.uint8)
     best, pos = first_max((msg[s] for s in np.split(idx.src, idx.offsets[1:-1])), K)
-    # destination i's source at position j sits at offsets[j] + i
-    won = idx.src.take(idx.offsets.take(pos) + np.arange(len(best))[:, None])
     # best is first_max's own C-ordered array, so flat is a view of it
     flat = best.ravel()
     zero = np.flatnonzero(flat == 0.0)
-    flat[zero] = msg.ravel()[won.ravel()[zero] * d_msg + zero % d_msg]
-    return best, won
+    slot, col = np.divmod(zero, d_msg)
+    flat[zero] = msg[idx.source_of(slot, pos.ravel()[zero]), col]
+    return best, pos
 
 
 def _apply_update(kind: UpdateKind, h: np.ndarray, m: np.ndarray, gate) -> np.ndarray:
@@ -291,18 +306,20 @@ def local_embedding(h: np.ndarray, idx: NeighborIndex, kind: UpdateKind,
     else:
         msg = np.zeros((h.shape[0], w_message.shape[0]))
         msg[idx.sources] = h[idx.sources] @ w_message.T
-    best, won = pooled_messages(msg, idx)
+    best, pos = pooled_messages(msg, idx)
     rows = idx.rows
     m = np.zeros((len(rows), msg.shape[1]))
     m[idx.dst] = best
-    winner = np.full(m.shape, -1, dtype=np.int64)
-    winner[idx.dst] = won
+    pos_rows = np.zeros(m.shape, dtype=pos.dtype)
+    pos_rows[idx.dst] = pos
 
     h_rows = h[rows]
-    pre_gate = h_rows @ w_gate.T if kind is UpdateKind.GATED else None
-    gate = relu(pre_gate) if pre_gate is not None else None
+    gated = kind is UpdateKind.GATED
+    pre_gate = h_rows @ w_gate.T if gated else None
+    gate = relu(pre_gate) if gated else None
     t = _apply_update(kind, h_rows, m, gate)
-    return t, LocalTape(rows=rows, sources=idx.sources, winner=winner, m=m, pre_gate=pre_gate)
+    # only the gated backward reads m
+    return t, LocalTape(idx=idx, pos=pos_rows, m=m if gated else None, pre_gate=pre_gate)
 
 
 def local_backward(h: np.ndarray, tape: LocalTape, kind: UpdateKind,
@@ -345,16 +362,24 @@ def local_backward(h: np.ndarray, tape: LocalTape, kind: UpdateKind,
     else:  # pragma: no cover
         raise ValueError(kind)
 
-    # each max subgradient goes to the winning source of its column; an
-    # isolated row's constant zero message (winner -1) routes nowhere. The
-    # message is h itself without a map, so the scatter lands in dH directly.
-    vi, vk = np.nonzero((dM != 0.0) & (tape.winner >= 0))
-    grad_msg = dH if w_message is None else np.zeros((n, dM.shape[1]))
-    np.add.at(grad_msg, (tape.winner[vi, vk], vk), dM[vi, vk])
+    # each max subgradient goes to the winning source of its column, whose
+    # row is resolved here for the routed entries only; an isolated row's
+    # constant zero message (slot -1) routes nowhere. The message is h
+    # itself without a map, so the scatter lands in dH directly. One scatter
+    # over flat positions takes the entries in row-major order, so each
+    # element sums its terms in a fixed order; grad_msg and pos are fresh
+    # C-ordered arrays, so their ravel() are views.
+    idx = tape.idx
+    d_msg = dM.shape[1]
+    live = np.flatnonzero((dM != 0.0) & (idx.slot >= 0)[:, None])
+    vi, vk = np.divmod(live, d_msg)
+    src = idx.source_of(idx.slot[vi], tape.pos.ravel()[live])
+    grad_msg = dH if w_message is None else np.zeros((n, d_msg))
+    np.add.at(grad_msg.ravel(), src * d_msg + vk, dM.ravel()[live])
     if w_message is not None:
         dw_message = grad_msg.T @ h
         # only a source row wins a max, so the other rows of grad_msg are 0
-        dH[tape.sources] += grad_msg[tape.sources] @ w_message
+        dH[idx.sources] += grad_msg[idx.sources] @ w_message
     return dw_message, dw_gate, dH
 
 

@@ -766,11 +766,13 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
     embedding). Each holder it names must have sent a NodeIndex before the
     log's first record of another kind (the run's holders register at
     init), a GradShare must go to the pair's lower holder and a PartialSum
-    to another holder than its sender. A record yields at most one
-    finding, at its receiver. What each party may learn from the schema is
-    set out in the README ("What each party sees"). The check reads kinds,
-    parties and field names, not payloads: a payload that leaks more than
-    its schema promises is caught by the protocol tests, not here.
+    to another holder than its sender. Each record's `ts` must be its
+    position in the log, so a record reordered, replayed or dropped after
+    the run is found. A record yields at most one finding, at its receiver.
+    What each party may learn from the schema is set out in the README
+    ("What each party sees"). The check reads kinds, parties and field
+    names, not payloads: a payload that leaks more than its schema promises
+    is caught by the protocol tests, not here.
     """
     routes = {kind.value: route for kind, route in ROUTES.items()}
     if mode is None:
@@ -779,7 +781,7 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
         mode = "secure-pooling" if secure else "naive"
     findings: list[Finding] = []
     registered, at_init = set(), True    # the holders whose NodeIndex opens the log
-    for rec in log.records:
+    for position, rec in enumerate(log.records):
         route = routes.get(rec.kind)
         at_init = at_init and rec.kind == MessageKind.NODE_INDEX.value
         if at_init and holder_index(rec.sender) >= 0:
@@ -804,6 +806,9 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
                        f"{rec.sender} to {rec.receiver}")
         elif rec.kind == MessageKind.PARTIAL_SUM.value and rec.sender == rec.receiver:
             problem = "sent to its own sender"
+        elif rec.ts != position:
+            problem = ("out of its place in the log (ts is not its position): reordered, "
+                       "replayed or dropped")
         else:
             continue
         finding = Finding(party=rec.receiver, kind=rec.kind, description=problem)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -74,7 +75,12 @@ def test_pooled_messages_matches_scan(inputs):
     edges, msg = inputs
     n = msg.shape[0]
     idx = NeighborIndex.from_edges(edges, [])
-    m, winner = pooled_messages(msg, idx)
+    K = len(idx.offsets) - 1
+    slots = np.arange(len(idx.dst))[:, None]
+    m, pos = pooled_messages(msg, idx)
+    # positions come in first_max's dtype: uint16 for the 300-neighbour hub
+    assert pos.dtype == np.min_scalar_type(max(K - 1, 0))
+    winner = idx.source_of(slots, pos)
     want_m, want_winner = scan_pool(edges, msg)
     # one row per destination in idx.dst order, compared by bit pattern:
     # array_equal takes -0.0 == +0.0 and would miss a sign flip
@@ -88,7 +94,8 @@ def test_pooled_messages_matches_scan(inputs):
     for s in range(n):
         lowered = msg.copy()
         lowered[s] -= 1.0
-        m2, winner2 = pooled_messages(lowered, idx)
+        m2, pos2 = pooled_messages(lowered, idx)
+        winner2 = idx.source_of(slots, pos2)
         others = winner != s
         assert np.array_equal(m2[others], m[others])
         assert np.array_equal(winner2[others], winner[others])
@@ -112,7 +119,7 @@ def test_local_embedding_leaves_out_non_participating_rows():
     t, tape = local_embedding(h, idx, UpdateKind.GATED, np.eye(2), np.eye(2))
     assert tape.rows.tolist() == [1, 3, 4]   # row 4 is isolated in the combined graph
     assert np.array_equal(t, [[2.0 * 6.0, 3.0 * 7.0], [6.0 * 2.0, 7.0 * 3.0], [0.0, 0.0]])
-    for a in (t, tape.winner, tape.m, tape.pre_gate):
+    for a in (t, tape.pos, tape.m, tape.pre_gate):
         assert a.shape == (3, 2)
 
 
@@ -121,7 +128,41 @@ def test_local_embedding_isolated_node_keeps_state():
     idx = NeighborIndex.from_edges(np.empty((0, 2)), [0])
     t, tape = local_embedding(h, idx, UpdateKind.SUM, None, None)
     assert np.array_equal(t[0], [5.0, -1.0])   # zero message: state passes through
-    assert tape.rows.tolist() == [0] and tape.winner[0, 0] == -1
+    assert tape.rows.tolist() == [0] and idx.slot.tolist() == [-1]
+    # its constant zero message has no source, so the gradient stays on the row
+    R = np.array([[2.0, 3.0]])
+    _, _, dH = local_backward(h, tape, UpdateKind.SUM, None, None, R)
+    assert np.array_equal(dH, R)
+
+
+@pytest.mark.parametrize("kind", [UpdateKind.SUM, UpdateKind.GATED])
+@pytest.mark.parametrize("hub", [40, 300])
+def test_the_tape_keeps_first_max_positions_and_no_source_rows(kind, hub):
+    # a hub of in-degree `hub` among random edges: below 257 neighbour
+    # positions the tape holds one byte per pooled element
+    rng = make_rng(72, hub)
+    n, d = 400, 6
+    edges = np.concatenate([rng.integers(0, n, size=(600, 2)),
+                            np.stack([np.zeros(hub, dtype=np.int64), np.arange(1, hub + 1)],
+                                     axis=1)])
+    idx = NeighborIndex.from_edges(edges, [])
+    K = len(idx.offsets) - 1
+    h = rng.normal(size=(n, d))
+    w_gate = rng.normal(size=(d, d)) if kind is UpdateKind.GATED else None
+    _, tape = local_embedding(h, idx, kind, None, w_gate)
+    r = len(tape.rows)
+    assert tape.pos.dtype == np.min_scalar_type(K - 1) and tape.pos.shape == (r, d)
+    assert (tape.pos.itemsize == 1) == (K <= 256)
+    # the pooled message is kept for the gated backward only
+    assert (tape.m is None) == (kind is not UpdateKind.GATED)
+    arrays = [getattr(tape, f.name) for f in dataclasses.fields(tape)]
+    assert not any(isinstance(a, np.ndarray) and a.dtype == np.int64 and a.shape == (r, d)
+                   for a in arrays)
+    # the positions name the sources a brute-force scan picks, in row order
+    _, want = scan_pool(edges, h)
+    live = idx.slot >= 0
+    got = idx.source_of(idx.slot[live][:, None], tape.pos[live])
+    assert np.array_equal(got, want[tape.rows[live]])
 
 
 def test_local_embedding_matches_bruteforce_replay():
@@ -199,11 +240,12 @@ def brute_backward(h, tape, kind, w_message, w_gate, R):
         else:
             dH[v] += R[i]
             dM[i] = -R[i] if kind is UpdateKind.NEGATED_SUM else R[i]
+    idx = tape.idx
     for i, grad in dM.items():
+        if idx.slot[i] < 0:
+            continue    # an isolated row's zero message has no source
         for k, g in enumerate(grad):
-            u = tape.winner[i, k]
-            if u < 0:
-                continue
+            u = idx.source_of(idx.slot[i], tape.pos[i, k])
             if w_message is None:
                 dH[u, k] += g
             else:
@@ -322,7 +364,7 @@ def test_star_index_and_pool_take_memory_linear_in_edges(n):
     # A star listed both ways has 4(n-1) directed edges and a hub of in-degree
     # 2(n-1): a layout padded to the largest in-degree would hold O(n^2)
     # entries. The peak of one index build and one local embedding, in units
-    # of E x d float64 entries, measured 1.98 at n=2,000 and 1.95 at n=8,000;
+    # of E x d float64 entries, measured 2.01 at n=2,000 and 1.98 at n=8,000;
     # the (K, r) padded layout took 129 and 502 (980 MiB at n=8,000).
     d = 8
 

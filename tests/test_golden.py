@@ -5,13 +5,23 @@ Any change to the numbers a run computes, the bytes it sends or the records
 it logs changes one of these hashes. A refactor must leave them all alone;
 a deliberate change of behaviour updates them and says so in CHANGES.md.
 The hashes were taken with numpy 2.4 and OpenBLAS on x86-64; a different
-BLAS may round matrix products differently and change them.
+BLAS may round matrix products differently and change them. So may another
+OpenBLAS thread count: p4-gated-linear-real's metrics.csv reads one hash on
+one thread and another on two. Each run therefore goes to a child process
+(this file run as a script) started with OPENBLAS_NUM_THREADS=1, whatever
+the suite's own setting: one thread is the count every host can run.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sapgnn
 from sapgnn.config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
 from sapgnn.gnn import ModelConfig
 from sapgnn.harness import (train_centralized, train_sp, write_audit_jsonl, write_comm_csv,
@@ -71,7 +81,7 @@ PROTOCOL_GOLDEN = {
         "4ca51337127b8283d00fb0682da15516223083853a6a4694c456b62fb5f6726e",
         "cdb7830366f77baa062c30cdc7f3cb4b5fc5089657e021fcb9c8e53521ec57a5"),
     "p4-gated-linear-real": (
-        "ec126f331701832192dec74a0ae53e43e1b4f4f59ec4cafe5fffc606b3ed2f32",
+        "3ea3bab4c94fa765250855ff14bf67fd5a9c1c143e48e4977e6559ee78f775d4",
         "29d88284a7f400854acd345a4f04008689874819d2263b3c878d47ead5390117",
         "83ee106628ae69eb7ed076192bc12cbaaf3a1cb687c58aef064d2e9771579bd1"),
 }
@@ -90,28 +100,27 @@ SP_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOL_GOLDEN))
-def test_protocol_outputs_match_golden_hashes(name, tmp_path):
+BLAS_THREADS = "1"
+
+
+def protocol_hashes(name: str, out: Path) -> tuple:
     res = run_training(golden_config(name))
-    write_metrics_csv(res.metrics_rows, tmp_path / "metrics.csv")
-    write_comm_csv(res.comm, tmp_path / "comm.csv")
-    write_audit_jsonl(res.audit, tmp_path / "audit.jsonl")
-    got = tuple(sha256(tmp_path / f) for f in ("metrics.csv", "comm.csv", "audit.jsonl"))
-    assert got == PROTOCOL_GOLDEN[name]
+    write_metrics_csv(res.metrics_rows, out / "metrics.csv")
+    write_comm_csv(res.comm, out / "comm.csv")
+    write_audit_jsonl(res.audit, out / "audit.jsonl")
+    return tuple(sha256(out / f) for f in ("metrics.csv", "comm.csv", "audit.jsonl"))
 
 
-@pytest.mark.parametrize("name", sorted(CENTRALIZED_GOLDEN))
-def test_centralized_metrics_match_golden_hash(name, tmp_path):
+def centralized_hash(name: str, out: Path) -> str:
     cfg = golden_config(name)
     res = train_centralized(build_dataset(cfg.dataset), cfg.model, lr=cfg.train.lr,
                             max_epochs=cfg.train.max_epochs, patience=cfg.train.patience,
                             seed=cfg.train.seed)
-    write_metrics_csv(res.metrics_rows, tmp_path / "metrics.csv")
-    assert sha256(tmp_path / "metrics.csv") == CENTRALIZED_GOLDEN[name]
+    write_metrics_csv(res.metrics_rows, out / "metrics.csv")
+    return sha256(out / "metrics.csv")
 
 
-@pytest.mark.parametrize("name", sorted(SP_GOLDEN))
-def test_separate_training_metrics_match_golden_hashes(name, tmp_path):
+def separate_training_hashes(name: str, out: Path) -> tuple:
     cfg = golden_config(name)
     g = build_dataset(cfg.dataset)
     sp = train_sp(build_partition(g, cfg.partition), g, cfg.model, lr=cfg.train.lr,
@@ -119,6 +128,42 @@ def test_separate_training_metrics_match_golden_hashes(name, tmp_path):
                   seed=cfg.train.seed)
     got = []
     for p, res in enumerate(sp.holder_results):
-        write_metrics_csv(res.metrics_rows, tmp_path / f"metrics{p}.csv")
-        got.append(sha256(tmp_path / f"metrics{p}.csv"))
-    assert tuple(got) == SP_GOLDEN[name]
+        write_metrics_csv(res.metrics_rows, out / f"metrics{p}.csv")
+        got.append(sha256(out / f"metrics{p}.csv"))
+    return tuple(got)
+
+
+RUNS = {f.__name__: f for f in (protocol_hashes, centralized_hash, separate_training_hashes)}
+
+
+def pinned(run, name: str, out: Path):
+    """run(name, out) in a child process on BLAS_THREADS OpenBLAS threads."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": BLAS_THREADS,
+           "PYTHONPATH": os.pathsep.join([str(Path(sapgnn.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, __file__, run.__name__, name, str(out)], env=env,
+                           capture_output=True, text=True, check=False)
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
+    return tuple(got) if isinstance(got, list) else got
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_GOLDEN))
+def test_protocol_outputs_match_golden_hashes(name, tmp_path):
+    assert pinned(protocol_hashes, name, tmp_path) == PROTOCOL_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CENTRALIZED_GOLDEN))
+def test_centralized_metrics_match_golden_hash(name, tmp_path):
+    assert pinned(centralized_hash, name, tmp_path) == CENTRALIZED_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SP_GOLDEN))
+def test_separate_training_metrics_match_golden_hashes(name, tmp_path):
+    assert pinned(separate_training_hashes, name, tmp_path) == SP_GOLDEN[name]
+
+
+if __name__ == "__main__":
+    # python tests/test_golden.py RUN NAME OUT_DIR: one golden run, its hashes as JSON
+    run, name, out = sys.argv[1:]
+    print(json.dumps(RUNS[run](name, Path(out))))
