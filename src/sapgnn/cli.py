@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import RunConfig, apply_overrides
 from .graphs import load_dataset, write_dataset
 from .harness import (ExperimentSpec, SWEEP_HEADER, compare_equivalence, run_sweep,
                       train_centralized, train_sp, write_audit_jsonl, write_comm_csv,
                       write_metrics_csv)
-from .protocol import (ProtocolError, build_dataset, build_partition, run_training,
+from .protocol import (ProtocolError, build_dataset, build_partition, holder_pool, run_training,
                        verify_privacy_audit)
 from .wire import AuditLog
 
@@ -52,6 +55,18 @@ def _write_run_outputs(res, out_dir: Path):
     if len(res.audit):
         write_comm_csv(res.comm, out_dir / "comm.csv")
         write_audit_jsonl(res.audit, out_dir / "audit.jsonl")
+
+
+def _write_run_record(out_dir: Path):
+    """run.json: what a run's hashes depend on besides its config. OpenBLAS
+    rounds some products differently on another thread count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    pool = holder_pool()
+    record = {"numpy": np.__version__, "blas": blas.get("name"),
+              "blas_version": blas.get("version"),
+              "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+              "usable_cpus": pool.usable_cpus, "holder_workers": len(pool.worker_cpus)}
+    (out_dir / "run.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
 def cmd_gen_data(args) -> int:
@@ -121,6 +136,7 @@ def cmd_train_sapgnn(args) -> int:
     cfg = _load_config(args)
     res = run_training(cfg)
     _write_run_outputs(res, Path(args.out))
+    _write_run_record(Path(args.out))
     report = verify_privacy_audit(res.audit, mode=cfg.mode)
     print(f"sapgnn ({cfg.mode}, {cfg.share_mode} shares): best epoch {res.best_epoch}, "
           f"test accuracy {res.final['test_accuracy']:.4f}, "

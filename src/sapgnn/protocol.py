@@ -19,6 +19,20 @@ Each training epoch runs four phases in lock step:
      themselves (the server sees none of it) and apply identical optimizer
      steps, preserving the replication invariant.
 
+Holders compute at once. Each phase's per-holder work (a holder's setup,
+its local layer, its placement of a global layer, its predictions and
+prediction gradient, its chain through a local layer's backward, its
+masking in the secure sum and its optimizer step) runs as one step per
+holder on a process-wide pool: the calling thread plus one worker pinned
+to each other usable CPU. The server's pooling, maps and accumulations,
+and the GradShare and PartialSum rounds, stay in the calling thread. A step
+sends through an outbox of its own; the caller appends the outboxes to the
+run's log in holder order, each record restamped with its position, and
+adds what the server receives in holder order too. So the log, the byte
+counts and every output read exactly as if the holders had run one after
+another, on any number of CPUs; a step that is refused leaves the log as
+the sequential order would have left it at that point and raises its error.
+
 After each update, an evaluation forward sweep scores the new weights. What
 a sweep computed is kept until an update changes something it read. Layer
 0's pool reads only the features and layer 0's holder weights, the layers
@@ -33,6 +47,11 @@ folded from it reflect exactly what each party could observe.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +76,119 @@ MAX_HOLDERS = int(np.iinfo(np.int8).max)
 
 class ProtocolError(RuntimeError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Holder steps
+# ---------------------------------------------------------------------------
+
+M_ARENA_MAX = -8     # glibc's mallopt parameter number
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on (field 39 of its stat), or None."""
+    try:
+        with open("/proc/thread-self/stat", encoding="ascii") as stat:
+            return int(stat.read().rpartition(")")[2].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+class _HolderPool:
+    """The calling thread plus one worker thread per other usable CPU.
+
+    Started once per process, at the first holder step. With one usable CPU
+    it has no worker, and every step runs in the calling thread."""
+
+    def __init__(self):
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        here = _current_cpu()
+        self.usable_cpus = cpus
+        self.worker_cpus = [cpu for cpu in cpus if cpu != here][:max(len(cpus) - 1, 0)]
+        self._work = queue.SimpleQueue()
+        if self.worker_cpus:
+            # One malloc arena for all threads. With an arena of its own per
+            # worker, peak RSS rose 12.4% on p8-shares, 15.6% on uniform-sum
+            # and 8.1% on skew-gated-secure (2 vCPUs); with one, -5% to +6%.
+            try:
+                ctypes.CDLL(None).mallopt(M_ARENA_MAX, 1)
+            except (AttributeError, OSError, TypeError):
+                pass
+        for cpu in self.worker_cpus:
+            threading.Thread(target=self._serve, args=(cpu,), name=f"sapgnn-holders-{cpu}",
+                             daemon=True).start()
+
+    def _serve(self, cpu: int):
+        # Pinned, because where the cpuset does not balance load the kernel
+        # leaves a new thread on its parent's CPU: unpinned, two numpy threads
+        # shared one of two vCPUs in 4 of 6 processes and ran at 0.67-0.89x
+        # of serial; pinned, at 1.56-1.89x.
+        if hasattr(os, "sched_setaffinity"):
+            os.sched_setaffinity(0, {cpu})
+        while True:
+            self._work.get()()
+
+    def run(self, step, n: int) -> tuple[list, list]:
+        """step(p) for p in range(n), each claimed by the first free thread;
+        (results, errors) in holder order. A step after one that failed is
+        not started, as it would not have been one after another."""
+        results, errors = [None] * n, [None] * n
+        claim, failed, finished = itertools.count(), [n], [0]
+        lock, done = threading.Lock(), threading.Event()
+
+        def work():
+            while (p := next(claim)) < n:
+                if p < failed[0]:
+                    try:
+                        results[p] = step(p)
+                    except BaseException as exc:   # raised by the caller, in holder order
+                        errors[p] = exc
+                        with lock:
+                            failed[0] = min(failed[0], p)
+                with lock:
+                    finished[0] += 1
+                    if finished[0] == n:
+                        done.set()
+
+        for _ in range(min(len(self.worker_cpus), n - 1)):
+            self._work.put(work)
+        work()
+        if n:
+            done.wait()
+        return results, errors
+
+
+_pool: _HolderPool | None = None
+_pool_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):   # a forked child has none of its parent's workers
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def holder_pool() -> _HolderPool:
+    """The process's holder pool, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = _HolderPool()
+        return _pool
+
+
+def _each_holder(audit: AuditLog, n: int, step) -> list:
+    """step(p, outbox) for every holder p < n, at once on the holder pool;
+    the results in holder order.
+
+    Each step sends through its outbox, a channel on a log of its own. The
+    outboxes are appended to `audit` in holder order, each record restamped
+    with its position, so the log reads as if the holders had run one after
+    another. If steps raise, the lowest failing holder's error is raised
+    after the outboxes of the holders before it and its own."""
+    outboxes = [Channel(AuditLog()) for _ in range(n)]
+    results, errors = holder_pool().run(lambda p: step(p, outboxes[p]), n)
+    for outbox, error in zip(outboxes, errors, strict=True):
+        audit.extend(outbox.audit)
+        if error is not None:
+            raise error
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +435,8 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     channel = Channel(audit)
 
     cfg = config.model
-    holders = [DataHolder(lg, cfg, n_classes, config.train.lr, seed) for lg in holders_data]
+    holders = _each_holder(audit, len(holders_data), lambda p, _outbox: DataHolder(
+        holders_data[p], cfg, n_classes, config.train.lr, seed))
     server = Server(universe_ids.size, cfg, feats.pop(), config.train.lr, seed)
 
     # The run's only digests: holder p's rows of the union's table are what it
@@ -389,30 +522,32 @@ def _send(channel: Channel, kind: MessageKind, sender: str, receiver: str, layer
     return got
 
 
-def _send_rows(session: Session, kind: MessageKind, layer: int, epoch: int, p: int,
-               valid: np.ndarray, block: np.ndarray, width: int):
-    """Send a sparse row message of holder p's rows on its route: the
-    `valid` mask over the holder's rows and the block of the masked rows,
-    `width` columns wide. Returns the (mask, block) the receiver decoded."""
+def _send_rows(outbox: Channel, session: Session, kind: MessageKind, layer: int, epoch: int,
+               p: int, valid: np.ndarray, block: np.ndarray, width: int):
+    """Send a sparse row message of holder p's rows on its route, through
+    holder p's outbox: the `valid` mask over the holder's rows and the block
+    of the masked rows, `width` columns wide. Returns the (mask, block) the
+    receiver decoded."""
     route = ROUTES[kind]
     sender, receiver = (holder_party(p) if role == HOLDER else role
                         for role in (route.sender, route.receiver))
     _valid, name = route.fields
-    got = _send(session.channel, kind, sender, receiver, layer, epoch,
+    got = _send(outbox, kind, sender, receiver, layer, epoch,
                 {"valid": valid.astype(np.uint8), name: block},
                 {"valid": (session.holders[p].n,),
                  name: lambda f: (int(np.count_nonzero(f["valid"])), width)})
     return got["valid"].astype(bool), got[name]
 
 
-def _send_input_grad(session: Session, kind: MessageKind, layer: int, epoch: int, p: int,
-                     dH: np.ndarray, G: np.ndarray):
+def _send_input_grad(outbox: Channel, session: Session, kind: MessageKind, layer: int,
+                     epoch: int, p: int, dH: np.ndarray):
     """Holder p sends the nonzero rows of dH, its gradient w.r.t. its rows
-    of a layer input (the final embedding for a PredGrad); the server adds
-    them into its universe rows of G."""
+    of a layer input (the final embedding for a PredGrad). Returns the
+    universe rows and the rows the server received, to add into its
+    gradient in holder order."""
     valid = dH.any(axis=1)
-    valid, g = _send_rows(session, kind, layer, epoch, p, valid, dH[valid], G.shape[1])
-    G[session.server.holder_rows[p][valid]] += g
+    valid, g = _send_rows(outbox, session, kind, layer, epoch, p, valid, dH[valid], dH.shape[1])
+    return session.server.holder_rows[p][valid], g
 
 
 def _pool_layer(session: Session, l: int, epoch: int):
@@ -428,11 +563,14 @@ def _pool_layer(session: Session, l: int, epoch: int):
     secure = session.config.mode == "secure-pooling"
     kind = MessageKind.POOL_INPUT if secure else MessageKind.LOCAL_EMBEDDING
     shape = (server.n, server.weights[l].shape[1])
-    blocks = []
-    for p, holder in enumerate(session.holders):
-        valid, values = _send_rows(session, kind, l, epoch, p, holder.participates,
+
+    def embed(p, outbox):
+        holder = session.holders[p]
+        valid, values = _send_rows(outbox, session, kind, l, epoch, p, holder.participates,
                                    holder.forward_local(l), shape[1])
-        blocks.append((server.holder_rows[p][valid], values))
+        return server.holder_rows[p][valid], values
+
+    blocks = _each_holder(session.audit, len(session.holders), embed)
     try:
         if not secure:
             return stack_max(blocks, server.n)
@@ -469,14 +607,18 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
             m, winner = _pool_layer(session, l, epoch)
         h_next = server.forward_layer(l, m, winner, train)
         embeddings.append(h_next)
-        for p, holder in enumerate(session.holders):
-            valid = server.wants[p][l]
-            valid, h = _send_rows(session, MessageKind.GLOBAL_EMBEDDING, l, epoch, p, valid,
-                                  h_next[server.holder_rows[p][valid]], holder.dims[l].d_out)
-            holder.receive_global(l, valid, h)
 
-    for holder in session.holders:
-        holder.compute_predictions()
+        def place(p, outbox):
+            valid = server.wants[p][l]
+            valid, h = _send_rows(outbox, session, MessageKind.GLOBAL_EMBEDDING, l, epoch, p,
+                                  valid, h_next[server.holder_rows[p][valid]],
+                                  session.holders[p].dims[l].d_out)
+            session.holders[p].receive_global(l, valid, h)
+
+        _each_holder(session.audit, len(session.holders), place)
+
+    _each_holder(session.audit, len(session.holders),
+                 lambda p, _outbox: session.holders[p].compute_predictions())
     result = ForwardResult(total_loss=_total_loss(session.holders, "train"),
                            embeddings=embeddings)
     session.pool_kept = True
@@ -503,10 +645,12 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
     for holder in session.holders:
         holder.begin_backward()
 
+    P = len(session.holders)
     G = np.zeros((n, server.weights[-1].shape[0]))
-    for p, holder in enumerate(session.holders):
-        _send_input_grad(session, MessageKind.PRED_GRAD, cfg.layers, epoch, p,
-                         holder.pred_backward(), G)
+    for rows, g in _each_holder(session.audit, P, lambda p, outbox: _send_input_grad(
+            outbox, session, MessageKind.PRED_GRAD, cfg.layers, epoch, p,
+            session.holders[p].pred_backward())):
+        G[rows] += g
 
     server_grads = [None] * cfg.layers
     for l in reversed(range(cfg.layers)):
@@ -516,25 +660,32 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
         server_grads[l] = dW
         if l == 0 and not session.holders[0].locals_.trains(0):
             break
-        G_next = np.zeros((n, session.holders[0].dims[l].d_in))
         live = dM != 0.0
-        for p, holder in enumerate(session.holders):
+
+        def route(p, outbox):
             # holder p's gradient is dM where p won the max; only its rows
             # with a nonzero entry are gathered and sent
+            holder = session.holders[p]
             rows = server.holder_rows[p]
             won = tape.winner == p
             valid = (won & live).any(axis=1)[rows]
             nonzero = rows[valid]
-            valid, r = _send_rows(session, MessageKind.LOCAL_EMB_GRAD, l, epoch, p, valid,
-                                  np.where(won[nonzero], dM[nonzero], 0.0),
+            valid, r = _send_rows(outbox, session, MessageKind.LOCAL_EMB_GRAD, l, epoch, p,
+                                  valid, np.where(won[nonzero], dM[nonzero], 0.0),
                                   holder.dims[l].t_dim)
             if np.any(valid & ~holder.participates):
                 raise ProtocolError(f"holder {p}: {MessageKind.LOCAL_EMB_GRAD.value} carries a "
                                     "gradient for a row the holder did not embed")
             dH = holder.backward_local(l, valid, r)
             if l > 0:
-                _send_input_grad(session, MessageKind.INPUT_GRAD, l, epoch, p, dH, G_next)
-        G = G_next
+                return _send_input_grad(outbox, session, MessageKind.INPUT_GRAD, l, epoch, p, dH)
+            return None
+
+        routed = _each_holder(session.audit, P, route)
+        if l > 0:
+            G = np.zeros((n, session.holders[0].dims[l].d_in))
+            for rows, g in routed:
+                G[rows] += g
     return server_grads
 
 
@@ -587,12 +738,13 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
                                     (SEED_WORDS,)))
         drawn.append(seeds)
 
-    masked = []
-    for j, vector in enumerate(vectors):
+    def mask(j, _outbox):
         try:
-            masked.append(share_vector(vector, P, drawn[j], received[j], mode=mode))
+            return share_vector(vectors[j], P, drawn[j], received[j], mode=mode)
         except ValueError as exc:
             raise ProtocolError(f"holder {j}: {exc}") from exc
+
+    masked = _each_holder(channel.audit, P, mask)
 
     sums = [None] * P      # sums[i]: holder i's running sum of the masked vectors so far
     for j in range(P):
@@ -636,12 +788,18 @@ def weight_update(session: Session, server_grads: list, epoch: int = 0) -> None:
     if session.holders[0].locals_.trains(0):
         session.pool_kept = False
     server.weights[:] = adam_update(server.adams, server.weights, server_grads)
-    for holder in session.holders:
-        holder.probs = None
-        holder.apply_update(agg)
-    blobs = {h.weights_blob() for h in session.holders}
-    if len(blobs) != 1:
-        raise ProtocolError("replication invariant violated: holder weights diverged")
+
+    def step(p, _outbox):
+        session.holders[p].probs = None
+        session.holders[p].apply_update(agg)
+
+    _each_holder(session.audit, len(session.holders), step)
+    # bit for bit against holder 0, so -0.0 and +0.0 differ
+    first = [w.view(np.uint64) for w in session.holders[0].locals_.arrays()]
+    for holder in session.holders[1:]:
+        if not all(np.array_equal(a, w.view(np.uint64))
+                   for a, w in zip(first, holder.locals_.arrays(), strict=True)):
+            raise ProtocolError("replication invariant violated: holder weights diverged")
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +926,9 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
     init), a GradShare must go to the pair's lower holder and a PartialSum
     to another holder than its sender. Each record's `ts` must be its
     position in the log, so a record reordered, replayed or dropped after
-    the run is found. A record yields at most one finding, at its receiver.
+    the run is found: once, at the first record off its position, since
+    every record after a gap is off its position too. A record yields at
+    most one finding, at its receiver.
     What each party may learn from the schema is set out in the README
     ("What each party sees"). The check reads kinds, parties and field
     names, not payloads: a payload that leaks more than its schema promises
@@ -781,6 +941,7 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
         mode = "secure-pooling" if secure else "naive"
     findings: list[Finding] = []
     registered, at_init = set(), True    # the holders whose NodeIndex opens the log
+    in_place = True                      # until the first record off its position
     for position, rec in enumerate(log.records):
         route = routes.get(rec.kind)
         at_init = at_init and rec.kind == MessageKind.NODE_INDEX.value
@@ -806,9 +967,11 @@ def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
                        f"{rec.sender} to {rec.receiver}")
         elif rec.kind == MessageKind.PARTIAL_SUM.value and rec.sender == rec.receiver:
             problem = "sent to its own sender"
-        elif rec.ts != position:
-            problem = ("out of its place in the log (ts is not its position): reordered, "
-                       "replayed or dropped")
+        elif in_place and rec.ts != position:
+            in_place = False
+            problem = (f"out of its place in the log: ts {rec.ts} where ts {position} was "
+                       "expected, so a record was reordered, replayed or dropped at or "
+                       "before it")
         else:
             continue
         finding = Finding(party=rec.receiver, kind=rec.kind, description=problem)

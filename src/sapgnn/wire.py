@@ -13,6 +13,7 @@ This module imports nothing else from the package.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -292,6 +293,11 @@ class AuditLog:
                           schema=schema, layer=layer, epoch=epoch, n_bytes=n_bytes)
         self.records.append(rec)
         return rec
+
+    def extend(self, other: "AuditLog") -> None:
+        """Append `other`'s records in order, each restamped with its position here."""
+        for rec in other.records:
+            self.records.append(dataclasses.replace(rec, ts=len(self.records)))
 
     def __len__(self):
         return len(self.records)

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 
+import numpy as np
 import pytest
 
 from sapgnn.cli import EXIT_REFUSED, main
@@ -53,6 +55,23 @@ def test_train_sapgnn_writes_outputs(tmp_path, capsys):
     with open(out / "comm.csv") as f:
         header = next(csv.reader(f))
     assert header == ["epoch", "kind", "direction", "bytes"]
+
+
+def test_train_sapgnn_records_what_its_hashes_depend_on(tmp_path, monkeypatch, capsys):
+    # a seeded run's outputs hold per numpy, BLAS and OpenBLAS thread count;
+    # run.json names them beside the outputs, with the CPUs the run could use
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    out = tmp_path / "run"
+    assert main(["train-sapgnn", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    record = json.loads((out / "run.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert record == {"numpy": np.__version__, "blas": blas["name"],
+                      "blas_version": blas["version"], "openblas_num_threads": "3",
+                      "usable_cpus": sorted(os.sched_getaffinity(0)),
+                      "holder_workers": len(os.sched_getaffinity(0)) - 1}
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(["train-sapgnn", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["openblas_num_threads"] is None
 
 
 def test_train_centralized_and_sp(tmp_path, capsys):

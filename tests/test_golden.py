@@ -10,6 +10,9 @@ OpenBLAS thread count: p4-gated-linear-real's metrics.csv reads one hash on
 one thread and another on two. Each run therefore goes to a child process
 (this file run as a script) started with OPENBLAS_NUM_THREADS=1, whatever
 the suite's own setting: one thread is the count every host can run.
+Each child runs twice, once on one usable CPU, where the holder pool has no
+worker and every holder step runs in the calling thread, and once on every
+usable CPU: the holders computing at once must not change one byte.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import sapgnn
+from sapgnn import protocol
 from sapgnn.config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
 from sapgnn.gnn import ModelConfig
 from sapgnn.harness import (train_centralized, train_sp, write_audit_jsonl, write_comm_csv,
@@ -101,6 +105,7 @@ SP_GOLDEN = {
 
 
 BLAS_THREADS = "1"
+CPUS = ("one", "every")
 
 
 def protocol_hashes(name: str, out: Path) -> tuple:
@@ -136,34 +141,46 @@ def separate_training_hashes(name: str, out: Path) -> tuple:
 RUNS = {f.__name__: f for f in (protocol_hashes, centralized_hash, separate_training_hashes)}
 
 
-def pinned(run, name: str, out: Path):
-    """run(name, out) in a child process on BLAS_THREADS OpenBLAS threads."""
+def pinned(run, name: str, out: Path, cpus: str):
+    """run(name, out) in a child process on BLAS_THREADS OpenBLAS threads and
+    on `cpus` ("one" or "every") of the usable CPUs."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": BLAS_THREADS,
            "PYTHONPATH": os.pathsep.join([str(Path(sapgnn.__file__).parents[1]),
                                           os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.run([sys.executable, __file__, run.__name__, name, str(out)], env=env,
-                           capture_output=True, text=True, check=False)
+    child = subprocess.run([sys.executable, __file__, run.__name__, name, str(out), cpus],
+                           env=env, capture_output=True, text=True, check=False)
     assert child.returncode == 0, child.stderr
     got = json.loads(child.stdout)
-    return tuple(got) if isinstance(got, list) else got
+    usable = len(os.sched_getaffinity(0))
+    assert got["holder_workers"] == (0 if cpus == "one" else usable - 1)
+    hashes = got["hashes"]
+    return tuple(hashes) if isinstance(hashes, list) else hashes
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOL_GOLDEN))
 def test_protocol_outputs_match_golden_hashes(name, tmp_path):
-    assert pinned(protocol_hashes, name, tmp_path) == PROTOCOL_GOLDEN[name]
+    for cpus in CPUS:
+        assert pinned(protocol_hashes, name, tmp_path, cpus) == PROTOCOL_GOLDEN[name], cpus
 
 
 @pytest.mark.parametrize("name", sorted(CENTRALIZED_GOLDEN))
 def test_centralized_metrics_match_golden_hash(name, tmp_path):
-    assert pinned(centralized_hash, name, tmp_path) == CENTRALIZED_GOLDEN[name]
+    for cpus in CPUS:
+        assert pinned(centralized_hash, name, tmp_path, cpus) == CENTRALIZED_GOLDEN[name], cpus
 
 
 @pytest.mark.parametrize("name", sorted(SP_GOLDEN))
 def test_separate_training_metrics_match_golden_hashes(name, tmp_path):
-    assert pinned(separate_training_hashes, name, tmp_path) == SP_GOLDEN[name]
+    for cpus in CPUS:
+        assert pinned(separate_training_hashes, name, tmp_path, cpus) == SP_GOLDEN[name], cpus
 
 
 if __name__ == "__main__":
-    # python tests/test_golden.py RUN NAME OUT_DIR: one golden run, its hashes as JSON
-    run, name, out = sys.argv[1:]
-    print(json.dumps(RUNS[run](name, Path(out))))
+    # python tests/test_golden.py RUN NAME OUT_DIR CPUS: one golden run on "one"
+    # or "every" usable CPU; its hashes and the holder workers used, as JSON
+    run, name, out, cpus = sys.argv[1:]
+    if cpus == "one":
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    hashes = RUNS[run](name, Path(out))
+    print(json.dumps({"hashes": hashes,
+                      "holder_workers": len(protocol.holder_pool().worker_cpus)}))

@@ -621,11 +621,14 @@ def test_audit_flags_a_record_out_of_its_place(run_log, edit):
     mode, clean = run_log
     log = AuditLog()
     log.records = edit(list(clean.records), len(clean.records) // 2)
-    misplaced = {(rec.receiver, rec.kind) for position, rec in enumerate(log.records)
-                 if rec.ts != position}
+    # every record after the edit is off its position; the first is the one finding
+    first = next(position for position, rec in enumerate(log.records) if rec.ts != position)
+    rec = log.records[first]
     report = verify_privacy_audit(log, mode=mode)
-    assert misplaced and {(f.party, f.kind) for f in report.findings} == misplaced
-    assert all("out of its place" in f.description for f in report.findings)
+    assert [(f.party, f.kind) for f in report.findings] == [(rec.receiver, rec.kind)], (
+        report.summary())
+    assert (f"out of its place in the log: ts {rec.ts} where ts {first} was expected"
+            in report.findings[0].description)
 
 
 # -- communication accounting -----------------------------------------------------------
@@ -1086,6 +1089,47 @@ def test_a_local_emb_grad_row_the_holder_never_sent_is_refused(monkeypatch):
     monkeypatch.setattr(Channel, "send", tampered)
     with pytest.raises(ProtocolError, match="holder 2: LocalEmbGrad .* row the holder did not"):
         backward_pass(session, epoch=0)
+
+
+@pytest.mark.parametrize("ours, theirs", [(1.0, np.nextafter(1.0, 2.0)), (0.0, -0.0)],
+                         ids=["one-ulp", "signed-zero"])
+def test_an_update_refuses_replicas_that_differ_in_one_bit(monkeypatch, ours, theirs):
+    # the replicas are compared bit for bit, so even -0.0 against +0.0 is refused
+    _, _, session = make_session(make_config(P=3))
+    forward_pass(session, train=True, epoch=0)
+    grads = backward_pass(session, epoch=0)
+    for holder, value in zip(session.holders, (ours, ours, theirs)):
+        def apply_update(agg, holder=holder, update=holder.apply_update, value=value):
+            update(agg)
+            holder.locals_.arrays()[0].flat[0] = value
+        monkeypatch.setattr(holder, "apply_update", apply_update)
+    with pytest.raises(ProtocolError, match="replication invariant violated"):
+        weight_update(session, grads, epoch=0)
+
+
+def test_a_refused_holder_step_logs_what_the_holders_in_turn_would(monkeypatch):
+    # holders run their backward chains at once, but the log and the error are
+    # those of holders run one after another: holder 0's chain, holder 1's
+    # LocalEmbGrad, then holder 1's error, and nothing of holder 2's
+    _, _, session = make_session(make_config(P=3))
+    forward_pass(session, train=True, epoch=0)
+    logged = len(session.audit)
+
+    def refuse(p, error):
+        def backward_local(*_args):
+            raise error(f"holder {p} refuses")
+        monkeypatch.setattr(session.holders[p], "backward_local", backward_local)
+
+    refuse(1, ProtocolError)
+    refuse(2, RuntimeError)
+    with pytest.raises(ProtocolError, match="holder 1 refuses"):
+        backward_pass(session, epoch=0)
+    records = session.audit.records
+    assert [(r.kind, r.sender, r.receiver) for r in records[logged:]] == (
+        [("PredGrad", holder_party(p), "server") for p in range(3)]
+        + [("LocalEmbGrad", "server", "holder-0"), ("InputGrad", "holder-0", "server"),
+           ("LocalEmbGrad", "server", "holder-1")])
+    assert [r.ts for r in records] == list(range(len(records)))
 
 
 def test_a_local_layer_keeps_only_the_participating_rows():

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -415,23 +416,27 @@ def test_share_vector_modes_reconstruct():
 
 @pytest.mark.parametrize("mode", ["fixed-point", "real"])
 def test_secure_sum_expands_each_seed_by_its_two_holders(monkeypatch, mode):
+    # holders mask at once, each in the thread that runs its step, so an
+    # expansion belongs to the holder its thread is masking for
     P = 5
     vectors = [np.full(6, float(p)) for p in range(P)]
-    masking, expanded = [], []
+    masking, expanded, by_thread = [], [], {}
 
     def traced_share_vector(x, *args, **kwargs):
-        masking.append(next(p for p, v in enumerate(vectors) if v is x))
+        p = next(p for p, v in enumerate(vectors) if v is x)
+        masking.append(p)
+        by_thread[threading.get_ident()] = p
         return share_vector(x, *args, **kwargs)
 
     def traced_expand_seed(seed, shape, mode):
-        expanded.append((masking[-1], seed.tobytes()))
+        expanded.append((by_thread[threading.get_ident()], seed.tobytes()))
         return expand_seed(seed, shape, mode)
 
     monkeypatch.setattr(sharing, "expand_seed", traced_expand_seed)
     monkeypatch.setattr(protocol, "share_vector", traced_share_vector)
     total, channel = run_sum(vectors, 6, mode)
     assert np.allclose(total, sum(vectors), atol=1e-9)
-    assert masking == list(range(P))
+    assert sorted(masking) == list(range(P))      # each holder masks exactly once
     assert len(expanded) == P * (P - 1)
     seeds = {f["seed"].tobytes(): (int(s[7:]), int(r[7:]))
              for s, r, k, f in channel.delivered if k == "GradShare"}
