@@ -11,7 +11,7 @@ from sapgnn.protocol import build_dataset
 dataset = DatasetConfig(n_nodes=120, n_classes=3, feat_dim=10,
                         intra_class_edge_prob=0.12, inter_class_edge_prob=0.01,
                         seed=42, train_frac=0.2, val_frac=0.2, class_sep=1.2)
-model = ModelConfig(layers=2, hidden=16, update_kind="sum", relu=True, dropout=0.0)
+model = ModelConfig(layers=2, hidden=16, update_kind="sum", dropout=0.0)
 train = TrainConfig(lr=0.01, max_epochs=150, patience=25, seed=7)
 
 g = build_dataset(dataset)

@@ -18,8 +18,7 @@ for kind in ("sum", "concat", "gated"):
         cfg = RunConfig(dataset=dataset,
                         partition=PartitionConfig(kind="uniform", P=3, seed=4,
                                                   duplicate_fraction=dup),
-                        model=ModelConfig(layers=2, hidden=12, update_kind=kind,
-                                          relu=True),
+                        model=ModelConfig(layers=2, hidden=12, update_kind=kind),
                         train=train)
         rep = compare_equivalence(cfg)
         devs = " ".join(f"L{l + 1}={d:.1e}" for l, d in enumerate(rep.embedding_dev))

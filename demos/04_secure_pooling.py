@@ -24,7 +24,7 @@ base = RunConfig(
                           intra_class_edge_prob=0.2, inter_class_edge_prob=0.04,
                           seed=8, class_sep=1.2),
     partition=PartitionConfig(kind="uniform", P=3, seed=2),
-    model=ModelConfig(layers=2, hidden=12, update_kind="sum", relu=True),
+    model=ModelConfig(layers=2, hidden=12, update_kind="sum"),
     train=TrainConfig(max_epochs=20, patience=30, seed=6))
 secure = RunConfig(dataset=base.dataset, partition=base.partition, model=base.model,
                    train=base.train, mode="secure-pooling")

@@ -17,7 +17,7 @@ base = RunConfig(
                           intra_class_edge_prob=0.18, inter_class_edge_prob=0.04,
                           seed=5, class_sep=2.0),
     partition=PartitionConfig(kind="label-skew"),
-    model=ModelConfig(layers=2, hidden=12, update_kind="sum", relu=True),
+    model=ModelConfig(layers=2, hidden=12, update_kind="sum"),
     train=TrainConfig(max_epochs=60, patience=20))
 
 g = build_dataset(base.dataset)

@@ -14,7 +14,7 @@ cfg = RunConfig(
                           intra_class_edge_prob=0.25, inter_class_edge_prob=0.05,
                           seed=4, class_sep=1.2),
     partition=PartitionConfig(kind="uniform", P=2, seed=3),
-    model=ModelConfig(layers=2, hidden=8, update_kind="sum", relu=True),
+    model=ModelConfig(layers=2, hidden=8, update_kind="sum"),
     train=TrainConfig(max_epochs=2, patience=5, seed=7))
 res = run_training(cfg)
 

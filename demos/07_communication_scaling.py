@@ -7,7 +7,7 @@ Run: python demos/07_communication_scaling.py
 from sapgnn import (DatasetConfig, ModelConfig, PartitionConfig, RunConfig, TrainConfig,
                     comm_profile, linear_fit_r2)
 
-model = ModelConfig(layers=2, hidden=16, update_kind="sum", relu=True)
+model = ModelConfig(layers=2, hidden=16, update_kind="sum")
 
 print("embedding traffic per epoch vs node count (P=2):")
 sizes, emb = [], []

@@ -2,10 +2,10 @@
 
 One layer is: build a message per directed edge, max-pool messages per node,
 apply a local update combining the node's own state with the pooled message,
-then apply a global linear map with optional relu and dropout. The same
-primitives drive both the multi-party protocol and the single-machine model
-it is compared against, so a P=1 protocol run reproduces the reference
-bit for bit.
+then apply a global linear map, relu on every layer but the last, and
+optional dropout. The same primitives drive both the multi-party protocol
+and the single-machine model it is compared against, so a P=1 protocol run
+reproduces the reference bit for bit.
 
 Max pooling records, per element, the neighbour position of the source that
 contributed the maximum (ties to the lowest node rank); the backward pass
@@ -43,8 +43,7 @@ class ModelConfig:
     layers: int = 2
     hidden: int = 16
     update_kind: UpdateKind = UpdateKind.SUM
-    relu: bool = True          # applied to every layer output except the last
-    dropout: float = 0.0       # likewise, server-side only
+    dropout: float = 0.0       # on every layer output but the last, server-side only
     message_linear: bool = False  # message = W_rho h_u instead of h_u
 
     def __post_init__(self):
@@ -73,7 +72,7 @@ def layer_dims(cfg: ModelConfig, feat_dim: int) -> list[LayerDims]:
 
 
 def layer_relu_flags(cfg: ModelConfig) -> list[bool]:
-    return [cfg.relu and l < cfg.layers - 1 for l in range(cfg.layers)]
+    return [l < cfg.layers - 1 for l in range(cfg.layers)]
 
 
 def layer_dropout_rates(cfg: ModelConfig) -> list[float]:
@@ -518,16 +517,14 @@ def _central_forward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
     return hs, tapes, server_tapes
 
 
-def centralized_forward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
-                        dropout_masks: list | None = None):
+def centralized_forward(g: Graph, weights: ModelWeights, cfg: ModelConfig):
     """Forward-only reference pass: (per-layer embeddings, class probabilities)."""
-    hs, _tapes, _server_tapes = _central_forward(g, weights, cfg, dropout_masks)
+    hs, _tapes, _server_tapes = _central_forward(g, weights, cfg, None)
     return hs[1:], predict_probs(hs[-1], weights.local.w_predict)
 
 
 def centralized_forward_backward(g: Graph, weights: ModelWeights, cfg: ModelConfig,
-                                 dropout_masks: list | None = None,
-                                 train_ids: np.ndarray | None = None) -> CentralPass:
+                                 dropout_masks: list | None = None) -> CentralPass:
     """Reference forward/backward over the combined graph on one machine.
 
     Reverse-mode gradients route max subgradients to the recorded argmax
@@ -538,8 +535,7 @@ def centralized_forward_backward(g: Graph, weights: ModelWeights, cfg: ModelConf
     h = hs[-1]
     local = weights.local
 
-    ids = train_ids if train_ids is not None else g.train_ids
-    rows = g.rank_of(np.sort(ids))
+    rows = g.rank_of(np.sort(g.train_ids))
     classes = g.labels[rows]
     probs, loss = predict_and_loss(h, rows, classes, local.w_predict)
 

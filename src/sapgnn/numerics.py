@@ -39,6 +39,11 @@ def glorot_init(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam accumulators for one parameter tensor (caller owns the state)."""
@@ -47,15 +52,10 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, shape, lr: float = 0.01, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), step=0,
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_param(cls, shape, lr: float = 0.01) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape), step=0, lr=lr)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
@@ -66,14 +66,12 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient entry")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * (grads * grads)
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m=m, v=v, step=t, lr=state.lr, beta1=state.beta1,
-                          beta2=state.beta2, eps=state.eps)
-    return new_params, new_state
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * (grads * grads)
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(m=m, v=v, step=t, lr=state.lr)
 
 
 def finite_diff_grad(f, at: np.ndarray, eps: float = 1e-6) -> np.ndarray:

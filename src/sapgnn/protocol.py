@@ -14,10 +14,10 @@ Each training epoch runs four phases in lock step:
   3. backward: the server routes max subgradients to the winning holders,
      accumulates its own weight gradients, and holders return their input
      gradients for the next layer down.
-  4. update: the server steps its weights directly; holders aggregate their
-     local-weight gradients through a pairwise-mask secure sum among
-     themselves (the server sees none of it) and apply identical optimizer
-     steps, preserving the replication invariant.
+  4. update: each party steps what it owns with the gradients its own
+     backward left, once: the server its maps, the holders theirs after a
+     pairwise-mask secure sum among themselves (the server sees none of it),
+     in identical optimizer steps that preserve the replication invariant.
 
 Holders compute at once. Each phase's per-holder work (a holder's setup,
 its local layer, its placement of a global layer, its predictions and
@@ -30,8 +30,9 @@ sends through an outbox of its own; the caller appends the outboxes to the
 run's log in holder order, each record restamped with its position, and
 adds what the server receives in holder order too. So the log, the byte
 counts and every output read exactly as if the holders had run one after
-another, on any number of CPUs; a step that is refused leaves the log as
-the sequential order would have left it at that point and raises its error.
+another, on any number of CPUs. Every holder's step runs to its end; if one
+is refused, the log reads as the sequential order would have left it at
+that point and the lowest failing holder's error is raised.
 
 After each update, an evaluation forward sweep scores the new weights. What
 a sweep computed is kept until an update changes something it read. Layer
@@ -130,21 +131,18 @@ class _HolderPool:
 
     def run(self, step, n: int) -> tuple[list, list]:
         """step(p) for p in range(n), each claimed by the first free thread;
-        (results, errors) in holder order. A step after one that failed is
-        not started, as it would not have been one after another."""
+        (results, errors) in holder order. Every step runs, so the holder
+        state a failure leaves does not depend on the number of CPUs."""
         results, errors = [None] * n, [None] * n
-        claim, failed, finished = itertools.count(), [n], [0]
+        claim, finished = itertools.count(), [0]
         lock, done = threading.Lock(), threading.Event()
 
         def work():
             while (p := next(claim)) < n:
-                if p < failed[0]:
-                    try:
-                        results[p] = step(p)
-                    except BaseException as exc:   # raised by the caller, in holder order
-                        errors[p] = exc
-                        with lock:
-                            failed[0] = min(failed[0], p)
+                try:
+                    results[p] = step(p)
+                except BaseException as exc:   # raised by the caller, in holder order
+                    errors[p] = exc
                 with lock:
                     finished[0] += 1
                     if finished[0] == n:
@@ -349,9 +347,6 @@ class DataHolder:
             raise ProtocolError(f"aggregated gradient: {exc}") from exc
         self.locals_.set_arrays(adam_update(self.adams, self.locals_.arrays(), grads))
 
-    def weights_blob(self) -> bytes:
-        return b"".join(w.tobytes() for w in self.locals_.arrays())
-
 
 @dataclass
 class ServerTape:
@@ -376,6 +371,8 @@ class Server:
         self.holder_rows: dict[int, np.ndarray] = {}
         self.wants: dict[int, np.ndarray] = {}
         self.tapes: list = [None] * cfg.layers
+        # the map gradients of the last completed backward, until an update steps them
+        self.grads: list | None = None
 
     def forward_layer(self, l: int, m: np.ndarray, winner: np.ndarray,
                       train: bool) -> np.ndarray:
@@ -481,7 +478,7 @@ class ForwardResult:
     embeddings: list       # per-layer pooled-and-updated matrices at the server
 
 
-def _total_loss(holders, split: str = "train") -> float:
+def _total_loss(holders, split: str) -> float:
     """Sum per-label loss terms in ascending node-id order, which is the
     universe-row order.
 
@@ -633,8 +630,9 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
     Row gradients travel as sparse row messages that carry only nonzero
     rows. A weight-free layer 0 stops at the server's own gradient: it has
     no holder tensor to train and sends no input gradient. Returns the
-    server's per-layer global-map gradients; the holders keep theirs in
-    `grad_acc`. A refused backward sends nothing and resets no `grad_acc`."""
+    server's per-layer map gradients and keeps them in `server.grads`, as the
+    holders keep theirs in `grad_acc`; refused at its checks it sends nothing
+    and resets neither, refused later it leaves the update nothing to step."""
     cfg = session.config.model
     server = session.server
     n = server.n
@@ -642,6 +640,7 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
     if any(holder.probs is None for holder in session.holders):
         raise ProtocolError("backward requires a completed forward pass")
     server.check_tapes()
+    server.grads = None
     for holder in session.holders:
         holder.begin_backward()
 
@@ -686,6 +685,7 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
             G = np.zeros((n, session.holders[0].dims[l].d_in))
             for rows, g in routed:
                 G[rows] += g
+    server.grads = server_grads
     return server_grads
 
 
@@ -764,30 +764,32 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
 
 def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
     """Secure sum of the holders' flattened local-weight gradients."""
+    if any(h.grad_acc is None for h in session.holders):
+        raise ProtocolError("no holder gradients to sum before a backward")
     return secure_sum(session.channel, [h.grad_acc.flat() for h in session.holders],
                       [h.rng_shares for h in session.holders], session.config.share_mode,
                       epoch)
 
 
-def weight_update(session: Session, server_grads: list, epoch: int = 0) -> None:
-    """Holders aggregate their gradients, then the server steps its weights
-    with `server_grads` and holders step in lock step; a refused sum or
-    `server_grads` change nothing. Raises if the replication invariant
-    breaks. The kept sweep, a kept layer-0 pool that read holder weights and
-    the predictions are dropped: a forward sweeps again, and a backward
-    before it is refused."""
+def weight_update(session: Session, epoch: int = 0) -> None:
+    """Step the gradients of the last backward that completed since the last
+    update: holders aggregate theirs, then the server steps its weights with
+    its `grads` and holders step in lock step. Without such a backward or
+    with a non-finite server gradient it sends nothing, and after a refused
+    sum it steps nothing. Raises if the replication invariant breaks. The kept
+    sweep, a kept layer-0 pool that read holder weights and the predictions
+    are dropped: a forward sweeps again, and a backward before it is refused."""
     server = session.server
-    shapes = [np.shape(g) for g in server_grads]
-    if shapes != [w.shape for w in server.weights]:
-        raise ProtocolError(f"server gradients of shapes {shapes} for maps of shapes "
-                            f"{[w.shape for w in server.weights]}")
-    if not all(np.isfinite(g).all() for g in server_grads):
+    if server.grads is None:
+        raise ProtocolError("no backward completed since the last update")
+    if not all(np.isfinite(g).all() for g in server.grads):
         raise ProtocolError("server gradient has a NaN or infinite entry")
     agg = aggregate_local_grads(session, epoch=epoch)
+    grads, server.grads = server.grads, None
     session.last_forward = None
     if session.holders[0].locals_.trains(0):
         session.pool_kept = False
-    server.weights[:] = adam_update(server.adams, server.weights, server_grads)
+    server.weights[:] = adam_update(server.adams, server.weights, grads)
 
     def step(p, _outbox):
         session.holders[p].probs = None
@@ -878,7 +880,8 @@ def run_training(config: RunConfig, holders_data: list[LocalGraph] | None = None
 
     def train_epoch(epoch: int):
         forward_pass(session, train=True, epoch=epoch)
-        weight_update(session, backward_pass(session, epoch=epoch), epoch=epoch)
+        backward_pass(session, epoch=epoch)
+        weight_update(session, epoch=epoch)
 
     return fit(train_epoch, lambda epoch: evaluate(session, epoch),
                lambda: ModelWeights(session.holders[0].locals_, session.server.weights),

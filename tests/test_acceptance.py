@@ -55,8 +55,7 @@ def identity_sweep():
                            seed=int(rng.integers(0, 10 ** 6)), class_sep=1.5)
         g = build_dataset(ds)
         for kind in (UpdateKind.SUM, UpdateKind.CONCAT, UpdateKind.GATED):
-            model = ModelConfig(layers=2, hidden=8, update_kind=kind, relu=True,
-                                dropout=0.0)
+            model = ModelConfig(layers=2, hidden=8, update_kind=kind, dropout=0.0)
             tseed = int(rng.integers(0, 10 ** 6))
             weights = build_model_weights(model, feat, n_classes,
                                           make_rng(tseed, "local-init"),
@@ -123,7 +122,7 @@ def test_criterion_3_finite_difference():
                               seed=21, train_frac=0.5, val_frac=0.25,
                               class_sep=0.5, noise=0.3),
         partition=PartitionConfig(kind="uniform", P=2, seed=3),
-        model=ModelConfig(layers=2, hidden=4, update_kind=UpdateKind.GATED, relu=True,
+        model=ModelConfig(layers=2, hidden=4, update_kind=UpdateKind.GATED,
                           dropout=0.0, message_linear=True),
         train=TrainConfig(seed=13))
     g = build_dataset(cfg.dataset)
@@ -264,7 +263,7 @@ def test_criterion_6_secure_argmax():
                               intra_class_edge_prob=0.25, inter_class_edge_prob=0.05,
                               seed=3, class_sep=1.2),
         partition=PartitionConfig(kind="uniform", P=3, seed=5),
-        model=ModelConfig(layers=2, hidden=8, update_kind="sum", relu=True),
+        model=ModelConfig(layers=2, hidden=8, update_kind="sum"),
         train=TrainConfig(max_epochs=10, patience=20, seed=9))
     res_naive = run_training(base)
     secure_cfg = RunConfig(dataset=base.dataset, partition=base.partition,
@@ -288,8 +287,7 @@ def test_criterion_7_accuracy_constancy_pattern():
                               intra_class_edge_prob=0.12, inter_class_edge_prob=0.01,
                               train_frac=0.2, val_frac=0.2, class_sep=1.2, noise=1.0),
         partition=PartitionConfig(kind="uniform"),
-        model=ModelConfig(layers=2, hidden=16, update_kind="sum", relu=True,
-                          dropout=0.0),
+        model=ModelConfig(layers=2, hidden=16, update_kind="sum", dropout=0.0),
         train=TrainConfig(lr=0.01, max_epochs=150, patience=25))
     spec = ExperimentSpec(base=base, P_values=[1, 2, 3, 4], q_values=[0.0],
                           methods=["sp", "sapgnn"], repeats=5, seed_base=77)
@@ -359,7 +357,7 @@ def test_criterion_9_privacy_audit():
                               intra_class_edge_prob=0.3, inter_class_edge_prob=0.06,
                               seed=2, class_sep=1.2),
         partition=PartitionConfig(kind="uniform", P=2, seed=5),
-        model=ModelConfig(layers=2, hidden=6, update_kind="sum", relu=True),
+        model=ModelConfig(layers=2, hidden=6, update_kind="sum"),
         train=TrainConfig(max_epochs=3, patience=5, seed=9))
     res = run_training(cfg)
     clean = verify_privacy_audit(res.audit, mode="naive")
@@ -387,7 +385,7 @@ def test_criterion_10_label_skew_sweep(tmp_path):
                               intra_class_edge_prob=0.2, inter_class_edge_prob=0.04,
                               seed=6, class_sep=2.0),
         partition=PartitionConfig(kind="label-skew"),
-        model=ModelConfig(layers=2, hidden=8, update_kind="sum", relu=True),
+        model=ModelConfig(layers=2, hidden=8, update_kind="sum"),
         train=TrainConfig(max_epochs=40, patience=15, seed=9))
     spec = ExperimentSpec(base=base, P_values=[2, 3, 4], q_values=[0.0, 25.0, 50.0],
                           methods=["sapgnn"], repeats=1, seed_base=901)

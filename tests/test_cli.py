@@ -187,6 +187,8 @@ def test_apply_overrides_parses_types():
 @pytest.mark.parametrize("override, message", [
     ("partiton.P=3", "unknown key 'partiton' in the config"),
     ("model.hiden=8", "unknown key 'hiden' in config section 'model'"),
+    # relu is applied to every layer but the last, always
+    ("model.relu=false", "unknown key 'relu' in config section 'model'"),
 ])
 def test_config_refuses_an_unknown_key_by_name(override, message):
     d = apply_overrides(RunConfig().to_dict(), [override])

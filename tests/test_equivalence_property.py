@@ -70,7 +70,7 @@ def protocol_inputs(draw):
                                   P=P, q=q, seed=draw(st.integers(0, 99)),
                                   duplicate_fraction=draw(st.sampled_from([0.0, 0.5])),
                                   node_scope="full" if partition == "label-skew" else partition),
-        model=ModelConfig(layers=2, hidden=4, update_kind=kind, relu=True,
+        model=ModelConfig(layers=2, hidden=4, update_kind=kind,
                           dropout=draw(st.sampled_from([0.0, 0.5])),
                           message_linear=draw(st.booleans())),
         train=TrainConfig(lr=0.05, max_epochs=EPOCHS, patience=EPOCHS + 1,

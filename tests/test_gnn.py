@@ -459,13 +459,12 @@ def test_predict_backward_matches_softmax_grad():
 def _model_cfg(kind, **kw):
     kw.setdefault("layers", 2)
     kw.setdefault("hidden", 4)
-    kw.setdefault("relu", True)
     return ModelConfig(update_kind=kind, **kw)
 
 
 def test_two_node_single_edge_hand_evaluation():
     g = build_graph([0, 1], [[1.0, 2.0], [3.0, -1.0]], [[0, 1]], [0, 1], [0, 1], 2)
-    cfg = ModelConfig(layers=1, hidden=2, update_kind=UpdateKind.SUM, relu=False)
+    cfg = ModelConfig(layers=1, hidden=2, update_kind=UpdateKind.SUM)
     weights = build_model_weights(cfg, 2, 2, make_rng(0, 0), make_rng(1, 0))
     weights.w_global[0] = np.eye(2)
     out = centralized_forward_backward(g, weights, cfg)
@@ -499,8 +498,7 @@ FD_CASES = [(UpdateKind.SUM, False), (UpdateKind.CONCAT, False), (UpdateKind.GAT
       for kind, linear in FD_CASES),
 ])
 def test_gradients_match_finite_differences(kind, linear_msg, isolated):
-    cfg = ModelConfig(layers=2, hidden=4, update_kind=kind, relu=True,
-                      message_linear=linear_msg)
+    cfg = ModelConfig(layers=2, hidden=4, update_kind=kind, message_linear=linear_msg)
     g = generate_synthetic(6, 2, 3, 0.9, 0.5, seed=23, class_sep=0.5, noise=0.3)
     if isolated:
         g = _isolate_first_node(g)

@@ -24,8 +24,7 @@ def base_config(**kw):
         partition=PartitionConfig(kind=kw.pop("part_kind", "uniform"), P=P,
                                   q=kw.pop("q", 0.0), seed=5,
                                   duplicate_fraction=kw.pop("dup", 0.0)),
-        model=ModelConfig(layers=2, hidden=8, update_kind=kw.pop("kind", "sum"),
-                          relu=True, dropout=0.0),
+        model=ModelConfig(layers=2, hidden=8, update_kind=kw.pop("kind", "sum"), dropout=0.0),
         train=TrainConfig(lr=0.01, max_epochs=kw.pop("max_epochs", 20),
                           patience=kw.pop("patience", 10), seed=7), **kw)
 
@@ -138,7 +137,7 @@ def test_sp_declines_with_more_holders():
     ds = DatasetConfig(n_nodes=120, n_classes=3, feat_dim=10,
                        intra_class_edge_prob=0.12, inter_class_edge_prob=0.01,
                        seed=42, train_frac=0.2, val_frac=0.2, class_sep=1.2)
-    model = ModelConfig(layers=2, hidden=16, update_kind="sum", relu=True)
+    model = ModelConfig(layers=2, hidden=16, update_kind="sum")
     g = build_dataset(ds)
     accs = {}
     for P in (1, 4):
@@ -253,7 +252,7 @@ def test_label_skew_accuracy_nondecreasing_in_q():
                                       inter_class_edge_prob=0.12, seed=100 + rep,
                                       train_frac=0.3, val_frac=0.2, class_sep=0.9),
                 partition=PartitionConfig(kind="label-skew", P=2, q=q, seed=11 + rep),
-                model=ModelConfig(layers=2, hidden=16, update_kind="concat", relu=True),
+                model=ModelConfig(layers=2, hidden=16, update_kind="concat"),
                 train=TrainConfig(lr=0.01, max_epochs=150, patience=30, seed=200 + rep))
             accs.append(run_training(cfg).final["test_accuracy"])
         means.append(float(np.mean(accs)))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sapgnn.numerics import (AdamState, adam_step, dropout_mask, finite_diff_grad, first_max,
-                             glorot_init, make_rng, relu, relu_grad, softmax_rows)
+from sapgnn.numerics import (ADAM_EPS, AdamState, adam_step, dropout_mask, finite_diff_grad,
+                             first_max, glorot_init, make_rng, relu, relu_grad, softmax_rows)
 
 
 def test_make_rng_deterministic_per_stream():
@@ -49,7 +49,7 @@ def test_adam_single_step_matches_closed_form():
     state = AdamState.for_param(params.shape, lr=0.01)
     new, _ = adam_step(state, params, g)
     # after one bias-corrected step: delta = -lr * g / (|g| + eps)
-    expected = -0.01 * g / (np.abs(g) + state.eps)
+    expected = -0.01 * g / (np.abs(g) + ADAM_EPS)
     assert np.allclose(new, expected, rtol=0, atol=1e-12)
     assert np.allclose(new, -0.01 * np.sign(g), rtol=1e-6)
 

@@ -29,8 +29,7 @@ def make_config(P=2, n=24, kind="sum", mode="naive", share_mode="real", seed=9,
                               seed=seed, class_sep=1.0, noise=0.8),
         partition=PartitionConfig(kind=part_kind, P=P, q=q, duplicate_fraction=dup,
                                   seed=seed + 1),
-        model=ModelConfig(layers=layers, hidden=hidden, update_kind=kind, relu=True,
-                          dropout=dropout),
+        model=ModelConfig(layers=layers, hidden=hidden, update_kind=kind, dropout=dropout),
         train=TrainConfig(lr=0.01, max_epochs=max_epochs, patience=patience,
                           seed=seed + 2),
         mode=mode, share_mode=share_mode)
@@ -42,12 +41,27 @@ def make_session(config):
     return g, holders, init_parties(config, holders)
 
 
+def weights_blob(holder) -> bytes:
+    """A holder's replicated weights as one byte string."""
+    return b"".join(w.tobytes() for w in holder.locals_.arrays())
+
+
+def snapshot(session) -> tuple:
+    """What a refused call must leave as it was: every party's weights and
+    Adam states, the log's length and its byte total."""
+    parties = [session.server, *session.holders]
+    return ([w.tobytes() for w in session.server.weights],
+            [weights_blob(h) for h in session.holders],
+            [(a.m.tobytes(), a.v.tobytes(), a.step) for party in parties for a in party.adams],
+            len(session.audit.records), CommStats.of(session.audit).total())
+
+
 # -- initialization ------------------------------------------------------------
 
 def test_init_replicates_local_weights():
     cfg = make_config(P=3)
     _, _, session = make_session(cfg)
-    blobs = {h.weights_blob() for h in session.holders}
+    blobs = {weights_blob(h) for h in session.holders}
     assert len(blobs) == 1
 
 
@@ -72,7 +86,7 @@ def test_init_is_deterministic():
     cfg = make_config(P=2)
     _, _, s1 = make_session(cfg)
     _, _, s2 = make_session(cfg)
-    assert s1.holders[0].weights_blob() == s2.holders[0].weights_blob()
+    assert weights_blob(s1.holders[0]) == weights_blob(s2.holders[0])
     assert all(np.array_equal(a, b) for a, b in zip(s1.server.weights, s2.server.weights))
 
 
@@ -370,13 +384,14 @@ def test_update_equal_and_opposite_gradients_cancel():
     cfg = make_config(P=2, share_mode="fixed-point")
     _, _, session = make_session(cfg)
     forward_pass(session, train=True, epoch=0)
-    server_grads = backward_pass(session, epoch=0)
+    backward_pass(session, epoch=0)
     h0, h1 = session.holders
     h1.grad_acc.set_arrays([-g for g in h0.grad_acc.arrays()])
-    before = h0.weights_blob()
-    weight_update(session, [np.zeros_like(dW) for dW in server_grads], epoch=0)
-    assert h0.weights_blob() == before  # zero aggregate: Adam step is a no-op
-    assert h1.weights_blob() == before
+    session.server.grads = [np.zeros_like(dW) for dW in session.server.grads]
+    before = weights_blob(h0)
+    weight_update(session, epoch=0)
+    assert weights_blob(h0) == before  # zero aggregate: Adam step is a no-op
+    assert weights_blob(h1) == before
 
 
 def test_aggregate_overflow_raises_protocol_error():
@@ -397,63 +412,98 @@ def test_update_preserves_replication():
         _, _, session = make_session(cfg)
         for epoch in range(2):
             forward_pass(session, train=True, epoch=epoch)
-            server_grads = backward_pass(session, epoch=epoch)
-            weight_update(session, server_grads, epoch=epoch)
-            assert len({h.weights_blob() for h in session.holders}) == 1
+            backward_pass(session, epoch=epoch)
+            weight_update(session, epoch=epoch)
+            assert len({weights_blob(h) for h in session.holders}) == 1
 
 
-def _holder_nan(session, server_grads):
+def _holder_nan(session):
     session.holders[1].grad_acc.w_predict[0, 0] = np.nan
-    return server_grads
+
+
+def _server_inf(session):
+    session.server.grads[1] = np.full_like(session.server.grads[1], np.inf)
 
 
 @pytest.mark.parametrize("share_mode, fault, message", [
     pytest.param("real", _holder_nan, "holder 1: gradient has a NaN", id="real"),
     pytest.param("fixed-point", _holder_nan, "holder 1: gradient has a NaN", id="fixed-point"),
-    pytest.param("fixed-point", lambda s, g: [np.zeros((2, 2)), *g[1:]],
-                 r"server gradients of shapes \[\(2, 2\), ", id="misshapen-server-grad"),
-    pytest.param("fixed-point", lambda s, g: g[:-1],
-                 r"server gradients of shapes \[\(\d+, \d+\)\] for maps", id="short-server-grads"),
-    pytest.param("real", lambda s, g: [g[0], np.full_like(g[1], np.inf)],
-                 "server gradient has a NaN", id="infinite-server-grad"),
+    pytest.param("real", _server_inf, "server gradient has a NaN", id="infinite-server-grad"),
 ])
 def test_a_refused_update_changes_nothing(share_mode, fault, message):
-    # a malformed server gradient or a NaN holder gradient is refused before
-    # the server or any holder steps, and before any holder sends a share
+    # a non-finite server or holder gradient is refused before the server or
+    # any holder steps, and before any holder sends a share
     _, _, session = make_session(make_config(P=3, kind="gated", share_mode=share_mode))
     forward_pass(session, train=True, epoch=0)
-    server_grads = fault(session, backward_pass(session, epoch=0))
-    server = session.server
-    weights = [w.copy() for w in server.weights]
-    adams = [(a.m.copy(), a.v.copy(), a.step) for a in server.adams]
-    blobs = [h.weights_blob() for h in session.holders]
-    sent, total = len(session.audit.records), CommStats.of(session.audit).total()
+    backward_pass(session, epoch=0)
+    fault(session)
+    before = snapshot(session)
     with pytest.raises(ProtocolError, match=message):
-        weight_update(session, server_grads, epoch=0)
-    assert all(np.array_equal(a, b) for a, b in zip(server.weights, weights, strict=True))
-    for a, (m, v, step) in zip(server.adams, adams, strict=True):
-        assert np.array_equal(a.m, m) and np.array_equal(a.v, v) and a.step == step
-    assert [h.weights_blob() for h in session.holders] == blobs
-    assert len(session.audit.records) == sent
-    assert CommStats.of(session.audit).total() == total
+        weight_update(session, epoch=0)
+    assert snapshot(session) == before
+
+
+def _refuse_a_backward_mid_sweep(session, monkeypatch):
+    # after a completed backward, a second one refused at holder 1's chain
+    forward_pass(session, train=True, epoch=0)
+    backward_pass(session, epoch=0)
+
+    def backward_local(*_args):
+        raise ProtocolError("holder 1 refuses")
+
+    monkeypatch.setattr(session.holders[1], "backward_local", backward_local)
+    with pytest.raises(ProtocolError, match="holder 1 refuses"):
+        backward_pass(session, epoch=0)
+
+
+def _a_full_step(session, _monkeypatch):
+    forward_pass(session, train=True, epoch=0)
+    backward_pass(session, epoch=0)
+    weight_update(session, epoch=0)
+
+
+@pytest.mark.parametrize("before_update", [
+    pytest.param(lambda session, _monkeypatch: forward_pass(session, train=True, epoch=0),
+                 id="no-backward"),
+    pytest.param(_a_full_step, id="second-update"),
+    pytest.param(_refuse_a_backward_mid_sweep, id="backward-refused-mid-sweep"),
+])
+def test_an_update_steps_only_a_backward_completed_since_the_last(monkeypatch, before_update):
+    # the gradients of an earlier backward are not stepped again, nor are a
+    # refused backward's partial ones: nothing is sent, and nothing steps
+    _, _, session = make_session(make_config(P=3, kind="gated"))
+    before_update(session, monkeypatch)
+    before = snapshot(session)
+    with pytest.raises(ProtocolError, match="no backward completed since the last update"):
+        weight_update(session, epoch=0)
+    assert snapshot(session) == before
+
+
+def test_a_sum_before_any_backward_is_refused():
+    _, _, session = make_session(make_config(P=3))
+    forward_pass(session, train=True, epoch=0)
+    before = snapshot(session)
+    with pytest.raises(ProtocolError, match="no holder gradients to sum before a backward"):
+        aggregate_local_grads(session, epoch=0)
+    assert snapshot(session) == before
 
 
 def test_update_detects_divergence():
     cfg = make_config(P=2)
     _, _, session = make_session(cfg)
     forward_pass(session, train=True, epoch=0)
-    server_grads = backward_pass(session, epoch=0)
+    backward_pass(session, epoch=0)
     session.holders[1].locals_.w_predict = session.holders[1].locals_.w_predict + 1.0
     with pytest.raises(ProtocolError, match="replication"):
-        weight_update(session, server_grads, epoch=0)
+        weight_update(session, epoch=0)
 
 
 def test_one_step_matches_centralized_adam():
     cfg = make_config(P=2, max_epochs=1)
     g, holders, session = make_session(cfg)
     forward_pass(session, train=True, epoch=0)
-    server_grads = backward_pass(session, epoch=0)
-    weight_update(session, server_grads, epoch=0)
+    backward_pass(session, epoch=0)
+    weight_update(session, epoch=0)
 
     combined = union_graph(holders)
     from sapgnn.numerics import AdamState, adam_step
@@ -771,7 +821,8 @@ def test_a_second_forward_before_an_update_sends_nothing(sends):
 def test_a_forward_after_an_update_sweeps_again(sends):
     _, _, session = make_session(make_config(P=3, kind="gated"))
     first = forward_pass(session, train=True, epoch=0)
-    weight_update(session, backward_pass(session, epoch=0), epoch=0)
+    backward_pass(session, epoch=0)
+    weight_update(session, epoch=0)
     sent = len(sends)
     again = forward_pass(session, train=False, epoch=0)
     swept = Counter(kind for kind, *_rest in sends[sent:])
@@ -789,7 +840,8 @@ def test_a_backward_after_an_update_needs_a_new_forward():
     # layer 0 is weight-free, and the backward stops at the server's layer-0
     # map, so no holder keeps a layer-0 tape
     assert all(holder.tapes[0] is None for holder in session.holders)
-    weight_update(session, backward_pass(session, epoch=0), epoch=0)
+    backward_pass(session, epoch=0)
+    weight_update(session, epoch=0)
     with pytest.raises(ProtocolError, match="backward requires a completed forward pass"):
         backward_pass(session, epoch=0)
     forward_pass(session, train=True, epoch=1)
@@ -844,10 +896,10 @@ def test_a_holder_sees_only_its_own_rows(sends, mode):
     holders = build_partition(g, cfg.partition)
     session = init_parties(cfg, holders)
     forward_pass(session, train=True, epoch=0)
-    server_grads = backward_pass(session, epoch=0)
+    backward_pass(session, epoch=0)
     # the update drops the predictions, so the holder arrays are read before it
     held = [[*holder.h, holder.probs] for holder in session.holders]
-    weight_update(session, server_grads, epoch=0)
+    weight_update(session, epoch=0)
 
     table = node_digests(g.node_ids, make_rng(cfg.train.seed, "salt").bytes(32))
     for lg, holder, arrays in zip(holders, session.holders, held, strict=True):
@@ -1097,33 +1149,43 @@ def test_an_update_refuses_replicas_that_differ_in_one_bit(monkeypatch, ours, th
     # the replicas are compared bit for bit, so even -0.0 against +0.0 is refused
     _, _, session = make_session(make_config(P=3))
     forward_pass(session, train=True, epoch=0)
-    grads = backward_pass(session, epoch=0)
+    backward_pass(session, epoch=0)
     for holder, value in zip(session.holders, (ours, ours, theirs)):
         def apply_update(agg, holder=holder, update=holder.apply_update, value=value):
             update(agg)
             holder.locals_.arrays()[0].flat[0] = value
         monkeypatch.setattr(holder, "apply_update", apply_update)
     with pytest.raises(ProtocolError, match="replication invariant violated"):
-        weight_update(session, grads, epoch=0)
+        weight_update(session, epoch=0)
 
 
 def test_a_refused_holder_step_logs_what_the_holders_in_turn_would(monkeypatch):
-    # holders run their backward chains at once, but the log and the error are
-    # those of holders run one after another: holder 0's chain, holder 1's
-    # LocalEmbGrad, then holder 1's error, and nothing of holder 2's
+    # holders run their backward chains at once, each to its end, but the log
+    # and the error are those of holders run one after another: holder 0's
+    # chain, holder 1's LocalEmbGrad, then holder 1's error, and nothing of
+    # holder 2's
     _, _, session = make_session(make_config(P=3))
     forward_pass(session, train=True, epoch=0)
     logged = len(session.audit)
+    ran = set()
+
+    def backward_local(*args, run=session.holders[0].backward_local):
+        ran.add(0)
+        return run(*args)
 
     def refuse(p, error):
         def backward_local(*_args):
+            ran.add(p)
             raise error(f"holder {p} refuses")
         monkeypatch.setattr(session.holders[p], "backward_local", backward_local)
 
+    monkeypatch.setattr(session.holders[0], "backward_local", backward_local)
     refuse(1, ProtocolError)
     refuse(2, RuntimeError)
     with pytest.raises(ProtocolError, match="holder 1 refuses"):
         backward_pass(session, epoch=0)
+    # every holder's step ran, on one CPU as on all of them
+    assert ran == {0, 1, 2}
     records = session.audit.records
     assert [(r.kind, r.sender, r.receiver) for r in records[logged:]] == (
         [("PredGrad", holder_party(p), "server") for p in range(3)]

@@ -3,10 +3,11 @@
 A session keeps what a forward sweep computed until an update changes
 something it read: the whole sweep without dropout, and layer 0's pool
 while layer 0's holder weights stand (for the whole run when it has none).
-Over random call sequences of a training forward, an evaluation and a
-backward plus update, the reusing session must match, bit for bit, a twin
+Over random call sequences of a training forward, an evaluation, a
+backward and an update, the reusing session must match, bit for bit, a twin
 whose kept state is cleared before every forward, and must never send more
-bytes than the twin.
+bytes than the twin. A call either session refuses must leave its log, its
+byte total and every weight as they were.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from sapgnn.protocol import (ProtocolError, backward_pass, build_dataset, build_
                              evaluate, forward_pass, init_parties, weight_update)
 from sapgnn.wire import CommStats
 
-CALLS = ("train", "evaluate", "step")
+CALLS = ("train", "evaluate", "backward", "update")
 
 
 @st.composite
@@ -44,20 +45,24 @@ def cases(draw):
 
 def call(session, name: str, epoch: int, clear: bool):
     """Run one call; returns what it computed, or the refusal it raised."""
-    if clear and name != "step":
+    if clear and name in ("train", "evaluate"):
         session.last_forward = None
         session.pool_kept = False
+    before = (len(session.audit), CommStats.of(session.audit).total(), weights(session))
     try:
         if name == "train":
             res = forward_pass(session, train=True, epoch=epoch)
             return res.total_loss, res.embeddings, [h.probs for h in session.holders]
         if name == "evaluate":
             return repr(evaluate(session, epoch))    # NaN reads "nan"
-        server_grads = backward_pass(session, epoch=epoch)
-        grad_acc = [h.grad_acc.flat() for h in session.holders]
-        weight_update(session, server_grads, epoch=epoch)
-        return server_grads, grad_acc
+        if name == "backward":
+            server_grads = backward_pass(session, epoch=epoch)
+            return server_grads, [h.grad_acc.flat() for h in session.holders]
+        weight_update(session, epoch=epoch)
+        return weights(session)
     except ProtocolError as exc:
+        assert_same((len(session.audit), CommStats.of(session.audit).total(), weights(session)),
+                    before)
         return str(exc)
 
 
@@ -73,7 +78,8 @@ def assert_same(a, b):
 
 
 def weights(session) -> list:
-    return session.server.weights + [h.weights_blob() for h in session.holders]
+    return session.server.weights + [b"".join(w.tobytes() for w in h.locals_.arrays())
+                                     for h in session.holders]
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,7 +107,7 @@ def test_an_evaluation_then_a_training_sweep_reuses_the_pool(kind, message_linea
         train=TrainConfig(lr=0.05, seed=3), mode="secure-pooling")
     holders = build_partition(build_dataset(config.dataset), config.partition)
     reusing, twin = init_parties(config, holders), init_parties(config, holders)
-    calls = ["evaluate", "train", "step"]
+    calls = ["evaluate", "train", "backward", "update"]
     for epoch, name in enumerate(calls):
         assert_same(call(reusing, name, epoch, clear=False), call(twin, name, epoch, clear=True))
     assert_same(weights(reusing), weights(twin))
