@@ -15,11 +15,11 @@ from .harness import (EquivalenceReport, ExperimentSpec, SPResult, compare_equiv
                       comm_profile, linear_fit_r2, run_sweep, train_centralized, train_sp)
 from .numerics import (AdamState, adam_step, dropout_mask, finite_diff_grad, glorot_init,
                        make_rng, relu, relu_grad, softmax_rows)
-from .protocol import (AuditReport, ProtocolError, Session, TrainResult,
-                       aggregate_local_grads, backward_pass, forward_pass, init_parties,
-                       run_training, secure_sum, verify_privacy_audit, weight_update)
+from .protocol import (ProtocolError, Session, TrainResult, aggregate_local_grads, backward_pass,
+                       forward_pass, init_parties, run_training, secure_sum, weight_update)
 from .sharing import (AdditiveShare, FixedPoint, reconstruct_additive, reconstruct_boolean,
                       secure_argmax, share_additive, share_boolean)
-from .wire import AuditLog, Channel, CommStats, MessageKind, WireError
+from .wire import (AuditLog, AuditReport, Channel, CommStats, MessageKind, WireError,
+                   verify_privacy_audit)
 
 __version__ = "0.1.0"

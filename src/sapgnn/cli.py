@@ -24,9 +24,9 @@ from .graphs import load_dataset, write_dataset
 from .harness import (ExperimentSpec, SWEEP_HEADER, compare_equivalence, run_sweep,
                       train_centralized, train_sp, write_audit_jsonl, write_comm_csv,
                       write_metrics_csv)
-from .protocol import (ProtocolError, build_dataset, build_partition, holder_pool, run_training,
-                       verify_privacy_audit)
-from .wire import AuditLog
+from .pool import holder_pool
+from .protocol import ProtocolError, build_dataset, build_partition, run_training
+from .wire import AuditLog, verify_privacy_audit
 
 EXIT_OK = 0
 EXIT_EQUIVALENCE_FAIL = 2

@@ -19,20 +19,7 @@ Each training epoch runs four phases in lock step:
      pairwise-mask secure sum among themselves (the server sees none of it),
      in identical optimizer steps that preserve the replication invariant.
 
-Holders compute at once. Each phase's per-holder work (a holder's setup,
-its local layer, its placement of a global layer, its predictions and
-prediction gradient, its chain through a local layer's backward, its
-masking in the secure sum and its optimizer step) runs as one step per
-holder on a process-wide pool: the calling thread plus one worker pinned
-to each other usable CPU. The server's pooling, maps and accumulations,
-and the GradShare and PartialSum rounds, stay in the calling thread. A step
-sends through an outbox of its own; the caller appends the outboxes to the
-run's log in holder order, each record restamped with its position, and
-adds what the server receives in holder order too. So the log, the byte
-counts and every output read exactly as if the holders had run one after
-another, on any number of CPUs. Every holder's step runs to its end; if one
-is refused, the log reads as the sequential order would have left it at
-that point and the lowest failing holder's error is raised.
+Each phase's per-holder work runs at once, on the holder pool (`pool.py`).
 
 After each update, an evaluation forward sweep scores the new weights. What
 a sweep computed is kept until an update changes something it read. Layer
@@ -48,11 +35,6 @@ folded from it reflect exactly what each party could observe.
 
 from __future__ import annotations
 
-import ctypes
-import itertools
-import os
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +48,11 @@ from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset
                      split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
 from .numerics import AdamState, adam_step, dropout_mask, make_rng
-from .sharing import SEED_WORDS, combine_vector_shares, pooled_argmax, share_vector
+from .pool import each_holder
+from .sharing import SEED_WORDS, check_ring_sum, combine_vector_shares, pooled_argmax, share_vector
+# verify_privacy_audit is not used here: the benchmark imports it from this module
 from .wire import (HOLDER, POOL_PARTY, ROUTES, SERVER_PARTY, AuditLog, Channel, CommStats,
-                   MessageKind, holder_index, holder_party)
+                   MessageKind, holder_index, holder_party, verify_privacy_audit)
 
 # The winning holder per pooled element is an int8 (`stack_max`,
 # `pooled_argmax` and the PoolResult wire field), so holder ids must fit it.
@@ -77,116 +61,6 @@ MAX_HOLDERS = int(np.iinfo(np.int8).max)
 
 class ProtocolError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Holder steps
-# ---------------------------------------------------------------------------
-
-M_ARENA_MAX = -8     # glibc's mallopt parameter number
-
-
-def _current_cpu() -> int | None:
-    """The CPU the calling thread runs on (field 39 of its stat), or None."""
-    try:
-        with open("/proc/thread-self/stat", encoding="ascii") as stat:
-            return int(stat.read().rpartition(")")[2].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-class _HolderPool:
-    """The calling thread plus one worker thread per other usable CPU.
-
-    Started once per process, at the first holder step. With one usable CPU
-    it has no worker, and every step runs in the calling thread."""
-
-    def __init__(self):
-        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-        here = _current_cpu()
-        self.usable_cpus = cpus
-        self.worker_cpus = [cpu for cpu in cpus if cpu != here][:max(len(cpus) - 1, 0)]
-        self._work = queue.SimpleQueue()
-        if self.worker_cpus:
-            # One malloc arena for all threads. With an arena of its own per
-            # worker, peak RSS rose 12.4% on p8-shares, 15.6% on uniform-sum
-            # and 8.1% on skew-gated-secure (2 vCPUs); with one, -5% to +6%.
-            try:
-                ctypes.CDLL(None).mallopt(M_ARENA_MAX, 1)
-            except (AttributeError, OSError, TypeError):
-                pass
-        for cpu in self.worker_cpus:
-            threading.Thread(target=self._serve, args=(cpu,), name=f"sapgnn-holders-{cpu}",
-                             daemon=True).start()
-
-    def _serve(self, cpu: int):
-        # Pinned, because where the cpuset does not balance load the kernel
-        # leaves a new thread on its parent's CPU: unpinned, two numpy threads
-        # shared one of two vCPUs in 4 of 6 processes and ran at 0.67-0.89x
-        # of serial; pinned, at 1.56-1.89x.
-        if hasattr(os, "sched_setaffinity"):
-            os.sched_setaffinity(0, {cpu})
-        while True:
-            self._work.get()()
-
-    def run(self, step, n: int) -> tuple[list, list]:
-        """step(p) for p in range(n), each claimed by the first free thread;
-        (results, errors) in holder order. Every step runs, so the holder
-        state a failure leaves does not depend on the number of CPUs."""
-        results, errors = [None] * n, [None] * n
-        claim, finished = itertools.count(), [0]
-        lock, done = threading.Lock(), threading.Event()
-
-        def work():
-            while (p := next(claim)) < n:
-                try:
-                    results[p] = step(p)
-                except BaseException as exc:   # raised by the caller, in holder order
-                    errors[p] = exc
-                with lock:
-                    finished[0] += 1
-                    if finished[0] == n:
-                        done.set()
-
-        for _ in range(min(len(self.worker_cpus), n - 1)):
-            self._work.put(work)
-        work()
-        if n:
-            done.wait()
-        return results, errors
-
-
-_pool: _HolderPool | None = None
-_pool_lock = threading.Lock()
-if hasattr(os, "register_at_fork"):   # a forked child has none of its parent's workers
-    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
-
-
-def holder_pool() -> _HolderPool:
-    """The process's holder pool, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = _HolderPool()
-        return _pool
-
-
-def _each_holder(audit: AuditLog, n: int, step) -> list:
-    """step(p, outbox) for every holder p < n, at once on the holder pool;
-    the results in holder order.
-
-    Each step sends through its outbox, a channel on a log of its own. The
-    outboxes are appended to `audit` in holder order, each record restamped
-    with its position, so the log reads as if the holders had run one after
-    another. If steps raise, the lowest failing holder's error is raised
-    after the outboxes of the holders before it and its own."""
-    outboxes = [Channel(AuditLog()) for _ in range(n)]
-    results, errors = holder_pool().run(lambda p: step(p, outboxes[p]), n)
-    for outbox, error in zip(outboxes, errors, strict=True):
-        audit.extend(outbox.audit)
-        if error is not None:
-            raise error
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +306,7 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     channel = Channel(audit)
 
     cfg = config.model
-    holders = _each_holder(audit, len(holders_data), lambda p, _outbox: DataHolder(
+    holders = each_holder(audit, len(holders_data), lambda p, _outbox: DataHolder(
         holders_data[p], cfg, n_classes, config.train.lr, seed))
     server = Server(universe_ids.size, cfg, feats.pop(), config.train.lr, seed)
 
@@ -567,7 +441,7 @@ def _pool_layer(session: Session, l: int, epoch: int):
                                    holder.forward_local(l), shape[1])
         return server.holder_rows[p][valid], values
 
-    blocks = _each_holder(session.audit, len(session.holders), embed)
+    blocks = each_holder(session.audit, len(session.holders), embed)
     try:
         if not secure:
             return stack_max(blocks, server.n)
@@ -612,9 +486,9 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
                                   session.holders[p].dims[l].d_out)
             session.holders[p].receive_global(l, valid, h)
 
-        _each_holder(session.audit, len(session.holders), place)
+        each_holder(session.audit, len(session.holders), place)
 
-    _each_holder(session.audit, len(session.holders),
+    each_holder(session.audit, len(session.holders),
                  lambda p, _outbox: session.holders[p].compute_predictions())
     result = ForwardResult(total_loss=_total_loss(session.holders, "train"),
                            embeddings=embeddings)
@@ -646,7 +520,7 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
 
     P = len(session.holders)
     G = np.zeros((n, server.weights[-1].shape[0]))
-    for rows, g in _each_holder(session.audit, P, lambda p, outbox: _send_input_grad(
+    for rows, g in each_holder(session.audit, P, lambda p, outbox: _send_input_grad(
             outbox, session, MessageKind.PRED_GRAD, cfg.layers, epoch, p,
             session.holders[p].pred_backward())):
         G[rows] += g
@@ -680,7 +554,7 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
                 return _send_input_grad(outbox, session, MessageKind.INPUT_GRAD, l, epoch, p, dH)
             return None
 
-        routed = _each_holder(session.audit, P, route)
+        routed = each_holder(session.audit, P, route)
         if l > 0:
             G = np.zeros((n, session.holders[0].dims[l].d_in))
             for rows, g in routed:
@@ -707,10 +581,11 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     vectors are alive at once. A masked vector is unmasked only by all P-1
     other holders together. A seed reveals exactly what its expanded vector
     would; it is drawn from numpy's PCG64, which is simulator-grade and not
-    a CSPRNG. A NaN or infinite entry is refused, naming its holder, before
-    anything is sent. Returns the total once every holder has reconstructed
-    the same one; with one holder its vector is the total, as in the
-    centralized trainer, and nothing is sent.
+    a CSPRNG. A NaN or infinite entry, or in mode "fixed-point" a value
+    whose P-fold sum could wrap the ring, is refused, naming its holder,
+    before anything is sent. Returns the total once every holder has
+    reconstructed the same one; with one holder its vector is the total, as
+    in the centralized trainer, and nothing is sent.
     """
     P = len(vectors)
     shapes = {np.shape(v) for v in vectors}
@@ -721,6 +596,10 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     for j, vector in enumerate(vectors):
         if not np.all(np.isfinite(vector)):
             raise ProtocolError(f"holder {j}: gradient has a NaN or infinite entry")
+        try:
+            check_ring_sum(vector, P, mode)
+        except ValueError as exc:
+            raise ProtocolError(f"holder {j}: {exc}") from exc
     shape = shapes.pop()
 
     def send(kind: MessageKind, j: int, i: int, name: str, value, want: tuple):
@@ -744,7 +623,7 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
         except ValueError as exc:
             raise ProtocolError(f"holder {j}: {exc}") from exc
 
-    masked = _each_holder(channel.audit, P, mask)
+    masked = each_holder(channel.audit, P, mask)
 
     sums = [None] * P      # sums[i]: holder i's running sum of the masked vectors so far
     for j in range(P):
@@ -763,9 +642,9 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
 
 
 def aggregate_local_grads(session: Session, epoch: int = 0) -> np.ndarray:
-    """Secure sum of the holders' flattened local-weight gradients."""
-    if any(h.grad_acc is None for h in session.holders):
-        raise ProtocolError("no holder gradients to sum before a backward")
+    """Secure sum of the holder gradients of the last completed backward."""
+    if session.server.grads is None:
+        raise ProtocolError("no backward completed since the last update")
     return secure_sum(session.channel, [h.grad_acc.flat() for h in session.holders],
                       [h.rng_shares for h in session.holders], session.config.share_mode,
                       epoch)
@@ -795,7 +674,7 @@ def weight_update(session: Session, epoch: int = 0) -> None:
         session.holders[p].probs = None
         session.holders[p].apply_update(agg)
 
-    _each_holder(session.audit, len(session.holders), step)
+    each_holder(session.audit, len(session.holders), step)
     # bit for bit against holder 0, so -0.0 and +0.0 differ
     first = [w.view(np.uint64) for w in session.holders[0].locals_.arrays()]
     for holder in session.holders[1:]:
@@ -887,97 +766,3 @@ def run_training(config: RunConfig, holders_data: list[LocalGraph] | None = None
                lambda: ModelWeights(session.holders[0].locals_, session.server.weights),
                config.train.max_epochs, config.train.patience, session.audit)
 
-
-# ---------------------------------------------------------------------------
-# Privacy audit
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Finding:
-    party: str
-    kind: str
-    description: str
-
-
-@dataclass
-class AuditReport:
-    findings: list
-    mode: str
-    n_records: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def summary(self) -> str:
-        if self.ok:
-            return f"audit clean over {self.n_records} records ({self.mode} mode)"
-        lines = [f"{len(self.findings)} finding(s) over {self.n_records} records:"]
-        lines += [f"  - {f.party}: {f.kind}: {f.description}" for f in self.findings]
-        return "\n".join(lines)
-
-
-def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
-    """Check a completed run's transmissions against ROUTES, the closed wire
-    schema. Each record must name a known kind, travel that kind's route
-    (so the server never receives gradient shares or partial sums, and no
-    holder another holder's local embeddings), carry the kind's declared
-    fields in send order (its `schema`), and belong to the run's pooling
-    mode (so in secure-pooling mode the server receives no plaintext local
-    embedding). Each holder it names must have sent a NodeIndex before the
-    log's first record of another kind (the run's holders register at
-    init), a GradShare must go to the pair's lower holder and a PartialSum
-    to another holder than its sender. Each record's `ts` must be its
-    position in the log, so a record reordered, replayed or dropped after
-    the run is found: once, at the first record off its position, since
-    every record after a gap is off its position too. A record yields at
-    most one finding, at its receiver.
-    What each party may learn from the schema is set out in the README
-    ("What each party sees"). The check reads kinds, parties and field
-    names, not payloads: a payload that leaks more than its schema promises
-    is caught by the protocol tests, not here.
-    """
-    routes = {kind.value: route for kind, route in ROUTES.items()}
-    if mode is None:
-        secure = any(routes[r.kind].mode == "secure-pooling"
-                     for r in log.records if r.kind in routes)
-        mode = "secure-pooling" if secure else "naive"
-    findings: list[Finding] = []
-    registered, at_init = set(), True    # the holders whose NodeIndex opens the log
-    in_place = True                      # until the first record off its position
-    for position, rec in enumerate(log.records):
-        route = routes.get(rec.kind)
-        at_init = at_init and rec.kind == MessageKind.NODE_INDEX.value
-        if at_init and holder_index(rec.sender) >= 0:
-            registered.add(rec.sender)
-        sent = " -> ".join(HOLDER if holder_index(party) >= 0 else party
-                           for party in (rec.sender, rec.receiver))
-        unregistered = [party for party in (rec.sender, rec.receiver)
-                        if holder_index(party) >= 0 and party not in registered]
-        if route is None:
-            problem = "message kind outside the closed schema"
-        elif sent != (path := f"{route.sender} -> {route.receiver}"):
-            problem = f"sent {sent}, off its route {path}"
-        elif rec.schema != (schema := ",".join(route.fields)):
-            problem = f"carries fields {rec.schema!r}, not {schema!r}"
-        elif route.mode not in (None, mode):
-            problem = f"belongs to {route.mode} runs, not to a {mode} run"
-        elif unregistered:
-            problem = f"{unregistered[0]} sent no NodeIndex before it"
-        elif (rec.kind == MessageKind.GRAD_SHARE.value
-              and holder_index(rec.sender) <= holder_index(rec.receiver)):
-            problem = (f"a seed goes from a pair's higher holder to its lower, not from "
-                       f"{rec.sender} to {rec.receiver}")
-        elif rec.kind == MessageKind.PARTIAL_SUM.value and rec.sender == rec.receiver:
-            problem = "sent to its own sender"
-        elif in_place and rec.ts != position:
-            in_place = False
-            problem = (f"out of its place in the log: ts {rec.ts} where ts {position} was "
-                       "expected, so a record was reordered, replayed or dropped at or "
-                       "before it")
-        else:
-            continue
-        finding = Finding(party=rec.receiver, kind=rec.kind, description=problem)
-        if finding not in findings:
-            findings.append(finding)
-    return AuditReport(findings=findings, mode=mode, n_records=len(log.records))

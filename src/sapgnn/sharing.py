@@ -187,8 +187,9 @@ def share_vector(x: np.ndarray, P: int, add, subtract, mode: str = "fixed-point"
     uniform to anyone who lacks one of its holder's seeds.
 
     mode "fixed-point": uint64 residues at GRAD_FRAC_BITS fraction bits,
-    exact modular sum up to the encoding quantization; each encoded value
-    must stay below 2^63 / P so that a sum over P holders cannot wrap.
+    exact modular sum up to the encoding quantization, provided the caller
+    has checked x with `check_ring_sum`, so that a sum over P holders cannot
+    wrap.
     mode "real": a float64 copy masked with float offsets; bypasses
     quantization so logic errors can be isolated from rounding (test mode,
     not a security mode).
@@ -198,9 +199,6 @@ def share_vector(x: np.ndarray, P: int, add, subtract, mode: str = "fixed-point"
     x = np.asarray(x, dtype=np.float64)
     if mode == "fixed-point":
         masked = encode_vector(x, GRAD_FRAC_BITS)
-        # P summands below 2^63 / P each cannot wrap the signed 64-bit sum
-        if np.any(np.abs(masked.view(np.int64)) >= (1 << 63) // P):
-            raise ValueError(f"value overflows the 64-bit ring when summed over {P} holders")
     elif mode == "real":
         masked = x.copy()
     else:
@@ -210,6 +208,18 @@ def share_vector(x: np.ndarray, P: int, add, subtract, mode: str = "fixed-point"
     for seed in subtract:
         np.subtract(masked, expand_seed(seed, x.shape, mode), out=masked)
     return masked
+
+
+def check_ring_sum(x: np.ndarray, P: int, mode: str) -> None:
+    """Refuse x if, in mode "fixed-point", its encoding summed over P holders
+    could wrap the 64-bit ring. P summands below 2^63 / P each cannot wrap
+    the signed sum; the encoding is monotone in |x|, so the largest
+    magnitude decides. Mode "real" has no ring to wrap."""
+    if mode != "fixed-point":
+        return
+    top = encode_vector(np.max(np.abs(x), initial=0.0), GRAD_FRAC_BITS).view(np.int64)
+    if top >= (1 << 63) // P:
+        raise ValueError(f"value overflows the 64-bit ring when summed over {P} holders")
 
 
 def combine_vector_shares(shares, mode: str = "fixed-point"):

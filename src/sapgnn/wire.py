@@ -7,7 +7,8 @@ a field of any other dtype is refused). The channel serializes, appends one
 record per transmission to the AuditLog, the one ledger of the wire, and
 hands the receiver a decoded copy; CommStats is a fold over that log.
 ROUTES declares each message kind's route and fields: every receiver's
-check and the privacy audit read it.
+check reads it, and so does the privacy audit, `verify_privacy_audit`,
+which checks a run's log against it and reports an `AuditReport`.
 This module imports nothing else from the package.
 """
 
@@ -353,3 +354,94 @@ class Channel:
                           len(buf))
         _kind, _layer, _epoch, _sid, decoded = decode_message(buf)
         return decoded
+
+
+@dataclass(frozen=True)
+class Finding:
+    party: str
+    kind: str
+    description: str
+
+
+@dataclass
+class AuditReport:
+    findings: list
+    mode: str
+    n_records: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.findings
+
+    def summary(self) -> str:
+        if self.ok:
+            return f"audit clean over {self.n_records} records ({self.mode} mode)"
+        lines = [f"{len(self.findings)} finding(s) over {self.n_records} records:"]
+        lines += [f"  - {f.party}: {f.kind}: {f.description}" for f in self.findings]
+        return "\n".join(lines)
+
+
+def verify_privacy_audit(log: AuditLog, mode: str | None = None) -> AuditReport:
+    """Check a completed run's transmissions against ROUTES, the closed wire
+    schema. Each record must name a known kind, travel that kind's route
+    (so the server never receives gradient shares or partial sums, and no
+    holder another holder's local embeddings), carry the kind's declared
+    fields in send order (its `schema`), and belong to the run's pooling
+    mode (so in secure-pooling mode the server receives no plaintext local
+    embedding). Each holder it names must have sent a NodeIndex before the
+    log's first record of another kind (the run's holders register at
+    init), a GradShare must go to the pair's lower holder and a PartialSum
+    to another holder than its sender. Each record's `ts` must be its
+    position in the log, so a record reordered, replayed or dropped after
+    the run is found: once, at the first record off its position, since
+    every record after a gap is off its position too. A record yields at
+    most one finding, at its receiver.
+    What each party may learn from the schema is set out in the README
+    ("What each party sees"). The check reads kinds, parties and field
+    names, not payloads: a payload that leaks more than its schema promises
+    is caught by the protocol tests, not here.
+    """
+    routes = {kind.value: route for kind, route in ROUTES.items()}
+    if mode is None:
+        secure = any(routes[r.kind].mode == "secure-pooling"
+                     for r in log.records if r.kind in routes)
+        mode = "secure-pooling" if secure else "naive"
+    findings: list[Finding] = []
+    registered, at_init = set(), True    # the holders whose NodeIndex opens the log
+    in_place = True                      # until the first record off its position
+    for position, rec in enumerate(log.records):
+        route = routes.get(rec.kind)
+        at_init = at_init and rec.kind == MessageKind.NODE_INDEX.value
+        if at_init and holder_index(rec.sender) >= 0:
+            registered.add(rec.sender)
+        sent = " -> ".join(HOLDER if holder_index(party) >= 0 else party
+                           for party in (rec.sender, rec.receiver))
+        unregistered = [party for party in (rec.sender, rec.receiver)
+                        if holder_index(party) >= 0 and party not in registered]
+        if route is None:
+            problem = "message kind outside the closed schema"
+        elif sent != (path := f"{route.sender} -> {route.receiver}"):
+            problem = f"sent {sent}, off its route {path}"
+        elif rec.schema != (schema := ",".join(route.fields)):
+            problem = f"carries fields {rec.schema!r}, not {schema!r}"
+        elif route.mode not in (None, mode):
+            problem = f"belongs to {route.mode} runs, not to a {mode} run"
+        elif unregistered:
+            problem = f"{unregistered[0]} sent no NodeIndex before it"
+        elif (rec.kind == MessageKind.GRAD_SHARE.value
+              and holder_index(rec.sender) <= holder_index(rec.receiver)):
+            problem = (f"a seed goes from a pair's higher holder to its lower, not from "
+                       f"{rec.sender} to {rec.receiver}")
+        elif rec.kind == MessageKind.PARTIAL_SUM.value and rec.sender == rec.receiver:
+            problem = "sent to its own sender"
+        elif in_place and rec.ts != position:
+            in_place = False
+            problem = (f"out of its place in the log: ts {rec.ts} where ts {position} was "
+                       "expected, so a record was reordered, replayed or dropped at or "
+                       "before it")
+        else:
+            continue
+        finding = Finding(party=rec.receiver, kind=rec.kind, description=problem)
+        if finding not in findings:
+            findings.append(finding)
+    return AuditReport(findings=findings, mode=mode, n_records=len(log.records))

@@ -22,10 +22,10 @@ from sapgnn.harness import (ExperimentSpec, SWEEP_HEADER, comm_profile, linear_f
                             run_sweep, summarize_sweep)
 from sapgnn.numerics import finite_diff_grad, make_rng
 from sapgnn.protocol import (aggregate_local_grads, backward_pass, build_dataset,
-                             build_partition, forward_pass, init_parties, run_training,
-                             verify_privacy_audit)
+                             build_partition, forward_pass, init_parties, run_training)
 from sapgnn.sharing import (FixedPoint, reconstruct_additive, reconstruct_boolean,
                             secure_argmax, share_additive)
+from sapgnn.wire import verify_privacy_audit
 
 
 def report(number, text):

@@ -18,7 +18,8 @@ from sapgnn.config import PartitionConfig, RunConfig, TrainConfig
 from sapgnn.gnn import ModelConfig, UpdateKind
 from sapgnn.graphs import UNLABELED, Graph, union_graph
 from sapgnn.harness import compare_equivalence, train_centralized
-from sapgnn.protocol import build_partition, run_training, verify_privacy_audit
+from sapgnn.protocol import build_partition, run_training
+from sapgnn.wire import verify_privacy_audit
 
 EPOCHS = 3
 # Measured over 4000 draws (about 1900 trained with P > 1): real shares kept

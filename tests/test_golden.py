@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import sapgnn
-from sapgnn import protocol
+from sapgnn import pool
 from sapgnn.config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
 from sapgnn.gnn import ModelConfig
 from sapgnn.harness import (train_centralized, train_sp, write_audit_jsonl, write_comm_csv,
@@ -183,4 +183,4 @@ if __name__ == "__main__":
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     hashes = RUNS[run](name, Path(out))
     print(json.dumps({"hashes": hashes,
-                      "holder_workers": len(protocol.holder_pool().worker_cpus)}))
+                      "holder_workers": len(pool.holder_pool().worker_cpus)}))

@@ -13,11 +13,11 @@ from sapgnn.numerics import make_rng
 from sapgnn.sharing import GRAD_FRAC_BITS
 from sapgnn.protocol import (ProtocolError, _pool_layer, aggregate_local_grads, backward_pass,
                              build_dataset, build_partition, evaluate, forward_pass,
-                             holder_party, init_parties, run_training, verify_privacy_audit,
-                             weight_update)
+                             init_parties, run_training, weight_update)
 from sapgnn.harness import (compare_equivalence, train_centralized, write_audit_jsonl,
                             write_comm_csv)
-from sapgnn.wire import AuditLog, Channel, CommStats, MessageKind
+from sapgnn.wire import (AuditLog, Channel, CommStats, MessageKind, holder_party,
+                         verify_privacy_audit)
 
 
 def make_config(P=2, n=24, kind="sum", mode="naive", share_mode="real", seed=9,
@@ -48,11 +48,13 @@ def weights_blob(holder) -> bytes:
 
 def snapshot(session) -> tuple:
     """What a refused call must leave as it was: every party's weights and
-    Adam states, the log's length and its byte total."""
+    Adam states, every holder's share-seed stream, the log's length and its
+    byte total."""
     parties = [session.server, *session.holders]
     return ([w.tobytes() for w in session.server.weights],
             [weights_blob(h) for h in session.holders],
             [(a.m.tobytes(), a.v.tobytes(), a.step) for party in parties for a in party.adams],
+            [h.rng_shares.bit_generator.state for h in session.holders],
             len(session.audit.records), CommStats.of(session.audit).total())
 
 
@@ -425,14 +427,23 @@ def _server_inf(session):
     session.server.grads[1] = np.full_like(session.server.grads[1], np.inf)
 
 
+def _ring_overflow(session):
+    for holder in session.holders:
+        # encodes below 2^62, but the three-holder sum would pass 2^63
+        holder.grad_acc.w_predict[0, 0] = 1.5 * 2.0 ** (61 - GRAD_FRAC_BITS)
+
+
 @pytest.mark.parametrize("share_mode, fault, message", [
     pytest.param("real", _holder_nan, "holder 1: gradient has a NaN", id="real"),
     pytest.param("fixed-point", _holder_nan, "holder 1: gradient has a NaN", id="fixed-point"),
     pytest.param("real", _server_inf, "server gradient has a NaN", id="infinite-server-grad"),
+    pytest.param("fixed-point", _ring_overflow, "holder 0: .* summed over 3 holders",
+                 id="fixed-point-overflow"),
 ])
 def test_a_refused_update_changes_nothing(share_mode, fault, message):
-    # a non-finite server or holder gradient is refused before the server or
-    # any holder steps, and before any holder sends a share
+    # a non-finite server or holder gradient, or a holder gradient whose sum
+    # could wrap the ring, is refused before the server or any holder steps,
+    # and before any holder sends a share or draws a seed
     _, _, session = make_session(make_config(P=3, kind="gated", share_mode=share_mode))
     forward_pass(session, train=True, epoch=0)
     backward_pass(session, epoch=0)
@@ -462,12 +473,15 @@ def _a_full_step(session, _monkeypatch):
     weight_update(session, epoch=0)
 
 
-@pytest.mark.parametrize("before_update", [
+WITHOUT_A_COMPLETED_BACKWARD = [
     pytest.param(lambda session, _monkeypatch: forward_pass(session, train=True, epoch=0),
                  id="no-backward"),
     pytest.param(_a_full_step, id="second-update"),
     pytest.param(_refuse_a_backward_mid_sweep, id="backward-refused-mid-sweep"),
-])
+]
+
+
+@pytest.mark.parametrize("before_update", WITHOUT_A_COMPLETED_BACKWARD)
 def test_an_update_steps_only_a_backward_completed_since_the_last(monkeypatch, before_update):
     # the gradients of an earlier backward are not stepped again, nor are a
     # refused backward's partial ones: nothing is sent, and nothing steps
@@ -479,11 +493,14 @@ def test_an_update_steps_only_a_backward_completed_since_the_last(monkeypatch, b
     assert snapshot(session) == before
 
 
-def test_a_sum_before_any_backward_is_refused():
-    _, _, session = make_session(make_config(P=3))
-    forward_pass(session, train=True, epoch=0)
+@pytest.mark.parametrize("before_sum", WITHOUT_A_COMPLETED_BACKWARD)
+def test_a_sum_before_any_backward_is_refused(monkeypatch, before_sum):
+    # the holders sum only what a completed backward left, not an earlier
+    # step's gradients nor a refused backward's partial ones, and send nothing
+    _, _, session = make_session(make_config(P=3, kind="gated"))
+    before_sum(session, monkeypatch)
     before = snapshot(session)
-    with pytest.raises(ProtocolError, match="no holder gradients to sum before a backward"):
+    with pytest.raises(ProtocolError, match="no backward completed since the last update"):
         aggregate_local_grads(session, epoch=0)
     assert snapshot(session) == before
 

@@ -1,13 +1,16 @@
+import ast
 import hashlib
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sapgnn
 from sapgnn.wire import (AuditLog, Channel, CommStats, MessageKind, WireError, decode_message,
                          encode_message)
 
@@ -288,3 +291,15 @@ def _patch(at: int, fmt: str, value) -> bytes:
 def test_malformed_buffer_raises_wire_error(buf, reason):
     with pytest.raises(WireError, match=reason):
         decode_message(buf)
+
+
+@pytest.mark.parametrize("module, allowed", [("wire", set()), ("pool", {"wire"})])
+def test_module_imports_only_the_layers_below_it(module, allowed):
+    # the wire imports nothing else from the package, and the holder pool
+    # only the wire: neither may reach up into the protocol
+    source = Path(sapgnn.__file__).with_name(f"{module}.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    assert imported == allowed
