@@ -405,7 +405,7 @@ def global_backward(G: np.ndarray, z: np.ndarray, m: np.ndarray,
     return dW, dM
 
 
-def stack_max(blocks: list, n: int):
+def stack_max(blocks: list, n: int, first_row: int = 0):
     """Element-wise max across holders with the winning holder per element
     (ties to the lowest holder).
 
@@ -413,7 +413,8 @@ def stack_max(blocks: list, n: int):
     rows `rows`, all blocks of one dtype (floats, or the sealed pool's int64
     codes). They are placed in a (P, n, d) stack that holds the dtype's
     lowest value where a holder sent no row. Raises if the max of some row
-    is that value (no holder sent it, so nobody can embed it).
+    is that value (no holder sent it, so nobody can embed it), naming it as
+    universe row `first_row + row`: the stack may cover a range of rows.
     """
     dtype = blocks[0][1].dtype
     unsent = np.finfo(dtype).min if dtype.kind == "f" else np.iinfo(dtype).min
@@ -423,7 +424,8 @@ def stack_max(blocks: list, n: int):
     m, first = first_max(stack, len(stack))
     missing = (m <= unsent).any(axis=1)
     if missing.any():
-        raise ValueError(f"node row {int(np.flatnonzero(missing)[0])} is unknown to every holder")
+        raise ValueError(f"node row {first_row + int(np.flatnonzero(missing)[0])} is unknown "
+                         "to every holder")
     return m, first.astype(np.int8)
 
 

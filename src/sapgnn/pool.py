@@ -5,11 +5,14 @@ its local layer, its placement of a global layer, its predictions and
 prediction gradient, its chain through a local layer's backward, its
 masking in the secure sum and its optimizer step) runs as one step per
 holder on a process-wide pool: the calling thread plus one worker pinned
-to each other usable CPU. The server's pooling, maps and accumulations,
-and the GradShare and PartialSum rounds, stay in the calling thread. A step
-sends through an outbox of its own; the caller appends the outboxes to the
-run's log in holder order, each record restamped with its position, and
-adds what the server receives in holder order too. So the log, the byte
+to each other usable CPU. Receivers take their messages at once too: each
+sender's PartialSum round runs one step per receiving holder, and the
+server's pooling (or the sealed pool's) one step per contiguous range of
+rows, one range per thread. The server's maps and accumulations and the
+GradShare round stay in the calling thread. A step sends through an outbox
+of its own; the caller appends the outboxes to the run's log in holder
+order, each record restamped with its position, and adds what the server
+receives in holder order too. So the log, the byte
 counts and every output read exactly as if the holders had run one after
 another, on any number of CPUs. Every holder's step runs to its end; if one
 is refused, the log reads as the sequential order would have left it at
@@ -50,6 +53,7 @@ class _HolderPool:
         here = _current_cpu()
         self.usable_cpus = cpus
         self.worker_cpus = [cpu for cpu in cpus if cpu != here][:max(len(cpus) - 1, 0)]
+        self.threads = len(self.worker_cpus) + 1
         self._work = queue.SimpleQueue()
         if self.worker_cpus:
             # One malloc arena for all threads. With an arena of its own per
@@ -90,8 +94,9 @@ def holder_pool() -> _HolderPool:
 
 
 def each_holder(audit: AuditLog, n: int, step) -> list:
-    """step(p, outbox) for every holder p < n, each claimed by the first free
-    thread; the results in holder order. Every step runs to its end, so the
+    """step(p, outbox) for every holder p < n (or every receiver of a round,
+    or every range of rows), each claimed by the first free thread; the
+    results in holder order. Every step runs to its end, so the
     holder state a failure leaves does not depend on the number of CPUs.
 
     Each step sends through its outbox, a channel on a log of its own. The
@@ -116,7 +121,7 @@ def each_holder(audit: AuditLog, n: int, step) -> list:
                 if finished[0] == n:
                     done.set()
 
-    for _ in range(min(len(pool.worker_cpus), n - 1)):
+    for _ in range(min(pool.threads, n) - 1):
         pool._work.put(work)
     work()
     if n:

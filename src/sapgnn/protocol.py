@@ -48,7 +48,7 @@ from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset
                      split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
 from .numerics import AdamState, adam_step, dropout_mask, make_rng
-from .pool import each_holder
+from .pool import each_holder, holder_pool
 from .sharing import SEED_WORDS, check_ring_sum, combine_vector_shares, pooled_argmax, share_vector
 # verify_privacy_audit is not used here: the benchmark imports it from this module
 from .wire import (HOLDER, POOL_PARTY, ROUTES, SERVER_PARTY, AuditLog, Channel, CommStats,
@@ -421,6 +421,31 @@ def _send_input_grad(outbox: Channel, session: Session, kind: MessageKind, layer
     return session.server.holder_rows[p][valid], g
 
 
+def _pool_rows(blocks: list, n: int, secure: bool, ranges: int):
+    """(m, winner) of the holders' `(universe rows, values)` blocks over n
+    rows, as one `stack_max` call (naive) or one `pooled_argmax` call (the
+    sealed pool) returns them, bit for bit: every element is pooled on its
+    own. The rows are split into `ranges` contiguous ranges, each pooled as
+    one step on the holder pool. A block's rows ascend, so its share of a
+    range is one slice. A range that holds a row no holder sent is refused
+    naming that universe row; of several refused ranges, the lowest is."""
+    bounds = [n * r // ranges for r in range(ranges + 1)]
+    m = np.empty((n, blocks[0][1].shape[1]))
+    winner = np.empty(m.shape, dtype=np.int8)
+
+    def pool_range(r, _outbox):
+        lo, hi = bounds[r], bounds[r + 1]
+        part = []
+        for rows, values in blocks:
+            a, b = np.searchsorted(rows, (lo, hi))
+            part.append((rows[a:b] - lo, values[a:b]))
+        pool = pooled_argmax if secure else stack_max
+        m[lo:hi], winner[lo:hi] = pool(part, hi - lo, first_row=lo)
+
+    each_holder(AuditLog(), ranges, pool_range)   # a range sends nothing
+    return m, winner
+
+
 def _pool_layer(session: Session, l: int, epoch: int):
     """Every holder's layer-l local embeddings, pooled: (m, winner) at the server.
 
@@ -429,7 +454,8 @@ def _pool_layer(session: Session, l: int, epoch: int):
     values)` block; in naive mode the server pools the blocks with
     `stack_max`, and in secure-pooling mode the sealed pool does with
     `pooled_argmax`, so the server gets only the winning values and the
-    winning holder index per element."""
+    winning holder index per element. Either pools one range of rows per
+    thread of the holder pool."""
     server = session.server
     secure = session.config.mode == "secure-pooling"
     kind = MessageKind.POOL_INPUT if secure else MessageKind.LOCAL_EMBEDDING
@@ -443,11 +469,11 @@ def _pool_layer(session: Session, l: int, epoch: int):
 
     blocks = each_holder(session.audit, len(session.holders), embed)
     try:
-        if not secure:
-            return stack_max(blocks, server.n)
-        m, winner = pooled_argmax(blocks, server.n)
+        m, winner = _pool_rows(blocks, server.n, secure, holder_pool().threads)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
+    if not secure:
+        return m, winner
     got = _send(session.channel, MessageKind.POOL_RESULT, POOL_PARTY, SERVER_PARTY, l, epoch,
                 {"m": m, "winner": winner}, {"m": shape, "winner": shape})
     m, winner = got["m"], got["winner"]
@@ -576,17 +602,24 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     of the seeds it drew and subtracts those of the seeds it received, so
     each seed is expanded by its two holders only and the masks cancel in
     the total. Each holder then sends its masked vector to every other
-    holder as a PartialSum, and each adds the P masked vectors into one
-    running sum as they arrive, in ascending sender order, so only O(P)
-    vectors are alive at once. A masked vector is unmasked only by all P-1
-    other holders together. A seed reveals exactly what its expanded vector
-    would; it is drawn from numpy's PCG64, which is simulator-grade and not
-    a CSPRNG. A NaN or infinite entry, or in mode "fixed-point" a value
-    whose P-fold sum could wrap the ring, is refused, naming its holder,
-    before anything is sent. Returns the total once every holder has
-    reconstructed the same one; with one holder its vector is the total, as
-    in the centralized trainer, and nothing is sent.
+    holder as a PartialSum, in one round per sender, ascending. In a round
+    the receivers take the sender's vector at once, one holder-pool step
+    each, and add it into their running sums, so every holder adds the P
+    masked vectors in ascending sender order, only O(P) vectors are alive at
+    once, and the log reads sender outer and receiver inner. A masked vector
+    is freed after its round and unmasked only by all P-1 other holders
+    together. A seed reveals exactly what its expanded vector would; it is
+    drawn from numpy's PCG64, which is simulator-grade and not a CSPRNG. An
+    unknown share mode, a NaN or infinite entry, or in mode "fixed-point" a
+    value whose P-fold sum could wrap the ring, is refused (the last two
+    naming their holder) before any seed is drawn or anything is sent.
+    Returns the total once every holder has reconstructed the same one; with
+    one holder its vector is the total, as in the centralized trainer, and
+    nothing is sent.
     """
+    # the share modes are those the wire declares a PartialSum dtype for
+    if mode not in ROUTES[MessageKind.PARTIAL_SUM].fields["partial"]:
+        raise ProtocolError(f"unknown share mode {mode!r}")
     P = len(vectors)
     shapes = {np.shape(v) for v in vectors}
     if len(shapes) != 1:
@@ -602,9 +635,9 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
             raise ProtocolError(f"holder {j}: {exc}") from exc
     shape = shapes.pop()
 
-    def send(kind: MessageKind, j: int, i: int, name: str, value, want: tuple):
+    def send(via: Channel, kind: MessageKind, j: int, i: int, name: str, value, want: tuple):
         """Holder j sends `value` to holder i, who expects a field `name` of shape `want`."""
-        return _send(channel, kind, holder_party(j), holder_party(i), -1, epoch, {name: value},
+        return _send(via, kind, holder_party(j), holder_party(i), -1, epoch, {name: value},
                      {name: want}, mode)[name]
 
     drawn = []                          # drawn[j][i]: the seed of pair (i, j), i < j
@@ -613,7 +646,7 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
         seeds = rng.integers(0, 2 ** 64 - 1, size=(j, SEED_WORDS), dtype=np.uint64,
                              endpoint=True)
         for i, seed in enumerate(seeds):
-            received[i].append(send(MessageKind.GRAD_SHARE, j, i, "seed", seed,
+            received[i].append(send(channel, MessageKind.GRAD_SHARE, j, i, "seed", seed,
                                     (SEED_WORDS,)))
         drawn.append(seeds)
 
@@ -628,14 +661,17 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     sums = [None] * P      # sums[i]: holder i's running sum of the masked vectors so far
     for j in range(P):
         vector, masked[j] = masked[j], None
-        for i in range(P):
-            got = vector if i == j else send(MessageKind.PARTIAL_SUM, j, i, "partial", vector,
-                                             shape)
+
+        def receive(i, outbox):
+            got = vector if i == j else send(outbox, MessageKind.PARTIAL_SUM, j, i, "partial",
+                                             vector, shape)
             if sums[i] is not None:
                 np.add(sums[i], got, out=sums[i])
             else:
                 # a decoded vector is already the receiver's own
                 sums[i] = vector.copy() if i == j else got
+
+        each_holder(channel.audit, P, receive)   # sender j's round
     if any(not np.array_equal(sums[0], s) for s in sums[1:]):
         raise ProtocolError("holders reconstructed different gradient aggregates")
     return combine_vector_shares(sums[:1], mode=mode)

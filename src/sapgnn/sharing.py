@@ -256,17 +256,20 @@ def secure_argmax(values: list[FixedPoint], rng: np.random.Generator) -> np.ndar
     return share_boolean(onehot, P, rng)
 
 
-def pooled_argmax(blocks: list, n: int, frac_bits: int = ARGMAX_FRAC_BITS):
+def pooled_argmax(blocks: list, n: int, frac_bits: int = ARGMAX_FRAC_BITS,
+                  first_row: int = 0):
     """Vectorized sealed-evaluator core for the pooling functionality.
 
     `blocks[p]` is holder p's `(rows, values)`: float64 candidate values of
     the universe rows `rows` out of n. Each block is encoded once at
     `frac_bits` into signed int64 codes, which `stack_max` pools (the
-    encoding is monotone, so comparing codes compares values). The returned
-    maxima are the winners' float64 entries, selected from their blocks.
+    encoding is monotone, so comparing codes compares values; a row no
+    holder sent is refused as `stack_max` refuses it, by `first_row + row`).
+    The returned maxima are the winners' float64 entries, selected from
+    their blocks.
     """
     codes = [(rows, encode_vector(values, frac_bits).view(np.int64)) for rows, values in blocks]
-    _, winner = stack_max(codes, n)
+    _, winner = stack_max(codes, n, first_row)
     # every element is written once, from the block of the holder that won it
     max_values = np.empty(winner.shape)
     for p, (rows, values) in enumerate(blocks):

@@ -5,7 +5,8 @@ message (little-endian; floats as float64, unsigned integers as uint8 or
 uint64, signed as int8 or int64, so every payload arrives exactly as sent;
 a field of any other dtype is refused). The channel serializes, appends one
 record per transmission to the AuditLog, the one ledger of the wire, and
-hands the receiver a decoded copy; CommStats is a fold over that log.
+hands the receiver the fields decoded from that message's own buffer, read
+in place where they are aligned; CommStats is a fold over that log.
 ROUTES declares each message kind's route and fields: every receiver's
 check reads it, and so does the privacy audit, `verify_privacy_audit`,
 which checks a run's log against it and reports an `AuditReport`.
@@ -99,6 +100,7 @@ _DTYPE_CODES = {"<f8": b"f", "<u8": b"u", "<i8": b"i", "|u1": b"b", "|i1": b"c"}
 _CODES_DTYPE = {v: k for k, v in _DTYPE_CODES.items()}
 _HEADER = "<2sBhiB"  # magic, kind id, layer, epoch, field count
 _SENDER = "<h"       # sender id, after the last field
+_ALIGN = 8           # the widest wire dtype's itemsize
 
 
 class WireError(ValueError):
@@ -124,22 +126,32 @@ def _wire_dtype(name: str, dtype: np.dtype) -> np.dtype:
 
 
 def encode_message(kind: MessageKind, layer: int, epoch: int, sender_id: int,
-                   fields: dict[str, np.ndarray]) -> bytearray:
-    """Serialize one message; the leading u32 is the body length.
+                   fields: dict[str, np.ndarray]) -> np.ndarray:
+    """Serialize one message into a writable uint8 buffer of its length;
+    the leading u32 is the body length.
 
     The message is sized first and filled in place: each payload is written
     once, in C order whatever its memory layout, through a view of the one
-    buffer."""
+    buffer. The buffer is placed in a slightly larger allocation so that the
+    largest payload starts at an 8-byte aligned address, which lets
+    `decode_message` hand that payload to the receiver in place."""
     laid_out = []   # per field: its metadata format, name, wire dtype and values
-    size = 4 + struct.calcsize(_HEADER) + struct.calcsize(_SENDER)
+    size = 4 + struct.calcsize(_HEADER)
+    largest, at = -1, 0   # the largest payload's length and offset
     for name, arr in fields.items():
         arr = np.asarray(arr)
         wire = _wire_dtype(name, arr.dtype)
         name_b = name.encode("utf-8")
         meta = f"<B{len(name_b)}scB{arr.ndim}iq"
         laid_out.append((meta, name_b, wire, arr))
-        size += struct.calcsize(meta) + arr.size * wire.itemsize
-    buf = bytearray(size)
+        size += struct.calcsize(meta)
+        if arr.size * wire.itemsize > largest:
+            largest, at = arr.size * wire.itemsize, size
+        size += arr.size * wire.itemsize
+    size += struct.calcsize(_SENDER)
+    raw = np.empty(size + _ALIGN - 1, dtype=np.uint8)
+    shift = -(raw.ctypes.data + at) % _ALIGN
+    buf = raw[shift:shift + size]   # every byte of it is written below
     struct.pack_into("<I", buf, 0, size - 4)
     struct.pack_into(_HEADER, buf, 4, b"SG", KIND_IDS[kind], layer, epoch, len(fields))
     off = 4 + struct.calcsize(_HEADER)
@@ -161,8 +173,14 @@ def _unpack(fmt: str, body, off: int) -> tuple:
         raise WireError(f"message truncated at byte {off} of {len(body)}") from None
 
 
-def decode_message(buf: bytes):
+def decode_message(buf):
     """Inverse of encode_message: (kind, layer, epoch, sender_id, fields).
+
+    A field is a view of `buf` where `buf` is writable and the field is
+    aligned for its dtype (always, for the largest payload of a buffer
+    `encode_message` returned), and a copy otherwise, for example when `buf`
+    is `bytes`; either way every field is writable, C-contiguous and shares
+    no memory with another field.
 
     Raises WireError for a truncated buffer, trailing bytes, a length that
     disagrees with the buffer, an unknown kind or dtype code, a negative
@@ -206,7 +224,8 @@ def decode_message(buf: bytes):
             raise WireError(f"field {name!r}: {raw_len} bytes cannot hold shape {shape}")
         if off + raw_len > payload_end:
             raise WireError(f"field {name!r}: message truncated in the payload")
-        fields[name] = np.frombuffer(body, dtype, count, off).reshape(shape).copy()
+        value = np.frombuffer(body, dtype, count, off).reshape(shape)
+        fields[name] = value if value.flags.writeable and value.flags.aligned else value.copy()
         off += raw_len
     (sender_id,) = _unpack(_SENDER, body, off)
     off += struct.calcsize(_SENDER)
@@ -339,7 +358,8 @@ class AuditLog:
 class Channel:
     """In-process transport: serialize, audit, deliver.
 
-    The decoded copy returned to the caller is what the receiver sees; the
+    The fields returned to the caller are what the receiver sees: decoded
+    from the message's fresh buffer, so the receiver owns them and the
     original arrays never cross the party boundary. Tests may call send()
     directly with an arbitrary kind to inject rogue traffic for the audit.
     """

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapgnn import protocol, sharing
+from sapgnn.gnn import stack_max
 from sapgnn.numerics import make_rng
 from sapgnn.protocol import ProtocolError, secure_sum
 from sapgnn.sharing import (GRAD_FRAC_BITS, AdditiveShare, FixedPoint, combine_vector_shares,
@@ -164,24 +166,40 @@ def test_boolean_round_trip():
 
 # -- secure aggregation ------------------------------------------------------------
 
-class RecordingChannel(Channel):
-    """A channel that also keeps a copy of every delivered message
-    (the receiver owns what it is handed and may add into it)."""
+@contextmanager
+def delivered_messages(tamper=None):
+    """Every message delivered while the block runs, in order, as (sender,
+    receiver, kind, a copy of the fields the receiver decoded; it owns them
+    and may add into them). Channel.send is patched on the class, so the
+    sends through a holder step's outbox are seen too. `tamper(sender,
+    receiver, kind, fields)`, if given, returns what to hand the receiver in
+    place of the decoded fields; the record keeps what was decoded."""
+    delivered, send = [], Channel.send
 
-    def __init__(self):
-        super().__init__(AuditLog())
-        self.delivered = []
+    def recording(self, sender, receiver, kind, layer, epoch, fields, sender_id=-1):
+        decoded = send(self, sender, receiver, kind, layer, epoch, fields, sender_id)
+        delivered.append((sender, receiver, kind.value,
+                          {name: arr.copy() for name, arr in decoded.items()}))
+        return decoded if tamper is None else tamper(sender, receiver, kind.value, decoded)
 
-    def send(self, sender, receiver, kind, layer, epoch, fields, sender_id=-1):
-        decoded = super().send(sender, receiver, kind, layer, epoch, fields, sender_id)
-        self.delivered.append((sender, receiver, kind.value,
-                               {name: arr.copy() for name, arr in decoded.items()}))
-        return decoded
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Channel, "send", recording)
+        yield delivered
+
+
+def tampering(kind, edit, receiver=None):
+    """A `tamper` that hands the receiver of holder 1's `kind` messages (to
+    `receiver` only, if given) `edit` of the decoded fields."""
+    def tamper(sender, to, sent_kind, fields):
+        hit = (sent_kind, sender) == (kind, "holder-1") and receiver in (None, to)
+        return edit(fields) if hit else fields
+    return tamper
 
 
 def run_sum(vectors, seed, mode="fixed-point", channel=None):
-    """secure_sum over a fresh channel, one rng per holder; (total, channel)."""
-    channel = channel or RecordingChannel()
+    """secure_sum over `channel` (a fresh one by default), one rng per
+    holder; (total, channel)."""
+    channel = channel or Channel(AuditLog())
     rngs = [make_rng(seed, ("holder", p)) for p in range(len(vectors))]
     return secure_sum(channel, vectors, rngs, mode, epoch=0), channel
 
@@ -242,19 +260,6 @@ def test_aggregate_audit_never_touches_server():
         assert rec.kind in ("GradShare", "PartialSum")
 
 
-class TamperingChannel(RecordingChannel):
-    """Hands the receiver of holder 1's `kind` messages `edit` of the
-    decoded fields."""
-
-    def __init__(self, kind, edit):
-        super().__init__()
-        self.kind, self.edit = kind, edit
-
-    def send(self, sender, receiver, kind, layer, epoch, fields, sender_id=-1):
-        decoded = super().send(sender, receiver, kind, layer, epoch, fields, sender_id)
-        return self.edit(decoded) if (kind.value, sender) == (self.kind, "holder-1") else decoded
-
-
 @pytest.mark.parametrize("mode, kind, edit, message", [
     pytest.param("fixed-point", "GradShare", lambda f: {"seed": f["seed"][:3]},
                  r"holder-1: GradShare to holder-0 carries uint64 \(3,\) as 'seed', "
@@ -280,8 +285,39 @@ class TamperingChannel(RecordingChannel):
 ])
 def test_secure_sum_refuses_a_malformed_share(mode, kind, edit, message):
     vecs = [np.full(5, float(p + 1)) for p in range(3)]
-    with pytest.raises(ProtocolError, match=message):
-        run_sum(vecs, 4, mode, channel=TamperingChannel(kind, edit))
+    with delivered_messages(tampering(kind, edit)), pytest.raises(ProtocolError, match=message):
+        run_sum(vecs, 4, mode)
+
+
+def test_a_refused_partial_sum_receipt_ends_the_log_at_its_record():
+    # the receivers of a round run at once, but the log reads as if they had
+    # run in turn: holder 2's refused receipt of holder 1's PartialSum is its
+    # last record, and holder 3's receipt of the same round is not logged
+    P = 4
+    vecs = [np.full(5, float(p + 1)) for p in range(P)]
+    channel = Channel(AuditLog())
+    cut = tampering("PartialSum", lambda f: {"partial": f["partial"][:-1]}, receiver="holder-2")
+    with delivered_messages(cut), pytest.raises(
+            ProtocolError, match=r"holder-1: PartialSum to holder-2 carries uint64 \(4,\) as "
+                                 r"'partial', expected uint64 \(5,\)"):
+        run_sum(vecs, 4, channel=channel)
+    records = channel.audit.records
+    assert [rec.ts for rec in records] == list(range(len(records)))
+    assert [(rec.kind, rec.sender, rec.receiver) for rec in records] == (
+        [("GradShare", f"holder-{j}", f"holder-{i}") for j in range(P) for i in range(j)]
+        + [("PartialSum", "holder-0", f"holder-{i}") for i in (1, 2, 3)]
+        + [("PartialSum", "holder-1", "holder-0"), ("PartialSum", "holder-1", "holder-2")])
+
+
+def test_secure_sum_refuses_an_unknown_share_mode_before_it_sends():
+    vecs = [np.full(4, float(p)) for p in range(3)]
+    rngs = [make_rng(5, ("holder", p)) for p in range(3)]
+    states = [rng.bit_generator.state for rng in rngs]
+    channel = Channel(AuditLog())
+    with pytest.raises(ProtocolError, match="unknown share mode 'fixed'"):
+        secure_sum(channel, vecs, rngs, "fixed", epoch=0)
+    assert len(channel.audit) == 0
+    assert [rng.bit_generator.state for rng in rngs] == states
 
 
 def test_single_holder_aggregate_is_identity():
@@ -336,7 +372,8 @@ def sum_inputs(draw):
 def test_secure_sum_properties(inputs):
     mode, vectors, seed = inputs
     P = len(vectors)
-    total, channel = run_sum(vectors, seed, mode)
+    with delivered_messages() as delivered:
+        total, channel = run_sum(vectors, seed, mode)
     expected = np.sum(vectors, axis=0)
     if mode == "fixed-point":
         magnitude = np.max(np.sum(np.abs(vectors), axis=0))
@@ -348,14 +385,14 @@ def test_secure_sum_properties(inputs):
     kinds = [rec.kind for rec in channel.audit.records]
     # one seed per pair of holders, sent by the higher to the lower
     assert kinds.count("GradShare") == P * (P - 1) // 2
-    assert [(s, r) for s, r, k, _f in channel.delivered if k == "GradShare"] == [
+    assert [(s, r) for s, r, k, _f in delivered if k == "GradShare"] == [
         (f"holder-{j}", f"holder-{i}") for j in range(P) for i in range(j)]
     # a GradShare is one 32-byte seed, whatever the vector length
     seed_bytes = len(encode_message(MessageKind.GRAD_SHARE, -1, 0, 0,
                                     {"seed": np.zeros(SEED_WORDS, dtype=np.uint64)}))
     assert seed_bytes == 67
     assert CommStats.of(channel.audit).bytes_for(["GradShare"]) == P * (P - 1) // 2 * seed_bytes
-    for _s, _r, kind, fields in channel.delivered:
+    for _s, _r, kind, fields in delivered:
         if kind == "GradShare":
             assert list(fields) == ["seed"]
             assert fields["seed"].shape == (SEED_WORDS,)
@@ -377,7 +414,7 @@ def test_secure_sum_properties(inputs):
                               decode_vector(encoded, GRAD_FRAC_BITS).view(np.int64))
     # rebuild every holder's total from what it received: its own partial
     # (the one it sends to everyone else) plus the partials sent to it
-    sent = {(s, r): f["partial"] for s, r, k, f in channel.delivered if k == "PartialSum"}
+    sent = {(s, r): f["partial"] for s, r, k, f in delivered if k == "PartialSum"}
     for k in range(P):
         me = f"holder-{k}"
         held = [sent[(me, f"holder-{(k + 1) % P}")] if i == k else sent[(f"holder-{i}", me)]
@@ -434,12 +471,13 @@ def test_secure_sum_expands_each_seed_by_its_two_holders(monkeypatch, mode):
 
     monkeypatch.setattr(sharing, "expand_seed", traced_expand_seed)
     monkeypatch.setattr(protocol, "share_vector", traced_share_vector)
-    total, channel = run_sum(vectors, 6, mode)
+    with delivered_messages() as delivered:
+        total, _ = run_sum(vectors, 6, mode)
     assert np.allclose(total, sum(vectors), atol=1e-9)
     assert sorted(masking) == list(range(P))      # each holder masks exactly once
     assert len(expanded) == P * (P - 1)
     seeds = {f["seed"].tobytes(): (int(s[7:]), int(r[7:]))
-             for s, r, k, f in channel.delivered if k == "GradShare"}
+             for s, r, k, f in delivered if k == "GradShare"}
     assert len(seeds) == P * (P - 1) // 2
     for seed, (sender, receiver) in seeds.items():
         assert sorted(p for p, s in expanded if s == seed) == [receiver, sender]
@@ -449,7 +487,7 @@ def test_secure_sum_expands_each_seed_by_its_two_holders(monkeypatch, mode):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_secure_sum_refuses_a_non_finite_gradient_by_holder(mode, bad):
     vecs = [np.array([1.0, 0.5]), np.array([2.0, bad]), np.array([0.25, 0.25])]
-    channel = RecordingChannel()
+    channel = Channel(AuditLog())
     with pytest.raises(ProtocolError, match="holder 1: .*NaN"):
         run_sum(vecs, 2, mode, channel=channel)
     assert len(channel.audit) == 0 and CommStats.of(channel.audit).total() == 0
@@ -547,3 +585,33 @@ def test_pooled_argmax_all_invalid_raises():
     with pytest.raises(ValueError, match="node row 1 is unknown to every holder"):
         pooled_argmax([(rows, np.zeros((2, 2))), (rows, np.ones((2, 2)))], 3)
 
+
+
+# -- the server's row-range pooling ----------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(1, 3), st.integers(1, 5),
+       st.booleans(), st.data())
+def test_row_ranges_pool_as_one_call(P, n, d, ranges, secure, data):
+    # the ranges cut across every block, and ties between -0.0 and 0.0 are
+    # decided in each range as in one call over all rows
+    values = data.draw(st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.0]),
+                                min_size=P * n * d, max_size=P * n * d))
+    stack = np.array(values).reshape(P, n, d)
+    sent = np.array(data.draw(st.lists(st.booleans(), min_size=P * n, max_size=P * n)))
+    sent = sent.reshape(P, n)
+    sent[0, ~sent.any(axis=0)] = True
+    blocks = row_blocks(stack, sent)
+    m, winner = (pooled_argmax if secure else stack_max)(blocks, n)
+    got_m, got_winner = protocol._pool_rows(blocks, n, secure, ranges)
+    assert np.array_equal(got_m.view(np.int64), m.view(np.int64))
+    assert got_winner.dtype == winner.dtype and np.array_equal(got_winner, winner)
+
+
+@pytest.mark.parametrize("secure", [False, True], ids=["stack_max", "pooled_argmax"])
+def test_row_ranges_refuse_a_row_no_holder_sent_by_its_universe_row(secure):
+    rows = np.array([0, 1, 2, 3, 4, 6, 7])       # no holder sent row 5
+    blocks = [(rows, np.zeros((7, 2))), (rows[::2], np.ones((4, 2)))]
+    for ranges in (1, 2, 3, 5):
+        with pytest.raises(ValueError, match="node row 5 is unknown to every holder"):
+            protocol._pool_rows(blocks, 8, secure, ranges)

@@ -114,6 +114,29 @@ def test_channel_delivers_writable_arrays_that_share_no_memory():
     assert np.array_equal(fields["t"], np.arange(6, dtype=np.float64).reshape(2, 3))
 
 
+@pytest.mark.parametrize("name_len", [1, 2, 3, 4, 5, 7])
+def test_a_writable_buffer_decodes_to_aligned_views_of_itself(name_len):
+    # whatever the names before it, the largest payload starts 8-byte
+    # aligned, so it is read in place; a one-byte field always is
+    fields = {"v" * name_len: np.arange(name_len, dtype=np.uint8),
+              "w" * (name_len + 2): np.array([1.5, -2.0]),
+              "big": np.linspace(-1.0, 1.0, 16)}
+    buf = encode_message(MessageKind.PRED_GRAD, 0, 0, 0, fields)
+    _, _, _, _, out = decode_message(buf)
+    for name, sent in fields.items():
+        got = out[name]
+        assert np.array_equal(got, sent), name
+        assert got.flags.writeable and got.flags.aligned and got.flags.c_contiguous, name
+    for name in ("v" * name_len, "big"):
+        assert np.shares_memory(out[name], buf), name
+    # immutable bytes decode to writable copies
+    _, _, _, _, out = decode_message(bytes(buf))
+    for name, sent in fields.items():
+        got = out[name]
+        assert np.array_equal(got, sent), name
+        assert got.flags.owndata and got.flags.writeable and got.flags.aligned, name
+
+
 def test_comm_stats_accounting():
     # the counters are a fold over the audit log, keyed by kind, direction,
     # layer and epoch
