@@ -22,9 +22,9 @@ base = RunConfig(
 
 g = build_dataset(base.dataset)
 print("class ownership at q=0 (fully skewed):")
-for lg in split_label_skew(g, 2, 0.0, seed=1):
+for p, lg in enumerate(split_label_skew(g, 2, 0.0, seed=1)):
     classes = sorted(set(lg.graph.labels[lg.graph.labels >= 0].tolist()))
-    print(f"  holder {lg.holder_id}: {lg.graph.n_nodes} nodes, classes {classes}")
+    print(f"  holder {p}: {lg.graph.n_nodes} nodes, classes {classes}")
 
 out = Path(__file__).with_name("label_skew_sweep.csv")
 out.unlink(missing_ok=True)

@@ -39,5 +39,5 @@ for P in (2, 3, 4, 5, 6):
     print(f"  P={P}: {prof['gradshare_bytes_per_epoch']/1024:8.1f} KiB")
 slope, intercept, r2 = linear_fit_r2([p * p for p in holders], share)
 print(f"  fit against P^2: R^2 = {r2:.6f}")
-print("\nEvery holder shares its gradient vector with every other holder, then "
-      "broadcasts a partial sum: P*(P-1) messages each way.")
+print("\nEach pair of holders shares one mask seed (P*(P-1)/2 GradShares), then every "
+      "holder sends its masked vector to every other (P*(P-1) PartialSums).")

@@ -129,7 +129,6 @@ class LocalGraph:
     where it leaves out every other node without a local neighbor.
     """
 
-    holder_id: int
     graph: Graph
     isolated_owned: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
@@ -343,7 +342,7 @@ def _assemble_holders(g: Graph, node_sets: list[np.ndarray], holder_edges: list[
                       edges=holder_edges[p], labels=labels, train_ids=owned["train"],
                       val_ids=owned["val"], test_ids=owned["test"], n_classes=g.n_classes)
         isolated = np.setdiff1d(node_set, touched, assume_unique=True)
-        holders.append(LocalGraph(holder_id=p, graph=local, isolated_owned=isolated))
+        holders.append(LocalGraph(graph=local, isolated_owned=isolated))
     return holders
 
 

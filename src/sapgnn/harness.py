@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -86,7 +88,7 @@ def train_centralized(g: Graph, model_cfg: ModelConfig, lr: float = 0.01,
 @dataclass
 class SPResult:
     holder_results: list            # TrainResult or None per holder
-    skipped: list                   # holder ids without any train label
+    skipped: list                   # holders (list positions) without any train label
     test_accuracies: list
     test_macro_f1s: list
 
@@ -113,10 +115,10 @@ def train_sp(holders: list[LocalGraph], shared: Graph, model_cfg: ModelConfig,
     skipped and reported.
     """
     results, skipped, accs, f1s = [], [], [], []
-    for lg in holders:
+    for p, lg in enumerate(holders):
         if lg.graph.train_ids.size == 0:
             results.append(None)
-            skipped.append(lg.holder_id)
+            skipped.append(p)
             continue
         eval_sets = {}
         for split, ids in (("train", lg.graph.train_ids), ("val", lg.graph.val_ids),
@@ -239,8 +241,8 @@ def stable_hash(*parts) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def cell_seed(seed_base: int, method: str, P: int, q: float, repeat: int) -> int:
-    return seed_base + stable_hash(method, P, q, repeat)
+def _train_seed(spec: ExperimentSpec, repeat: int) -> int:
+    return spec.seed_base + stable_hash("train", repeat)
 
 
 def _run_cell(spec: ExperimentSpec, method: str, P: int, q: float, repeat: int):
@@ -249,7 +251,7 @@ def _run_cell(spec: ExperimentSpec, method: str, P: int, q: float, repeat: int):
     method; partition randomness gets its own cell-specific stream."""
     base = spec.base
     data_seed = spec.seed_base + stable_hash("data", repeat)
-    train_seed = spec.seed_base + stable_hash("train", repeat)
+    train_seed = _train_seed(spec, repeat)
     part_seed = spec.seed_base + stable_hash("part", P, q, repeat)
 
     train = replace(base.train, seed=train_seed)
@@ -274,48 +276,45 @@ def _run_cell(spec: ExperimentSpec, method: str, P: int, q: float, repeat: int):
 
 
 def run_sweep(spec: ExperimentSpec, out_path=None) -> list[dict]:
-    """Cartesian sweep over methods x P x q x repeats, one CSV row per cell.
+    """Cartesian sweep over methods x P x q x repeats, one CSV row per cell;
+    its `seed` is the cell's training seed.
 
-    Resumable: cells already present in out_path are skipped. A failing cell
-    is recorded with NaN metrics and the sweep continues.
+    Resumable: each row is appended to out_path, flushed, as soon as its cell
+    finishes, and cells already present there are skipped. A failing cell is
+    recorded with NaN metrics and the sweep continues.
     """
     done = set()
-    existing_rows = []
     if out_path is not None and Path(out_path).exists():
         with open(out_path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                existing_rows.append(row)
-                done.add((row["method"], row["dataset"], row["P"], row["q"], row["repeat"]))
+            done = {(row["method"], row["dataset"], row["P"], row["q"], row["repeat"])
+                    for row in csv.DictReader(f)}
 
     rows = []
     dataset_name = spec.base.dataset.name
-    for method in spec.methods:
-        for P in spec.P_values:
-            for q in spec.q_values:
-                for repeat in range(spec.repeats):
-                    key = (method, dataset_name, str(P), str(float(q)), str(repeat))
-                    if key in done:
-                        continue
-                    seed = cell_seed(spec.seed_base, method, P, float(q), repeat)
-                    start = time.perf_counter()
-                    try:
-                        acc, f1, epochs = _run_cell(spec, method, P, float(q), repeat)
-                    except Exception as exc:  # record the failure, keep sweeping
-                        acc, f1, epochs = float("nan"), float("nan"), 0
-                        print(f"sweep cell {key} failed: {exc}")
-                    wall_ms = (time.perf_counter() - start) * 1000.0
-                    rows.append({"method": method, "dataset": dataset_name, "P": P,
-                                 "q": float(q), "repeat": repeat, "seed": seed,
-                                 "accuracy": acc, "macro_f1": f1, "epochs": epochs,
-                                 "wall_ms": wall_ms})
-    if out_path is not None:
-        write_header = not Path(out_path).exists()
-        with open(out_path, "a", newline="", encoding="utf-8") as f:
-            writer = csv.DictWriter(f, fieldnames=SWEEP_HEADER)
-            if write_header:
-                writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+    with (nullcontext() if out_path is None
+          else open(out_path, "a", newline="", encoding="utf-8")) as out:
+        writer = None if out is None else csv.DictWriter(out, fieldnames=SWEEP_HEADER)
+        if out is not None and out.tell() == 0:
+            writer.writeheader()
+        for method, P, q, repeat in itertools.product(spec.methods, spec.P_values,
+                                                      map(float, spec.q_values),
+                                                      range(spec.repeats)):
+            key = (method, dataset_name, str(P), str(q), str(repeat))
+            if key in done:
+                continue
+            start = time.perf_counter()
+            try:
+                acc, f1, epochs = _run_cell(spec, method, P, q, repeat)
+            except Exception as exc:  # record the failure, keep sweeping
+                acc, f1, epochs = float("nan"), float("nan"), 0
+                print(f"sweep cell {key} failed: {exc}")
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            rows.append({"method": method, "dataset": dataset_name, "P": P, "q": q,
+                         "repeat": repeat, "seed": _train_seed(spec, repeat), "accuracy": acc,
+                         "macro_f1": f1, "epochs": epochs, "wall_ms": wall_ms})
+            if out is not None:
+                writer.writerow(rows[-1])
+                out.flush()
     return rows
 
 

@@ -1,22 +1,22 @@
 """The holder pool: each phase's per-holder steps, run at once.
 
-Holders compute at once. Each phase's per-holder work (a holder's setup,
-its local layer, its placement of a global layer, its predictions and
-prediction gradient, its chain through a local layer's backward, its
-masking in the secure sum and its optimizer step) runs as one step per
-holder on a process-wide pool: the calling thread plus one worker pinned
-to each other usable CPU. Receivers take their messages at once too: each
-sender's PartialSum round runs one step per receiving holder, and the
-server's pooling (or the sealed pool's) one step per contiguous range of
-rows, one range per thread. The server's maps and accumulations and the
-GradShare round stay in the calling thread. A step sends through an outbox
-of its own; the caller appends the outboxes to the run's log in holder
-order, each record restamped with its position, and adds what the server
-receives in holder order too. So the log, the byte
-counts and every output read exactly as if the holders had run one after
-another, on any number of CPUs. Every holder's step runs to its end; if one
-is refused, the log reads as the sequential order would have left it at
-that point and the lowest failing holder's error is raised.
+Holders compute at once. Each phase's per-holder work (a holder's setup
+and NodeIndex lookup, its local layer, its placement of a global layer,
+which scores the top one, its prediction gradient, its chain through a
+local layer's backward, its masking in the secure sum and its optimizer
+step) runs as one step per holder on a process-wide pool: the calling
+thread plus one worker pinned to each other usable CPU. Receivers take
+their messages at once too: each sender's PartialSum round runs one step
+per receiving holder, and the server's pooling (or the sealed pool's) one
+step per contiguous range of rows, one range per thread. The server's maps
+and accumulations and the GradShare round stay in the calling thread. A
+step sends through an outbox of its own; the caller appends the outboxes
+to the run's log in holder order, each record restamped with its position,
+and adds what the server receives in holder order too. So the log, the
+byte counts and every output read exactly as if the holders had run one
+after another, on any number of CPUs. Every holder's step runs to its end;
+if one is refused, the log reads as the sequential order would have left
+it at that point and the lowest failing holder's error is raised.
 This module imports nothing else from the package but `wire`.
 """
 

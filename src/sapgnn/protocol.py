@@ -96,7 +96,7 @@ def build_partition(g: Graph, pcfg: PartitionConfig) -> list[LocalGraph]:
 # ---------------------------------------------------------------------------
 
 class DataHolder:
-    """One data holder: private subgraph, replicated local weights, tapes.
+    """Holder p, its place in the list: private subgraph, replicated local weights, tapes.
 
     Every holder array covers the holder's own nodes only, one row per node
     in ascending id order (its NodeIndex order); row i is node
@@ -105,10 +105,9 @@ class DataHolder:
     nodes the union has.
     """
 
-    def __init__(self, local: LocalGraph, cfg: ModelConfig, n_classes: int, lr: float,
+    def __init__(self, p: int, local: LocalGraph, cfg: ModelConfig, n_classes: int, lr: float,
                  seed: int):
         graph = local.graph
-        self.holder_id = local.holder_id
         self.cfg = cfg
         self.kind = cfg.update_kind
         self.node_ids = graph.node_ids
@@ -139,7 +138,7 @@ class DataHolder:
         self.locals_ = init_local_weights(cfg, self.feat_dim, n_classes,
                                           make_rng(seed, "local-init"))
         self.adams = [AdamState.for_param(w.shape, lr=lr) for w in self.locals_.arrays()]
-        self.rng_shares = make_rng(seed, ("shares", self.holder_id))
+        self.rng_shares = make_rng(seed, ("shares", p))
 
         self.features = graph.features
         self.h: list = []
@@ -165,13 +164,12 @@ class DataHolder:
         return t
 
     def receive_global(self, l: int, valid: np.ndarray, block: np.ndarray):
-        """Layer l's output at the `valid` rows; the rows it does not read are 0."""
+        """Layer l's output at the `valid` rows, the others 0; the top layer's is scored."""
         h = np.zeros((self.n, block.shape[1]))
         h[valid] = block
         self.h[l + 1] = h
-
-    def compute_predictions(self):
-        self.probs = predict_probs(self.h[-1], self.locals_.w_predict)
+        if l + 1 == self.cfg.layers:
+            self.probs = predict_probs(h, self.locals_.w_predict)
 
     def split_loss_terms(self, split: str):
         """Per-label cross-entropy terms keyed by node id, so the simulator
@@ -186,14 +184,12 @@ class DataHolder:
 
     # -- backward -----------------------------------------------------------
 
-    def begin_backward(self):
-        self.grad_acc = self.locals_.zeros_like()
-
     def pred_backward(self) -> np.ndarray:
-        """The loss gradient w.r.t. the final embedding, zero off train rows."""
+        """The loss gradient w.r.t. the final embedding, zero off train rows; starts grad_acc."""
         rows, classes = self.label_rows["train"]
         dW, dH = predict_backward(self.h[-1], self.probs, rows, classes,
                                   self.locals_.w_predict)
+        self.grad_acc = self.locals_.zeros_like()
         self.grad_acc.w_predict += dW
         return dH
 
@@ -242,8 +238,8 @@ class Server:
         self.rng_dropout = make_rng(seed, "dropout")
         # holder p's row i, in its NodeIndex order, is universe row holder_rows[p][i];
         # wants[p][l] masks the rows of layer l's output that holder p reads
-        self.holder_rows: dict[int, np.ndarray] = {}
-        self.wants: dict[int, np.ndarray] = {}
+        self.holder_rows: list[np.ndarray] = []
+        self.wants: list[np.ndarray] = []
         self.tapes: list = [None] * cfg.layers
         # the map gradients of the last completed backward, until an update steps them
         self.grads: list | None = None
@@ -287,7 +283,8 @@ class Session:
 def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     """Set up all parties from `config.train.seed`: replicated local weights
     from its local-init stream, server weights from its server-init stream,
-    hashed node lists and the rows each holder reads registered."""
+    hashed node lists and the rows each holder reads registered. Holder p is
+    `holders_data[p]`, in any order."""
     if len(holders_data) > MAX_HOLDERS:
         raise ProtocolError(f"{len(holders_data)} holders exceed the limit of {MAX_HOLDERS}: "
                             "the winning holder index is an int8")
@@ -301,14 +298,7 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     if universe_ids.size == 0:
         raise ProtocolError("no holder has a node")
     seed = config.train.seed
-
-    audit = AuditLog()
-    channel = Channel(audit)
-
     cfg = config.model
-    holders = each_holder(audit, len(holders_data), lambda p, _outbox: DataHolder(
-        holders_data[p], cfg, n_classes, config.train.lr, seed))
-    server = Server(universe_ids.size, cfg, feats.pop(), config.train.lr, seed)
 
     # The run's only digests: holder p's rows of the union's table are what it
     # would hash from its own ids with the shared salt. The server's sorted
@@ -316,8 +306,10 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     table = node_digests(universe_ids, make_rng(seed, "salt").bytes(32))
     order = np.argsort(table.view("V16").ravel())
     known = table.view("V16").ravel()[order]
-    for holder in holders:
-        p = holder.holder_id
+
+    def join(p, outbox):
+        """Holder p is built and sends its NodeIndex; the server looks its digests up."""
+        holder = DataHolder(p, holders_data[p], cfg, n_classes, config.train.lr, seed)
 
         def whole_digests(fields):
             if fields["keys"].size % 16:
@@ -326,7 +318,7 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
             return (fields["keys"].size,)
 
         own = table[np.searchsorted(universe_ids, holder.node_ids)]
-        got = _send(channel, MessageKind.NODE_INDEX, holder_party(p), SERVER_PARTY, -1, -1,
+        got = _send(outbox, MessageKind.NODE_INDEX, holder_party(p), SERVER_PARTY, -1, -1,
                     {"keys": own.ravel(), "wants": holder.wants.astype(np.uint8)},
                     {"keys": whole_digests,
                      "wants": lambda f: (cfg.layers, f["keys"].size // 16)})
@@ -336,10 +328,16 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
             raise ProtocolError(f"holder {p} sent a node digest the server does not know")
         if np.unique(pos).size != pos.size:
             raise ProtocolError(f"holder {p} sent a node digest twice")
-        server.holder_rows[p] = order[pos]
-        server.wants[p] = wants.astype(bool)
-    return Session(config=config, holders=holders, server=server, channel=channel,
-                   audit=audit)
+        return holder, order[pos], wants.astype(bool)
+
+    audit = AuditLog()
+    joined = each_holder(audit, len(holders_data), join)
+    server = Server(universe_ids.size, cfg, feats.pop(), config.train.lr, seed)
+    for _holder, rows, wants in joined:
+        server.holder_rows.append(rows)
+        server.wants.append(wants)
+    return Session(config=config, holders=[holder for holder, _rows, _wants in joined],
+                   server=server, channel=Channel(audit), audit=audit)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +512,6 @@ def forward_pass(session: Session, train: bool = True, epoch: int = 0) -> Forwar
 
         each_holder(session.audit, len(session.holders), place)
 
-    each_holder(session.audit, len(session.holders),
-                 lambda p, _outbox: session.holders[p].compute_predictions())
     result = ForwardResult(total_loss=_total_loss(session.holders, "train"),
                            embeddings=embeddings)
     session.pool_kept = True
@@ -541,8 +537,6 @@ def backward_pass(session: Session, epoch: int = 0) -> list:
         raise ProtocolError("backward requires a completed forward pass")
     server.check_tapes()
     server.grads = None
-    for holder in session.holders:
-        holder.begin_backward()
 
     P = len(session.holders)
     G = np.zeros((n, server.weights[-1].shape[0]))

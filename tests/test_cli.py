@@ -91,6 +91,17 @@ def test_verify_equivalence_exit_codes(tmp_path, capsys):
     assert main(["verify-equivalence", "--config", str(bad)]) == 2
 
 
+def test_verify_equivalence_refuses_like_every_command(tmp_path, capsys):
+    # a partition the dataset cannot support is refused input, not an
+    # equivalence failure
+    argv = ["--set", "partition.kind=label-skew", "--set", "partition.P=5"]
+    for command in (["verify-equivalence"], ["train-sapgnn", "--out", str(tmp_path / "run")]):
+        assert main(command + argv) == EXIT_REFUSED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("sapgnn: refused: need n_classes >= P"), err
+
+
 def test_set_override_changes_run(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["verify-equivalence", "--config", str(cfg),

@@ -306,16 +306,16 @@ def test_union_graph_recovers_uniform_split():
     assert np.array_equal(u.labels, g.labels)
 
 
-def _holder(p, ids, features, labels, train_ids=()):
-    return LocalGraph(holder_id=p, graph=Graph(
+def _holder(ids, features, labels, train_ids=()):
+    return LocalGraph(graph=Graph(
         node_ids=ids, features=np.asarray(features, dtype=np.float64).reshape(len(ids), 1),
         edges=np.empty((0, 2)), labels=labels, train_ids=list(train_ids), val_ids=[],
         test_ids=[], n_classes=2))
 
 
 def test_union_graph_merges_shared_nodes():
-    u = union_graph([_holder(0, [1, 4], [1.0, 4.0], [-1, 0]),
-                     _holder(1, [0, 4], [0.0, 4.0], [1, 0], train_ids=[0])])
+    u = union_graph([_holder([1, 4], [1.0, 4.0], [-1, 0]),
+                     _holder([0, 4], [0.0, 4.0], [1, 0], train_ids=[0])])
     assert np.array_equal(u.node_ids, [0, 1, 4])
     assert np.array_equal(u.features[:, 0], [0.0, 1.0, 4.0])
     assert np.array_equal(u.labels, [1, -1, 0])
@@ -324,22 +324,22 @@ def test_union_graph_merges_shared_nodes():
 
 def test_union_graph_refuses_disagreeing_features():
     with pytest.raises(ValueError, match="disagree on features of node 4$"):
-        union_graph([_holder(0, [1, 4], [1.0, 4.0], [-1, -1]),
-                     _holder(1, [0, 4], [0.0, 4.5], [-1, -1])])
+        union_graph([_holder([1, 4], [1.0, 4.0], [-1, -1]),
+                     _holder([0, 4], [0.0, 4.5], [-1, -1])])
     # a NaN compares unequal to itself, so a shared NaN feature is refused too ...
     with pytest.raises(ValueError, match="disagree on features of node 4$"):
-        union_graph([_holder(0, [4], [np.nan], [-1]), _holder(1, [4], [np.nan], [-1])])
+        union_graph([_holder([4], [np.nan], [-1]), _holder([4], [np.nan], [-1])])
     # ... while a node that only one holder has is never compared
-    u = union_graph([_holder(0, [4], [np.nan], [-1]), _holder(1, [5], [5.0], [-1])])
+    u = union_graph([_holder([4], [np.nan], [-1]), _holder([5], [5.0], [-1])])
     assert np.isnan(u.features[0, 0])
 
 
 def test_union_graph_refuses_disagreeing_labels():
     with pytest.raises(ValueError, match="disagree on a node label"):
-        union_graph([_holder(0, [1, 4], [1.0, 4.0], [-1, 0]),
-                     _holder(1, [4], [4.0], [1])])
+        union_graph([_holder([1, 4], [1.0, 4.0], [-1, 0]),
+                     _holder([4], [4.0], [1])])
     # a holder that leaves a node unlabeled does not disagree with one that labels it
-    u = union_graph([_holder(0, [4], [4.0], [-1]), _holder(1, [4], [4.0], [1])])
+    u = union_graph([_holder([4], [4.0], [-1]), _holder([4], [4.0], [1])])
     assert np.array_equal(u.labels, [1])
 
 
@@ -391,4 +391,4 @@ def test_node_digest_is_salted_sha256_of_the_big_endian_id():
 def test_local_graph_rejects_foreign_isolated_nodes():
     g = tiny_graph(8, seed=16)
     with pytest.raises(ValueError):
-        LocalGraph(holder_id=0, graph=g, isolated_owned=np.array([999]))
+        LocalGraph(graph=g, isolated_owned=np.array([999]))

@@ -6,9 +6,10 @@ import pytest
 from sapgnn.config import DatasetConfig, PartitionConfig, RunConfig, TrainConfig
 from sapgnn.gnn import ModelConfig
 from sapgnn.graphs import generate_synthetic, split_edges_uniform
-from sapgnn.harness import (ExperimentSpec, SWEEP_HEADER, cell_seed, comm_profile,
-                            compare_equivalence, linear_fit_r2, run_sweep, stable_hash,
-                            summarize_sweep, train_centralized, train_sp)
+from sapgnn import harness
+from sapgnn.harness import (ExperimentSpec, SWEEP_HEADER, comm_profile, compare_equivalence,
+                            linear_fit_r2, run_sweep, summarize_sweep, train_centralized,
+                            train_sp)
 from sapgnn.metrics import (EarlyStopper, accuracy_from_confusion, confusion_matrix,
                             macro_f1_from_confusion, split_scores)
 from sapgnn.protocol import build_dataset, build_partition, run_training
@@ -201,7 +202,45 @@ def test_sweep_schema_and_determinism(tmp_path):
         assert header == SWEEP_HEADER
         data = list(reader)
     assert len(data) == len(rows) == 2
-    assert cell_seed(123, "sapgnn", 1, 0.0, 0) == 123 + stable_hash("sapgnn", 1, 0.0, 0)
+
+
+def test_sweep_records_the_seed_each_cell_trained_with(tmp_path, monkeypatch):
+    trained = []
+
+    def spy(config, holders_data=None):
+        trained.append(config.train.seed)
+        return run_training(config, holders_data)
+
+    monkeypatch.setattr(harness, "run_training", spy)
+    out = tmp_path / "sweep.csv"
+    rows = run_sweep(small_spec(tmp_path, repeats=2), out)
+    assert [row["seed"] for row in rows] == trained
+    assert len(set(trained)) == 2           # one training seed per repeat
+    with open(out) as f:
+        assert [int(row["seed"]) for row in csv.DictReader(f)] == trained
+
+
+def test_an_interrupted_sweep_keeps_its_finished_rows(tmp_path, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    spec = small_spec(tmp_path)
+    ran, run_cell = [], harness._run_cell
+
+    def interrupted(spec, method, P, q, repeat):
+        ran.append(P)
+        if len(ran) == 2:
+            raise KeyboardInterrupt
+        return run_cell(spec, method, P, q, repeat)
+
+    monkeypatch.setattr(harness, "_run_cell", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(spec, out)
+    with open(out) as f:
+        assert [row["P"] for row in csv.DictReader(f)] == ["1"]
+    # the rerun takes up where the sweep stopped
+    monkeypatch.setattr(harness, "_run_cell", run_cell)
+    assert [row["P"] for row in run_sweep(spec, out)] == [2]
+    with open(out) as f:
+        assert [row["P"] for row in csv.DictReader(f)] == ["1", "2"]
 
 
 def test_sweep_resumable(tmp_path):

@@ -16,7 +16,7 @@ from sapgnn.protocol import (ProtocolError, _pool_layer, aggregate_local_grads, 
                              init_parties, run_training, weight_update)
 from sapgnn.harness import (compare_equivalence, train_centralized, write_audit_jsonl,
                             write_comm_csv)
-from sapgnn.wire import (AuditLog, Channel, CommStats, MessageKind, holder_party,
+from sapgnn.wire import (AuditLog, CommStats, MessageKind, holder_party,
                          verify_privacy_audit)
 
 
@@ -98,7 +98,6 @@ def test_init_rejects_dimension_mismatch():
     holders = build_partition(g, cfg.partition)
     other = generate_synthetic(10, 3, 7, 0.5, 0.1, seed=1)
     holders[1] = split_edges_uniform(other, 1)[0]
-    holders[1].holder_id = 1
     with pytest.raises(ProtocolError, match="disagree"):
         init_parties(cfg, holders)
 
@@ -113,19 +112,19 @@ def test_init_rejects_more_holders_than_an_int8_winner_names():
         init_parties(cfg, holders)
 
 
-def test_init_refuses_an_unknown_node_digest(monkeypatch):
+def _flip_first_digest(keys):
+    keys = keys.copy()
+    keys[:16] ^= 0xFF
+    return keys
+
+
+def test_init_refuses_an_unknown_node_digest(delivered_messages, tampering):
     cfg = make_config(P=2)
     holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
-    send = Channel.send
-
-    def tampered(self, sender, receiver, kind, *args, **kwargs):
-        decoded = send(self, sender, receiver, kind, *args, **kwargs)
-        if kind is MessageKind.NODE_INDEX and sender == "holder-1":
-            decoded["keys"][:16] ^= 0xFF
-        return decoded
-
-    monkeypatch.setattr(Channel, "send", tampered)
-    with pytest.raises(ProtocolError, match="holder 1 sent a node digest the server does not"):
+    tamper = tampering("NodeIndex", lambda f: {**f, "keys": _flip_first_digest(f["keys"])},
+                       sender="holder-1")
+    with delivered_messages(tamper), pytest.raises(
+            ProtocolError, match="holder 1 sent a node digest the server does not"):
         init_parties(cfg, holders)
 
 
@@ -135,21 +134,15 @@ def _repeat_first_digest(keys):
     return keys
 
 
-def test_init_refuses_a_repeated_node_digest(monkeypatch):
+def test_init_refuses_a_repeated_node_digest(delivered_messages, tampering):
     # a repeated digest would map two holder rows to one universe row, and
     # the server's placement of that holder's rows would drop one of them
     cfg = make_config(P=2)
     holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
-    send = Channel.send
-
-    def tampered(self, sender, receiver, kind, *args, **kwargs):
-        decoded = send(self, sender, receiver, kind, *args, **kwargs)
-        if kind is MessageKind.NODE_INDEX and sender == "holder-1":
-            decoded["keys"] = _repeat_first_digest(decoded["keys"])
-        return decoded
-
-    monkeypatch.setattr(Channel, "send", tampered)
-    with pytest.raises(ProtocolError, match="holder 1 sent a node digest twice"):
+    tamper = tampering("NodeIndex", lambda f: {**f, "keys": _repeat_first_digest(f["keys"])},
+                       sender="holder-1")
+    with delivered_messages(tamper), pytest.raises(
+            ProtocolError, match="holder 1 sent a node digest twice"):
         init_parties(cfg, holders)
 
 
@@ -159,22 +152,17 @@ def test_init_refuses_a_repeated_node_digest(monkeypatch):
     pytest.param(lambda w: w.astype(np.int64), r"int64 \(2, \d+\)", id="int64"),
     pytest.param(lambda w: None, "nothing", id="missing"),
 ])
-def test_init_refuses_a_misshapen_wants_mask(monkeypatch, edit, sent):
+def test_init_refuses_a_misshapen_wants_mask(delivered_messages, tampering, edit, sent):
     cfg = make_config(P=2)
     holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
-    send = Channel.send
 
-    def tampered(self, sender, receiver, kind, *args, **kwargs):
-        decoded = send(self, sender, receiver, kind, *args, **kwargs)
-        if kind is MessageKind.NODE_INDEX and sender == "holder-1":
-            wants = edit(decoded.pop("wants"))
-            if wants is not None:
-                decoded["wants"] = wants
-        return decoded
+    def misshape(fields):
+        wants = edit(fields["wants"])
+        return {"keys": fields["keys"], **({} if wants is None else {"wants": wants})}
 
-    monkeypatch.setattr(Channel, "send", tampered)
-    with pytest.raises(ProtocolError, match=rf"holder-1: NodeIndex to server carries {sent} "
-                                            r"as 'wants', expected uint8 \(2, "):
+    with delivered_messages(tampering("NodeIndex", misshape, sender="holder-1")), pytest.raises(
+            ProtocolError, match=rf"holder-1: NodeIndex to server carries {sent} "
+                                 r"as 'wants', expected uint8 \(2, "):
         init_parties(cfg, holders)
 
 
@@ -182,20 +170,13 @@ def test_init_refuses_a_misshapen_wants_mask(monkeypatch, edit, sent):
     pytest.param(lambda k: k[:-5], id="cut"),
     pytest.param(lambda k: np.concatenate([k, k[:5]]), id="padded"),
 ])
-def test_init_refuses_keys_that_are_not_whole_digests(monkeypatch, edit):
+def test_init_refuses_keys_that_are_not_whole_digests(delivered_messages, tampering, edit):
     cfg = make_config(P=2)
     holders = build_partition(build_dataset(cfg.dataset), cfg.partition)
-    send = Channel.send
-
-    def tampered(self, sender, receiver, kind, *args, **kwargs):
-        decoded = send(self, sender, receiver, kind, *args, **kwargs)
-        if kind is MessageKind.NODE_INDEX and sender == "holder-1":
-            decoded["keys"] = edit(decoded["keys"])
-        return decoded
-
-    monkeypatch.setattr(Channel, "send", tampered)
-    with pytest.raises(ProtocolError, match=r"holder 1 sent \d+ digest bytes, not a whole "
-                                            "number of 16-byte digests"):
+    tamper = tampering("NodeIndex", lambda f: {**f, "keys": edit(f["keys"])}, sender="holder-1")
+    with delivered_messages(tamper), pytest.raises(
+            ProtocolError, match=r"holder 1 sent \d+ digest bytes, not a whole "
+                                 "number of 16-byte digests"):
         init_parties(cfg, holders)
 
 
@@ -320,6 +301,21 @@ def test_forward_label_skew_matches_union_oracle():
     ref = oracle_pass(cfg, holders)
     for h_prot, h_ref in zip(fwd.embeddings, ref.embeddings):
         assert np.max(np.abs(h_prot - h_ref)) == 0.0
+
+
+@pytest.mark.parametrize("share_mode", ["real", "fixed-point"])
+@pytest.mark.parametrize("part_kind, pick", [
+    pytest.param("uniform", lambda holders: holders[::-1], id="uniform-reversed"),
+    pytest.param("label-skew", lambda holders: holders[1:], id="label-skew-sub-list"),
+    pytest.param("label-skew", lambda holders: holders[::-1], id="label-skew-reversed"),
+])
+def test_a_holder_is_its_place_in_the_list(part_kind, pick, share_mode):
+    # the protocol matches the combined graph of whatever holders it is
+    # given, in whatever order
+    cfg = make_config(P=3, n=30, part_kind=part_kind, q=20.0, share_mode=share_mode)
+    holders = pick(build_partition(build_dataset(cfg.dataset), cfg.partition))
+    report = compare_equivalence(cfg, holders)
+    assert report.passed, report.summary()
 
 
 def test_edge_incident_scope_matches_oracle():
@@ -728,26 +724,16 @@ def test_no_gradshare_traffic_with_single_holder():
 
 
 @pytest.fixture
-def sends(monkeypatch):
-    """Every message the test sends, in order, as (kind, direction, layer,
-    epoch, the fields the receiver decoded)."""
-    log = []
-    send = Channel.send
-
-    def recording(self, sender, receiver, kind, layer, epoch, *args, **kwargs):
-        decoded = send(self, sender, receiver, kind, layer, epoch, *args, **kwargs)
-        log.append((kind, f"{sender}->{receiver}", layer, epoch,
-                    {name: value.copy() for name, value in decoded.items()}))
-        return decoded
-
-    monkeypatch.setattr(Channel, "send", recording)
-    return log
+def sends(delivered_messages):
+    """Every message the test delivers, in order (see `delivered_messages`)."""
+    with delivered_messages() as delivered:
+        yield delivered
 
 
 def messages_at(sends, kind, layer):
-    """{(direction, epoch): message count} of one kind at one layer."""
-    return Counter((direction, epoch) for k, direction, lay, epoch, _fields in sends
-                   if k is kind and lay == layer)
+    """{("sender->receiver", epoch): message count} of one kind at one layer."""
+    return Counter((f"{d.sender}->{d.receiver}", d.epoch) for d in sends
+                   if d.kind == kind.value and d.layer == layer)
 
 
 @pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
@@ -842,10 +828,10 @@ def test_a_forward_after_an_update_sweeps_again(sends):
     weight_update(session, epoch=0)
     sent = len(sends)
     again = forward_pass(session, train=False, epoch=0)
-    swept = Counter(kind for kind, *_rest in sends[sent:])
+    swept = Counter(d.kind for d in sends[sent:])
     layers = session.config.model.layers
-    assert swept == {MessageKind.LOCAL_EMBEDDING: 3 * layers,
-                     MessageKind.GLOBAL_EMBEDDING: 3 * layers}
+    assert swept == {MessageKind.LOCAL_EMBEDDING.value: 3 * layers,
+                     MessageKind.GLOBAL_EMBEDDING.value: 3 * layers}
     assert again is not first
     assert again.total_loss != first.total_loss
 
@@ -919,23 +905,22 @@ def test_a_holder_sees_only_its_own_rows(sends, mode):
     weight_update(session, epoch=0)
 
     table = node_digests(g.node_ids, make_rng(cfg.train.seed, "salt").bytes(32))
-    for lg, holder, arrays in zip(holders, session.holders, held, strict=True):
+    for p, (lg, holder, arrays) in enumerate(zip(holders, session.holders, held, strict=True)):
         ids = lg.graph.node_ids
         assert 0 < len(ids) < g.n_nodes
         foreign = [d.tobytes() for d, nid in zip(table, g.node_ids) if nid not in ids]
-        got = [(kind, fields) for kind, direction, _layer, _epoch, fields in sends
-               if direction.endswith("->" + holder_party(lg.holder_id))]
+        got = [(d.kind, d.fields) for d in sends if d.receiver == holder_party(p)]
         # a pair's seed goes from its higher holder to its lower one, so the
         # top holder receives none
-        top = lg.holder_id == cfg.partition.P - 1
+        top = p == cfg.partition.P - 1
         assert {kind for kind, _ in got} == {
-            MessageKind.GLOBAL_EMBEDDING, MessageKind.LOCAL_EMB_GRAD,
-            MessageKind.PARTIAL_SUM} | (set() if top else {MessageKind.GRAD_SHARE})
+            MessageKind.GLOBAL_EMBEDDING.value, MessageKind.LOCAL_EMB_GRAD.value,
+            MessageKind.PARTIAL_SUM.value} | (set() if top else {MessageKind.GRAD_SHARE.value})
         for kind, fields in got:
             for name, value in fields.items():
                 raw = value.tobytes()
                 assert not any(d in raw for d in foreign), (kind, name)
-            if kind in (MessageKind.GLOBAL_EMBEDDING, MessageKind.LOCAL_EMB_GRAD):
+            if kind in (MessageKind.GLOBAL_EMBEDDING.value, MessageKind.LOCAL_EMB_GRAD.value):
                 assert len(fields["valid"]) == len(ids), kind
         assert all(a.shape[0] == len(ids) for a in arrays)
         assert holder.tapes[0] is not None      # layer 0 trains its message map
@@ -961,11 +946,10 @@ def test_global_embedding_carries_only_the_rows_a_holder_reads(sends, mode):
     run_training(cfg, holders)
     up_kind = MessageKind.LOCAL_EMBEDDING if mode == "naive" else MessageKind.POOL_INPUT
     up, checked = {}, Counter()
-    for kind, direction, layer, _epoch, fields in sends:
-        sender, receiver = direction.split("->")
-        if kind is up_kind:
+    for sender, receiver, kind, layer, _epoch, fields in sends:
+        if kind == up_kind.value:
             up[sender, layer] = fields["valid"]
-        if kind is not MessageKind.GLOBAL_EMBEDDING:
+        if kind != MessageKind.GLOBAL_EMBEDDING.value:
             continue
         lg = holders[int(receiver.removeprefix("holder-"))]
         valid = fields["valid"].astype(bool)
@@ -1020,8 +1004,7 @@ def _spread_ids(lg: LocalGraph, extra: int = 0) -> LocalGraph:
                   labels=labels[order], train_ids=np.sort(np.concatenate([2 * g.train_ids,
                                                                           new[::2]])),
                   val_ids=2 * g.val_ids, test_ids=2 * g.test_ids, n_classes=g.n_classes)
-    return LocalGraph(holder_id=lg.holder_id, graph=graph,
-                      isolated_owned=2 * lg.isolated_owned)
+    return LocalGraph(graph=graph, isolated_owned=2 * lg.isolated_owned)
 
 
 @pytest.mark.parametrize("mode", ["naive", "secure-pooling"])
@@ -1085,19 +1068,12 @@ ROW_CASES = [
     for mode, kind, sender, receiver, block in ROW_BLOCKS
     for field, edit, refusal in ROW_CASES
 ])
-def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, sender, receiver, field,
-                                            edit, message):
+def test_a_malformed_row_payload_is_refused(delivered_messages, tampering, mode, kind, sender,
+                                            receiver, field, edit, message):
     cfg = make_config(P=2, mode=mode, kind="gated")
     _, _, session = make_session(cfg)
-    send = Channel.send
-
-    def tampered(self, s, r, k, *args, **kwargs):
-        decoded = send(self, s, r, k, *args, **kwargs)
-        hit = (k, s, r) == (kind, sender, receiver)
-        return ROW_EDITS[edit](decoded, field) if hit else decoded
-
-    monkeypatch.setattr(Channel, "send", tampered)
-    with pytest.raises(ProtocolError, match=message):
+    tamper = tampering(kind.value, lambda f: ROW_EDITS[edit](f, field), sender, receiver)
+    with delivered_messages(tamper), pytest.raises(ProtocolError, match=message):
         forward_pass(session, train=True, epoch=0)
         backward_pass(session, epoch=0)
 
@@ -1119,22 +1095,16 @@ def test_a_malformed_row_payload_is_refused(monkeypatch, mode, kind, sender, rec
     pytest.param(lambda f: {**f, "winner": np.full_like(f["winner"], -1)},
                  r"names a winner outside holders 0\.\.1", id="negative-winner"),
 ])
-def test_a_malformed_pool_result_is_refused(monkeypatch, edit, message):
+def test_a_malformed_pool_result_is_refused(delivered_messages, tampering, edit, message):
     cfg = make_config(P=2, mode="secure-pooling", kind="gated")
     _, _, session = make_session(cfg)
-    send = Channel.send
-
-    def tampered(self, sender, receiver, kind, *args, **kwargs):
-        decoded = send(self, sender, receiver, kind, *args, **kwargs)
-        return edit(decoded) if kind is MessageKind.POOL_RESULT else decoded
-
-    monkeypatch.setattr(Channel, "send", tampered)
-    with pytest.raises(ProtocolError, match="sealed-pool: PoolResult " + message):
+    with delivered_messages(tampering("PoolResult", edit)), pytest.raises(
+            ProtocolError, match="sealed-pool: PoolResult " + message):
         forward_pass(session, train=True, epoch=0)
         backward_pass(session, epoch=0)
 
 
-def test_a_local_emb_grad_row_the_holder_never_sent_is_refused(monkeypatch):
+def test_a_local_emb_grad_row_the_holder_never_sent_is_refused(delivered_messages, tampering):
     # the server routes gradient only to rows a holder embedded; a row outside
     # them, here with a huge value, would reach the holder's weights unseen
     cfg = make_config(P=4, n=120, kind="gated")
@@ -1143,20 +1113,15 @@ def test_a_local_emb_grad_row_the_holder_never_sent_is_refused(monkeypatch):
     forward_pass(session, train=True, epoch=0)
     embedded = session.holders[2].wants[0]      # the participating rows: 117 of 120
     extra = int(np.flatnonzero(~embedded)[0])
-    send = Channel.send
 
-    def tampered(self, sender, receiver, kind, *args, **kwargs):
-        decoded = send(self, sender, receiver, kind, *args, **kwargs)
-        if kind is MessageKind.LOCAL_EMB_GRAD and receiver == "holder-2":
-            valid = decoded["valid"].astype(bool)
-            at = int(np.count_nonzero(valid[:extra]))
-            valid[extra] = True
-            decoded["valid"] = valid.astype(np.uint8)
-            decoded["r"] = np.insert(decoded["r"], at, 1e6, axis=0)
-        return decoded
+    def add_row(fields):
+        valid = fields["valid"].astype(bool)
+        at = int(np.count_nonzero(valid[:extra]))
+        valid[extra] = True
+        return {"valid": valid.astype(np.uint8), "r": np.insert(fields["r"], at, 1e6, axis=0)}
 
-    monkeypatch.setattr(Channel, "send", tampered)
-    with pytest.raises(ProtocolError, match="holder 2: LocalEmbGrad .* row the holder did not"):
+    with delivered_messages(tampering("LocalEmbGrad", add_row, receiver="holder-2")), \
+            pytest.raises(ProtocolError, match="holder 2: LocalEmbGrad .* row the holder did not"):
         backward_pass(session, epoch=0)
 
 

@@ -1,7 +1,6 @@
 import math
 import threading
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -166,36 +165,6 @@ def test_boolean_round_trip():
 
 # -- secure aggregation ------------------------------------------------------------
 
-@contextmanager
-def delivered_messages(tamper=None):
-    """Every message delivered while the block runs, in order, as (sender,
-    receiver, kind, a copy of the fields the receiver decoded; it owns them
-    and may add into them). Channel.send is patched on the class, so the
-    sends through a holder step's outbox are seen too. `tamper(sender,
-    receiver, kind, fields)`, if given, returns what to hand the receiver in
-    place of the decoded fields; the record keeps what was decoded."""
-    delivered, send = [], Channel.send
-
-    def recording(self, sender, receiver, kind, layer, epoch, fields, sender_id=-1):
-        decoded = send(self, sender, receiver, kind, layer, epoch, fields, sender_id)
-        delivered.append((sender, receiver, kind.value,
-                          {name: arr.copy() for name, arr in decoded.items()}))
-        return decoded if tamper is None else tamper(sender, receiver, kind.value, decoded)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Channel, "send", recording)
-        yield delivered
-
-
-def tampering(kind, edit, receiver=None):
-    """A `tamper` that hands the receiver of holder 1's `kind` messages (to
-    `receiver` only, if given) `edit` of the decoded fields."""
-    def tamper(sender, to, sent_kind, fields):
-        hit = (sent_kind, sender) == (kind, "holder-1") and receiver in (None, to)
-        return edit(fields) if hit else fields
-    return tamper
-
-
 def run_sum(vectors, seed, mode="fixed-point", channel=None):
     """secure_sum over `channel` (a fresh one by default), one rng per
     holder; (total, channel)."""
@@ -283,20 +252,23 @@ def test_aggregate_audit_never_touches_server():
                  r"expected float64 \(5,\)",
                  id="real-partial-as-residues"),
 ])
-def test_secure_sum_refuses_a_malformed_share(mode, kind, edit, message):
+def test_secure_sum_refuses_a_malformed_share(delivered_messages, tampering, mode, kind, edit,
+                                               message):
     vecs = [np.full(5, float(p + 1)) for p in range(3)]
-    with delivered_messages(tampering(kind, edit)), pytest.raises(ProtocolError, match=message):
+    tamper = tampering(kind, edit, sender="holder-1")
+    with delivered_messages(tamper), pytest.raises(ProtocolError, match=message):
         run_sum(vecs, 4, mode)
 
 
-def test_a_refused_partial_sum_receipt_ends_the_log_at_its_record():
+def test_a_refused_partial_sum_receipt_ends_the_log_at_its_record(delivered_messages, tampering):
     # the receivers of a round run at once, but the log reads as if they had
     # run in turn: holder 2's refused receipt of holder 1's PartialSum is its
     # last record, and holder 3's receipt of the same round is not logged
     P = 4
     vecs = [np.full(5, float(p + 1)) for p in range(P)]
     channel = Channel(AuditLog())
-    cut = tampering("PartialSum", lambda f: {"partial": f["partial"][:-1]}, receiver="holder-2")
+    cut = tampering("PartialSum", lambda f: {"partial": f["partial"][:-1]}, sender="holder-1",
+                    receiver="holder-2")
     with delivered_messages(cut), pytest.raises(
             ProtocolError, match=r"holder-1: PartialSum to holder-2 carries uint64 \(4,\) as "
                                  r"'partial', expected uint64 \(5,\)"):
@@ -369,7 +341,7 @@ def sum_inputs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(sum_inputs())
-def test_secure_sum_properties(inputs):
+def test_secure_sum_properties(delivered_messages, inputs):
     mode, vectors, seed = inputs
     P = len(vectors)
     with delivered_messages() as delivered:
@@ -385,18 +357,18 @@ def test_secure_sum_properties(inputs):
     kinds = [rec.kind for rec in channel.audit.records]
     # one seed per pair of holders, sent by the higher to the lower
     assert kinds.count("GradShare") == P * (P - 1) // 2
-    assert [(s, r) for s, r, k, _f in delivered if k == "GradShare"] == [
+    assert [(d.sender, d.receiver) for d in delivered if d.kind == "GradShare"] == [
         (f"holder-{j}", f"holder-{i}") for j in range(P) for i in range(j)]
     # a GradShare is one 32-byte seed, whatever the vector length
     seed_bytes = len(encode_message(MessageKind.GRAD_SHARE, -1, 0, 0,
                                     {"seed": np.zeros(SEED_WORDS, dtype=np.uint64)}))
     assert seed_bytes == 67
     assert CommStats.of(channel.audit).bytes_for(["GradShare"]) == P * (P - 1) // 2 * seed_bytes
-    for _s, _r, kind, fields in delivered:
-        if kind == "GradShare":
-            assert list(fields) == ["seed"]
-            assert fields["seed"].shape == (SEED_WORDS,)
-            assert fields["seed"].dtype == np.uint64
+    for d in delivered:
+        if d.kind == "GradShare":
+            assert list(d.fields) == ["seed"]
+            assert d.fields["seed"].shape == (SEED_WORDS,)
+            assert d.fields["seed"].dtype == np.uint64
     assert kinds.count("PartialSum") == P * (P - 1)
     assert len(kinds) == 3 * P * (P - 1) // 2     # P=1 sends nothing
     for rec in channel.audit.records:
@@ -414,7 +386,8 @@ def test_secure_sum_properties(inputs):
                               decode_vector(encoded, GRAD_FRAC_BITS).view(np.int64))
     # rebuild every holder's total from what it received: its own partial
     # (the one it sends to everyone else) plus the partials sent to it
-    sent = {(s, r): f["partial"] for s, r, k, f in delivered if k == "PartialSum"}
+    sent = {(d.sender, d.receiver): d.fields["partial"] for d in delivered
+            if d.kind == "PartialSum"}
     for k in range(P):
         me = f"holder-{k}"
         held = [sent[(me, f"holder-{(k + 1) % P}")] if i == k else sent[(f"holder-{i}", me)]
@@ -452,7 +425,8 @@ def test_share_vector_modes_reconstruct():
 
 
 @pytest.mark.parametrize("mode", ["fixed-point", "real"])
-def test_secure_sum_expands_each_seed_by_its_two_holders(monkeypatch, mode):
+def test_secure_sum_expands_each_seed_by_its_two_holders(delivered_messages, monkeypatch,
+                                                         mode):
     # holders mask at once, each in the thread that runs its step, so an
     # expansion belongs to the holder its thread is masking for
     P = 5
@@ -476,8 +450,8 @@ def test_secure_sum_expands_each_seed_by_its_two_holders(monkeypatch, mode):
     assert np.allclose(total, sum(vectors), atol=1e-9)
     assert sorted(masking) == list(range(P))      # each holder masks exactly once
     assert len(expanded) == P * (P - 1)
-    seeds = {f["seed"].tobytes(): (int(s[7:]), int(r[7:]))
-             for s, r, k, f in delivered if k == "GradShare"}
+    seeds = {d.fields["seed"].tobytes(): (int(d.sender[7:]), int(d.receiver[7:]))
+             for d in delivered if d.kind == "GradShare"}
     assert len(seeds) == P * (P - 1) // 2
     for seed, (sender, receiver) in seeds.items():
         assert sorted(p for p, s in expanded if s == seed) == [receiver, sender]
