@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, sorted_union
 from .numerics import first_max, glorot_init, relu, relu_grad, softmax_rows
 
 PROB_CLAMP = 1e-12
@@ -205,7 +205,10 @@ class NeighborIndex:
         key = np.sort(np.concatenate([edge_ranks[:, 0] * base + edge_ranks[:, 1],
                                       edge_ranks[:, 1] * base + edge_ranks[:, 0]]))
         dst, src = np.divmod(key, base)
-        nodes, starts, degree = np.unique(dst, return_index=True, return_counts=True)
+        # dst ascends, so each destination's edges are one run of it
+        starts = np.flatnonzero(np.diff(dst, prepend=-1))
+        nodes = dst[starts]
+        degree = np.diff(starts, append=len(dst))
         by_degree = np.argsort(-degree, kind="stable")
         column = np.empty_like(by_degree)
         column[by_degree] = np.arange(len(nodes))
@@ -214,8 +217,8 @@ class NeighborIndex:
         offsets = np.concatenate([[0], np.cumsum(np.bincount(position))])
         flat = np.empty_like(src)
         flat[offsets[position] + column[node_of_edge]] = src
-        rows = np.union1d(nodes, np.asarray(isolated, dtype=np.int64))
-        dst_rows = np.searchsorted(rows, nodes[by_degree])
+        rows = sorted_union([nodes, np.asarray(isolated, dtype=np.int64)])
+        dst_rows = np.searchsorted(rows, nodes)[by_degree]
         slot = np.full(len(rows), -1, dtype=np.int64)
         slot[dst_rows] = np.arange(len(dst_rows))
         # every edge runs both ways, so the sources are the destinations

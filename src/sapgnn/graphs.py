@@ -57,7 +57,8 @@ class Graph:
 
     def _validate(self):
         n = len(self.node_ids)
-        if n > 1 and not np.all(np.diff(self.node_ids) > 0):
+        # compared, not subtracted: a difference of ids far apart wraps int64
+        if not np.all(self.node_ids[1:] > self.node_ids[:-1]):
             raise ValueError("node_ids must be strictly increasing")
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError(
@@ -97,13 +98,25 @@ class Graph:
         return self.features.shape[1]
 
     def rank_of(self, ids) -> np.ndarray:
-        """Row index for each node id; raises on unknown ids."""
+        """Row index for each node id, in the shape of `ids`; raises on
+        unknown ids, naming the first in input order.
+
+        The ids are searched in ascending order, each search starting near
+        the last one, and their ranks scattered back to the input order."""
         ids = np.asarray(ids, dtype=np.int64)
-        ranks = np.searchsorted(self.node_ids, ids)
-        ok = (ranks < self.n_nodes) & (self.node_ids[np.minimum(ranks, self.n_nodes - 1)] == ids)
-        if not np.all(ok):
-            raise KeyError(f"unknown node id {ids[~ok][:1]}")
-        return ranks
+        flat = ids.ravel()
+        order = np.argsort(flat)
+        keys = flat[order]
+        found = np.searchsorted(self.node_ids, keys)
+        known = found < self.n_nodes
+        known[known] = self.node_ids[found[known]] == keys[known]
+        ranks = np.empty_like(found)
+        ranks[order] = found
+        if not known.all():
+            unknown = np.zeros(flat.size, dtype=bool)
+            unknown[order[~known]] = True
+            raise KeyError(f"unknown node id {flat[unknown][:1]}")
+        return ranks.reshape(ids.shape)
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_nodes, dtype=np.int64)
@@ -139,29 +152,88 @@ class LocalGraph:
             raise ValueError("isolated_owned contains nodes not in this holder's graph")
 
 
-def _node_digest(salt: bytes, node_id: int) -> bytes:
-    # ids are canonicalized as big-endian 8-byte two's-complement integers so
-    # the digests are stable across platforms (a non-negative id reads the
-    # same as unsigned).
-    payload = salt + int(node_id).to_bytes(8, "big", signed=True)
-    return hashlib.sha256(payload).digest()[:16]
+def sorted_union(arrays) -> np.ndarray:
+    """The distinct values of int64 arrays, ascending, by one sort and a
+    comparison of neighbours (np.unique hashes integers first, which took
+    3-5x as long on the set-up's id lists)."""
+    values = np.sort(np.concatenate(arrays))
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _sha256_rows(payloads: np.ndarray) -> np.ndarray:
+    """The sha256 of each row of a uint8 matrix: an (n, 32) uint8 table."""
+    buf, width = payloads.tobytes(), payloads.shape[1]
+    return np.frombuffer(b"".join([hashlib.sha256(buf[i:i + width]).digest()
+                                   for i in range(0, len(buf), width)]),
+                         dtype=np.uint8).reshape(len(payloads), 32)
 
 
 def node_digests(ids: np.ndarray, salt: bytes) -> np.ndarray:
     """Salted 128-bit digests of distinct node ids: an (n, 16) uint8 table,
-    row i the digest of ids[i].
+    row i the first 16 bytes of sha256(salt || ids[i]).
 
-    The salt is a 256-bit secret known to the data holders only; the server
-    sees digests, never raw ids. Digests must be injective over the ids (a
-    collision aborts the run).
+    Each id is canonicalized as a big-endian 8-byte two's-complement integer,
+    so the digests are stable across platforms (a non-negative id reads the
+    same as unsigned). The salt is a 256-bit secret known to the data
+    holders only; the server sees digests, never raw ids. Digests must be
+    injective over the ids: `DigestIndex` refuses a collision.
     """
     if len(salt) != 32:
         raise ValueError("salt must be exactly 256 bits (32 bytes)")
-    table = np.frombuffer(b"".join(_node_digest(salt, nid) for nid in ids.tolist()),
-                          dtype=np.uint8).reshape(len(ids), 16)
-    if len(np.unique(table.view("V16"))) < len(ids):
-        raise RuntimeError(f"hash collision among the digests of {len(ids)} node ids; aborting")
-    return table
+    ids = np.asarray(ids, dtype=np.int64)
+    payloads = np.empty((len(ids), 40), dtype=np.uint8)
+    payloads[:, :32] = np.frombuffer(salt, dtype=np.uint8)
+    payloads[:, 32:] = ids.astype(">i8").view(np.uint8).reshape(-1, 8)
+    return np.ascontiguousarray(_sha256_rows(payloads)[:, :16])
+
+
+def _digest_words(digests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two big-endian 64-bit halves of each 16-byte digest, as native
+    uint64 words: ordered as (first, second), digests order as their bytes."""
+    words = np.ascontiguousarray(digests, dtype=np.uint8).view(">u8").reshape(-1, 2)
+    return words[:, 0].astype(np.uint64), words[:, 1].astype(np.uint64)
+
+
+@dataclass
+class DigestIndex:
+    """A digest table sorted once, to look digests up by their bytes.
+
+    Built from the union's table, its one sort both refuses a collision and
+    orders the lookup. Sorted position i holds table row `order[i]`.
+    """
+
+    order: np.ndarray   # (n,) the table row at each sorted position
+    first: np.ndarray   # (n,) ascending first words
+    second: np.ndarray  # (n,) second words, ascending within a run of equal first words
+    tied: bool          # whether two digests share a first word
+
+    @classmethod
+    def of(cls, table: np.ndarray) -> "DigestIndex":
+        first, second = _digest_words(table)
+        order = np.argsort(first)
+        tied = bool(np.any(np.diff(first[order]) == 0))
+        if tied:   # order by both words; two digests that share both collide
+            order = np.lexsort((second, first))
+        first, second = first[order], second[order]
+        if tied and np.any((np.diff(first) == 0) & (np.diff(second) == 0)):
+            raise RuntimeError(f"hash collision among the digests of {len(order)} node ids; "
+                               "aborting")
+        return cls(order=order, first=first, second=second, tied=tied)
+
+    def find(self, digests: np.ndarray) -> np.ndarray:
+        """The sorted position of each 16-byte digest (flat uint8 or (k, 16)), -1 if absent."""
+        first, second = _digest_words(digests)
+        if not self.order.size:
+            return np.full(first.size, -1)
+        pos = np.searchsorted(self.first, first)
+        if self.tied:   # search a shared first word's run by the second word
+            end = np.searchsorted(self.first, first, side="right")
+            for k in np.flatnonzero(end - pos > 1):
+                pos[k] += np.searchsorted(self.second[pos[k]:end[k]], second[k])
+        pos = pos.clip(max=self.order.size - 1)
+        return np.where((self.first[pos] == first) & (self.second[pos] == second), pos, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Holders compute at once. Each phase's per-holder work (a holder's setup
 and NodeIndex lookup, its local layer, its placement of a global layer,
 which scores the top one, its prediction gradient, its chain through a
-local layer's backward, its masking in the secure sum and its optimizer
-step) runs as one step per holder on a process-wide pool: the calling
+local layer's backward, its checks and masking in the secure sum and its
+optimizer step) runs as one step per holder on a process-wide pool: the calling
 thread plus one worker pinned to each other usable CPU. Receivers take
 their messages at once too: each sender's PartialSum round runs one step
 per receiving holder, and the server's pooling (or the sealed pool's) one

@@ -44,8 +44,8 @@ from .gnn import (LocalWeightSet, ModelConfig, ModelWeights, NeighborIndex, glob
                   global_update, init_global_weights, init_local_weights, layer_dims,
                   layer_dropout_rates, layer_relu_flags, local_backward, local_embedding,
                   loss_terms, predict_backward, predict_probs, stack_max)
-from .graphs import (SPLITS, Graph, LocalGraph, generate_synthetic, load_dataset, node_digests,
-                     split_edges_uniform, split_label_skew)
+from .graphs import (SPLITS, DigestIndex, Graph, LocalGraph, generate_synthetic, load_dataset,
+                     node_digests, sorted_union, split_edges_uniform, split_label_skew)
 from .metrics import EarlyStopper, confusion_matrix, split_scores
 from .numerics import AdamState, adam_step, dropout_mask, make_rng
 from .pool import each_holder, holder_pool
@@ -121,8 +121,8 @@ class DataHolder:
 
         self.label_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for split, ids in graph.split_ids().items():
-            ids = np.sort(ids)
-            self.label_rows[split] = (graph.rank_of(ids), graph.labels_for(ids))
+            rows = graph.rank_of(np.sort(ids))
+            self.label_rows[split] = (rows, graph.labels[rows])
 
         # The rows of each layer's output the holder reads, declared in its
         # NodeIndex: a lower layer's at its participating rows (the next
@@ -285,6 +285,8 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
     from its local-init stream, server weights from its server-init stream,
     hashed node lists and the rows each holder reads registered. Holder p is
     `holders_data[p]`, in any order."""
+    if not holders_data:
+        raise ProtocolError("no holder to set up: the holder list is empty")
     if len(holders_data) > MAX_HOLDERS:
         raise ProtocolError(f"{len(holders_data)} holders exceed the limit of {MAX_HOLDERS}: "
                             "the winning holder index is an int8")
@@ -294,18 +296,18 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
         raise ProtocolError(f"holders disagree on dimensions: F={feats}, C={classes}")
     n_classes = classes.pop()
 
-    universe_ids = np.unique(np.concatenate([lg.graph.node_ids for lg in holders_data]))
+    universe_ids = sorted_union([lg.graph.node_ids for lg in holders_data])
     if universe_ids.size == 0:
         raise ProtocolError("no holder has a node")
     seed = config.train.seed
     cfg = config.model
 
     # The run's only digests: holder p's rows of the union's table are what it
-    # would hash from its own ids with the shared salt. The server's sorted
-    # search refuses an unknown or a repeated one, so holder_rows is 1-to-1.
+    # would hash from its own ids with the shared salt. The table is sorted
+    # once; the server's search in it refuses an unknown or a repeated
+    # digest, so holder_rows is 1-to-1.
     table = node_digests(universe_ids, make_rng(seed, "salt").bytes(32))
-    order = np.argsort(table.view("V16").ravel())
-    known = table.view("V16").ravel()[order]
+    index = DigestIndex.of(table)
 
     def join(p, outbox):
         """Holder p is built and sends its NodeIndex; the server looks its digests up."""
@@ -322,13 +324,12 @@ def init_parties(config: RunConfig, holders_data: list[LocalGraph]) -> Session:
                     {"keys": own.ravel(), "wants": holder.wants.astype(np.uint8)},
                     {"keys": whole_digests,
                      "wants": lambda f: (cfg.layers, f["keys"].size // 16)})
-        keys, wants = got["keys"].view("V16"), got["wants"]
-        pos = np.searchsorted(known, keys).clip(max=known.size - 1)
-        if not np.array_equal(known[pos], keys):
+        pos = index.find(got["keys"])
+        if np.any(pos < 0):
             raise ProtocolError(f"holder {p} sent a node digest the server does not know")
-        if np.unique(pos).size != pos.size:
+        if np.bincount(pos).max(initial=0) > 1:
             raise ProtocolError(f"holder {p} sent a node digest twice")
-        return holder, order[pos], wants.astype(bool)
+        return holder, index.order[pos], got["wants"].astype(bool)
 
     audit = AuditLog()
     joined = each_holder(audit, len(holders_data), join)
@@ -605,8 +606,10 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     together. A seed reveals exactly what its expanded vector would; it is
     drawn from numpy's PCG64, which is simulator-grade and not a CSPRNG. An
     unknown share mode, a NaN or infinite entry, or in mode "fixed-point" a
-    value whose P-fold sum could wrap the ring, is refused (the last two
-    naming their holder) before any seed is drawn or anything is sent.
+    value whose P-fold sum could wrap the ring, is refused before any seed is
+    drawn or anything is sent. Each holder checks its own vector for the last
+    two, all at once, and the lowest failing holder's refusal, which names
+    it, is raised.
     Returns the total once every holder has reconstructed the same one; with
     one holder its vector is the total, as in the centralized trainer, and
     nothing is sent.
@@ -620,13 +623,17 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
         raise ProtocolError(f"holders disagree on gradient vector length: {sorted(shapes)}")
     if P == 1:
         return vectors[0]
-    for j, vector in enumerate(vectors):
-        if not np.all(np.isfinite(vector)):
+
+    def check(j, _outbox):
+        """Holder j's refusal of its own vector; it sends nothing."""
+        if not np.all(np.isfinite(vectors[j])):
             raise ProtocolError(f"holder {j}: gradient has a NaN or infinite entry")
         try:
-            check_ring_sum(vector, P, mode)
+            check_ring_sum(vectors[j], P, mode)
         except ValueError as exc:
             raise ProtocolError(f"holder {j}: {exc}") from exc
+
+    each_holder(channel.audit, P, check)
     shape = shapes.pop()
 
     def send(via: Channel, kind: MessageKind, j: int, i: int, name: str, value, want: tuple):

@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapgnn import graphs as G
-from sapgnn.graphs import (Graph, LocalGraph, generate_synthetic, load_dataset, node_digests,
-                           split_edges_uniform, split_label_skew, union_graph, write_dataset)
+from sapgnn.graphs import (DigestIndex, Graph, LocalGraph, generate_synthetic, load_dataset,
+                           node_digests, sorted_union, split_edges_uniform, split_label_skew,
+                           union_graph, write_dataset)
 
 
 def tiny_graph(n=6, seed=3, **kw):
@@ -376,9 +379,13 @@ def test_hashed_index_rejects_bad_salt():
 
 
 def test_hashed_index_collision_aborts(monkeypatch):
-    monkeypatch.setattr(G, "_node_digest", lambda salt, nid: b"\x00" * 16)
+    # every id hashes alike; the one sort of the table, which orders the
+    # server's lookup, refuses the collision
+    monkeypatch.setattr(G, "_sha256_rows",
+                        lambda payloads: np.zeros((len(payloads), 32), dtype=np.uint8))
+    table = node_digests(_ids_for_index(), bytes(32))
     with pytest.raises(RuntimeError, match="collision"):
-        node_digests(_ids_for_index(), bytes(32))
+        DigestIndex.of(table)
 
 
 def test_node_digest_is_salted_sha256_of_the_big_endian_id():
@@ -386,6 +393,102 @@ def test_node_digest_is_salted_sha256_of_the_big_endian_id():
     ids = np.array([0, 7, 2 ** 40 + 3], dtype=np.int64)
     want = [hashlib.sha256(salt + int(i).to_bytes(8, "big")).digest()[:16] for i in ids]
     assert [row.tobytes() for row in node_digests(ids, salt)] == want
+
+
+def test_node_digests_equal_the_per_id_sha256():
+    rng = np.random.default_rng(33)
+    info = np.iinfo(np.int64)
+    ids = np.concatenate([[0, -1, 1, info.min, info.max, info.min + 1, info.max - 1],
+                          rng.integers(info.min, info.max, size=300, endpoint=True),
+                          rng.integers(-1000, 1000, size=50)]).astype(np.int64)
+    salt = rng.bytes(32)
+    want = [hashlib.sha256(salt + i.to_bytes(8, "big", signed=True)).digest()[:16]
+            for i in ids.tolist()]
+    table = node_digests(ids, salt)
+    assert table.shape == (len(ids), 16) and table.dtype == np.uint8
+    assert [row.tobytes() for row in table] == want
+    assert node_digests(ids[:0], salt).shape == (0, 16)
+
+
+def test_digest_index_finds_each_digest_and_no_other():
+    rng = np.random.default_rng(34)
+    table = rng.integers(0, 256, size=(200, 16), dtype=np.uint8)
+    index = DigestIndex.of(table)
+    assert not index.tied
+    assert index.order.tolist() == sorted(range(200), key=lambda i: table[i].tobytes())
+    probe = rng.permutation(200)
+    assert np.array_equal(index.order[index.find(table[probe].ravel())], probe)
+    # a digest one bit away from a known one is unknown
+    strangers = table[:5].copy()
+    strangers[:, 15] ^= 1
+    assert np.array_equal(index.find(strangers), [-1] * 5)
+
+
+def test_digest_index_is_exact_on_a_shared_first_word():
+    rng = np.random.default_rng(35)
+    table = rng.integers(0, 256, size=(60, 16), dtype=np.uint8)
+    table[10:25, :8] = table[10, :8]    # fifteen digests share a first word
+    table[40:42, :8] = table[3, :8]     # and three another
+    index = DigestIndex.of(table)
+    assert index.tied
+    assert index.order.tolist() == sorted(range(60), key=lambda i: table[i].tobytes())
+    probe = rng.permutation(60)
+    assert np.array_equal(index.order[index.find(table[probe])], probe)
+    strangers = table[[10, 17, 24, 3, 41]].copy()
+    strangers[:, 15] ^= 1               # a known first word, an unknown second
+    assert np.array_equal(index.find(strangers), [-1] * 5)
+    table[20] = table[12]
+    with pytest.raises(RuntimeError, match="collision among the digests of 60 node ids"):
+        DigestIndex.of(table)
+
+
+def _graph_of(node_ids):
+    """A graph with these node ids and nothing else."""
+    n = len(node_ids)
+    empty = np.empty(0, dtype=np.int64)
+    return Graph(node_ids=node_ids, features=np.zeros((n, 1)), edges=np.empty((0, 2)),
+                 labels=np.full(n, G.UNLABELED), train_ids=empty, val_ids=empty,
+                 test_ids=empty, n_classes=1)
+
+
+INT64 = np.iinfo(np.int64)
+NODE_ID = st.one_of(st.integers(-40, 40), st.integers(2 ** 62 - 9, 2 ** 62 + 9),
+                    st.integers(-2 ** 62 - 9, -2 ** 62 + 9),
+                    st.sampled_from([INT64.min, INT64.min + 1, INT64.max - 1, INT64.max]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(NODE_ID, unique=True, max_size=25), data=st.data())
+def test_rank_of_is_searchsorted_and_names_the_first_unknown_id(ids, data):
+    node_ids = np.sort(np.array(ids, dtype=np.int64))
+    g = _graph_of(node_ids)
+    picks = data.draw(st.lists(st.integers(0, len(ids) - 1), max_size=40) if ids
+                      else st.just([]))
+    keys = node_ids[np.array(picks, dtype=np.int64)]
+    if len(keys) % 2 == 0 and data.draw(st.booleans()):
+        keys = keys.reshape(-1, 2)      # an edge list, possibly (0, 2)
+    ranks = g.rank_of(keys)
+    assert ranks.shape == keys.shape and ranks.dtype == np.int64
+    assert np.array_equal(ranks, np.searchsorted(node_ids, keys))
+
+    known = set(ids)
+    unknown = data.draw(st.lists(NODE_ID.filter(lambda i: i not in known), min_size=1,
+                                 max_size=3))
+    flat = keys.ravel().tolist()
+    for u in unknown:
+        flat.insert(data.draw(st.integers(0, len(flat))), u)
+    bad = np.array(flat, dtype=np.int64)
+    if len(flat) % 2 == 0 and data.draw(st.booleans()):
+        bad = bad.reshape(-1, 2)
+    first = next(i for i in flat if i not in known)
+    with pytest.raises(KeyError, match=rf"unknown node id \[{first}\]"):
+        g.rank_of(bad)
+
+
+@given(st.lists(st.lists(NODE_ID, max_size=12), min_size=1, max_size=4))
+def test_sorted_union_is_unique_of_the_concatenation(arrays):
+    arrays = [np.array(a, dtype=np.int64) for a in arrays]
+    assert np.array_equal(sorted_union(arrays), np.unique(np.concatenate(arrays)))
 
 
 def test_local_graph_rejects_foreign_isolated_nodes():

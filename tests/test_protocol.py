@@ -102,6 +102,11 @@ def test_init_rejects_dimension_mismatch():
         init_parties(cfg, holders)
 
 
+def test_init_refuses_an_empty_holder_list():
+    with pytest.raises(ProtocolError, match="the holder list is empty"):
+        init_parties(make_config(P=2), [])
+
+
 def test_init_rejects_more_holders_than_an_int8_winner_names():
     # a winner index past 127 wraps negative, so that holder's gradients
     # would be dropped without an error

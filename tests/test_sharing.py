@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import tracemalloc
 
@@ -465,6 +466,36 @@ def test_secure_sum_refuses_a_non_finite_gradient_by_holder(mode, bad):
     with pytest.raises(ProtocolError, match="holder 1: .*NaN"):
         run_sum(vecs, 2, mode, channel=channel)
     assert len(channel.audit) == 0 and CommStats.of(channel.audit).total() == 0
+
+
+# a value each holder can encode, but whose P-fold sum could wrap the ring for P >= 3
+WRAPS = 3.5e18 / 2 ** GRAD_FRAC_BITS
+
+
+@pytest.mark.parametrize("P", [3, 4, 8])
+@pytest.mark.parametrize("faults, message", [
+    pytest.param({1: np.nan, 2: WRAPS}, "holder 1: gradient has a NaN or infinite entry",
+                 id="nan-then-wrap"),
+    pytest.param({0: WRAPS, 2: np.inf}, "holder 0: value overflows the 64-bit ring when summed",
+                 id="wrap-then-inf"),
+    pytest.param({1: 1e300, 2: WRAPS}, "holder 1: value is NaN or overflows the 64-bit ring",
+                 id="unencodable-then-wrap"),
+    pytest.param({1: WRAPS, 2: WRAPS}, "holder 1: value overflows the 64-bit ring when summed",
+                 id="wrap-twice"),
+])
+def test_secure_sum_raises_the_lowest_of_two_refusals_and_sends_nothing(P, faults, message):
+    # every holder checks its own vector at once: with two holders at fault
+    # the lower one's refusal is raised, nothing is sent and no seed is drawn
+    vecs = [np.full(6, 0.5 + p) for p in range(P)]
+    for p, bad in faults.items():
+        vecs[p][3] = bad
+    rngs = [make_rng(9, ("holder", p)) for p in range(P)]
+    states = [rng.bit_generator.state for rng in rngs]
+    channel = Channel(AuditLog())
+    with pytest.raises(ProtocolError, match="^" + re.escape(message)):
+        secure_sum(channel, vecs, rngs, "fixed-point", epoch=0)
+    assert len(channel.audit) == 0
+    assert [rng.bit_generator.state for rng in rngs] == states
 
 
 # -- secure argmax ------------------------------------------------------------------
