@@ -442,8 +442,6 @@ def predict_probs(h_final: np.ndarray, w_predict: np.ndarray) -> np.ndarray:
 
 def loss_terms(probs: np.ndarray, rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Per-label cross-entropy of the given labeled rows."""
-    if rows.size == 0:
-        return np.empty(0)
     return -np.log(np.maximum(probs[rows, classes], PROB_CLAMP))
 
 
@@ -471,11 +469,10 @@ def predict_backward(h_final: np.ndarray, probs: np.ndarray, rows: np.ndarray,
     """Gradients of the summed cross-entropy: (dW_predict, dH over all rows)."""
     dW = np.zeros_like(w_predict)
     dH = np.zeros_like(h_final)
-    if rows.size:
-        dlogits = probs[rows].copy()
-        dlogits[np.arange(len(rows)), classes] -= 1.0
-        dW += dlogits.T @ h_final[rows]
-        dH[rows] = dlogits @ w_predict
+    dlogits = probs[rows].copy()
+    dlogits[np.arange(len(rows)), classes] -= 1.0
+    dW += dlogits.T @ h_final[rows]
+    dH[rows] = dlogits @ w_predict
     return dW, dH
 
 

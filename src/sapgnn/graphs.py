@@ -65,11 +65,10 @@ class Graph:
                 f"feature rows ({self.features.shape}) do not match node count ({n})")
         if self.labels.shape != (n,):
             raise ValueError("labels must align with node_ids")
-        if self.edges.size:
-            found = np.isin(self.edges, self.node_ids)
-            if not found.all():
-                bad = self.edges[~found.all(axis=1)][0]
-                raise ValueError(f"dangling edge endpoint in edge {tuple(bad)}")
+        found = np.isin(self.edges, self.node_ids)
+        if not found.all():
+            bad = self.edges[~found.all(axis=1)][0]
+            raise ValueError(f"dangling edge endpoint in edge {tuple(bad)}")
         labeled = self.labels != UNLABELED
         if np.any(self.labels[labeled] >= self.n_classes) or np.any(self.labels[labeled] < 0):
             raise ValueError(f"label class out of range [0, {self.n_classes})")
@@ -82,7 +81,7 @@ class Graph:
                 raise ValueError("train/val/test masks must be pairwise disjoint")
             seen = np.concatenate([seen, s])
             ranks = self.rank_of(ids)
-            if ids.size and np.any(self.labels[ranks] == UNLABELED):
+            if np.any(self.labels[ranks] == UNLABELED):
                 raise ValueError(f"{name} mask contains an unlabeled node")
 
     @property
@@ -119,11 +118,7 @@ class Graph:
         return ranks.reshape(ids.shape)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        if self.edges.size:
-            ranks = self.rank_of(self.edges.ravel())
-            np.add.at(deg, ranks, 1)
-        return deg
+        return np.bincount(self.rank_of(self.edges.ravel()), minlength=self.n_nodes)
 
     def labels_for(self, ids) -> np.ndarray:
         return self.labels[self.rank_of(ids)]

@@ -179,8 +179,7 @@ class DataHolder:
 
     def split_confusion(self, split: str) -> np.ndarray:
         rows, classes = self.label_rows[split]
-        preds = self.probs[rows].argmax(axis=1) if rows.size else np.empty(0, dtype=np.int64)
-        return confusion_matrix(preds, classes, self.n_classes)
+        return confusion_matrix(self.probs[rows].argmax(axis=1), classes, self.n_classes)
 
     # -- backward -----------------------------------------------------------
 
@@ -211,11 +210,8 @@ class DataHolder:
     # -- update -------------------------------------------------------------
 
     def apply_update(self, agg_flat: np.ndarray):
-        try:
-            grads = self.locals_.unflat(agg_flat)
-        except ValueError as exc:
-            raise ProtocolError(f"aggregated gradient: {exc}") from exc
-        self.locals_.set_arrays(adam_update(self.adams, self.locals_.arrays(), grads))
+        self.locals_.set_arrays(adam_update(self.adams, self.locals_.arrays(),
+                                            self.locals_.unflat(agg_flat)))
 
 
 @dataclass
@@ -255,10 +251,8 @@ class Server:
         return h_next
 
     def check_tapes(self):
-        """Refuse a backward through a missing tape or an unmasked dropout layer."""
+        """Refuse a backward through an unmasked dropout layer."""
         for l, (tape, rate) in enumerate(zip(self.tapes, self.drop_rates, strict=True)):
-            if tape is None:
-                raise ProtocolError(f"no forward tape for layer {l}")
             if rate > 0.0 and tape.mask is None:
                 raise ProtocolError(f"layer {l} has dropout {rate} but its tape comes from an "
                                     "evaluation sweep with no mask")
@@ -357,16 +351,7 @@ def _total_loss(holders, split: str) -> float:
 
     Label ownership is disjoint, so this reproduces the exact float
     summation order of a single machine iterating all labels at once."""
-    ids = [np.empty(0, dtype=np.int64)]
-    terms = [np.empty(0)]
-    for holder in holders:
-        i, t = holder.split_loss_terms(split)
-        ids.append(i)
-        terms.append(t)
-    ids = np.concatenate(ids)
-    terms = np.concatenate(terms)
-    if ids.size == 0:
-        return 0.0
+    ids, terms = (np.concatenate(a) for a in zip(*(h.split_loss_terms(split) for h in holders)))
     return float(np.sum(terms[np.argsort(ids, kind="stable")]))
 
 
@@ -476,7 +461,7 @@ def _pool_layer(session: Session, l: int, epoch: int):
     got = _send(session.channel, MessageKind.POOL_RESULT, POOL_PARTY, SERVER_PARTY, l, epoch,
                 {"m": m, "winner": winner}, {"m": shape, "winner": shape})
     m, winner = got["m"], got["winner"]
-    if winner.size and not 0 <= winner.min() <= winner.max() < len(session.holders):
+    if not 0 <= winner.min() <= winner.max() < len(session.holders):
         raise ProtocolError(f"{POOL_PARTY}: PoolResult names a winner outside holders "
                             f"0..{len(session.holders) - 1}")
     return m, winner
@@ -609,10 +594,10 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     value whose P-fold sum could wrap the ring, is refused before any seed is
     drawn or anything is sent. Each holder checks its own vector for the last
     two, all at once, and the lowest failing holder's refusal, which names
-    it, is raised.
+    it, is raised; on any holder count, one included.
     Returns the total once every holder has reconstructed the same one; with
-    one holder its vector is the total, as in the centralized trainer, and
-    nothing is sent.
+    one holder its checked vector is the total, as in the centralized
+    trainer, and nothing is sent.
     """
     # the share modes are those the wire declares a PartialSum dtype for
     if mode not in ROUTES[MessageKind.PARTIAL_SUM].fields["partial"]:
@@ -621,8 +606,6 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     shapes = {np.shape(v) for v in vectors}
     if len(shapes) != 1:
         raise ProtocolError(f"holders disagree on gradient vector length: {sorted(shapes)}")
-    if P == 1:
-        return vectors[0]
 
     def check(j, _outbox):
         """Holder j's refusal of its own vector; it sends nothing."""
@@ -634,6 +617,8 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
             raise ProtocolError(f"holder {j}: {exc}") from exc
 
     each_holder(channel.audit, P, check)
+    if P == 1:
+        return vectors[0]
     shape = shapes.pop()
 
     def send(via: Channel, kind: MessageKind, j: int, i: int, name: str, value, want: tuple):
@@ -651,13 +636,8 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
                                     (SEED_WORDS,)))
         drawn.append(seeds)
 
-    def mask(j, _outbox):
-        try:
-            return share_vector(vectors[j], P, drawn[j], received[j], mode=mode)
-        except ValueError as exc:
-            raise ProtocolError(f"holder {j}: {exc}") from exc
-
-    masked = each_holder(channel.audit, P, mask)
+    masked = each_holder(channel.audit, P, lambda j, _outbox: share_vector(
+        vectors[j], P, drawn[j], received[j], mode=mode))
 
     sums = [None] * P      # sums[i]: holder i's running sum of the masked vectors so far
     for j in range(P):

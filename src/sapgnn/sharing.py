@@ -214,8 +214,9 @@ def check_ring_sum(x: np.ndarray, P: int, mode: str) -> None:
     """Refuse x if, in mode "fixed-point", its encoding summed over P holders
     could wrap the 64-bit ring. P summands below 2^63 / P each cannot wrap
     the signed sum; the encoding is monotone in |x|, so the largest
-    magnitude decides. Mode "real" has no ring to wrap."""
-    if mode != "fixed-point":
+    magnitude decides. Mode "real" has no ring to wrap, nor does a sum over
+    one holder, which encodes nothing."""
+    if mode != "fixed-point" or P == 1:
         return
     top = encode_vector(np.max(np.abs(x), initial=0.0), GRAD_FRAC_BITS).view(np.int64)
     if top >= (1 << 63) // P:

@@ -424,6 +424,14 @@ def _holder_nan(session):
     session.holders[1].grad_acc.w_predict[0, 0] = np.nan
 
 
+def _lone_holder_nan(session):
+    session.holders[0].grad_acc.w_predict[0, 0] = np.nan
+
+
+def _lone_holder_inf(session):
+    session.holders[0].grad_acc.w_predict[0, 0] = -np.inf
+
+
 def _server_inf(session):
     session.server.grads[1] = np.full_like(session.server.grads[1], np.inf)
 
@@ -434,18 +442,24 @@ def _ring_overflow(session):
         holder.grad_acc.w_predict[0, 0] = 1.5 * 2.0 ** (61 - GRAD_FRAC_BITS)
 
 
-@pytest.mark.parametrize("share_mode, fault, message", [
-    pytest.param("real", _holder_nan, "holder 1: gradient has a NaN", id="real"),
-    pytest.param("fixed-point", _holder_nan, "holder 1: gradient has a NaN", id="fixed-point"),
-    pytest.param("real", _server_inf, "server gradient has a NaN", id="infinite-server-grad"),
-    pytest.param("fixed-point", _ring_overflow, "holder 0: .* summed over 3 holders",
+@pytest.mark.parametrize("share_mode, fault, message, P", [
+    pytest.param("real", _holder_nan, "holder 1: gradient has a NaN", 3, id="real"),
+    pytest.param("fixed-point", _holder_nan, "holder 1: gradient has a NaN", 3,
+                 id="fixed-point"),
+    pytest.param("real", _server_inf, "server gradient has a NaN", 3, id="infinite-server-grad"),
+    pytest.param("fixed-point", _ring_overflow, "holder 0: .* summed over 3 holders", 3,
                  id="fixed-point-overflow"),
+    # one holder: its own sum is checked as any holder's is
+    *(pytest.param(share_mode, fault, "holder 0: gradient has a NaN", 1,
+                   id=f"one-holder-{name}-{share_mode}")
+      for share_mode in ("real", "fixed-point")
+      for name, fault in (("nan", _lone_holder_nan), ("inf", _lone_holder_inf))),
 ])
-def test_a_refused_update_changes_nothing(share_mode, fault, message):
+def test_a_refused_update_changes_nothing(share_mode, fault, message, P):
     # a non-finite server or holder gradient, or a holder gradient whose sum
     # could wrap the ring, is refused before the server or any holder steps,
     # and before any holder sends a share or draws a seed
-    _, _, session = make_session(make_config(P=3, kind="gated", share_mode=share_mode))
+    _, _, session = make_session(make_config(P=P, kind="gated", share_mode=share_mode))
     forward_pass(session, train=True, epoch=0)
     backward_pass(session, epoch=0)
     fault(session)

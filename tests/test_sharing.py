@@ -300,6 +300,20 @@ def test_single_holder_aggregate_is_identity():
     assert len(channel.audit) == 0 and CommStats.of(channel.audit).total() == 0
 
 
+@pytest.mark.parametrize("mode", ["fixed-point", "real"])
+def test_a_one_holder_sum_checks_finiteness_alone(mode):
+    # one holder encodes nothing, so it has no ring to wrap: a value far past
+    # every holder count's ring bound is its own sum, and nothing is sent;
+    # a NaN or an infinity is refused as at any holder count
+    v = np.array([2.0 ** 40, -3.0 * 2.0 ** 31, 0.5])
+    total, channel = run_sum([v], 2, mode)
+    assert np.array_equal(total, v)
+    assert len(channel.audit) == 0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ProtocolError, match="^holder 0: gradient has a NaN or infinite"):
+            run_sum([np.array([1.0, bad])], 2, mode)
+
+
 def test_secure_sum_keeps_few_vectors_alive():
     # each holder masks its vector in place and adds every masked vector
     # into one running sum as it arrives, so the peak stays O(P) vectors
