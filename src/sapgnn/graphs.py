@@ -80,7 +80,10 @@ class Graph:
             if np.isin(s, seen).any():
                 raise ValueError("train/val/test masks must be pairwise disjoint")
             seen = np.concatenate([seen, s])
-            ranks = self.rank_of(ids)
+            try:
+                ranks = self.rank_of(ids)
+            except KeyError as exc:
+                raise ValueError(f"{name} mask: {exc.args[0]}") from exc
             if np.any(self.labels[ranks] == UNLABELED):
                 raise ValueError(f"{name} mask contains an unlabeled node")
 

@@ -351,7 +351,8 @@ def _total_loss(holders, split: str) -> float:
 
     Label ownership is disjoint, so this reproduces the exact float
     summation order of a single machine iterating all labels at once."""
-    ids, terms = (np.concatenate(a) for a in zip(*(h.split_loss_terms(split) for h in holders)))
+    ids, terms = zip(*(holder.split_loss_terms(split) for holder in holders))
+    ids, terms = np.concatenate(ids), np.concatenate(terms)
     return float(np.sum(terms[np.argsort(ids, kind="stable")]))
 
 

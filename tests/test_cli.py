@@ -1,12 +1,15 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from sapgnn.cli import EXIT_REFUSED, main
-from sapgnn.config import RunConfig, apply_overrides
+from sapgnn.cli import EXIT_REFUSED, _openblas_threads, main
+from sapgnn.config import PartitionConfig, RunConfig, apply_overrides
 
 
 def write_config(tmp_path, **overrides):
@@ -38,8 +41,21 @@ def test_gen_data_and_partition(tmp_path, capsys):
                  "--out", str(out), "--set", "partition.P=2"]) == 0
     manifest = json.loads((out / "partition.json").read_text())
     assert manifest["P"] == 2
+    assert manifest["node_scope"] == "full"
     assert (out / "holder-0" / "manifest.json").exists()
     assert (out / "holder-1" / "edges.tsv").exists()
+    # the manifest holds every partition setting, so an edge-incident split
+    # (of a graph dense enough that every node has an edge) says so
+    dense = tmp_path / "dense"
+    assert main(["gen-data", "--out", str(dense), "--set", "dataset.n_nodes=20",
+                 "--set", "dataset.intra_class_edge_prob=0.9"]) == 0
+    edge_incident = tmp_path / "edge-incident"
+    assert main(["partition", "--config", str(cfg), "--data", str(dense),
+                 "--out", str(edge_incident), "--set", "partition.node_scope=edge-incident"]) == 0
+    manifest = json.loads((edge_incident / "partition.json").read_text())
+    assert {key: manifest[key] for key in asdict(PartitionConfig())} == {
+        **asdict(RunConfig.from_dict(json.loads(cfg.read_text())).partition),
+        "node_scope": "edge-incident"}
 
 
 def test_train_sapgnn_writes_outputs(tmp_path, capsys):
@@ -67,11 +83,25 @@ def test_train_sapgnn_records_what_its_hashes_depend_on(tmp_path, monkeypatch, c
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert record == {"numpy": np.__version__, "blas": blas["name"],
                       "blas_version": blas["version"], "openblas_num_threads": "3",
+                      "openblas_threads": _openblas_threads(),
                       "usable_cpus": sorted(os.sched_getaffinity(0)),
                       "holder_workers": len(os.sched_getaffinity(0)) - 1}
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     assert main(["train-sapgnn", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
     assert json.loads((out / "run.json").read_text())["openblas_num_threads"] is None
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_record_reads_the_openblas_thread_count_the_library_started_with(threads):
+    # the library reads OPENBLAS_NUM_THREADS once, when it loads: a child
+    # started with it reports that count, whatever the variable reads later
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = ("import os; from sapgnn.cli import _openblas_threads; "
+            "os.environ['OPENBLAS_NUM_THREADS'] = '3'; print(_openblas_threads())")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == threads
 
 
 def test_train_centralized_and_sp(tmp_path, capsys):
@@ -210,6 +240,25 @@ def test_config_refuses_an_unknown_key_by_name(override, message):
 def test_apply_overrides_refuses_a_key_below_a_value():
     with pytest.raises(ValueError, match="'mode' is a value, not a config section"):
         apply_overrides(RunConfig().to_dict(), ["mode.x=1"])
+
+
+@pytest.mark.parametrize("override, message", [
+    ("mode=secure", "unknown mode 'secure'"),
+    ("share_mode=fixed", "unknown share mode 'fixed'"),
+])
+def test_cli_refuses_an_unknown_mode(tmp_path, capsys, override, message):
+    assert main(["train-sapgnn", "--out", str(tmp_path / "bad"),
+                 "--set", override]) == EXIT_REFUSED
+    assert capsys.readouterr().err == f"sapgnn: refused: {message}\n"
+    assert not (tmp_path / "bad").exists()
+
+
+def test_cli_refuses_a_dataset_directory_without_a_path(tmp_path, capsys):
+    assert main(["train-sapgnn", "--out", str(tmp_path / "bad"),
+                 "--set", "dataset.kind=edge-list-dir"]) == EXIT_REFUSED
+    assert capsys.readouterr().err == (
+        "sapgnn: refused: dataset kind edge-list-dir needs a path\n")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_refuses_a_misspelled_override(tmp_path, capsys):

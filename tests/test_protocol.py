@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from sapgnn.config import (DatasetConfig, PartitionConfig, RunConfig, TrainConfi
 from sapgnn.gnn import (ModelConfig, build_model_weights, centralized_forward_backward,
                         init_global_weights, init_local_weights)
 from sapgnn.graphs import (Graph, LocalGraph, generate_synthetic, node_digests,
-                           split_edges_uniform, union_graph)
+                           split_edges_uniform, union_graph, write_dataset)
 from sapgnn.numerics import make_rng
 from sapgnn.sharing import GRAD_FRAC_BITS
 from sapgnn.protocol import (ProtocolError, _pool_layer, aggregate_local_grads, backward_pass,
@@ -59,6 +60,21 @@ def snapshot(session) -> tuple:
 
 
 # -- initialization ------------------------------------------------------------
+
+def test_a_dataset_directory_trains_as_the_graph_it_holds(tmp_path):
+    # the config's graph written as a dataset directory and trained from it
+    # gives the in-memory run's metrics and audit log
+    cfg = make_config(P=3, mode="secure-pooling", share_mode="fixed-point", max_epochs=2)
+    write_dataset(build_dataset(cfg.dataset), tmp_path / "data")
+    from_dir = replace(cfg, dataset=DatasetConfig(kind="edge-list-dir",
+                                                  path=str(tmp_path / "data")))
+    runs = {}
+    for name, config in (("memory", cfg), ("directory", from_dir)):
+        res = run_training(config)
+        write_audit_jsonl(res.audit, tmp_path / f"{name}.jsonl")
+        runs[name] = res.metrics_rows, (tmp_path / f"{name}.jsonl").read_bytes()
+    assert runs["directory"] == runs["memory"]
+
 
 def test_init_replicates_local_weights():
     cfg = make_config(P=3)
@@ -687,6 +703,24 @@ def test_audit_flags_a_record_off_its_route_or_fields(run_log, record):
     log.append(sender, receiver, kind, schema, 0, 0, 64)
     report = verify_privacy_audit(log, mode=mode)
     assert [(f.party, f.kind) for f in report.findings] == [(receiver, kind)], report.summary()
+
+
+# a record on its route and schema that only the other pooling mode's runs send
+OTHER_MODE = {
+    "naive": ("holder-0", "sealed-pool", "PoolInput", "valid,values", "secure-pooling"),
+    "secure-pooling": ("holder-0", "server", "LocalEmbedding", "valid,t", "naive"),
+}
+
+
+def test_audit_flags_a_record_of_the_other_pooling_mode(run_log):
+    mode, clean = run_log
+    log = AuditLog()
+    log.records = list(clean.records)
+    sender, receiver, kind, schema, other = OTHER_MODE[mode]
+    log.append(sender, receiver, kind, schema, 0, 0, 64)
+    report = verify_privacy_audit(log, mode=mode)
+    assert [(f.party, f.kind, f.description) for f in report.findings] == [
+        (receiver, kind, f"belongs to {other} runs, not to a {mode} run")], report.summary()
 
 
 # edits of a clean log that leave every record on its route and schema: only

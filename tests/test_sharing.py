@@ -252,6 +252,11 @@ def test_aggregate_audit_never_touches_server():
                  r"holder-1: PartialSum to holder-0 carries uint64 \(5,\) as 'partial', "
                  r"expected float64 \(5,\)",
                  id="real-partial-as-residues"),
+    # well formed, but edited in transit: its receivers' totals differ from its sender's
+    *(pytest.param(mode, "PartialSum", lambda f: {"partial": f["partial"] + 1},
+                   "^holders reconstructed different gradient aggregates$",
+                   id=f"{mode}-partial-edited")
+      for mode in ("fixed-point", "real")),
 ])
 def test_secure_sum_refuses_a_malformed_share(delivered_messages, tampering, mode, kind, edit,
                                                message):

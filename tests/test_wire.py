@@ -288,9 +288,19 @@ def _one_field_message() -> bytearray:
     return bytearray(buf)
 
 
-def _patch(at: int, fmt: str, value) -> bytes:
+def _patch(at: int, fmt: str, *values) -> bytes:
     buf = _one_field_message()
-    struct.pack_into(fmt, buf, at, value)
+    struct.pack_into(fmt, buf, at, *values)
+    return bytes(buf)
+
+
+def _repeated_field_message() -> bytes:
+    # the fields "g" (bytes 14-45, as in _one_field_message) and "h", whose
+    # one-byte name at byte 47 is rewritten to "g"
+    buf = encode_message(MessageKind.PRED_GRAD, 1, 2, 3,
+                         {"g": np.array([1.0, 2.0]), "h": np.array([3.0])})
+    assert bytes(buf[46:48]) == b"\x01h"
+    buf[47] = ord("g")
     return bytes(buf)
 
 
@@ -310,6 +320,9 @@ def _patch(at: int, fmt: str, value) -> bytes:
     pytest.param(_patch(22, "<q", 8), "cannot hold", id="length-shape-mismatch"),
     pytest.param(_patch(13, "<B", 2), "truncated", id="missing-field"),
     pytest.param(_patch(13, "<B", 0), "trailing", id="extra-field"),
+    pytest.param(_repeated_field_message(), "field 'g' repeated", id="repeated-field"),
+    # shape (3,) and 24 bytes agree, but only 16 payload bytes follow
+    pytest.param(_patch(18, "<iq", 3, 24), "truncated in the payload", id="payload-cut-short"),
 ])
 def test_malformed_buffer_raises_wire_error(buf, reason):
     with pytest.raises(WireError, match=reason):
