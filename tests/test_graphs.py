@@ -107,8 +107,9 @@ def test_graph_rejects_overlapping_masks():
     # each mask is checked for duplicates before it is checked against the earlier masks
     ({"train_ids": [1], "val_ids": [1, 1]}, "duplicate node in val mask"),
     ({"train_ids": [0], "test_ids": [0]}, "pairwise disjoint"),
-    ({"train_ids": [1, 7]}, r"train mask: unknown node id \[7\]"),
     ({"train_ids": [0], "val_ids": [2], "test_ids": [0]}, "val mask contains an unlabeled node"),
+    # an id that is not a node is refused as the mask's ranks are looked up
+    ({"train_ids": [1, 7]}, r"train mask: unknown node id \[7\]"),
 ])
 def test_graph_mask_refusals_in_check_order(masks, message):
     kw = {"train_ids": [], "val_ids": [], "test_ids": [], **masks}
