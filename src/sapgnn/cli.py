@@ -12,9 +12,7 @@ on stderr as "sapgnn: refused: <message>".
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -26,7 +24,7 @@ from .graphs import load_dataset, write_dataset
 from .harness import (ExperimentSpec, SWEEP_HEADER, compare_equivalence, run_sweep,
                       train_centralized, train_sp, write_audit_jsonl, write_comm_csv,
                       write_metrics_csv)
-from .pool import holder_pool
+from .pool import OPENBLAS_THREADS, holder_pool
 from .protocol import ProtocolError, build_dataset, build_partition, run_training
 from .wire import AuditLog, verify_privacy_audit
 
@@ -59,31 +57,14 @@ def _write_run_outputs(res, out_dir: Path):
         write_audit_jsonl(res.audit, out_dir / "audit.jsonl")
 
 
-def _openblas_threads() -> int | None:
-    """The thread count numpy's bundled OpenBLAS runs with, as the library
-    reports it, or None where numpy bundles no scipy-openblas that reports
-    it. The library reads OPENBLAS_NUM_THREADS once, when it loads."""
-    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
-                  .glob("libscipy_openblas64_*.so"))
-    try:
-        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
-    except (IndexError, AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get()
-
-
 def _write_run_record(out_dir: Path):
     """run.json: what a run's hashes depend on besides its config. OpenBLAS
-    rounds some products differently on another thread count; the count it
-    runs with is `openblas_threads`, and `openblas_num_threads` is the
-    environment variable as read when run.json is written."""
+    runs on the thread count importing the package set (null: none set)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     pool = holder_pool()
     record = {"numpy": np.__version__, "blas": blas.get("name"),
               "blas_version": blas.get("version"),
-              "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-              "openblas_threads": _openblas_threads(),
+              "openblas_threads": OPENBLAS_THREADS,
               "usable_cpus": pool.usable_cpus, "holder_workers": len(pool.worker_cpus)}
     (out_dir / "run.json").write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 

@@ -24,6 +24,10 @@ class DatasetConfig:
     class_sep: float = 2.0
     noise: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("synthetic", "edge-list-dir"):
+            raise ValueError(f"unknown dataset kind {self.kind!r}")
+
 
 @dataclass
 class PartitionConfig:
@@ -33,6 +37,14 @@ class PartitionConfig:
     duplicate_fraction: float = 0.0
     seed: int = 7
     node_scope: str = "full"       # uniform split: "full" | "edge-incident"
+
+    def __post_init__(self):
+        if self.kind not in ("uniform", "label-skew"):
+            raise ValueError(f"unknown partition kind {self.kind!r}")
+        if self.node_scope not in ("full", "edge-incident"):
+            raise ValueError(f"unknown node scope {self.node_scope!r}")
+        if self.P < 1:
+            raise ValueError("holder count P must be >= 1")
 
 
 @dataclass

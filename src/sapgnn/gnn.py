@@ -50,6 +50,8 @@ class ModelConfig:
         self.update_kind = UpdateKind(self.update_kind)
         if self.layers < 1:
             raise ValueError("need at least one layer")
+        if self.hidden < 1:
+            raise ValueError("need a hidden width of at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

@@ -17,6 +17,8 @@ byte counts and every output read exactly as if the holders had run one
 after another, on any number of CPUs. Every holder's step runs to its end;
 if one is refused, the log reads as the sequential order would have left
 it at that point and the lowest failing holder's error is raised.
+Importing it sets numpy's bundled OpenBLAS to one thread, so outputs do
+not depend on OPENBLAS_NUM_THREADS or on the number of CPUs.
 This module imports nothing else from the package but `wire`.
 """
 
@@ -27,10 +29,31 @@ import itertools
 import os
 import queue
 import threading
+from pathlib import Path
+
+import numpy as np
 
 from .wire import AuditLog, Channel
 
 M_ARENA_MAX = -8     # glibc's mallopt parameter number
+
+
+def _pin_openblas() -> int | None:
+    """Set numpy's bundled OpenBLAS to one thread, as products round
+    differently on another count; the count it then reports, or None."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        pin, get = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+    except (IndexError, AttributeError, OSError):   # no bundled scipy-openblas
+        return None
+    pin.argtypes, pin.restype, get.argtypes, get.restype = [ctypes.c_int], None, [], ctypes.c_int
+    pin(1)
+    return get()
+
+
+OPENBLAS_THREADS = _pin_openblas()
 
 
 def _current_cpu() -> int | None:

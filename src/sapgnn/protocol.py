@@ -591,11 +591,12 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     is freed after its round and unmasked only by all P-1 other holders
     together. A seed reveals exactly what its expanded vector would; it is
     drawn from numpy's PCG64, which is simulator-grade and not a CSPRNG. An
-    unknown share mode, a NaN or infinite entry, or in mode "fixed-point" a
-    value whose P-fold sum could wrap the ring, is refused before any seed is
-    drawn or anything is sent. Each holder checks its own vector for the last
-    two, all at once, and the lowest failing holder's refusal, which names
-    it, is raised; on any holder count, one included.
+    unknown share mode, rngs that are not one per holder, a NaN or infinite
+    entry, or in mode "fixed-point" a value whose P-fold sum could wrap the
+    ring, is refused before any seed is drawn or anything is sent. Each
+    holder checks its own vector for the last two, all at once, and the
+    lowest failing holder's refusal, which names it, is raised; on any
+    holder count, one included.
     Returns the total once every holder has reconstructed the same one; with
     one holder its checked vector is the total, as in the centralized
     trainer, and nothing is sent.
@@ -607,6 +608,8 @@ def secure_sum(channel: Channel, vectors: list, rngs: list, mode: str,
     shapes = {np.shape(v) for v in vectors}
     if len(shapes) != 1:
         raise ProtocolError(f"holders disagree on gradient vector length: {sorted(shapes)}")
+    if len(rngs) != P:
+        raise ProtocolError(f"{len(rngs)} seed streams for {P} holders")
 
     def check(j, _outbox):
         """Holder j's refusal of its own vector; it sends nothing."""

@@ -8,7 +8,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sapgnn.cli import EXIT_REFUSED, _openblas_threads, main
+from sapgnn import protocol
+from sapgnn.cli import EXIT_REFUSED, main
 from sapgnn.config import PartitionConfig, RunConfig, apply_overrides
 
 
@@ -73,35 +74,29 @@ def test_train_sapgnn_writes_outputs(tmp_path, capsys):
     assert header == ["epoch", "kind", "direction", "bytes"]
 
 
-def test_train_sapgnn_records_what_its_hashes_depend_on(tmp_path, monkeypatch, capsys):
-    # a seeded run's outputs hold per numpy, BLAS and OpenBLAS thread count;
-    # run.json names them beside the outputs, with the CPUs the run could use
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+def test_train_sapgnn_records_what_its_hashes_depend_on(tmp_path, capsys):
+    # a seeded run's outputs hold per numpy and BLAS; run.json names them
+    # beside the outputs, with the one OpenBLAS thread importing the package
+    # set and the CPUs the run could use
     out = tmp_path / "run"
     assert main(["train-sapgnn", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
     record = json.loads((out / "run.json").read_text())
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert record == {"numpy": np.__version__, "blas": blas["name"],
-                      "blas_version": blas["version"], "openblas_num_threads": "3",
-                      "openblas_threads": _openblas_threads(),
+                      "blas_version": blas["version"], "openblas_threads": 1,
                       "usable_cpus": sorted(os.sched_getaffinity(0)),
                       "holder_workers": len(os.sched_getaffinity(0)) - 1}
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert main(["train-sapgnn", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
-    assert json.loads((out / "run.json").read_text())["openblas_num_threads"] is None
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_record_reads_the_openblas_thread_count_the_library_started_with(threads):
-    # the library reads OPENBLAS_NUM_THREADS once, when it loads: a child
-    # started with it reports that count, whatever the variable reads later
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join(sys.path)}
-    code = ("import os; from sapgnn.cli import _openblas_threads; "
-            "os.environ['OPENBLAS_NUM_THREADS'] = '3'; print(_openblas_threads())")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == threads
+def test_run_record_reads_the_openblas_thread_count_the_package_set(tmp_path):
+    # the library reads OPENBLAS_NUM_THREADS when it loads; importing the
+    # package then sets it to one thread, and run.json reads that count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = tmp_path / "run"
+    subprocess.run([sys.executable, "-m", "sapgnn.cli", "train-sapgnn", "--config",
+                    str(write_config(tmp_path)), "--out", str(out)],
+                   env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads((out / "run.json").read_text())["openblas_threads"] == 1
 
 
 def test_train_centralized_and_sp(tmp_path, capsys):
@@ -110,6 +105,16 @@ def test_train_centralized_and_sp(tmp_path, capsys):
                  "--out", str(tmp_path / "c")]) == 0
     assert main(["train-sp", "--config", str(cfg), "--out", str(tmp_path / "sp")]) == 0
     assert (tmp_path / "c" / "metrics.csv").exists()
+
+
+def test_train_sp_skips_a_holder_with_no_train_label(tmp_path, capsys):
+    # nine train labels over ten holders leave the last one none
+    out = tmp_path / "sp"
+    assert main(["train-sp", "--config", str(write_config(tmp_path)), "--out", str(out),
+                 "--set", "partition.P=10"]) == 0
+    assert "holder 9: skipped (no train labels)" in capsys.readouterr().out
+    assert sorted(f.name for f in out.iterdir()) == [f"sp_holder{p}_metrics.csv"
+                                                     for p in range(9)]
 
 
 def test_verify_equivalence_exit_codes(tmp_path, capsys):
@@ -209,6 +214,13 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert len(accs) == 1  # identity across P
 
 
+def test_sweep_out_a_directory_writes_sweep_csv_there(tmp_path, capsys):
+    assert main(["sweep", "--config", str(write_config(tmp_path)), "--out", str(tmp_path),
+                 "--P", "1", "--methods", "sapgnn"]) == 0
+    with open(tmp_path / "sweep.csv") as f:
+        assert len(list(csv.DictReader(f))) == 1
+
+
 def test_config_round_trip():
     cfg = RunConfig()
     again = RunConfig.from_dict(json.loads(cfg.to_json()))
@@ -245,8 +257,17 @@ def test_apply_overrides_refuses_a_key_below_a_value():
 @pytest.mark.parametrize("override, message", [
     ("mode=secure", "unknown mode 'secure'"),
     ("share_mode=fixed", "unknown share mode 'fixed'"),
+    ("dataset.kind=bogus", "unknown dataset kind 'bogus'"),
+    ("partition.kind=bogus", "unknown partition kind 'bogus'"),
+    ("partition.node_scope=bogus", "unknown node scope 'bogus'"),
+    ("partition.P=0", "holder count P must be >= 1"),
+    ("model.hidden=0", "need a hidden width of at least 1"),
+    ("model.dropout=1.0", "dropout must be in [0, 1)"),
+    ("model.dropout=-0.1", "dropout must be in [0, 1)"),
 ])
-def test_cli_refuses_an_unknown_mode(tmp_path, capsys, override, message):
+def test_cli_refuses_an_unknown_mode(tmp_path, capsys, monkeypatch, override, message):
+    # the config refuses it when it is built, before any graph is
+    monkeypatch.setattr(protocol, "build_dataset", lambda dcfg: pytest.fail("graph built"))
     assert main(["train-sapgnn", "--out", str(tmp_path / "bad"),
                  "--set", override]) == EXIT_REFUSED
     assert capsys.readouterr().err == f"sapgnn: refused: {message}\n"

@@ -596,6 +596,11 @@ def test_negated_sum_violates():
     assert report["holds"] < 0.1
 
 
+def test_monotone_check_refuses_no_trial():
+    with pytest.raises(ValueError, match="need at least one trial"):
+        check_monotone_update(UpdateKind.SUM, 0, make_rng(63, 0))
+
+
 def test_update_kind_monotone_flags():
     assert UpdateKind.SUM.monotone and UpdateKind.CONCAT.monotone
     assert UpdateKind.GATED.monotone and not UpdateKind.NEGATED_SUM.monotone

@@ -5,14 +5,15 @@ Any change to the numbers a run computes, the bytes it sends or the records
 it logs changes one of these hashes. A refactor must leave them all alone;
 a deliberate change of behaviour updates them and says so in CHANGES.md.
 The hashes were taken with numpy 2.4 and OpenBLAS on x86-64; a different
-BLAS may round matrix products differently and change them. So may another
-OpenBLAS thread count: p4-gated-linear-real's metrics.csv reads one hash on
-one thread and another on two. Each run therefore goes to a child process
-(this file run as a script) started with OPENBLAS_NUM_THREADS=1, whatever
-the suite's own setting: one thread is the count every host can run.
-Each child runs twice, once on one usable CPU, where the holder pool has no
-worker and every holder step runs in the calling thread, and once on every
-usable CPU: the holders computing at once must not change one byte.
+BLAS may round matrix products differently and change them. Another OpenBLAS
+thread count would too (p4-gated-linear-real's metrics.csv reads another
+hash on two threads), so importing the package sets OpenBLAS to one thread.
+Each run goes to a child process (this file run as a script) started with
+OPENBLAS_NUM_THREADS=2, a count that changed that hash before the package
+set its own: the variable must not change one byte now. Each child runs
+twice, once on one usable CPU, where the holder pool has no worker and every
+holder step runs in the calling thread, and once on every usable CPU: the
+holders computing at once must not change one byte either.
 """
 
 import hashlib
@@ -104,7 +105,7 @@ SP_GOLDEN = {
 }
 
 
-BLAS_THREADS = "1"
+BLAS_THREADS = "2"
 CPUS = ("one", "every")
 
 
@@ -142,8 +143,8 @@ RUNS = {f.__name__: f for f in (protocol_hashes, centralized_hash, separate_trai
 
 
 def pinned(run, name: str, out: Path, cpus: str):
-    """run(name, out) in a child process on BLAS_THREADS OpenBLAS threads and
-    on `cpus` ("one" or "every") of the usable CPUs."""
+    """run(name, out) in a child process started with OPENBLAS_NUM_THREADS at
+    BLAS_THREADS and on `cpus` ("one" or "every") of the usable CPUs."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": BLAS_THREADS,
            "PYTHONPATH": os.pathsep.join([str(Path(sapgnn.__file__).parents[1]),
                                           os.environ.get("PYTHONPATH", "")])}

@@ -74,6 +74,8 @@ def test_synthetic_validation_errors():
         generate_synthetic(3, 5, 2, 0.5, 0.5, 0)   # more classes than nodes
     with pytest.raises(ValueError):
         generate_synthetic(10, 2, 2, 1.5, 0.0, 0)  # probability out of range
+    with pytest.raises(ValueError, match="n_nodes must be >= 2"):
+        generate_synthetic(1, 1, 2, 0.5, 0.5, 0)
 
 
 # -- Graph invariants --------------------------------------------------------
@@ -100,6 +102,19 @@ def test_graph_rejects_overlapping_masks():
               edges=np.empty((0, 2), dtype=np.int64), labels=np.array([0, 1]),
               train_ids=np.array([0]), val_ids=np.array([0]),
               test_ids=np.array([], dtype=np.int64), n_classes=2)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"node_ids": [0, 2, 1]}, "node_ids must be strictly increasing"),
+    ({"labels": [0, 1]}, "labels must align with node_ids"),
+    ({"labels": [0, 2, -1]}, r"label class out of range \[0, 2\)"),
+    ({"labels": [0, -2, -1]}, r"label class out of range \[0, 2\)"),
+])
+def test_graph_refuses_malformed_ids_and_labels(fields, message):
+    kw = {"node_ids": [0, 1, 2], "labels": [0, 1, -1], **fields}
+    with pytest.raises(ValueError, match=message):
+        Graph(features=np.zeros((3, 1)), edges=np.empty((0, 2)), train_ids=[], val_ids=[],
+              test_ids=[], n_classes=2, **kw)
 
 
 @pytest.mark.parametrize("masks, message", [
@@ -154,6 +169,22 @@ def test_load_inconsistent_feature_rows(tmp_path):
     (tmp_path / "ds" / "features.tsv").write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="inconsistent feature dimensions"):
         load_dataset(tmp_path / "ds")
+
+
+def test_load_refuses_a_node_without_a_feature_row(tmp_path):
+    write_dataset(tiny_graph(6, seed=3), tmp_path / "ds")
+    lines = (tmp_path / "ds" / "features.tsv").read_text().splitlines()
+    (tmp_path / "ds" / "features.tsv").write_text("\n".join(lines[1:]) + "\n")
+    with pytest.raises(ValueError, match="feature rows do not match the node list"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_load_skips_a_blank_line(tmp_path):
+    g = tiny_graph(6, seed=3)
+    write_dataset(g, tmp_path / "ds")
+    nodes = (tmp_path / "ds" / "nodes.tsv").read_text().splitlines()
+    (tmp_path / "ds" / "nodes.tsv").write_text("\n".join(nodes[:2] + [""] + nodes[2:]) + "\n")
+    assert graphs_equal(load_dataset(tmp_path / "ds"), g)
 
 
 def test_empty_edge_file_gives_isolated_nodes(tmp_path):
@@ -218,6 +249,12 @@ def test_duplicate_fraction_copies_edges():
 def test_uniform_split_rejects_zero_holders():
     with pytest.raises(ValueError):
         split_edges_uniform(tiny_graph(), 0)
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.5])
+def test_uniform_split_refuses_a_duplicate_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match=r"duplicate_fraction must be in \[0, 1\]"):
+        split_edges_uniform(tiny_graph(), 2, duplicate_fraction=fraction)
 
 
 def test_uniform_split_marks_globally_isolated_nodes():

@@ -75,6 +75,11 @@ def test_metrics_rejects_empty():
     assert np.isnan(out["accuracy"]) and np.isnan(out["macro_f1"])
 
 
+def test_confusion_matrix_refuses_lengths_that_differ():
+    with pytest.raises(ValueError, match="predictions and labels differ in length"):
+        confusion_matrix([0, 1], [0], 2)
+
+
 def test_metrics_bounds():
     rng = np.random.default_rng(3)
     preds = rng.integers(0, 4, 50)
@@ -190,6 +195,17 @@ def small_spec(tmp_base, **kw):
                           q_values=kw.pop("q_values", [0.0]),
                           methods=kw.pop("methods", ["sapgnn"]),
                           repeats=kw.pop("repeats", 1), seed_base=123)
+
+
+@pytest.mark.parametrize("axis, message", [
+    ({"P_values": []}, "sweep axes must be nonempty"),
+    ({"q_values": []}, "sweep axes must be nonempty"),
+    ({"methods": []}, "sweep axes must be nonempty"),
+    ({"repeats": 0}, "repeat count must be >= 1"),
+])
+def test_sweep_spec_refuses_an_empty_axis_or_no_repeat(tmp_path, axis, message):
+    with pytest.raises(ValueError, match=message):
+        small_spec(tmp_path, **axis)
 
 
 def test_sweep_schema_and_determinism(tmp_path):

@@ -78,6 +78,12 @@ def test_finite_diff_quadratic_exact():
     assert abs(grad[0] - 6.0) < 1e-6
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-6])
+def test_finite_diff_refuses_a_step_that_is_not_positive(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        finite_diff_grad(lambda x: float(x[0]), np.array([1.0]), eps=eps)
+
+
 def test_finite_diff_constant_is_zero():
     grad = finite_diff_grad(lambda x: 4.2, np.array([1.0, -2.0, 0.0]))
     assert np.array_equal(grad, np.zeros(3))

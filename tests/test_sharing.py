@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import threading
@@ -132,6 +133,12 @@ def test_share_errors():
     dup = [shares[0], shares[0], shares[2]]
     with pytest.raises(ValueError):
         reconstruct_additive(dup)                  # duplicate party
+    for field in ("frac_bits", "ring_bits"):
+        edited = [shares[0], dataclasses.replace(shares[1], **{field: 8}), shares[2]]
+        with pytest.raises(ValueError, match="shares disagree on ring or fraction bits"):
+            reconstruct_additive(edited)
+    with pytest.raises(ValueError, match="boolean sharing needs at least 2 parties"):
+        share_boolean(np.array([1], dtype=np.uint8), 1, make_rng(0, 0))
 
 
 def test_flipped_bit_changes_secret():
@@ -294,6 +301,17 @@ def test_secure_sum_refuses_an_unknown_share_mode_before_it_sends():
     channel = Channel(AuditLog())
     with pytest.raises(ProtocolError, match="unknown share mode 'fixed'"):
         secure_sum(channel, vecs, rngs, "fixed", epoch=0)
+    assert len(channel.audit) == 0
+    assert [rng.bit_generator.state for rng in rngs] == states
+
+
+@pytest.mark.parametrize("n_rngs", [2, 4])
+def test_secure_sum_refuses_a_seed_stream_per_holder_mismatch_before_it_sends(n_rngs):
+    rngs = [make_rng(1, p) for p in range(n_rngs)]
+    states = [rng.bit_generator.state for rng in rngs]
+    channel = Channel(AuditLog())
+    with pytest.raises(ProtocolError, match=f"{n_rngs} seed streams for 3 holders"):
+        secure_sum(channel, [np.ones(4)] * 3, rngs, "fixed-point", 0)
     assert len(channel.audit) == 0
     assert [rng.bit_generator.state for rng in rngs] == states
 
