@@ -4,12 +4,16 @@ The results and the log read as if the steps had run one after another in
 holder order, whichever thread ran each step and whenever it finished.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from sapgnn import pool
 from sapgnn.pool import each_holder, holder_pool
 from sapgnn.wire import AuditLog, MessageKind, holder_party
 
@@ -87,3 +91,20 @@ def test_the_lowest_failure_is_raised_after_the_log_up_to_its_step():
         each_holder(audit, 5, step)
     assert [r.sender for r in audit.records] == ["server", "holder-0", "holder-1", "holder-1"]
     assert [r.ts for r in audit.records] == [0, 1, 2, 3]
+
+
+@pytest.mark.skipif(pool.OPENBLAS_THREADS is None, reason="numpy bundles no scipy-openblas")
+def test_importing_the_package_sets_openblas_to_one_thread_before_any_pool_starts():
+    # a child that asks for two threads reads one from the library right
+    # after the import, before any pool starts: the centralized trainer
+    # starts none, and runs on one thread too
+    code = ("import ctypes, pathlib, numpy, sapgnn; from sapgnn import pool; "
+            "lib = sorted((pathlib.Path(numpy.__file__).resolve().parent.parent / 'numpy.libs')"
+            ".glob('libscipy_openblas64_*.so'))[0]; "
+            "get = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_; "
+            "get.argtypes, get.restype = [], ctypes.c_int; "
+            "print(pool._pool is None, get())")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.split() == ["True", "1"]
