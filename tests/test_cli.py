@@ -88,10 +88,13 @@ def test_train_sapgnn_records_what_its_hashes_depend_on(tmp_path, capsys):
                       "holder_workers": len(os.sched_getaffinity(0)) - 1}
 
 
-def test_run_record_reads_the_openblas_thread_count_the_package_set(tmp_path):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_record_reads_the_openblas_thread_count_the_library_started_with(tmp_path, threads):
     # the library reads OPENBLAS_NUM_THREADS when it loads; importing the
-    # package then sets it to one thread, and run.json reads that count
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(sys.path)}
+    # package then sets it to one thread, so whatever count a child started
+    # with, its run.json reads 1
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(sys.path)}
     out = tmp_path / "run"
     subprocess.run([sys.executable, "-m", "sapgnn.cli", "train-sapgnn", "--config",
                     str(write_config(tmp_path)), "--out", str(out)],
